@@ -41,7 +41,8 @@ from .noise import (NoiseOperator, SeedSpec, apply_noise, derived_replicate,
                     gains_inverse_k, gains_single_mode, generator, hs_norm,
                     increment_table, noise_operator_1d, noise_operator_2d,
                     sample_increment, standard_normal_table, standard_normals)
-from .solver import (SolverConfig, Trajectory, heat_convergence_report, solve,
-                     step, taylor_green_report)
+from .solver import (BLOCK_REPLICATES, SolverConfig, Trajectory,
+                     heat_convergence_report, solve, solve_block,
+                     taylor_green_report)
 
 __version__ = "0.1.0"

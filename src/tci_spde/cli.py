@@ -30,8 +30,8 @@ from .models import (audit_hypotheses, burgers_model, ns2d_model,
                      nonlinearity_energy_suite, t1_feasibility)
 from .noise import (LANE_FIELDS, derived_replicate, gains_inverse_k,
                     generator, noise_operator_1d, noise_operator_2d)
-from .solver import (heat_convergence_report, linear_eigenvalues, solve,
-                     taylor_green_report, _norm_pair)
+from .solver import (heat_convergence_report, solve, state_norms,
+                     taylor_green_report)
 
 
 def _require(cfg: ExperimentConfig, *names):
@@ -158,15 +158,17 @@ def _run_constants(cfg: ExperimentConfig) -> dict:
     return report
 
 
-def _write_trajectory_csv(path, model, stride, traj):
-    lam = linear_eigenvalues(model)
+def _write_trajectory_csv(path, model, solver_cfg, traj):
+    # The trajectory keeps every snapshot_stride-th state plus the terminal
+    # one; the CSV lists the stride grid only.
+    n_rows = solver_cfg.n_steps // solver_cfg.snapshot_stride + 1
+    h_sq, v_sq = state_norms(model, traj.states[:n_rows])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "norm_h", "norm_v"])
-        for i in range(0, len(traj.times), stride):
-            h_sq, v_sq = _norm_pair(model, traj.states[i], lam)
-            writer.writerow([repr(float(traj.times[i])),
-                             repr(math.sqrt(h_sq)), repr(math.sqrt(v_sq))])
+        for t, h, v in zip(traj.times[:n_rows].tolist(),
+                           np.sqrt(h_sq).tolist(), np.sqrt(v_sq).tolist()):
+            writer.writerow([repr(t), repr(h), repr(v)])
 
 
 def _run_simulate(cfg: ExperimentConfig, out_dir: str) -> dict:
@@ -174,7 +176,7 @@ def _run_simulate(cfg: ExperimentConfig, out_dir: str) -> dict:
     traj = solve(cfg.model, cfg.solver, cfg.x0, cfg.experiment_seed,
                  replicate=0)
     csv_path = os.path.join(out_dir, "trajectory_0.csv")
-    _write_trajectory_csv(csv_path, cfg.model, cfg.solver.snapshot_stride, traj)
+    _write_trajectory_csv(csv_path, cfg.model, cfg.solver, traj)
     moments = conc.moment_report(cfg.model, cfg.solver, cfg.x0,
                                  n_replicates=cfg.replicates,
                                  experiment_seed=cfg.experiment_seed,
@@ -191,15 +193,15 @@ def _run_simulate(cfg: ExperimentConfig, out_dir: str) -> dict:
     }
 
 
-def _write_coupled_csv(path, ensemble, functional_kind, experiment_seed):
+def _write_coupled_csv(path, ensemble, functional, experiment_seed):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["replicate", "seed", "functional", "value"])
         for leg in ("shifted", "unshifted"):
-            values = ensemble[f"functional_{leg}"]
+            values = functional.values(ensemble[leg])
             for rep, val in enumerate(values):
                 writer.writerow([rep, experiment_seed,
-                                 f"{functional_kind}[{leg}]",
+                                 f"{functional.kind}[{leg}]",
                                  repr(float(val))])
 
 
@@ -212,19 +214,16 @@ def _run_verify_t2(cfg: ExperimentConfig, out_dir: str) -> dict:
     t2 = cst.t2_constant(cfg.solver.horizon, model.constants.K2,
                          model.noise.c_b, cfg.C1)
     functionals = cfg.functionals or [conc.sup_h_functional()]
-    chain = []
-    first_ensemble = None
-    for i, functional in enumerate(functionals):
-        ens = coupled_ensemble(model, cfg.solver, cfg.x0, h, cfg.replicates,
-                               cfg.experiment_seed, functional=functional)
-        if i == 0:
-            first_ensemble = ens
-            _write_coupled_csv(os.path.join(out_dir, "ensemble.csv"), ens,
-                               functional.kind, cfg.experiment_seed)
-        chain.append(conc.t2_chain_check(model, cfg.solver, cfg.x0, h,
-                                         functional, t2=t2, ensemble=ens))
+    # One coupled pass feeds every functional and the contraction report.
+    ens = coupled_ensemble(model, cfg.solver, cfg.x0, h, cfg.replicates,
+                           cfg.experiment_seed)
+    _write_coupled_csv(os.path.join(out_dir, "ensemble.csv"), ens,
+                       functionals[0], cfg.experiment_seed)
+    chain = [conc.t2_chain_check(model, cfg.solver, cfg.x0, h, functional,
+                                 t2=t2, ensemble=ens)
+             for functional in functionals]
     contraction = contraction_report(model, cfg.solver, cfg.x0, h, t2=t2,
-                                     ensemble=first_ensemble)
+                                     ensemble=ens)
     return {"shift_entropy": float(shift_entropy(h)),
             "contraction": contraction, "chain": chain}
 

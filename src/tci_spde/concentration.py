@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ._stats import fsum_mean, mean_and_stderr, wilson_upper
 from .errors import ParameterError
@@ -24,8 +23,7 @@ from .fields import _wavegrids
 from .girsanov import ShiftFunction, coupled_ensemble, shift_entropy
 from .models import ModelSpec
 from .noise import LANE_REFINED, derived_replicate
-from .parallel import parallel_map
-from .solver import SolverConfig, Trajectory, solve
+from .solver import SolverConfig, Trajectory, map_blocks, solve_block
 
 _EXP_RANGE = 700.0
 
@@ -60,22 +58,34 @@ class FunctionalSpec:
             raise ParameterError("linear_probe needs a probe element")
 
     def __call__(self, traj: Trajectory) -> float:
+        return float(self.values(traj.summary())[0])
+
+    def values(self, paths: np.ndarray) -> np.ndarray:
+        """The functional on every row of a path-summary array
+        (``solver.solve_block``, ``Trajectory.summary``)."""
         if self.kind == "l2_V_path_norm":
-            return math.sqrt(traj.v_energy_total)
+            return np.sqrt(paths["v_energy_total"])
         if self.kind == "sup_H_norm":
-            return traj.sup_h_total
-        last = traj.states[-1]
+            return np.array(paths["sup_h_total"])
+        last = paths["terminal"].reshape(len(paths), -1)
         if self.kind == "terminal_H_norm":
-            return _state_h_norm(last)
+            return np.sqrt(_sq_norms(last))
+        probe = self.probe.ravel()
         if last.dtype.kind == "c":
-            return float(np.real(np.sum(np.conj(self.probe) * last)))
-        return float(np.dot(self.probe, last))
+            return np.real(np.sum(np.conj(probe) * last, axis=1))
+        return np.matmul(last[:, None, :], probe[:, None])[:, 0, 0]
+
+
+def _sq_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared H-norm of each row of flattened raw states; a real row's is
+    its BLAS dot product, the value ``np.dot`` gives."""
+    if rows.dtype.kind == "c":
+        return np.sum(np.abs(rows) ** 2, axis=1)
+    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
 
 
 def _state_h_norm(state: np.ndarray) -> float:
-    if state.dtype.kind == "c":
-        return math.sqrt(float(np.sum(np.abs(state) ** 2)))
-    return math.sqrt(float(np.dot(state.ravel(), state.ravel())))
+    return math.sqrt(float(_sq_norms(state.reshape(1, -1))[0]))
 
 
 def l2_v_path_functional() -> FunctionalSpec:
@@ -190,22 +200,24 @@ class Ensemble:
             raise ParameterError("ensemble values must be finite")
 
 
-def _functional_worker(replicate: int, model, cfg, x0, functional,
-                       experiment_seed):
-    traj = solve(model, cfg, x0, experiment_seed, replicate)
-    return functional(traj)
+def _path_block(replicates, model, cfg, x0, experiment_seed) -> np.ndarray:
+    return solve_block(model, cfg, x0, experiment_seed, replicates).paths
+
+
+def _ensemble_paths(model, cfg, x0, experiment_seed, replicates) -> np.ndarray:
+    """Path summaries of independent replicates, stepped in blocks."""
+    return np.concatenate(map_blocks(
+        partial(_path_block, model=model, cfg=cfg, x0=x0,
+                experiment_seed=experiment_seed), replicates))
 
 
 def functional_ensemble(model: ModelSpec, cfg: SolverConfig, x0,
                         functional: FunctionalSpec, n_replicates: int,
                         experiment_seed: int) -> Ensemble:
-    """Independent replicates of one functional, parallel over replicates."""
+    """Independent replicates of one functional, parallel over blocks."""
     reps = list(range(n_replicates))
-    values = parallel_map(
-        partial(_functional_worker, model=model, cfg=cfg, x0=x0,
-                functional=functional, experiment_seed=experiment_seed),
-        reps)
-    return Ensemble(values=np.asarray(values), functional=functional,
+    paths = _ensemble_paths(model, cfg, x0, experiment_seed, reps)
+    return Ensemble(values=functional.values(paths), functional=functional,
                     experiment_seed=experiment_seed,
                     replicates=np.asarray(reps))
 
@@ -419,6 +431,10 @@ def w2_small_cloud(a, b) -> float:
         raise ParameterError(
             "cloud too large for exact assignment (n <= 256, d <= 8); "
             "use w2_sorted_1d on scalar functionals instead")
+    # scipy.optimize costs most of the package import time and ~24 MB, and
+    # only this function needs it.
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
     rows, cols = linear_sum_assignment(cost)
     return math.sqrt(float(np.mean(cost[rows, cols])))
@@ -437,12 +453,12 @@ def t2_chain_check(model: ModelSpec, cfg: SolverConfig, x0,
 
     if ensemble is None:
         ensemble = coupled_ensemble(model, cfg, x0, h, n_replicates,
-                                    experiment_seed, functional=functional)
+                                    experiment_seed)
     if t2 is None:
         t2 = t2_constant(horizon=cfg.horizon, K2=model.constants.K2,
                          C_B=model.noise.c_b, C1=model.constants.C1)
-    fx = ensemble["functional_shifted"]
-    fy = ensemble["functional_unshifted"]
+    fx = functional.values(ensemble["shifted"])
+    fy = functional.values(ensemble["unshifted"])
     entropy = shift_entropy(h)
     w2 = w2_sorted_1d(fx, fy)
     lip = functional.lipschitz_constant
@@ -470,16 +486,9 @@ def t2_chain_check(model: ModelSpec, cfg: SolverConfig, x0,
 # moment stability
 
 
-def _moment_worker(replicate: int, model, cfg, x0, experiment_seed, p):
-    traj = solve(model, cfg, x0, experiment_seed, replicate)
-    return traj.sup_h_total**p, traj.v_energy_total
-
-
 def _moment_pass(model, cfg, x0, experiment_seed, p, replicates) -> dict:
-    rows = parallel_map(
-        partial(_moment_worker, model=model, cfg=cfg, x0=x0,
-                experiment_seed=experiment_seed, p=p), replicates)
-    arr = np.asarray(rows, dtype=np.float64)
+    paths = _ensemble_paths(model, cfg, x0, experiment_seed, replicates)
+    arr = np.stack([paths["sup_h_total"] ** p, paths["v_energy_total"]], axis=1)
     sup_mean, sup_se = mean_and_stderr(arr[:, 0])
     v_mean, v_se = mean_and_stderr(arr[:, 1])
     return {

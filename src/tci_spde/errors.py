@@ -31,12 +31,20 @@ class SchemaError(ValueError):
 class DivergenceError(RuntimeError):
     """Raised when a trajectory leaves the representable range.
 
-    Carries the step index and time at which the blow-up was detected.
+    Carries the step index and time at which the blow-up was detected and,
+    when known, the (experiment_seed, replicate) address of the trajectory.
     """
 
-    def __init__(self, step, time, message=None):
+    def __init__(self, step, time, message=None, experiment_seed=None,
+                 replicate=None):
         self.step = step
         self.time = time
+        self.experiment_seed = experiment_seed
+        self.replicate = replicate
         super().__init__(
             message or f"trajectory diverged at step {step} (t = {time:.6g})"
         )
+
+    def __reduce__(self):
+        return (type(self), (self.step, self.time, str(self),
+                             self.experiment_seed, self.replicate))

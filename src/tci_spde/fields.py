@@ -208,8 +208,9 @@ def _wavegrids(cutoff: int):
 
 
 def hermitian_symmetrize(spec: np.ndarray) -> np.ndarray:
-    """Project a square spectral block onto the Hermitian (real-field) part."""
-    return 0.5 * (spec + np.conj(spec[:, ::-1, ::-1]))
+    """Project a square spectral block onto the Hermitian (real-field) part;
+    the last two axes are the wavenumbers."""
+    return 0.5 * (spec + np.conj(spec[..., ::-1, ::-1]))
 
 
 def helmholtz_project(field: Field2D) -> Field2D:

@@ -16,7 +16,6 @@ bound   E_Q sup_t ||X - Y||_H^2 <= C(T, K2, C_B) int ||h||^2 dt.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -26,8 +25,8 @@ from ._stats import mean_and_stderr
 from .errors import ParameterError
 from .models import ModelSpec
 from .noise import increment_table
-from .parallel import parallel_map
-from .solver import SolverConfig, Trajectory, solve
+from .solver import (SolverConfig, Trajectory, block_increments, map_blocks,
+                     solve_block)
 
 
 @dataclass(frozen=True)
@@ -118,69 +117,65 @@ def _log_rn_parts(h: ShiftFunction, inc: np.ndarray) -> tuple[float, float, floa
     return s, i_left, entropy
 
 
-def coupled_solve(model: ModelSpec, cfg: SolverConfig, x0, h: ShiftFunction,
-                  experiment_seed: int, replicate: int = 0) -> CoupledPair:
-    """Drive the shifted and unshifted dynamics with shared increments."""
+def _check_shift(model: ModelSpec, cfg: SolverConfig, h: ShiftFunction):
     if h.n_w != model.noise.n_w:
         raise ParameterError("shift dimension disagrees with the noise")
     if abs(h.horizon - cfg.horizon) > 1e-9 or abs(h.dt - cfg.dt) > 1e-15:
         raise ParameterError("shift grid disagrees with the solver grid")
+
+
+def coupled_solve(model: ModelSpec, cfg: SolverConfig, x0, h: ShiftFunction,
+                  experiment_seed: int, replicate: int = 0) -> CoupledPair:
+    """Drive the shifted and unshifted dynamics with shared increments,
+    recording both paths."""
+    _check_shift(model, cfg, h)
     inc = increment_table(model.noise, cfg.dt, experiment_seed, replicate,
                           cfg.n_steps)
-    x = solve(model, cfg, x0, experiment_seed, replicate,
-              shift_values=h.dynamic_rows(), increments=inc)
-    y = solve(model, cfg, x0, experiment_seed, replicate, increments=inc)
-    diff = x.states - y.states
-    if model.kind == "ns2d":
-        gaps = np.sum(np.abs(diff) ** 2, axis=(1, 2, 3))
-    else:
-        gaps = np.sum(diff**2, axis=1)
+    block = solve_block(model, cfg, x0, experiment_seed, [replicate],
+                        increments=inc[:, None, :],
+                        shifts=(h.dynamic_rows(), None), record=True)
+    x, y = block.trajectories
     s, i_left, entropy = _log_rn_parts(h, inc)
-    return CoupledPair(x=x, y=y, sup_gap_sq=float(np.max(gaps)),
+    return CoupledPair(x=x, y=y, sup_gap_sq=float(block.sup_gap_sq[0]),
                        log_rn=s + i_left - entropy,
                        girsanov_cost=2.0 * entropy,
                        experiment_seed=experiment_seed, replicate=replicate)
 
 
-def _pair_worker(replicate: int, model, cfg, x0, h, experiment_seed,
-                 functional=None):
-    pair = coupled_solve(model, cfg, x0, h, experiment_seed, replicate)
-    s, i_left, _ = _log_rn_parts(
-        h, increment_table(model.noise, cfg.dt, experiment_seed, replicate,
-                           cfg.n_steps))
+def _pair_block(replicates, model, cfg, x0, h, experiment_seed) -> dict:
+    inc = block_increments(model, cfg, experiment_seed, replicates)
+    block = solve_block(model, cfg, x0, experiment_seed, replicates,
+                        increments=inc, shifts=(h.dynamic_rows(), None))
+    n = len(replicates)
+    s, i_left, entropy = np.array([_log_rn_parts(h, inc[:, i])
+                                   for i in range(n)]).T
     # log M_T with the draws read under the base measure; subtracting half
     # the left-rule integral (the variance of s) makes E exp(.) = 1 exactly.
-    base_view = s - 0.5 * i_left
-    if functional is None:
-        fx = fy = math.nan
-    else:
-        fx = functional(pair.x)
-        fy = functional(pair.y)
-    return pair.sup_gap_sq, pair.log_rn, base_view, fx, fy
+    return {"sup_gap_sq": block.sup_gap_sq,
+            "log_rn": s + i_left - entropy,
+            "log_rn_base_view": s - 0.5 * i_left,
+            "shifted": block.paths[:n],
+            "unshifted": block.paths[n:]}
 
 
 def coupled_ensemble(model: ModelSpec, cfg: SolverConfig, x0, h: ShiftFunction,
-                     n_replicates: int, experiment_seed: int,
-                     functional=None) -> dict:
-    """Replicate arrays for the coupling checks.
+                     n_replicates: int, experiment_seed: int) -> dict:
+    """Replicate arrays for the coupling checks, one coupled pass.
 
-    ``functional`` (optional) maps a Trajectory to a scalar; its values on
-    the shifted and unshifted legs feed the distributional checks.
+    Pairs are stepped in blocks (``solver.map_blocks``); each replicate's
+    increment table is drawn once and drives both legs and its log-density.
+    ``shifted`` and ``unshifted`` hold per-replicate path summaries
+    (``solver.solve_block``) on which any functional can be evaluated.
     """
-    rows = parallel_map(
-        partial(_pair_worker, model=model, cfg=cfg, x0=x0, h=h,
-                experiment_seed=experiment_seed, functional=functional),
+    _check_shift(model, cfg, h)
+    blocks = map_blocks(
+        partial(_pair_block, model=model, cfg=cfg, x0=x0, h=h,
+                experiment_seed=experiment_seed),
         range(n_replicates))
-    out = np.asarray(rows, dtype=np.float64)
-    return {
-        "sup_gap_sq": out[:, 0],
-        "log_rn": out[:, 1],
-        "log_rn_base_view": out[:, 2],
-        "functional_shifted": out[:, 3],
-        "functional_unshifted": out[:, 4],
-        "n_replicates": int(n_replicates),
-        "experiment_seed": int(experiment_seed),
-    }
+    out = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
+    out["n_replicates"] = int(n_replicates)
+    out["experiment_seed"] = int(experiment_seed)
+    return out
 
 
 def contraction_report(model: ModelSpec, cfg: SolverConfig, x0,

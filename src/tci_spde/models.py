@@ -175,14 +175,19 @@ def _burgers_workspace(n_modes: int, n_grid: int):
 
 
 def burgers_nonlinearity(coeffs: np.ndarray, n_grid: int | None = None) -> np.ndarray:
-    """Sine coefficients of v v_x, evaluated on an anti-aliased midpoint grid."""
-    n_modes = coeffs.shape[0]
+    """Sine coefficients of v v_x, evaluated on an anti-aliased midpoint grid.
+
+    Leading axes of ``coeffs`` hold independent fields; each one goes
+    through its own matrix-vector products, so a field's result does not
+    depend on what else is in the batch.
+    """
+    n_modes = coeffs.shape[-1]
     if n_grid is None:
         n_grid = 4 * n_modes
     eval_t, deriv_t, proj_t = _burgers_workspace(n_modes, n_grid)
-    vals = eval_t @ coeffs
-    dvals = deriv_t @ coeffs
-    return proj_t @ (vals * dvals)
+    col = coeffs[..., None]
+    prod = np.matmul(eval_t, col) * np.matmul(deriv_t, col)
+    return np.matmul(proj_t, prod)[..., 0]
 
 
 @lru_cache(maxsize=16)
@@ -198,7 +203,11 @@ def _ns_workspace(cutoff: int, n_grid: int):
 
 def ns_advection(spec: np.ndarray, cutoff: int,
                  n_grid: int | None = None) -> np.ndarray:
-    """Leray-projected advection -P[(u.grad)u] on the spectral block."""
+    """Leray-projected advection -P[(u.grad)u] on the spectral block.
+
+    ``spec`` has shape (..., 2, n, n); leading axes hold independent fields
+    and the transforms run over the last two axes.
+    """
     if n_grid is None:
         n_grid = fs.default_grid_2d(cutoff)
     if n_grid < 3 * cutoff + 1:
@@ -207,21 +216,21 @@ def ns_advection(spec: np.ndarray, cutoff: int,
             f"grid {n_grid} aliases quadratic products at cutoff {cutoff}"
         )
     idx, ik1, ik2, k1, k2, ksq_safe = _ns_workspace(cutoff, n_grid)
-    buf = np.zeros((2, n_grid, n_grid), dtype=np.complex128)
-    buf[:, idx[:, None], idx[None, :]] = spec
-    u = np.fft.ifft2(buf, axes=(1, 2)).real * n_grid**2
+    buf = np.zeros(spec.shape[:-2] + (n_grid, n_grid), dtype=np.complex128)
+    buf[..., idx[:, None], idx[None, :]] = spec
+    u = np.fft.ifft2(buf).real * n_grid**2
     adv = np.empty_like(u)
     for c in range(2):
-        d1 = np.fft.ifft2(ik1 * buf[c]).real * n_grid**2
-        d2 = np.fft.ifft2(ik2 * buf[c]).real * n_grid**2
-        adv[c] = u[0] * d1 + u[1] * d2
-    out = np.fft.fft2(adv, axes=(1, 2)) / n_grid**2
-    out = out[:, idx[:, None], idx[None, :]]
-    dot = (k1 * out[0] + k2 * out[1]) / ksq_safe
-    out[0] -= k1 * dot
-    out[1] -= k2 * dot
+        d1 = np.fft.ifft2(ik1 * buf[..., c, :, :]).real * n_grid**2
+        d2 = np.fft.ifft2(ik2 * buf[..., c, :, :]).real * n_grid**2
+        adv[..., c, :, :] = u[..., 0, :, :] * d1 + u[..., 1, :, :] * d2
+    out = np.fft.fft2(adv) / n_grid**2
+    out = out[..., idx[:, None], idx[None, :]]
+    dot = (k1 * out[..., 0, :, :] + k2 * out[..., 1, :, :]) / ksq_safe
+    out[..., 0, :, :] -= k1 * dot
+    out[..., 1, :, :] -= k2 * dot
     out = fs.hermitian_symmetrize(-out)
-    out[:, cutoff, cutoff] = 0.0
+    out[..., cutoff, cutoff] = 0.0
     return out
 
 
@@ -236,7 +245,8 @@ def linear_eigenvalues(model: ModelSpec) -> np.ndarray:
 
 def explicit_drift(model: ModelSpec, t: float, state: np.ndarray,
                    n_grid: int | None = None) -> np.ndarray | None:
-    """Non-implicit drift terms (nonlinearity and forcing) on raw coefficients."""
+    """Non-implicit drift terms (nonlinearity and forcing) on raw coefficients;
+    a leading axis of ``state`` holds independent fields."""
     if model.kind == "heat":
         return None
     if model.kind == "burgers":

@@ -187,10 +187,11 @@ class NoiseOperator:
         elif self.kind != "1d":
             raise ParameterError(f"unknown noise kind {self.kind!r}")
 
-    def g(self, h_norm: float) -> float:
+    def g(self, h_norm):
+        """Clamp factor for an H-norm, or elementwise for an array of them."""
         if self.clamp is None:
             return 1.0
-        return self.clamp / max(self.clamp, h_norm)
+        return self.clamp / np.maximum(self.clamp, h_norm)
 
 
 def noise_operator_1d(n_w: int, gains, c_b: float,
@@ -244,8 +245,9 @@ def embed_1d(op: NoiseOperator, w: np.ndarray, n_modes: int) -> np.ndarray:
 
 
 def embed_2d(op: NoiseOperator, w: np.ndarray) -> np.ndarray:
-    """Spectral image of B w (g factor excluded), shape (2, n, n)."""
-    return np.tensordot(op.gains * w, op._basis, axes=(0, 0))
+    """Spectral image of B w (g factor excluded), shape (..., 2, n, n) for
+    ``w`` of shape (..., n_w)."""
+    return np.tensordot(op.gains * w, op._basis, axes=(-1, 0))
 
 
 def apply_noise(op: NoiseOperator, v, w: np.ndarray):

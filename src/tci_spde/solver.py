@@ -7,16 +7,23 @@ everything else explicitly:
                + B(t_n, u_n)(dW_n + h(t_n) dt)] / (1 + dt lambda_k)
 
 applied mode by mode, where lambda_k are the spectral eigenvalues of the
-implicit part and h is an optional Girsanov shift.  Trajectories carry
-running integrals of the V-norm (trapezoid) and the running sup of the
-H-norm; blow-up raises with the offending step index instead of
-propagating NaNs.
+implicit part and h is an optional Girsanov shift.
+
+One loop, ``solve_block``, advances a block of replicates at once: the
+state carries a leading row axis, and running reductions (trapezoid
+V-energy, sup H-norm, terminal state, and for coupled blocks the sup of
+the squared gap between shifted and unshifted rows) replace stored paths.
+``solve`` is that loop on one row with its states recorded.  Ensembles cut
+their replicates into blocks of ``BLOCK_REPLICATES``, a code constant, so
+their results do not depend on the worker count.  Blow-up raises with the
+(experiment_seed, replicate, step) address instead of propagating NaNs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +32,12 @@ from .fields import Field1D, Field2D
 from .models import (ModelSpec, explicit_drift, linear_eigenvalues,
                      taylor_green_field)
 from .noise import increment_table, embed_2d
+from .parallel import parallel_map
+
+# Replicates per block.  A code constant, never derived from the worker
+# count, so every replicate is stepped in the same block (the rows that
+# share its batched transforms and products) whatever the worker count.
+BLOCK_REPLICATES = 8
 
 
 @dataclass(frozen=True)
@@ -35,7 +48,8 @@ class SolverConfig:
     agree with the model (the model owns its resolution, because the noise
     embedding depends on it).  ``dealias`` selects the anti-aliased product
     grid for the nonlinearities; switching it off evaluates products at the
-    minimal collocation resolution.
+    minimal collocation resolution.  ``snapshot_stride`` thins the states a
+    recorded trajectory keeps.
     """
 
     dt: float
@@ -76,14 +90,27 @@ def _product_grid(model: ModelSpec, cfg: SolverConfig) -> int | None:
     return (4 * model.cutoff + 4) if cfg.dealias else (3 * model.cutoff + 1)
 
 
+def _path_summaries(v_energy, sup_h, terminal) -> np.ndarray:
+    """Structured rows (v_energy_total, sup_h_total, terminal state)."""
+    dtype = np.dtype([("v_energy_total", np.float64),
+                      ("sup_h_total", np.float64),
+                      ("terminal", terminal.dtype, terminal.shape[1:])])
+    out = np.empty(len(terminal), dtype=dtype)
+    out["v_energy_total"] = v_energy
+    out["sup_h_total"] = sup_h
+    out["terminal"] = terminal
+    return out
+
+
 @dataclass
 class Trajectory:
-    """One sample path on the uniform time grid.
+    """One sample path, recorded every ``snapshot_stride`` steps.
 
     ``states[i]`` is the raw coefficient array at time ``times[i]``;
-    ``field(i)`` wraps it.  ``v_energy[i]`` is the trapezoid value of
-    int_0^{t_i} ||X_s||_V^2 ds and ``sup_h_norm[i]`` the running max of
-    the H-norm, both including the initial state.
+    ``field(i)`` wraps it.  The last entry is always the terminal state.
+    ``v_energy[i]`` is the trapezoid value of int_0^{t_i} ||X_s||_V^2 ds and
+    ``sup_h_norm[i]`` the running max of the H-norm, both accumulated over
+    every step (not only the recorded ones) and including the initial state.
     """
 
     times: np.ndarray
@@ -109,68 +136,239 @@ class Trajectory:
     def sup_h_total(self) -> float:
         return float(self.sup_h_norm[-1])
 
+    def summary(self) -> np.ndarray:
+        """One-row path summary, as ``solve_block`` returns for ensembles."""
+        return _path_summaries(self.v_energy[-1:], self.sup_h_norm[-1:],
+                               self.states[-1:])
 
-def _norm_pair(model: ModelSpec, state: np.ndarray, lam: np.ndarray):
-    """(||u||_H^2, ||u||_V^2) on raw coefficients."""
+
+def _state_rows(model: ModelSpec, x0_raw: np.ndarray, n_rows: int,
+                lam: np.ndarray):
+    """``n_rows`` copies of ``x0_raw`` and a function of no arguments that
+    returns the (2, n_rows) array of (||u||_H^2, ||u||_V^2) per row.
+
+    The function reads the rows in place, so the caller updates them in
+    place.  A real row's norms are BLAS dot products taken one row at a
+    time (a stack of vector-vector matmuls, both norms in one call), so
+    they equal ``np.dot`` on the row bitwise whatever the block holds.
+    """
     if model.kind == "ns2d":
-        p = np.abs(state) ** 2
-        h_sq = float(np.sum(p))
-        v_sq = float(np.sum(lam * p)) / model.viscosity
-        return h_sq, v_sq
-    h_sq = float(np.dot(state, state))
-    v_sq = float(np.dot(lam * state, state))
-    return h_sq, v_sq
+        rows = np.repeat(x0_raw[None], n_rows, axis=0)
+        flat = rows.reshape(n_rows, -1)
+        weights = np.broadcast_to(lam, x0_raw.shape).ravel()
+        visc = model.viscosity
+
+        def norms():
+            p = np.abs(flat) ** 2
+            return np.array([p.sum(axis=1), (weights * p).sum(axis=1) / visc])
+        return rows, norms
+    # lhs[0] holds the rows and lhs[1] the rows weighted by lam.
+    lhs = np.empty((2, n_rows, x0_raw.size))
+    rows = lhs[0]
+    rows[...] = x0_raw
+    lhs_rows = lhs[:, :, None, :]
+    rhs = np.broadcast_to(rows[:, :, None], lhs.shape + (1,))
+
+    def norms():
+        np.multiply(lam, rows, out=lhs[1])
+        return np.matmul(lhs_rows, rhs).reshape(2, n_rows)
+    return rows, norms
 
 
-def _advance(model: ModelSpec, state: np.ndarray, expl, noise_term,
-             inv_lin: np.ndarray, dt: float) -> np.ndarray:
-    """One semi-implicit update on raw coefficients."""
-    if expl is not None:
-        tmp = state + dt * expl
-    else:
-        tmp = state.copy()
-    if noise_term is not None:
-        if model.kind == "ns2d":
-            tmp += noise_term
-        else:
-            tmp[: noise_term.size] += noise_term
-    tmp *= inv_lin
-    return tmp
+def state_norms(model: ModelSpec, states: np.ndarray):
+    """(||u||_H^2, ||u||_V^2) arrays over a stack of raw states u."""
+    states = np.asarray(states)
+    rows, norms = _state_rows(model, states[0], len(states),
+                              linear_eigenvalues(model))
+    rows[...] = states
+    return tuple(norms())
 
 
-def step(model: ModelSpec, cfg: SolverConfig, v, t: float,
-         dW: np.ndarray, shift_vec: np.ndarray | None = None):
-    """Single public step; ``dW`` lives in U, ``shift_vec`` is h(t) or None."""
-    _check_resolution(model, cfg)
+def _sq_gap(model: ModelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||a - b||_H^2 per row."""
+    d = a - b
+    p = np.abs(d) ** 2 if model.kind == "ns2d" else d * d
+    return p.reshape(len(p), -1).sum(axis=1)
+
+
+def _initial_state(model: ModelSpec, x0) -> np.ndarray:
+    if model.kind == "ns2d":
+        if not isinstance(x0, Field2D) or x0.cutoff != model.cutoff:
+            raise InvalidFieldError("initial condition must match the model cutoff")
+        return x0.spec
+    if not isinstance(x0, Field1D) or x0.n_modes != model.n_modes:
+        raise InvalidFieldError("initial condition must match the model modes")
+    return x0.coeffs
+
+
+def block_increments(model: ModelSpec, cfg: SolverConfig, experiment_seed: int,
+                     replicates) -> np.ndarray:
+    """The (n_steps, P, n_w) Wiener increments of P replicates, each drawn
+    from its own (experiment_seed, replicate) stream."""
     op = model.noise
-    if model.kind == "ns2d":
-        if not isinstance(v, Field2D):
-            raise InvalidFieldError("ns2d step needs a Field2D state")
-        state = v.spec
+    out = np.empty((cfg.n_steps, len(replicates), op.n_w))
+    for i, r in enumerate(replicates):
+        out[:, i] = increment_table(op, cfg.dt, experiment_seed, r, cfg.n_steps)
+    return out
+
+
+@dataclass
+class Block:
+    """Results of one block.  Rows are leg-major: row j * P + i is the i-th
+    of the P replicates on the j-th shift leg.
+
+    ``paths`` holds one path summary per row; ``sup_gap_sq`` (two-leg
+    blocks only) the per-replicate sup_t ||X_leg0 - X_leg1||_H^2;
+    ``trajectories`` (recorded blocks only) one Trajectory per row.
+    """
+
+    paths: np.ndarray
+    sup_gap_sq: np.ndarray | None = None
+    trajectories: list | None = None
+
+
+def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
+                replicates, increments: np.ndarray | None = None,
+                shifts=(None,), zero_noise: bool = False,
+                record: bool = False) -> Block:
+    """Advance every (shift leg, replicate) row of one block in lockstep.
+
+    Every row starts from ``x0``.  ``increments`` holds the Wiener
+    increments of the replicates, shape (n_steps, P, n_w); by default each
+    replicate draws its own from (experiment_seed, replicate), so any row
+    is reproducible on its own.  All legs share them.  Each entry of
+    ``shifts`` is None or the (n_steps, n_w) values h(t_k) of a Girsanov
+    shift, applied per step as dW_k + dt h(t_k).  Two legs also give the
+    running sup of the squared H-gap between them.  ``record`` keeps every
+    ``cfg.snapshot_stride``-th state and the terminal one.
+    """
+    _check_resolution(model, cfg)
+    M, dt, op = cfg.n_steps, cfg.dt, model.noise
+    replicates = [int(r) for r in replicates]
+    n_rep = len(replicates)
+    x0_raw = _initial_state(model, x0)
+
+    if zero_noise:
+        inc = None
+    elif increments is None:
+        inc = block_increments(model, cfg, experiment_seed, replicates)
+    elif increments.shape != (M, n_rep, op.n_w):
+        raise ParameterError("increments must have shape (n_steps, replicates, n_w)")
     else:
-        if not isinstance(v, Field1D):
-            raise InvalidFieldError(f"{model.kind} step needs a Field1D state")
-        state = v.coeffs
+        inc = increments
+    for h in shifts:
+        if h is not None and h.shape != (M, op.n_w):
+            raise ParameterError("shift values must have shape (n_steps, n_w)")
+
     lam = linear_eigenvalues(model)
-    inv_lin = 1.0 / (1.0 + cfg.dt * lam)
-    w_eff = dW if shift_vec is None else dW + cfg.dt * shift_vec
-    g = op.g(math.sqrt(_norm_pair(model, state, lam)[0]))
-    if model.kind == "ns2d":
-        noise_term = embed_2d(op, g * w_eff)
-    else:
-        noise_term = op.gains * (g * w_eff)
-    expl = explicit_drift(model, t, state, _product_grid(model, cfg))
-    out = _advance(model, state, expl, noise_term, inv_lin, cfg.dt)
-    if not np.all(np.isfinite(out.view(np.float64) if out.dtype.kind == "c" else out)):
-        raise DivergenceError(1, t + cfg.dt)
-    return Field2D(out) if model.kind == "ns2d" else Field1D(out)
+    inv_lin = 1.0 / (1.0 + dt * lam)
+    grid = _product_grid(model, cfg)
+    two_d = model.kind == "ns2d"
+    half_dt = 0.5 * dt
+
+    # ``state`` is updated in place, so ``norms`` keeps reading it.
+    state, norms = _state_rows(model, x0_raw, len(shifts) * n_rep, lam)
+    head = state if two_d else state[:, :op.n_w]
+    h_sq, prev_v_sq = norms()
+    v_energy = np.zeros(len(state))
+    sup_h_sq = h_sq.copy()
+    sup_gap = np.zeros(n_rep) if len(shifts) == 2 else None
+    shift_steps = [None if h is None else dt * h for h in shifts]
+
+    if record:
+        kept = np.arange(0, M + 1, cfg.snapshot_stride)
+        if kept[-1] != M:
+            kept = np.append(kept, M)
+        states = np.empty((len(kept),) + state.shape, dtype=state.dtype)
+        v_path = np.empty((len(kept), len(state)))
+        h_path = np.empty((len(kept), len(state)))
+        states[0], v_path[0], h_path[0] = state, v_energy, sup_h_sq
+        kept_steps, slot = kept.tolist(), 1
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(M):
+            expl = explicit_drift(model, k * dt, state, grid)
+            if inc is not None:
+                w = [inc[k] if dth is None else inc[k] + dth[k]
+                     for dth in shift_steps]
+                w = w[0] if len(w) == 1 else np.concatenate(w)
+                if op.clamp is not None:
+                    w = op.g(np.sqrt(h_sq))[:, None] * w
+            if expl is not None:
+                expl *= dt
+                state += expl
+            if inc is not None:
+                head += embed_2d(op, w) if two_d else op.gains * w
+            state *= inv_lin
+            hv = norms()
+            # NaN and inf fail this screen; an overflowing sum of finite
+            # norms falls through to the exact test.
+            if not hv.sum() < np.inf:
+                bad = ~np.all(hv < np.inf, axis=0)
+                if bad.any():
+                    rep = min(replicates[r % n_rep] for r in np.flatnonzero(bad))
+                    raise DivergenceError(
+                        k + 1, (k + 1) * dt,
+                        f"trajectory diverged at step {k + 1} "
+                        f"(t = {(k + 1) * dt:.6g}; "
+                        f"experiment_seed={experiment_seed}, replicate={rep})",
+                        experiment_seed=experiment_seed, replicate=rep)
+            h_sq, v_sq = hv
+            v_energy += half_dt * (prev_v_sq + v_sq)
+            prev_v_sq = v_sq
+            # sqrt is monotone, so the sup of the norms is the root of the
+            # sup of their squares, bitwise.
+            np.maximum(sup_h_sq, h_sq, out=sup_h_sq)
+            if sup_gap is not None:
+                np.maximum(sup_gap, _sq_gap(model, state[:n_rep], state[n_rep:]),
+                           out=sup_gap)
+            if record and kept_steps[slot] == k + 1:
+                states[slot], v_path[slot], h_path[slot] = state, v_energy, sup_h_sq
+                slot += 1
+
+    sup_h = np.sqrt(sup_h_sq)
+    block = Block(paths=_path_summaries(v_energy, sup_h, state), sup_gap_sq=sup_gap)
+    if record:
+        times = dt * kept
+        kind = "2d" if two_d else "1d"
+        np.sqrt(h_path, out=h_path)
+        block.trajectories = [
+            Trajectory(times=times, states=states[:, r], v_energy=v_path[:, r],
+                       sup_h_norm=h_path[:, r], kind=kind)
+            for r in range(len(state))]
+    return block
+
+
+def _catch_divergence(fn, block):
+    try:
+        return fn(block)
+    except DivergenceError as exc:
+        return exc
+
+
+def map_blocks(fn, replicates) -> list:
+    """``fn`` on consecutive blocks of ``BLOCK_REPLICATES`` replicates, fanned
+    out by ``parallel_map``; results come back in block order.
+
+    Every block runs even when one diverges; the error re-raised is the
+    earliest divergence, lowest replicate first at equal steps, so it does
+    not depend on the worker count either.
+    """
+    replicates = list(replicates)
+    blocks = [replicates[i:i + BLOCK_REPLICATES]
+              for i in range(0, len(replicates), BLOCK_REPLICATES)]
+    results = parallel_map(partial(_catch_divergence, fn), blocks)
+    failed = [r for r in results if isinstance(r, DivergenceError)]
+    if failed:
+        raise min(failed, key=lambda exc: (exc.step, exc.replicate))
+    return results
 
 
 def solve(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
           replicate: int = 0, shift_values: np.ndarray | None = None,
           increments: np.ndarray | None = None,
           zero_noise: bool = False) -> Trajectory:
-    """Integrate one trajectory.
+    """Integrate one trajectory, keeping every ``cfg.snapshot_stride``-th state.
 
     The Wiener increments are addressed by (experiment_seed, replicate)
     and the step index, so replicates are reproducible independently of
@@ -178,85 +376,13 @@ def solve(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     shift; ``increments`` overrides the generated ones (shared-noise
     couplings); ``zero_noise`` runs the deterministic skeleton.
     """
-    _check_resolution(model, cfg)
-    M = cfg.n_steps
-    dt = cfg.dt
-    op = model.noise
-
-    if model.kind == "ns2d":
-        if not isinstance(x0, Field2D) or x0.cutoff != model.cutoff:
-            raise InvalidFieldError("initial condition must match the model cutoff")
-        state = x0.spec.copy()
-        states = np.empty((M + 1,) + state.shape, dtype=np.complex128)
-    else:
-        if not isinstance(x0, Field1D) or x0.n_modes != model.n_modes:
-            raise InvalidFieldError("initial condition must match the model modes")
-        state = x0.coeffs.copy()
-        states = np.empty((M + 1, state.size))
-
-    if zero_noise:
-        inc = None
-    elif increments is not None:
-        if increments.shape != (M, op.n_w):
+    if increments is not None and not zero_noise:
+        if increments.shape != (cfg.n_steps, model.noise.n_w):
             raise ParameterError("increments must have shape (n_steps, n_w)")
-        inc = increments
-    else:
-        inc = increment_table(op, dt, experiment_seed, replicate, M)
-
-    if shift_values is not None and shift_values.shape != (M, op.n_w):
-        raise ParameterError("shift values must have shape (n_steps, n_w)")
-
-    lam = linear_eigenvalues(model)
-    inv_lin = 1.0 / (1.0 + dt * lam)
-    additive = op.clamp is None
-    grid = _product_grid(model, cfg)
-
-    times = dt * np.arange(M + 1)
-    v_energy = np.empty(M + 1)
-    sup_h = np.empty(M + 1)
-
-    h_sq, v_sq = _norm_pair(model, state, lam)
-    states[0] = state
-    v_energy[0] = 0.0
-    sup_h[0] = math.sqrt(h_sq)
-    prev_v_sq = v_sq
-
-    # Pre-embed the additive noise terms in one vectorized pass.
-    noise_rows = None
-    if inc is not None and additive:
-        w_all = inc if shift_values is None else inc + dt * shift_values
-        if model.kind == "ns2d":
-            noise_rows = np.tensordot(w_all * op.gains, op._basis, axes=(1, 0))
-        else:
-            noise_rows = w_all * op.gains
-
-    for k in range(M):
-        expl = explicit_drift(model, k * dt, state, grid)
-        if inc is None:
-            noise_term = None
-        elif additive:
-            noise_term = noise_rows[k]
-        else:
-            w_eff = inc[k] if shift_values is None else inc[k] + dt * shift_values[k]
-            g = op.g(math.sqrt(h_sq))
-            if model.kind == "ns2d":
-                noise_term = embed_2d(op, g * w_eff)
-            else:
-                noise_term = op.gains * (g * w_eff)
-        state = _advance(model, state, expl, noise_term, inv_lin, dt)
-        h_sq, v_sq = _norm_pair(model, state, lam)
-        if not (h_sq < np.inf and v_sq < np.inf):
-            raise DivergenceError(
-                k + 1, (k + 1) * dt,
-                f"trajectory diverged at step {k + 1} (t = {(k + 1) * dt:.6g}; "
-                f"experiment_seed={experiment_seed}, replicate={replicate})")
-        states[k + 1] = state
-        v_energy[k + 1] = v_energy[k] + 0.5 * dt * (prev_v_sq + v_sq)
-        sup_h[k + 1] = max(sup_h[k], math.sqrt(h_sq))
-        prev_v_sq = v_sq
-
-    return Trajectory(times=times, states=states, v_energy=v_energy,
-                      sup_h_norm=sup_h, kind="2d" if model.kind == "ns2d" else "1d")
+        increments = increments[:, None, :]
+    return solve_block(model, cfg, x0, experiment_seed, [replicate],
+                       increments=increments, shifts=(shift_values,),
+                       zero_noise=zero_noise, record=True).trajectories[0]
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,7 @@ def heat_coupled():
     model, cfg, x0 = heat_reference()
     h = unit_shift(cfg)
     start = time.perf_counter()
-    ens = coupled_ensemble(model, cfg, x0, h, 4096, 0,
-                           functional=conc.sup_h_functional())
+    ens = coupled_ensemble(model, cfg, x0, h, 4096, 0)
     build = time.perf_counter() - start
     return model, cfg, x0, h, ens, build
 
