@@ -30,8 +30,7 @@ from .models import (audit_hypotheses, burgers_model, ns2d_model,
                      nonlinearity_energy_suite, t1_feasibility)
 from .noise import (LANE_FIELDS, derived_replicate, gains_inverse_k,
                     generator, noise_operator_1d, noise_operator_2d)
-from .solver import (heat_convergence_report, solve, state_norms,
-                     taylor_green_report)
+from .solver import heat_convergence_report, solve, taylor_green_report
 
 
 def _require(cfg: ExperimentConfig, *names):
@@ -158,16 +157,16 @@ def _run_constants(cfg: ExperimentConfig) -> dict:
     return report
 
 
-def _write_trajectory_csv(path, model, solver_cfg, traj):
+def _write_trajectory_csv(path, solver_cfg, traj):
     # The trajectory keeps every snapshot_stride-th state plus the terminal
     # one; the CSV lists the stride grid only.
     n_rows = solver_cfg.n_steps // solver_cfg.snapshot_stride + 1
-    h_sq, v_sq = state_norms(model, traj.states[:n_rows])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "norm_h", "norm_v"])
         for t, h, v in zip(traj.times[:n_rows].tolist(),
-                           np.sqrt(h_sq).tolist(), np.sqrt(v_sq).tolist()):
+                           np.sqrt(traj.h_sq[:n_rows]).tolist(),
+                           np.sqrt(traj.v_sq[:n_rows]).tolist()):
             writer.writerow([repr(t), repr(h), repr(v)])
 
 
@@ -176,7 +175,7 @@ def _run_simulate(cfg: ExperimentConfig, out_dir: str) -> dict:
     traj = solve(cfg.model, cfg.solver, cfg.x0, cfg.experiment_seed,
                  replicate=0)
     csv_path = os.path.join(out_dir, "trajectory_0.csv")
-    _write_trajectory_csv(csv_path, cfg.model, cfg.solver, traj)
+    _write_trajectory_csv(csv_path, cfg.solver, traj)
     moments = conc.moment_report(cfg.model, cfg.solver, cfg.x0,
                                  n_replicates=cfg.replicates,
                                  experiment_seed=cfg.experiment_seed,

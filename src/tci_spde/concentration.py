@@ -127,7 +127,7 @@ def trajectory_from_states(times: np.ndarray, states: np.ndarray,
     w = _path_v_weights(states)
     p = np.abs(states) ** 2 if states.dtype.kind == "c" else states**2
     axes = tuple(range(1, states.ndim))
-    h_norms = np.sqrt(np.sum(p, axis=axes))
+    h_sq = np.sum(p, axis=axes)
     if states.dtype.kind == "c":
         v_sq = np.sum(w[None, None, :, :] * p, axis=axes)
     else:
@@ -135,8 +135,9 @@ def trajectory_from_states(times: np.ndarray, states: np.ndarray,
     dt = np.diff(times)
     v_energy = np.concatenate(
         [[0.0], np.cumsum(0.5 * dt * (v_sq[:-1] + v_sq[1:]))])
-    return Trajectory(times=times, states=states, v_energy=v_energy,
-                      sup_h_norm=np.maximum.accumulate(h_norms), kind=kind)
+    return Trajectory(times=times, states=states, h_sq=h_sq, v_sq=v_sq,
+                      v_energy=v_energy,
+                      sup_h_norm=np.maximum.accumulate(np.sqrt(h_sq)), kind=kind)
 
 
 def metric_distance(metric: str, a: Trajectory, b: Trajectory) -> float:

@@ -236,32 +236,65 @@ def divergence_linf(field: Field2D) -> float:
     return float(np.max(np.abs(k1 * field.spec[0] + k2 * field.spec[1])))
 
 
-def _wrap_indices(cutoff: int, n_grid: int) -> np.ndarray:
+def half_to_grid(half: np.ndarray, n_grid: int) -> np.ndarray:
+    """Real point values on the n_grid x n_grid torus grid, nodes j/n_grid.
+
+    ``half`` holds the k2 >= 0 half of Hermitian spectral blocks, shape
+    (..., 2K+1, K+1): entry [i, j] is the amplitude at (i - K, j).  Leading
+    axes hold independent fields; each goes through its own real inverse
+    transform, so its values do not depend on the rest of the batch.
+    """
+    cutoff = half.shape[-1] - 1
     if n_grid < 2 * cutoff + 1:
         raise ResolutionError(
             f"grid {n_grid} cannot represent modes up to cutoff {cutoff}"
         )
-    return np.arange(-cutoff, cutoff + 1) % n_grid
+    buf = np.zeros(half.shape[:-2] + (n_grid, n_grid // 2 + 1),
+                   dtype=np.complex128)
+    buf[..., :cutoff + 1, :cutoff + 1] = half[..., cutoff:, :]
+    buf[..., n_grid - cutoff:, :cutoff + 1] = half[..., :cutoff, :]
+    return np.fft.irfft2(buf, s=(n_grid, n_grid), norm="forward")
+
+
+def grid_to_half(values: np.ndarray, cutoff: int) -> np.ndarray:
+    """The k2 >= 0 half (..., 2K+1, K+1) of the spectral blocks of real grid
+    data (inverse of ``half_to_grid`` on band-limited data); modes beyond
+    the cutoff are dropped."""
+    n_grid = values.shape[-1]
+    spec = np.fft.rfft2(values, norm="forward")
+    return np.concatenate((spec[..., n_grid - cutoff:, :cutoff + 1],
+                           spec[..., :cutoff + 1, :cutoff + 1]), axis=-2)
+
+
+def half_to_full(half: np.ndarray) -> np.ndarray:
+    """Mean-free Hermitian block (..., 2K+1, 2K+1) from its k2 >= 0 half.
+
+    The k2 = 0 column is symmetrized and its k = 0 entry zeroed; the k2 < 0
+    columns are the conjugate flip of the k2 > 0 ones, so the result is
+    exactly Hermitian.
+    """
+    cutoff = half.shape[-1] - 1
+    out = np.empty(half.shape[:-1] + (2 * cutoff + 1,), dtype=np.complex128)
+    out[..., cutoff:] = half
+    col = half[..., :, 0]
+    out[..., :, cutoff] = 0.5 * (col + np.conj(col[..., ::-1]))
+    out[..., cutoff, cutoff] = 0.0
+    out[..., :, :cutoff] = np.conj(out[..., ::-1, :cutoff:-1])
+    return out
 
 
 def to_grid_2d(field: Field2D, n_grid: int) -> np.ndarray:
     """Real point values, shape (2, n_grid, n_grid), nodes j/n_grid."""
-    idx = _wrap_indices(field.cutoff, n_grid)
-    buf = np.zeros((2, n_grid, n_grid), dtype=np.complex128)
-    buf[:, idx[:, None], idx[None, :]] = field.spec
-    return np.fft.ifft2(buf, axes=(1, 2)).real * n_grid**2
-
-
-def from_grid_2d(values: np.ndarray, cutoff: int) -> np.ndarray:
-    """Spectral block of band-limited grid data (inverse of ``to_grid_2d``)."""
-    n_grid = values.shape[-1]
-    idx = _wrap_indices(cutoff, n_grid)
-    spec = np.fft.fft2(values, axes=(1, 2)) / n_grid**2
-    return hermitian_symmetrize(spec[:, idx[:, None], idx[None, :]])
+    return half_to_grid(field.spec[:, :, field.cutoff:], n_grid)
 
 
 def default_grid_2d(cutoff: int) -> int:
-    """Smallest even grid making quartic torus quadrature alias-free."""
+    """Quadrature grid for the L^4 norms: the smallest even grid on which
+    quartic torus quadrature is alias-free.
+
+    Quadratic products (the advection kernel) need only 3K+1 points; see
+    ``models.ns_product_grid``.
+    """
     return 4 * cutoff + 4
 
 

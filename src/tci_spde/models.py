@@ -163,6 +163,33 @@ def rho_local(model: ModelSpec, v) -> float:
 # nonlinearities (raw coefficient arrays; shared with the solver)
 
 
+def burgers_product_grid(n_modes: int) -> int:
+    """Smallest midpoint grid on which the Burgers product is alias-free.
+
+    Projecting v v_x onto the sine modes integrates trigonometric terms of
+    degree up to 3N, and the midpoint rule on n nodes integrates cos(m pi x)
+    exactly only for m < 2n, so n must exceed 3N/2.  The L^4 norms keep the
+    quartic 4N quadrature (``fields.default_quadrature``).
+    """
+    return 3 * n_modes // 2 + 1
+
+
+def ns_product_grid(cutoff: int) -> int:
+    """Smallest 5-smooth grid side n >= 3K+1: quadratic products of modes
+    |k|_inf <= K are then alias-free on the retained block (Orszag's
+    two-thirds rule), and the transform length factors into 2, 3 and 5.
+    The L^4 norms keep the quartic grid ``fields.default_grid_2d``."""
+    n = 3 * cutoff + 1
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 @lru_cache(maxsize=16)
 def _burgers_workspace(n_modes: int, n_grid: int):
     quad = fs.Quadrature(n_grid, "midpoint")
@@ -175,7 +202,8 @@ def _burgers_workspace(n_modes: int, n_grid: int):
 
 
 def burgers_nonlinearity(coeffs: np.ndarray, n_grid: int | None = None) -> np.ndarray:
-    """Sine coefficients of v v_x, evaluated on an anti-aliased midpoint grid.
+    """Sine coefficients of v v_x, evaluated on a midpoint grid of ``n_grid``
+    nodes (default ``burgers_product_grid``, the smallest alias-free one).
 
     Leading axes of ``coeffs`` hold independent fields; each one goes
     through its own matrix-vector products, so a field's result does not
@@ -183,7 +211,7 @@ def burgers_nonlinearity(coeffs: np.ndarray, n_grid: int | None = None) -> np.nd
     """
     n_modes = coeffs.shape[-1]
     if n_grid is None:
-        n_grid = 4 * n_modes
+        n_grid = burgers_product_grid(n_modes)
     eval_t, deriv_t, proj_t = _burgers_workspace(n_modes, n_grid)
     col = coeffs[..., None]
     prod = np.matmul(eval_t, col) * np.matmul(deriv_t, col)
@@ -191,47 +219,45 @@ def burgers_nonlinearity(coeffs: np.ndarray, n_grid: int | None = None) -> np.nd
 
 
 @lru_cache(maxsize=16)
-def _ns_workspace(cutoff: int, n_grid: int):
-    idx = np.arange(-cutoff, cutoff + 1) % n_grid
-    kf = np.fft.fftfreq(n_grid, d=1.0 / n_grid)
-    ik1 = 2j * np.pi * kf[:, None]
-    ik2 = 2j * np.pi * kf[None, :]
-    k1, k2, ksq = fs._wavegrids(cutoff)
+def _ns_workspace(cutoff: int):
+    """2 pi k1, 2 pi k2, k1, k2 and |k|^2 (1 at k = 0) on the k2 >= 0 half."""
+    k1, k2, ksq = (g[:, cutoff:] for g in fs._wavegrids(cutoff))
     ksq_safe = np.where(ksq == 0.0, 1.0, ksq)
-    return idx, ik1, ik2, k1, k2, ksq_safe
+    return 2.0 * np.pi * k1, 2.0 * np.pi * k2, k1, k2, ksq_safe
 
 
 def ns_advection(spec: np.ndarray, cutoff: int,
                  n_grid: int | None = None) -> np.ndarray:
     """Leray-projected advection -P[(u.grad)u] on the spectral block.
 
-    ``spec`` has shape (..., 2, n, n); leading axes hold independent fields
-    and the transforms run over the last two axes.
+    ``spec`` has shape (..., 2, n, n); leading axes hold independent fields.
+    The kernel uses the rotational form (u.grad)u = grad(|u|^2/2) + w u_perp
+    with w = d1 u2 - d2 u1 and u_perp = (-u2, u1).  The projection removes
+    the gradient exactly, so the result is P[w (u2, -u1)]: one real inverse
+    transform of (u2, -u1, w), one pointwise product and one real forward
+    transform on an ``n_grid`` grid (default ``ns_product_grid``), all on
+    the k2 >= 0 half of the block, whose conjugate flip gives the rest.
     """
     if n_grid is None:
-        n_grid = fs.default_grid_2d(cutoff)
+        n_grid = ns_product_grid(cutoff)
     if n_grid < 3 * cutoff + 1:
         from .errors import ResolutionError
         raise ResolutionError(
             f"grid {n_grid} aliases quadratic products at cutoff {cutoff}"
         )
-    idx, ik1, ik2, k1, k2, ksq_safe = _ns_workspace(cutoff, n_grid)
-    buf = np.zeros(spec.shape[:-2] + (n_grid, n_grid), dtype=np.complex128)
-    buf[..., idx[:, None], idx[None, :]] = spec
-    u = np.fft.ifft2(buf).real * n_grid**2
-    adv = np.empty_like(u)
-    for c in range(2):
-        d1 = np.fft.ifft2(ik1 * buf[..., c, :, :]).real * n_grid**2
-        d2 = np.fft.ifft2(ik2 * buf[..., c, :, :]).real * n_grid**2
-        adv[..., c, :, :] = u[..., 0, :, :] * d1 + u[..., 1, :, :] * d2
-    out = np.fft.fft2(adv) / n_grid**2
-    out = out[..., idx[:, None], idx[None, :]]
+    tk1, tk2, k1, k2, ksq_safe = _ns_workspace(cutoff)
+    u1 = spec[..., 0, :, cutoff:]
+    u2 = spec[..., 1, :, cutoff:]
+    half = np.empty(u1.shape[:-2] + (3,) + u1.shape[-2:], dtype=np.complex128)
+    half[..., 0, :, :] = u2
+    np.negative(u1, out=half[..., 1, :, :])
+    half[..., 2, :, :] = 1j * (tk1 * u2 - tk2 * u1)
+    grid = fs.half_to_grid(half, n_grid)
+    out = fs.grid_to_half(grid[..., 2:, :, :] * grid[..., :2, :, :], cutoff)
     dot = (k1 * out[..., 0, :, :] + k2 * out[..., 1, :, :]) / ksq_safe
     out[..., 0, :, :] -= k1 * dot
     out[..., 1, :, :] -= k2 * dot
-    out = fs.hermitian_symmetrize(-out)
-    out[..., cutoff, cutoff] = 0.0
-    return out
+    return fs.half_to_full(out)
 
 
 def linear_eigenvalues(model: ModelSpec) -> np.ndarray:

@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import DivergenceError, ParameterError, InvalidFieldError
 from .fields import Field1D, Field2D
-from .models import (ModelSpec, explicit_drift, linear_eigenvalues,
-                     taylor_green_field)
+from .models import (ModelSpec, burgers_product_grid, explicit_drift,
+                     linear_eigenvalues, ns_product_grid, taylor_green_field)
 from .noise import increment_table, embed_2d
 from .parallel import parallel_map
 
@@ -46,10 +46,13 @@ class SolverConfig:
 
     The resolution fields are optional cross-checks: when given they must
     agree with the model (the model owns its resolution, because the noise
-    embedding depends on it).  ``dealias`` selects the anti-aliased product
-    grid for the nonlinearities; switching it off evaluates products at the
-    minimal collocation resolution.  ``snapshot_stride`` thins the states a
-    recorded trajectory keeps.
+    embedding depends on it).  ``dealias`` evaluates the quadratic products
+    of the nonlinearities on the smallest alias-free product grid (3N//2+1
+    midpoints for Burgers, the smallest 5-smooth side >= 3K+1 for ns2d);
+    switching it off evaluates them at the minimal collocation resolution
+    (N and 3K+1).  The product grid is not the quartic grid of the L^4 norms
+    (4N and 4K+4), which products do not need.  ``snapshot_stride`` thins
+    the states a recorded trajectory keeps.
     """
 
     dt: float
@@ -83,11 +86,15 @@ def _check_resolution(model: ModelSpec, cfg: SolverConfig):
 
 
 def _product_grid(model: ModelSpec, cfg: SolverConfig) -> int | None:
+    """Grid on which the drift kernel evaluates its quadratic product: with
+    ``cfg.dealias`` the smallest alias-free one (``burgers_product_grid``,
+    ``ns_product_grid``), otherwise the minimal collocation grid.  None for
+    heat, which has no product."""
     if model.kind == "heat":
         return None
     if model.kind == "burgers":
-        return 4 * model.n_modes if cfg.dealias else model.n_modes
-    return (4 * model.cutoff + 4) if cfg.dealias else (3 * model.cutoff + 1)
+        return burgers_product_grid(model.n_modes) if cfg.dealias else model.n_modes
+    return ns_product_grid(model.cutoff) if cfg.dealias else 3 * model.cutoff + 1
 
 
 def _path_summaries(v_energy, sup_h, terminal) -> np.ndarray:
@@ -108,6 +115,7 @@ class Trajectory:
 
     ``states[i]`` is the raw coefficient array at time ``times[i]``;
     ``field(i)`` wraps it.  The last entry is always the terminal state.
+    ``h_sq[i]`` and ``v_sq[i]`` are ||X_{t_i}||_H^2 and ||X_{t_i}||_V^2.
     ``v_energy[i]`` is the trapezoid value of int_0^{t_i} ||X_s||_V^2 ds and
     ``sup_h_norm[i]`` the running max of the H-norm, both accumulated over
     every step (not only the recorded ones) and including the initial state.
@@ -115,6 +123,8 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
+    h_sq: np.ndarray
+    v_sq: np.ndarray
     v_energy: np.ndarray
     sup_h_norm: np.ndarray
     kind: str
@@ -173,15 +183,6 @@ def _state_rows(model: ModelSpec, x0_raw: np.ndarray, n_rows: int,
         np.multiply(lam, rows, out=lhs[1])
         return np.matmul(lhs_rows, rhs).reshape(2, n_rows)
     return rows, norms
-
-
-def state_norms(model: ModelSpec, states: np.ndarray):
-    """(||u||_H^2, ||u||_V^2) arrays over a stack of raw states u."""
-    states = np.asarray(states)
-    rows, norms = _state_rows(model, states[0], len(states),
-                              linear_eigenvalues(model))
-    rows[...] = states
-    return tuple(norms())
 
 
 def _sq_gap(model: ModelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -269,7 +270,8 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     # ``state`` is updated in place, so ``norms`` keeps reading it.
     state, norms = _state_rows(model, x0_raw, len(shifts) * n_rep, lam)
     head = state if two_d else state[:, :op.n_w]
-    h_sq, prev_v_sq = norms()
+    hv = norms()
+    h_sq, prev_v_sq = hv
     v_energy = np.zeros(len(state))
     sup_h_sq = h_sq.copy()
     sup_gap = np.zeros(n_rep) if len(shifts) == 2 else None
@@ -282,7 +284,9 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
         states = np.empty((len(kept),) + state.shape, dtype=state.dtype)
         v_path = np.empty((len(kept), len(state)))
         h_path = np.empty((len(kept), len(state)))
-        states[0], v_path[0], h_path[0] = state, v_energy, sup_h_sq
+        norm_path = np.empty((len(kept),) + hv.shape)
+        states[0], v_path[0], h_path[0], norm_path[0] = (state, v_energy,
+                                                         sup_h_sq, hv)
         kept_steps, slot = kept.tolist(), 1
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -323,7 +327,8 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
                 np.maximum(sup_gap, _sq_gap(model, state[:n_rep], state[n_rep:]),
                            out=sup_gap)
             if record and kept_steps[slot] == k + 1:
-                states[slot], v_path[slot], h_path[slot] = state, v_energy, sup_h_sq
+                states[slot], v_path[slot], h_path[slot], norm_path[slot] = (
+                    state, v_energy, sup_h_sq, hv)
                 slot += 1
 
     sup_h = np.sqrt(sup_h_sq)
@@ -333,8 +338,9 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
         kind = "2d" if two_d else "1d"
         np.sqrt(h_path, out=h_path)
         block.trajectories = [
-            Trajectory(times=times, states=states[:, r], v_energy=v_path[:, r],
-                       sup_h_norm=h_path[:, r], kind=kind)
+            Trajectory(times=times, states=states[:, r],
+                       h_sq=norm_path[:, 0, r], v_sq=norm_path[:, 1, r],
+                       v_energy=v_path[:, r], sup_h_norm=h_path[:, r], kind=kind)
             for r in range(len(state))]
     return block
 

@@ -152,7 +152,24 @@ def test_snapshot_stride_thins_states_but_not_reductions():
     assert np.array_equal(thin.states, full.states[kept])
     assert np.array_equal(thin.v_energy, full.v_energy[kept])
     assert np.array_equal(thin.sup_h_norm, full.sup_h_norm[kept])
+    assert np.array_equal(thin.h_sq, full.h_sq[kept])
+    assert np.array_equal(thin.v_sq, full.v_sq[kept])
     assert thin.v_energy_total == full.v_energy_total
+
+
+@pytest.mark.parametrize("kind", ["burgers", "ns2d"])
+def test_recorded_norms_are_the_norms_of_the_recorded_states(kind):
+    model, cfg, x0 = _setup(kind)
+    traj = S.solve(model, cfg, x0, 1, replicate=2)
+    weight = M.linear_eigenvalues(model)
+    if kind == "ns2d":
+        weight = weight / model.viscosity
+    p = np.abs(traj.states) ** 2
+    axes = tuple(range(1, p.ndim))
+    assert np.allclose(traj.h_sq, p.sum(axis=axes), rtol=1e-13, atol=0.0)
+    assert np.allclose(traj.v_sq, (weight * p).sum(axis=axes), rtol=1e-13, atol=0.0)
+    assert np.array_equal(np.sqrt(np.maximum.accumulate(traj.h_sq)),
+                          traj.sup_h_norm)
 
 
 def _simulate_csv(tmp_path, stride, name):

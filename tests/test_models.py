@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from tci_spde import fields as F
 from tci_spde import models as M
 from tci_spde import noise as N
+from tci_spde.errors import ResolutionError
 
 
 def noise_1d(n_w=4, c_b=1.0):
@@ -62,6 +63,78 @@ def test_ns2d_taylor_green_drift_is_purely_viscous():
     out = M.drift_eval(model, 0.0, tg)
     viscous = nu * F.laplacian_apply(tg).spec
     assert np.max(np.abs(out.spec - viscous)) <= 1e-10
+
+
+def triad_advection(spec):
+    """-P[(u.grad)u] on one block by the direct sum over every triad
+    p + q = k inside it: (u.grad)u at k is sum (u(p) . 2 pi i q) u(q)."""
+    K = spec.shape[-1] // 2
+    modes = range(-K, K + 1)
+    adv = np.zeros_like(spec)
+    for p1 in modes:
+        for p2 in modes:
+            up = spec[:, p1 + K, p2 + K]
+            for q1 in modes:
+                for q2 in modes:
+                    k1, k2 = p1 + q1, p2 + q2
+                    if abs(k1) > K or abs(k2) > K:
+                        continue
+                    slope = 2j * np.pi * (up[0] * q1 + up[1] * q2)
+                    adv[:, k1 + K, k2 + K] += slope * spec[:, q1 + K, q2 + K]
+    for k1 in modes:
+        for k2 in modes:
+            a = adv[:, k1 + K, k2 + K]
+            if k1 == k2 == 0:
+                a[:] = 0.0
+            else:
+                a -= np.array([k1, k2]) * (k1 * a[0] + k2 * a[1]) / (k1**2 + k2**2)
+    return -adv
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_ns_advection_matches_triad_sum(batch):
+    rng = np.random.default_rng(12 + batch)
+    specs = np.stack([F.random_field_2d(3, rng).spec for _ in range(batch)])
+    out = M.ns_advection(specs, 3)
+    assert out.shape == specs.shape
+    for spec, got in zip(specs, out):
+        ref = triad_advection(spec)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # exactly Hermitian and mean-free, not only to rounding
+        assert np.array_equal(got, np.conj(got[:, ::-1, ::-1]))
+        assert np.all(got[:, 3, 3] == 0.0)
+
+
+@pytest.mark.parametrize("cutoff", [8, 16])
+def test_ns_advection_row_is_bitwise_the_same_alone_or_in_a_batch(cutoff):
+    rng = np.random.default_rng(cutoff)
+    specs = np.stack([F.random_field_2d(cutoff, rng).spec for _ in range(8)])
+    batched = M.ns_advection(specs, cutoff)
+    for spec, row in zip(specs, batched):
+        assert np.array_equal(M.ns_advection(spec, cutoff), row)
+
+
+def test_ns_advection_rejects_aliasing_grids():
+    spec = F.random_field_2d(4, np.random.default_rng(1)).spec
+    with pytest.raises(ResolutionError):
+        M.ns_advection(spec, 4, n_grid=12)
+    on_minimum = M.ns_advection(spec, 4, n_grid=13)
+    assert np.max(np.abs(on_minimum - M.ns_advection(spec, 4))) <= 1e-12
+
+
+def test_product_grids():
+    assert [M.ns_product_grid(k) for k in (1, 3, 8, 16, 32)] == [4, 10, 25, 50, 100]
+    assert M.burgers_product_grid(32) == 49
+
+
+def test_burgers_product_grid_is_the_smallest_alias_free_one():
+    n = 32
+    coeffs = F.random_field_1d(n, np.random.default_rng(6)).coeffs
+    quartic = M.burgers_nonlinearity(coeffs, n_grid=4 * n)
+    scale = np.max(np.abs(quartic))
+    assert np.max(np.abs(M.burgers_nonlinearity(coeffs) - quartic)) <= 1e-12 * scale
+    aliased = M.burgers_nonlinearity(coeffs, M.burgers_product_grid(n) - 1)
+    assert np.max(np.abs(aliased - quartic)) > 1e-6
 
 
 def test_model_constant_defaults():
