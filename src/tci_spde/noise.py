@@ -64,9 +64,15 @@ def generator(experiment_seed: int, replicate: int) -> np.random.Generator:
     return np.random.Generator(_philox(experiment_seed, replicate))
 
 
+# Largest uniform passed to the inverse CDF.  The top raw words (2^53 - 1
+# after the shift) map to (2^53 - 1/2) 2^-53, which rounds to exactly 1.0,
+# where ndtri is +inf; every other word maps below this cap.
+_U_MAX = 1.0 - 2.0**-53
+
+
 def _normals_from_raw(raw: np.ndarray) -> np.ndarray:
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    return ndtri(np.minimum(u, _U_MAX, out=u))
 
 
 def _blocks_per_step(n: int) -> int:

@@ -59,3 +59,279 @@ def w2_factorial_oracle(a, b):
         pair_costs = np.sum((a - b[list(perm)]) ** 2, axis=1)
         best = min(best, float(np.mean(pair_costs)))
     return math.sqrt(best)
+
+
+# ---------------------------------------------------------------------------
+# per-field references for the batched field suites and the audit
+#
+# One field per Python iteration, with the numpy norms of one field
+# (np.linalg.norm, np.dot, np.sum, np.mean) and Python-float powers.  They
+# share only the single-row drift kernels with the package; the model
+# tests check those against brute-force triad sums.
+
+
+def _wavegrids(cutoff):
+    k = np.arange(-cutoff, cutoff + 1, dtype=np.float64)
+    k1 = k[:, None] + np.zeros((1, k.size))
+    k2 = np.zeros((k.size, 1)) + k[None, :]
+    return k1, k2, k1**2 + k2**2
+
+
+def field_1d(n_modes, rng, scale=1.0, envelope=-1.5):
+    """Sine coefficients under a k^envelope decay, one field."""
+    k = np.arange(1, n_modes + 1, dtype=np.float64)
+    return scale * rng.standard_normal(n_modes) * k**envelope
+
+
+def field_2d(cutoff, rng, scale=1.0, envelope=-1.5):
+    """Divergence-free Hermitian spectrum (2, n, n), one field."""
+    n = 2 * cutoff + 1
+    raw = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    k1, k2, ksq = _wavegrids(cutoff)
+    env = np.where(ksq == 0.0, 0.0, np.sqrt(np.where(ksq == 0, 1, ksq)) ** envelope)
+    s = scale * env * raw
+    spec = 0.5 * (s + np.conj(s[:, ::-1, ::-1]))
+    spec[:, cutoff, cutoff] = 0.0
+    dot = (k1 * spec[0] + k2 * spec[1]) / np.where(ksq == 0.0, 1.0, ksq)
+    amp = np.abs(spec[0]) + np.abs(spec[1])
+    dot[np.abs(dot) <= 16.0 * np.finfo(np.float64).eps * amp] = 0.0
+    spec[0] -= k1 * dot
+    spec[1] -= k2 * dot
+    spec[:, cutoff, cutoff] = 0.0
+    return spec
+
+
+def sine_table(n_modes, n_points):
+    x = (np.arange(n_points) + 0.5) / n_points
+    return np.sqrt(2.0) * np.sin(np.pi * np.outer(x, np.arange(1, n_modes + 1)))
+
+
+def torus_grid(spec, n_grid):
+    """Real point values (2, n_grid, n_grid) by one inverse real FFT."""
+    cutoff = spec.shape[-1] // 2
+    half = spec[:, :, cutoff:]
+    buf = np.zeros((2, n_grid, n_grid // 2 + 1), dtype=np.complex128)
+    buf[:, :cutoff + 1, :cutoff + 1] = half[:, cutoff:, :]
+    buf[:, n_grid - cutoff:, :cutoff + 1] = half[:, :cutoff, :]
+    return np.fft.irfft2(buf, s=(n_grid, n_grid), norm="forward")
+
+
+def norm_h(raw):
+    return float(np.linalg.norm(raw))
+
+
+def inner_h(a, b):
+    if np.iscomplexobj(a):
+        return float(np.real(np.sum(np.conj(a) * b)))
+    return float(np.dot(a, b))
+
+
+def _weighted_norm(raw, w):
+    """sqrt(sum (w |raw|)^2): a BLAS norm of w * raw for sine fields, a sum
+    of w^2 |raw|^2 per component for torus fields."""
+    if np.iscomplexobj(raw):
+        return float(np.sqrt(np.sum((w**2) * np.abs(raw[0]) ** 2)
+                             + np.sum((w**2) * np.abs(raw[1]) ** 2)))
+    return float(np.linalg.norm(w * raw))
+
+
+def norm_v(raw):
+    if np.iscomplexobj(raw):
+        return _weighted_norm(raw, 2.0 * np.pi * np.sqrt(_wavegrids(raw.shape[-1] // 2)[2]))
+    return _weighted_norm(raw, np.pi * np.arange(1, raw.size + 1, dtype=np.float64))
+
+
+def norm_vstar(raw):
+    if np.iscomplexobj(raw):
+        ksq = _wavegrids(raw.shape[-1] // 2)[2]
+        wsq = np.where(ksq == 0.0, 0.0,
+                       1.0 / ((2.0 * np.pi) ** 2 * np.where(ksq == 0, 1, ksq)))
+        return float(np.sqrt(np.sum(wsq * np.abs(raw[0]) ** 2)
+                             + np.sum(wsq * np.abs(raw[1]) ** 2)))
+    return _weighted_norm(raw, 1.0 / (np.pi * np.arange(1, raw.size + 1, dtype=np.float64)))
+
+
+def norm_l4(raw):
+    if np.iscomplexobj(raw):
+        vals = torus_grid(raw, 4 * (raw.shape[-1] // 2) + 4)
+        return float(np.mean((vals[0] ** 2 + vals[1] ** 2) ** 2) ** 0.25)
+    n_points = 4 * raw.size
+    vals = sine_table(raw.size, n_points) @ raw
+    return float(np.dot(np.full(n_points, 1.0 / n_points), vals**4) ** 0.25)
+
+
+def norm_h_quadrature_2d(spec):
+    vals = torus_grid(spec, 4 * (spec.shape[-1] // 2) + 4)
+    return float(np.sqrt(np.mean(vals[0] ** 2 + vals[1] ** 2)))
+
+
+def norm_terms_2d(n_fields, cutoff, rng):
+    """(||v||_H, ||v||_V, ||v||_L4, quadrature ||v||_H) of each field."""
+    out = []
+    for _ in range(n_fields):
+        f = field_2d(cutoff, rng)
+        out.append((norm_h(f), norm_v(f), norm_l4(f), norm_h_quadrature_2d(f)))
+    return np.array(out).T
+
+
+def norm_suite_2d(n_fields, cutoff, rng):
+    """The 2-D norm inequality report, one field at a time."""
+    poincare, interp_c, tol = 4.0 * np.pi**2, 2.0, 1e-12
+    worst_ratio, worst_interp, worst_parseval = np.inf, np.inf, 0.0
+    viol_p = viol_i = viol_q = 0
+    for h, v, l4, q in norm_terms_2d(n_fields, cutoff, rng).T.tolist():
+        h_sq = h**2
+        if h_sq == 0.0:
+            continue
+        v_sq, l4_4, q_sq = v**2, l4**4, q**2
+        ratio = v_sq / h_sq
+        interp = interp_c * h_sq * v_sq - l4_4
+        perr = abs(q_sq - h_sq) / (1.0 + h_sq)
+        worst_ratio = min(worst_ratio, ratio)
+        worst_interp = min(worst_interp, interp)
+        worst_parseval = max(worst_parseval, perr)
+        viol_p += ratio < poincare * (1.0 - tol)
+        viol_i += interp < 0.0
+        viol_q += perr > tol
+    return {
+        "n_fields": n_fields,
+        "poincare": {"violations": viol_p, "worst_ratio": worst_ratio,
+                     "bound": poincare},
+        "l4_interpolation": {"violations": viol_i, "worst_margin": worst_interp,
+                             "constant": interp_c},
+        "parseval": {"violations": viol_q, "worst_error": worst_parseval,
+                     "tolerance": tol},
+    }
+
+
+def norm_terms_1d(n_fields, n_modes, rng, chunk):
+    """(||v||_H^2, ||v||_V^2, int v^4, quadrature ||v||_H^2) of each field.
+
+    The 1-D suite evaluates a whole set of fields with one matrix product,
+    and BLAS picks its kernel by the product's shape, so the last bits of a
+    row depend on the rows around it.  The reference draws every field at
+    once and makes the products over the same ``chunk``-row slices.
+    """
+    k = np.arange(1, n_modes + 1, dtype=np.float64)
+    coeffs = rng.standard_normal((n_fields, n_modes)) * k**-1.5
+    n_points = 4 * n_modes
+    table = sine_table(n_modes, n_points)
+    w = np.full(n_points, 1.0 / n_points)
+    vals = np.concatenate([coeffs[i:i + chunk] @ table.T
+                           for i in range(0, n_fields, chunk)])
+    l4_4 = np.concatenate([(vals[i:i + chunk] ** 4) @ w
+                           for i in range(0, n_fields, chunk)])
+    h_quad = np.concatenate([(vals[i:i + chunk] ** 2) @ w
+                             for i in range(0, n_fields, chunk)])
+    return (np.sum(coeffs**2, axis=1), np.sum((coeffs * (np.pi * k)) ** 2, axis=1),
+            l4_4, h_quad)
+
+
+def energy_suite(model, n_fields, experiment_seed, tol=1e-10):
+    """|<F(u), u>| over seeded fields, one field and one kernel call at a time."""
+    from tci_spde.models import burgers_nonlinearity, ns_advection
+    from tci_spde.noise import LANE_FIELDS, derived_replicate, generator
+
+    rng = generator(experiment_seed, derived_replicate(LANE_FIELDS, 1))
+    worst, violations = 0.0, 0
+    for _ in range(n_fields):
+        if model.kind == "ns2d":
+            u = field_2d(model.cutoff, rng)
+            e = abs(inner_h(ns_advection(u, model.cutoff), u))
+        else:
+            u = field_1d(model.n_modes, rng)
+            e = 0.0 if model.kind == "heat" else abs(inner_h(burgers_nonlinearity(u), u))
+        worst = max(worst, e)
+        violations += e > tol
+    return {"model": model.kind, "n_fields": n_fields, "violations": violations,
+            "worst_energy": worst, "tolerance": tol}
+
+
+def audit(model, n_samples, experiment_seed, t=0.0):
+    """The hypothesis audit report, one field and one drift call at a time."""
+    from tci_spde.models import explicit_drift, linear_eigenvalues
+    from tci_spde.noise import LANE_FIELDS, derived_replicate, generator
+
+    rng = generator(experiment_seed, derived_replicate(LANE_FIELDS, 0))
+    cst, op, tol = model.constants, model.noise, 1e-9
+    lam = linear_eigenvalues(model)
+
+    def sample(scale=1.0):
+        if model.kind == "ns2d":
+            return field_2d(model.cutoff, rng, scale=scale)
+        return field_1d(model.n_modes, rng, scale=scale)
+
+    def drift(v, t):
+        extra = explicit_drift(model, t, v)
+        return -lam * v if extra is None else -lam * v + extra
+
+    def hs(v):
+        return float(np.sqrt(np.sum(op.gains**2)) * op.g(norm_h(v)))
+
+    grid = np.linspace(-1.0, 1.0, 401)
+    n_triples = max(4, n_samples // 16)
+    worst_ratio = worst_fine = 0.0
+    passed = True
+    for _ in range(n_triples):
+        v1, v2, v3 = sample(), sample(), sample()
+        vals = np.array([inner_h(drift(v1 + s * v2, 0.0), v3) for s in grid])
+        scale = 1.0 + np.max(np.abs(vals))
+        res_c = np.max(np.abs(vals[2::4] - 0.5 * (vals[::4][:-1] + vals[::4][1:])))
+        res_f = np.max(np.abs(vals[1::2] - 0.5 * (vals[::2][:-1] + vals[::2][1:])))
+        passed = passed and res_f <= max(res_c / 3.0, 1e-6 * scale)
+        worst_fine = max(worst_fine, res_f / scale)
+        if res_c > 0.0:
+            worst_ratio = max(worst_ratio, res_f / res_c)
+
+    mono, coer, growth = [], [], []
+    hs_worst = 0.0
+    for i in range(n_samples):
+        v1 = sample()
+        v2 = v1 + sample(1e-4) if i % 4 == 3 else sample()
+        a1 = drift(v1, t)
+        gap_sq = norm_h(v1 - v2) ** 2
+        lhs = 2.0 * inner_h(a1 - drift(v2, t), v1 - v2) + (hs(v1) - hs(v2)) ** 2
+        if model.locally_monotone:
+            mono.append(lhs / gap_sq - model.rho_coefficient * norm_l4(v2) ** 4)
+        else:
+            mono.append(cst.K2 * gap_sq - lhs)
+        h_sq, v_sq, b_sq = norm_h(v1) ** 2, norm_v(v1) ** 2, hs(v1) ** 2
+        coer.append((model.f_tilde - cst.theta * v_sq + cst.K3 * h_sq)
+                    - (2.0 * inner_h(a1, v1) + b_sq))
+        dual = norm_vstar(a1)
+        if model.locally_monotone:
+            growth.append((model.f_tilde + cst.K4_tilde * v_sq)
+                          * (1.0 + h_sq ** (cst.beta / 2.0)) - dual**2)
+        else:
+            growth.append((math.sqrt(model.f_tilde) + cst.K4 * math.sqrt(v_sq)) - dual)
+        hs_worst = max(hs_worst, b_sq)
+
+    if model.locally_monotone:
+        w = int(np.argmax(mono))
+        monotonicity = {"pass": mono[w] <= cst.K2_tilde + tol,
+                        "empirical_K2_tilde": mono[w],
+                        "declared_K2_tilde": cst.K2_tilde, "witness": w,
+                        "rho": model.local_rho,
+                        "rho_coefficient": model.rho_coefficient}
+    else:
+        w = int(np.argmin(mono))
+        monotonicity = {"pass": mono[w] >= -tol, "worst_slack": mono[w],
+                        "declared_K2": cst.K2, "witness": w}
+    wc, wg = int(np.argmin(coer)), int(np.argmin(growth))
+    report = {
+        "model": model.kind, "n_samples": n_samples,
+        "experiment_seed": experiment_seed,
+        "hemicontinuity": {"pass": passed, "worst_refinement_ratio": worst_ratio,
+                           "worst_residual": worst_fine, "n_triples": n_triples},
+        "monotonicity": monotonicity,
+        "coercivity": {"pass": coer[wc] >= -tol, "worst_slack": coer[wc],
+                       "theta": cst.theta, "f_tilde": model.f_tilde,
+                       "witness": wc},
+        "growth": {"pass": growth[wg] >= -tol, "worst_slack": growth[wg],
+                   "witness": wg},
+        "noise_bound": {"pass": hs_worst <= op.c_b * (1.0 + 1e-12),
+                        "worst_hs_norm_sq": hs_worst, "C_B": op.c_b},
+    }
+    report["pass"] = all(report[k]["pass"] for k in (
+        "hemicontinuity", "monotonicity", "coercivity", "growth", "noise_bound"))
+    return report

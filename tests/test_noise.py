@@ -150,3 +150,19 @@ def test_2d_noise_basis_is_orthonormal_and_divergence_free():
         for i, fi in enumerate(fields):
             want = 1.0 if i == j else 0.0
             assert F.inner_h(fi, fj) == pytest.approx(want, abs=1e-12)
+
+
+def test_top_raw_words_give_finite_normals():
+    # The top 2^11 raw words would map to a uniform of exactly 1.0, where the
+    # inverse CDF is +inf; they are clamped to the largest uniform below 1.
+    top = np.array([2**64 - 1, 2**64 - 2**10, 2**64 - 2**11], dtype=np.uint64)
+    z = N._normals_from_raw(top)
+    assert np.all(np.isfinite(z))
+    assert np.all(z == N.ndtri(1.0 - 2.0**-53))
+    # every lower word keeps its unclamped normal, bitwise
+    below = np.array([2**64 - 2**11 - 1, 2**64 - 2**12, 2**63, 2**11, 0],
+                     dtype=np.uint64)
+    u = ((below >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    assert np.all(u < 1.0 - 2.0**-53)
+    assert np.array_equal(N._normals_from_raw(below), N.ndtri(u))
+    assert np.all(np.isfinite(N._normals_from_raw(below)))
