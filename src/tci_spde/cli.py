@@ -30,7 +30,7 @@ from .models import (audit_hypotheses, burgers_model, ns2d_model,
                      nonlinearity_energy_suite, t1_feasibility)
 from .noise import (LANE_FIELDS, derived_replicate, gains_inverse_k,
                     generator, noise_operator_1d, noise_operator_2d)
-from .solver import heat_convergence_report, solve, taylor_green_report
+from .solver import heat_convergence_report, taylor_green_report
 
 
 def _require(cfg: ExperimentConfig, *names):
@@ -158,8 +158,8 @@ def _run_constants(cfg: ExperimentConfig) -> dict:
 
 
 def _write_trajectory_csv(path, solver_cfg, traj):
-    # The trajectory keeps every snapshot_stride-th state plus the terminal
-    # one; the CSV lists the stride grid only.
+    # The trajectory keeps the norms at every snapshot_stride-th step plus
+    # the last one; the CSV lists the stride grid only.
     n_rows = solver_cfg.n_steps // solver_cfg.snapshot_stride + 1
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -172,14 +172,13 @@ def _write_trajectory_csv(path, solver_cfg, traj):
 
 def _run_simulate(cfg: ExperimentConfig, out_dir: str) -> dict:
     _require(cfg, "model", "solver", "x0")
-    traj = solve(cfg.model, cfg.solver, cfg.x0, cfg.experiment_seed,
-                 replicate=0)
+    # Replicate 0's path is recorded as a row of the moment pass.
+    moments, traj = conc.moment_report(cfg.model, cfg.solver, cfg.x0,
+                                       n_replicates=cfg.replicates,
+                                       experiment_seed=cfg.experiment_seed,
+                                       p=cfg.moment_p)
     csv_path = os.path.join(out_dir, "trajectory_0.csv")
     _write_trajectory_csv(csv_path, cfg.solver, traj)
-    moments = conc.moment_report(cfg.model, cfg.solver, cfg.x0,
-                                 n_replicates=cfg.replicates,
-                                 experiment_seed=cfg.experiment_seed,
-                                 p=cfg.moment_p)
     return {
         "trajectory": {
             "file": "trajectory_0.csv",
@@ -386,6 +385,12 @@ def main(argv=None) -> int:
         return 2
     except DivergenceError as exc:
         print(str(exc), file=sys.stderr)
+        # A partial report carries the address to rerun the replicate from.
+        _emit({"divergence": {"experiment_seed": exc.experiment_seed,
+                              "replicate": exc.replicate, "dt": exc.dt,
+                              "shifted": exc.shifted, "step": exc.step,
+                              "time": exc.time, "pass": False}},
+              cfg, args.subcommand, out_dir)
         return 3
     return 0 if _emit(report, cfg, args.subcommand, out_dir) else 1
 

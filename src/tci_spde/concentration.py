@@ -137,7 +137,8 @@ def trajectory_from_states(times: np.ndarray, states: np.ndarray,
         [[0.0], np.cumsum(0.5 * dt * (v_sq[:-1] + v_sq[1:]))])
     return Trajectory(times=times, states=states, h_sq=h_sq, v_sq=v_sq,
                       v_energy=v_energy,
-                      sup_h_norm=np.maximum.accumulate(np.sqrt(h_sq)), kind=kind)
+                      sup_h_norm=np.maximum.accumulate(np.sqrt(h_sq)), kind=kind,
+                      terminal=states[-1])
 
 
 def metric_distance(metric: str, a: Trajectory, b: Trajectory) -> float:
@@ -201,15 +202,29 @@ class Ensemble:
             raise ParameterError("ensemble values must be finite")
 
 
-def _path_block(replicates, model, cfg, x0, experiment_seed) -> np.ndarray:
-    return solve_block(model, cfg, x0, experiment_seed, replicates).paths
+def _path_block(replicates, model, cfg, x0, experiment_seed, record_rep):
+    """Path summaries of one block, and the norm path of replicate
+    ``record_rep`` if the block holds it (else None)."""
+    if record_rep not in replicates:
+        block = solve_block(model, cfg, x0, experiment_seed, replicates)
+        return block.paths, None
+    block = solve_block(model, cfg, x0, experiment_seed, replicates,
+                        record="norms")
+    return block.paths, block.trajectories[replicates.index(record_rep)]
 
 
-def _ensemble_paths(model, cfg, x0, experiment_seed, replicates) -> np.ndarray:
-    """Path summaries of independent replicates, stepped in blocks."""
-    return np.concatenate(map_blocks(
+def _ensemble_paths(model, cfg, x0, experiment_seed, replicates,
+                    record_rep: int | None = None):
+    """Path summaries of independent replicates, stepped in blocks, and the
+    norm path of replicate ``record_rep``, recorded as its row of its
+    block (None when not asked for)."""
+    blocks = map_blocks(
         partial(_path_block, model=model, cfg=cfg, x0=x0,
-                experiment_seed=experiment_seed), replicates))
+                experiment_seed=experiment_seed, record_rep=record_rep),
+        replicates)
+    recorded = [traj for _, traj in blocks if traj is not None]
+    return (np.concatenate([paths for paths, _ in blocks]),
+            recorded[0] if recorded else None)
 
 
 def functional_ensemble(model: ModelSpec, cfg: SolverConfig, x0,
@@ -217,7 +232,7 @@ def functional_ensemble(model: ModelSpec, cfg: SolverConfig, x0,
                         experiment_seed: int) -> Ensemble:
     """Independent replicates of one functional, parallel over blocks."""
     reps = list(range(n_replicates))
-    paths = _ensemble_paths(model, cfg, x0, experiment_seed, reps)
+    paths, _ = _ensemble_paths(model, cfg, x0, experiment_seed, reps)
     return Ensemble(values=functional.values(paths), functional=functional,
                     experiment_seed=experiment_seed,
                     replicates=np.asarray(reps))
@@ -487,8 +502,10 @@ def t2_chain_check(model: ModelSpec, cfg: SolverConfig, x0,
 # moment stability
 
 
-def _moment_pass(model, cfg, x0, experiment_seed, p, replicates) -> dict:
-    paths = _ensemble_paths(model, cfg, x0, experiment_seed, replicates)
+def _moment_pass(model, cfg, x0, experiment_seed, p, replicates,
+                 record_rep=None):
+    paths, traj = _ensemble_paths(model, cfg, x0, experiment_seed,
+                                  replicates, record_rep)
     arr = np.stack([paths["sup_h_total"] ** p, paths["v_energy_total"]], axis=1)
     sup_mean, sup_se = mean_and_stderr(arr[:, 0])
     v_mean, v_se = mean_and_stderr(arr[:, 1])
@@ -497,21 +514,23 @@ def _moment_pass(model, cfg, x0, experiment_seed, p, replicates) -> dict:
         "sup_h_moment": {"mean": float(sup_mean), "stderr": float(sup_se)},
         "v_energy": {"mean": float(v_mean), "stderr": float(v_se)},
         "finite": bool(np.all(np.isfinite(arr))),
-    }
+    }, traj
 
 
 def moment_report(model: ModelSpec, cfg: SolverConfig, x0,
                   n_replicates: int = 256, experiment_seed: int = 0,
-                  p: float = 2.0, refine: bool = True) -> dict:
+                  p: float = 2.0, refine: bool = True):
     """E sup_t ||X||_H^p and E int ||X||_V^2 dt with a dt-refinement flag.
 
     The refined pass halves dt on a fresh replicate lane; stability means
-    both moments stay within a factor of two of the base pass.
+    both moments stay within a factor of two of the base pass.  Returns
+    (report, trajectory): the trajectory is replicate 0's norm path,
+    recorded without states as row 0 of the base pass.
     """
     if n_replicates < 2:
         raise ParameterError("need at least two replicates")
-    base = _moment_pass(model, cfg, x0, experiment_seed, p,
-                        list(range(n_replicates)))
+    base, first = _moment_pass(model, cfg, x0, experiment_seed, p,
+                               list(range(n_replicates)), record_rep=0)
     report = {
         "model": model.kind,
         "p": float(p),
@@ -521,13 +540,13 @@ def moment_report(model: ModelSpec, cfg: SolverConfig, x0,
     }
     if not refine:
         report["pass"] = base["finite"]
-        return report
+        return report, first
     fine_cfg = SolverConfig(dt=cfg.dt / 2.0, horizon=cfg.horizon,
                             dealias=cfg.dealias,
                             snapshot_stride=cfg.snapshot_stride)
-    fine = _moment_pass(model, fine_cfg, x0, experiment_seed, p,
-                        [derived_replicate(LANE_REFINED, r)
-                         for r in range(n_replicates)])
+    fine, _ = _moment_pass(model, fine_cfg, x0, experiment_seed, p,
+                           [derived_replicate(LANE_REFINED, r)
+                            for r in range(n_replicates)])
 
     def _stable(key):
         lo, hi = sorted((base[key]["mean"], fine[key]["mean"]))
@@ -537,4 +556,4 @@ def moment_report(model: ModelSpec, cfg: SolverConfig, x0,
     report["refined"] = fine
     report["stable_under_refinement"] = bool(stable)
     report["pass"] = bool(base["finite"] and fine["finite"] and stable)
-    return report
+    return report, first

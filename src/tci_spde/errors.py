@@ -32,19 +32,24 @@ class DivergenceError(RuntimeError):
     """Raised when a trajectory leaves the representable range.
 
     Carries the step index and time at which the blow-up was detected and,
-    when known, the (experiment_seed, replicate) address of the trajectory.
+    when known, the (experiment_seed, replicate) address of the trajectory,
+    the time step ``dt`` it ran at and whether it ran on a Girsanov-shifted
+    leg (``shifted``).
     """
 
     def __init__(self, step, time, message=None, experiment_seed=None,
-                 replicate=None):
+                 replicate=None, dt=None, shifted=None):
         self.step = step
         self.time = time
         self.experiment_seed = experiment_seed
         self.replicate = replicate
+        self.dt = dt
+        self.shifted = shifted
         super().__init__(
             message or f"trajectory diverged at step {step} (t = {time:.6g})"
         )
 
     def __reduce__(self):
         return (type(self), (self.step, self.time, str(self),
-                             self.experiment_seed, self.replicate))
+                             self.experiment_seed, self.replicate, self.dt,
+                             self.shifted))

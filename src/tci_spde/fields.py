@@ -264,27 +264,38 @@ def half_to_grid(half: np.ndarray, n_grid: int) -> np.ndarray:
     (..., 2K+1, K+1): entry [i, j] is the amplitude at (i - K, j).  Leading
     axes hold independent fields; each goes through its own real inverse
     transform, so its values do not depend on the rest of the batch.
+
+    The 1-D transforms are those of ``irfft2`` on the zero-padded block
+    (``ifft`` along axis -2, then ``irfft`` along the last axis), with the
+    all-zero columns k2 > K left out of the first pass, so the values equal
+    ``irfft2``'s bitwise.
     """
     cutoff = half.shape[-1] - 1
     if n_grid < 2 * cutoff + 1:
         raise ResolutionError(
             f"grid {n_grid} cannot represent modes up to cutoff {cutoff}"
         )
-    buf = np.zeros(half.shape[:-2] + (n_grid, n_grid // 2 + 1),
-                   dtype=np.complex128)
-    buf[..., :cutoff + 1, :cutoff + 1] = half[..., cutoff:, :]
-    buf[..., n_grid - cutoff:, :cutoff + 1] = half[..., :cutoff, :]
-    return np.fft.irfft2(buf, s=(n_grid, n_grid), norm="forward")
+    cols = np.zeros(half.shape[:-2] + (n_grid, cutoff + 1), dtype=np.complex128)
+    cols[..., :cutoff + 1, :] = half[..., cutoff:, :]
+    cols[..., n_grid - cutoff:, :] = half[..., :cutoff, :]
+    cols = np.fft.ifft(cols, axis=-2, norm="forward")
+    return np.fft.irfft(cols, n_grid, axis=-1, norm="forward")
 
 
 def grid_to_half(values: np.ndarray, cutoff: int) -> np.ndarray:
     """The k2 >= 0 half (..., 2K+1, K+1) of the spectral blocks of real grid
     data (inverse of ``half_to_grid`` on band-limited data); modes beyond
-    the cutoff are dropped."""
+    the cutoff are dropped.
+
+    The 1-D transforms are those of ``rfft2`` (``rfft`` along the last
+    axis, then ``fft`` along axis -2), with the second pass run on the K+1
+    kept columns only, so the result equals ``rfft2``'s bitwise.
+    """
     n_grid = values.shape[-1]
-    spec = np.fft.rfft2(values, norm="forward")
-    return np.concatenate((spec[..., n_grid - cutoff:, :cutoff + 1],
-                           spec[..., :cutoff + 1, :cutoff + 1]), axis=-2)
+    cols = np.fft.rfft(values, axis=-1, norm="forward")[..., :cutoff + 1]
+    spec = np.fft.fft(cols, axis=-2, norm="forward")
+    return np.concatenate((spec[..., n_grid - cutoff:, :],
+                           spec[..., :cutoff + 1, :]), axis=-2)
 
 
 def half_to_full(half: np.ndarray) -> np.ndarray:

@@ -133,7 +133,7 @@ def coupled_solve(model: ModelSpec, cfg: SolverConfig, x0, h: ShiftFunction,
                           cfg.n_steps)
     block = solve_block(model, cfg, x0, experiment_seed, [replicate],
                         increments=inc[:, None, :],
-                        shifts=(h.dynamic_rows(), None), record=True)
+                        shifts=(h.dynamic_rows(), None), record="states")
     x, y = block.trajectories
     s, i_left, entropy = _log_rn_parts(h, inc)
     return CoupledPair(x=x, y=y, sup_gap_sq=float(block.sup_gap_sq[0]),

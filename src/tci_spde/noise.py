@@ -123,12 +123,14 @@ def gains_single_mode(n_w: int, c_b: float, mode_index: int = 1) -> np.ndarray:
 # noise operators
 
 
-def _basis_2d(cutoff: int, n_w: int) -> np.ndarray:
+def _basis_2d(cutoff: int, n_w: int):
     """First n_w orthonormal divergence-free real basis fields, spectrally.
 
     Wavevectors are enumerated over the half-space (k1 > 0, or k1 = 0 and
     k2 > 0) sorted by (|k|^2, k1, k2); each contributes a cosine and a sine
-    field polarized along k-perp.  Returns shape (n_w, 2, n, n).
+    field polarized along k-perp.  Returns the support, the sorted flat
+    indices into a (2, n, n) block of the entries some field is non-zero
+    at, and the (n_w, support) amplitudes of the fields there.
     """
     half = []
     for k1 in range(0, cutoff + 1):
@@ -151,7 +153,9 @@ def _basis_2d(cutoff: int, n_w: int) -> np.ndarray:
         amp = d / np.sqrt(2.0) if j % 2 == 0 else -1j * d / np.sqrt(2.0)
         out[j, :, k1 + cutoff, k2 + cutoff] = amp
         out[j, :, -k1 + cutoff, -k2 + cutoff] = np.conj(amp)
-    return out
+    flat = out.reshape(n_w, -1)
+    support = np.flatnonzero(np.any(flat != 0.0, axis=0))
+    return support, flat[:, support].copy()
 
 
 @dataclass(frozen=True)
@@ -160,6 +164,9 @@ class NoiseOperator:
 
     ``clamp`` of None means additive noise (g identically 1); a positive
     clamp R gives the bounded multiplicative factor g(s) = R / max(R, s).
+    A 2-D operator keeps its basis sparsely: ``support`` holds the flat
+    indices into the (2, n, n) spectral block that the noise reaches and
+    ``amplitudes`` the (n_w, support) values of the basis fields there.
     """
 
     n_w: int
@@ -168,7 +175,9 @@ class NoiseOperator:
     clamp: float | None = None
     kind: str = "1d"
     cutoff: int | None = None
-    _basis: np.ndarray | None = field(default=None, repr=False)
+    support: np.ndarray | None = field(default=None, init=False, repr=False)
+    amplitudes: np.ndarray | None = field(default=None, init=False,
+                                          repr=False)
 
     def __post_init__(self):
         gains = np.asarray(self.gains, dtype=np.float64)
@@ -189,7 +198,9 @@ class NoiseOperator:
         if self.kind == "2d":
             if self.cutoff is None:
                 raise ParameterError("2-D noise needs the field cutoff")
-            object.__setattr__(self, "_basis", _basis_2d(self.cutoff, self.n_w))
+            support, amplitudes = _basis_2d(self.cutoff, self.n_w)
+            object.__setattr__(self, "support", support)
+            object.__setattr__(self, "amplitudes", amplitudes)
         elif self.kind != "1d":
             raise ParameterError(f"unknown noise kind {self.kind!r}")
 
@@ -250,10 +261,21 @@ def embed_1d(op: NoiseOperator, w: np.ndarray, n_modes: int) -> np.ndarray:
     return out
 
 
+def support_values(op: NoiseOperator, w: np.ndarray) -> np.ndarray:
+    """B w (g factor excluded) on the support of a 2-D operator, shape
+    (..., len(op.support)) for ``w`` of shape (..., n_w); every other
+    spectral entry of B w is zero."""
+    return np.tensordot(op.gains * w, op.amplitudes, axes=(-1, 0))
+
+
 def embed_2d(op: NoiseOperator, w: np.ndarray) -> np.ndarray:
     """Spectral image of B w (g factor excluded), shape (..., 2, n, n) for
     ``w`` of shape (..., n_w)."""
-    return np.tensordot(op.gains * w, op._basis, axes=(-1, 0))
+    vals = support_values(op, w)
+    n = 2 * op.cutoff + 1
+    out = np.zeros(vals.shape[:-1] + (2 * n * n,), dtype=np.complex128)
+    out[..., op.support] = vals
+    return out.reshape(vals.shape[:-1] + (2, n, n))
 
 
 def apply_noise(op: NoiseOperator, v, w: np.ndarray):

@@ -13,7 +13,9 @@ One loop, ``solve_block``, advances a block of replicates at once: the
 state carries a leading row axis, and running reductions (trapezoid
 V-energy, sup H-norm, terminal state, and for coupled blocks the sup of
 the squared gap between shifted and unshifted rows) replace stored paths.
-``solve`` is that loop on one row with its states recorded.  Ensembles cut
+``solve`` is that loop on one row with its states recorded; a block can
+also record its rows' norm paths alone (``record="norms"``), so an
+ensemble yields one replicate's path without solving it twice.  Ensembles cut
 their replicates into blocks of ``BLOCK_REPLICATES``, a code constant, so
 their results do not depend on the worker count.  Blow-up raises with the
 (experiment_seed, replicate, step) address instead of propagating NaNs.
@@ -31,7 +33,7 @@ from .errors import DivergenceError, ParameterError, InvalidFieldError
 from .fields import Field1D, Field2D
 from .models import (ModelSpec, burgers_product_grid, explicit_drift,
                      linear_eigenvalues, ns_product_grid, taylor_green_field)
-from .noise import increment_table, embed_2d
+from .noise import increment_table, support_values
 from .parallel import parallel_map
 
 # Replicates per block.  A code constant, never derived from the worker
@@ -52,7 +54,7 @@ class SolverConfig:
     switching it off evaluates them at the minimal collocation resolution
     (N and 3K+1).  The product grid is not the quartic grid of the L^4 norms
     (4N and 4K+4), which products do not need.  ``snapshot_stride`` thins
-    the states a recorded trajectory keeps.
+    the steps a recorded trajectory keeps.
     """
 
     dt: float
@@ -114,7 +116,9 @@ class Trajectory:
     """One sample path, recorded every ``snapshot_stride`` steps.
 
     ``states[i]`` is the raw coefficient array at time ``times[i]``;
-    ``field(i)`` wraps it.  The last entry is always the terminal state.
+    ``field(i)`` wraps it.  The last time is always the horizon.  A path
+    recorded without its states has ``states`` None; ``terminal`` always
+    holds the raw terminal state.
     ``h_sq[i]`` and ``v_sq[i]`` are ||X_{t_i}||_H^2 and ||X_{t_i}||_V^2.
     ``v_energy[i]`` is the trapezoid value of int_0^{t_i} ||X_s||_V^2 ds and
     ``sup_h_norm[i]`` the running max of the H-norm, both accumulated over
@@ -128,15 +132,19 @@ class Trajectory:
     v_energy: np.ndarray
     sup_h_norm: np.ndarray
     kind: str
+    terminal: np.ndarray
+
+    def _wrap(self, raw):
+        return Field1D(raw) if self.kind == "1d" else Field2D(raw)
 
     def field(self, i: int):
-        if self.kind == "1d":
-            return Field1D(self.states[i])
-        return Field2D(self.states[i])
+        if self.states is None:
+            raise ParameterError("the trajectory was recorded without states")
+        return self._wrap(self.states[i])
 
     @property
     def terminal_field(self):
-        return self.field(len(self.times) - 1)
+        return self._wrap(self.terminal)
 
     @property
     def v_energy_total(self) -> float:
@@ -149,7 +157,7 @@ class Trajectory:
     def summary(self) -> np.ndarray:
         """One-row path summary, as ``solve_block`` returns for ensembles."""
         return _path_summaries(self.v_energy[-1:], self.sup_h_norm[-1:],
-                               self.states[-1:])
+                               self.terminal[None])
 
 
 def _state_rows(model: ModelSpec, x0_raw: np.ndarray, n_rows: int,
@@ -231,7 +239,7 @@ class Block:
 def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
                 replicates, increments: np.ndarray | None = None,
                 shifts=(None,), zero_noise: bool = False,
-                record: bool = False) -> Block:
+                record: str | None = None) -> Block:
     """Advance every (shift leg, replicate) row of one block in lockstep.
 
     Every row starts from ``x0``.  ``increments`` holds the Wiener
@@ -240,8 +248,12 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     is reproducible on its own.  All legs share them.  Each entry of
     ``shifts`` is None or the (n_steps, n_w) values h(t_k) of a Girsanov
     shift, applied per step as dW_k + dt h(t_k).  Two legs also give the
-    running sup of the squared H-gap between them.  ``record`` keeps every
-    ``cfg.snapshot_stride``-th state and the terminal one.
+    running sup of the squared H-gap between them.
+
+    ``record="states"`` keeps every row's state at every
+    ``cfg.snapshot_stride``-th step and at the last one, with the norms
+    and running reductions there; ``record="norms"`` keeps the same except
+    the states.
     """
     _check_resolution(model, cfg)
     M, dt, op = cfg.n_steps, cfg.dt, model.noise
@@ -260,6 +272,8 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     for h in shifts:
         if h is not None and h.shape != (M, op.n_w):
             raise ParameterError("shift values must have shape (n_steps, n_w)")
+    if record not in (None, "states", "norms"):
+        raise ParameterError("record must be None, 'states' or 'norms'")
 
     lam = linear_eigenvalues(model)
     inv_lin = 1.0 / (1.0 + dt * lam)
@@ -269,7 +283,12 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
 
     # ``state`` is updated in place, so ``norms`` keeps reading it.
     state, norms = _state_rows(model, x0_raw, len(shifts) * n_rep, lam)
-    head = state if two_d else state[:, :op.n_w]
+    # The noise reaches the first n_w sine modes, or the support entries
+    # of the flattened 2-D spectral blocks; no other entry changes.
+    if two_d:
+        flat = state.reshape(len(state), -1)
+    else:
+        head = state[:, :op.n_w]
     hv = norms()
     h_sq, prev_v_sq = hv
     v_energy = np.zeros(len(state))
@@ -281,12 +300,14 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
         kept = np.arange(0, M + 1, cfg.snapshot_stride)
         if kept[-1] != M:
             kept = np.append(kept, M)
-        states = np.empty((len(kept),) + state.shape, dtype=state.dtype)
+        states = None
+        if record == "states":
+            states = np.empty((len(kept),) + state.shape, dtype=state.dtype)
+            states[0] = state
         v_path = np.empty((len(kept), len(state)))
         h_path = np.empty((len(kept), len(state)))
         norm_path = np.empty((len(kept),) + hv.shape)
-        states[0], v_path[0], h_path[0], norm_path[0] = (state, v_energy,
-                                                         sup_h_sq, hv)
+        v_path[0], h_path[0], norm_path[0] = v_energy, sup_h_sq, hv
         kept_steps, slot = kept.tolist(), 1
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -302,7 +323,10 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
                 expl *= dt
                 state += expl
             if inc is not None:
-                head += embed_2d(op, w) if two_d else op.gains * w
+                if two_d:
+                    flat[:, op.support] += support_values(op, w)
+                else:
+                    head += op.gains * w
             state *= inv_lin
             hv = norms()
             # NaN and inf fail this screen; an overflowing sum of finite
@@ -310,13 +334,20 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
             if not hv.sum() < np.inf:
                 bad = ~np.all(hv < np.inf, axis=0)
                 if bad.any():
-                    rep = min(replicates[r % n_rep] for r in np.flatnonzero(bad))
+                    # lowest replicate first, its unshifted leg first
+                    row = min(np.flatnonzero(bad).tolist(),
+                              key=lambda r: (replicates[r % n_rep],
+                                             shifts[r // n_rep] is not None))
+                    rep = replicates[row % n_rep]
+                    shifted = shifts[row // n_rep] is not None
                     raise DivergenceError(
                         k + 1, (k + 1) * dt,
                         f"trajectory diverged at step {k + 1} "
                         f"(t = {(k + 1) * dt:.6g}; "
-                        f"experiment_seed={experiment_seed}, replicate={rep})",
-                        experiment_seed=experiment_seed, replicate=rep)
+                        f"experiment_seed={experiment_seed}, replicate={rep}, "
+                        f"dt={dt:.6g}, {'shifted' if shifted else 'unshifted'})",
+                        experiment_seed=experiment_seed, replicate=rep,
+                        dt=dt, shifted=shifted)
             h_sq, v_sq = hv
             v_energy += half_dt * (prev_v_sq + v_sq)
             prev_v_sq = v_sq
@@ -327,8 +358,10 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
                 np.maximum(sup_gap, _sq_gap(model, state[:n_rep], state[n_rep:]),
                            out=sup_gap)
             if record and kept_steps[slot] == k + 1:
-                states[slot], v_path[slot], h_path[slot], norm_path[slot] = (
-                    state, v_energy, sup_h_sq, hv)
+                v_path[slot], h_path[slot], norm_path[slot] = (v_energy,
+                                                               sup_h_sq, hv)
+                if states is not None:
+                    states[slot] = state
                 slot += 1
 
     sup_h = np.sqrt(sup_h_sq)
@@ -338,9 +371,11 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
         kind = "2d" if two_d else "1d"
         np.sqrt(h_path, out=h_path)
         block.trajectories = [
-            Trajectory(times=times, states=states[:, r],
+            Trajectory(times=times,
+                       states=None if states is None else states[:, r],
                        h_sq=norm_path[:, 0, r], v_sq=norm_path[:, 1, r],
-                       v_energy=v_path[:, r], sup_h_norm=h_path[:, r], kind=kind)
+                       v_energy=v_path[:, r], sup_h_norm=h_path[:, r],
+                       kind=kind, terminal=block.paths["terminal"][r])
             for r in range(len(state))]
     return block
 
@@ -388,7 +423,7 @@ def solve(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
         increments = increments[:, None, :]
     return solve_block(model, cfg, x0, experiment_seed, [replicate],
                        increments=increments, shifts=(shift_values,),
-                       zero_noise=zero_noise, record=True).trajectories[0]
+                       zero_noise=zero_noise, record="states").trajectories[0]
 
 
 # ---------------------------------------------------------------------------

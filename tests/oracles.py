@@ -335,3 +335,54 @@ def audit(model, n_samples, experiment_seed, t=0.0):
     report["pass"] = all(report[k]["pass"] for k in (
         "hemicontinuity", "monotonicity", "coercivity", "growth", "noise_bound"))
     return report
+
+
+# ---------------------------------------------------------------------------
+# full-size references for the pruned transforms and the sparse noise
+
+
+def irfft2_half(half, n_grid):
+    """Grid values of k2 >= 0 half-spectra (..., 2K+1, K+1) by one
+    ``irfft2`` of the whole zero-padded (n_grid, n_grid // 2 + 1) block."""
+    cutoff = half.shape[-1] - 1
+    buf = np.zeros(half.shape[:-2] + (n_grid, n_grid // 2 + 1), dtype=np.complex128)
+    buf[..., :cutoff + 1, :cutoff + 1] = half[..., cutoff:, :]
+    buf[..., n_grid - cutoff:, :cutoff + 1] = half[..., :cutoff, :]
+    return np.fft.irfft2(buf, s=(n_grid, n_grid), norm="forward")
+
+
+def rfft2_half(values, cutoff):
+    """The k2 >= 0 half-spectra up to ``cutoff`` of real grid data, cut out
+    of one ``rfft2`` of the whole grid."""
+    n_grid = values.shape[-1]
+    spec = np.fft.rfft2(values, norm="forward")
+    rows = list(range(n_grid - cutoff, n_grid)) + list(range(cutoff + 1))
+    return spec[..., rows, :cutoff + 1]
+
+
+def dense_basis_2d(cutoff, n_w):
+    """The first n_w divergence-free basis fields as dense (n_w, 2, n, n)
+    spectra: half-space wavevectors sorted by (|k|^2, k1, k2), a cosine and
+    a sine field each, polarized along k-perp."""
+    half = sorted((k1 * k1 + k2 * k2, k1, k2)
+                  for k1 in range(cutoff + 1) for k2 in range(-cutoff, cutoff + 1)
+                  if k1 > 0 or k2 > 0)
+    n = 2 * cutoff + 1
+    basis = np.zeros((n_w, 2, n, n), dtype=np.complex128)
+    for j in range(n_w):
+        _, k1, k2 = half[j // 2]
+        norm = np.hypot(k1, k2)
+        perp = np.array([-k2 / norm, k1 / norm])
+        # (-1j * perp) / sqrt(2) is a complex division, which need not
+        # equal -1j * (perp / sqrt(2)) in the last bit
+        amp = perp / np.sqrt(2.0) if j % 2 == 0 else -1j * perp / np.sqrt(2.0)
+        for c in range(2):
+            basis[j, c, k1 + cutoff, k2 + cutoff] = amp[c]
+            basis[j, c, cutoff - k1, cutoff - k2] = np.conj(amp[c])
+    return basis
+
+
+def dense_embed_2d(gains, basis, w):
+    """B w as a dense contraction of the gains-weighted w with every basis
+    spectrum, shape (..., 2, n, n)."""
+    return np.tensordot(gains * w, basis, axes=(-1, 0))

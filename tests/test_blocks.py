@@ -1,9 +1,9 @@
 """Block stepping: many replicates advanced at once with streaming reductions.
 
 The block loop is checked against a plain one-row-at-a-time stepper
-written here from the scheme in ``solver``'s docstring.  It shares only the
-drift kernels and the noise embedding with the package, which are checked
-on their own elsewhere.
+written here from the scheme in ``solver``'s docstring, with the 2-D noise
+embedded densely by ``oracles``.  It shares only the drift kernels with the
+package, which are checked on their own elsewhere.
 """
 
 import copy
@@ -24,6 +24,7 @@ from tci_spde import solver as S
 from tci_spde.cli import main
 from tci_spde.errors import DivergenceError
 
+import oracles as orc
 from test_config_cli import BASE, read_report
 
 
@@ -34,6 +35,8 @@ def reference_row(model, cfg, x0, inc, shift=None):
     grid = S._product_grid(model, cfg)
     two_d = model.kind == "ns2d"
     weight = lam / model.viscosity if two_d else lam
+    if two_d:
+        basis = orc.dense_basis_2d(model.cutoff, op.n_w)
 
     u = (x0.spec if two_d else x0.coeffs).copy()
     states = [u]
@@ -42,7 +45,7 @@ def reference_row(model, cfg, x0, inc, shift=None):
         w = inc[k] if shift is None else inc[k] + dt * shift[k]
         w = op.g(math.sqrt(h_norm_sq(u))) * w
         if two_d:
-            noise = N.embed_2d(op, w)
+            noise = orc.dense_embed_2d(op.gains, basis, w)
         else:
             noise = np.zeros_like(u)
             noise[:op.n_w] = op.gains * w

@@ -279,15 +279,16 @@ def test_zero_noise_moments_vanish():
     op = N.noise_operator_1d(2, [0.0, 0.0], 1.0)  # zero gains: B = 0
     model = M.heat_model(8, op, f_tilde=0.0)
     cfg = S.SolverConfig(dt=0.01, horizon=0.2)
-    report = K.moment_report(model, cfg, F.Field1D(np.zeros(8)),
-                             n_replicates=8, refine=False)
+    report, _ = K.moment_report(model, cfg, F.Field1D(np.zeros(8)),
+                                n_replicates=8, refine=False)
     assert report["base"]["sup_h_moment"]["mean"] == 0.0
     assert report["base"]["v_energy"]["mean"] == 0.0
 
 
 def test_moment_report_stable_under_refinement():
     model, cfg, x0 = small_heat()
-    report = K.moment_report(model, cfg, x0, n_replicates=64, p=2.0, refine=True)
+    report, _ = K.moment_report(model, cfg, x0, n_replicates=64, p=2.0,
+                                refine=True)
     assert report["pass"], report
     assert report["stable_under_refinement"]
 
