@@ -7,12 +7,11 @@ Hilbert-Schmidt budget.
 
 import numpy as np
 
-from tci_spde.fields import Field1D
-from tci_spde.noise import (LANE_NOISE, SeedSpec, apply_noise,
-                            derived_replicate, gains_inverse_k,
+from tci_spde.noise import (LANE_NOISE, derived_replicate, gains_inverse_k,
                             gains_single_mode, generator, hs_norm,
                             increment_table, noise_operator_1d,
-                            sample_increment)
+                            noise_operator_2d, standard_normals,
+                            support_values)
 
 SEED = 42
 DT = 1e-3
@@ -20,10 +19,10 @@ DT = 1e-3
 op = noise_operator_1d(4, gains_inverse_k(4, 2.5), 2.5)
 
 # drawing replicate 7 first or last gives the same numbers
-inc_a = sample_increment(op, DT, SeedSpec(SEED, replicate=7, step=3))
+inc_a = np.sqrt(DT) * standard_normals(SEED, 7, 3, op.n_w)
 for rep in (0, 1, 2):
-    sample_increment(op, DT, SeedSpec(SEED, replicate=rep, step=3))
-inc_b = sample_increment(op, DT, SeedSpec(SEED, replicate=7, step=3))
+    standard_normals(SEED, rep, 3, op.n_w)
+inc_b = np.sqrt(DT) * standard_normals(SEED, 7, 3, op.n_w)
 print(f"replicate 7, step 3, drawn twice with other draws between: "
       f"identical? {np.array_equal(inc_a, inc_b)}")
 
@@ -45,9 +44,8 @@ print(f"sum of squared gains = {np.sum(op.gains**2):.6f} (budget C_B = 2.5)")
 print(f"HS norm at any state (additive) = {hs_norm(op, 0.0):.6f} "
       f"= sqrt(C_B) = {2.5**0.5:.6f}")
 
-single = noise_operator_1d(4, gains_single_mode(4, 1.0, 1), 1.0)
-e1 = np.array([1.0, 0.0, 0.0, 0.0])
-state = Field1D(np.zeros(8))
-out = apply_noise(single, state, e1)
-print(f"single-mode operator maps e1 to a field with coefficient "
-      f"{out.coeffs[0]:.6f} on mode 1")
+single = noise_operator_2d(4, gains_single_mode(4, 1.0, 1), 1.0, cutoff=4)
+values = support_values(single, np.array([1.0, 0.0, 0.0, 0.0]))
+print(f"2-D single-mode operator: B e1 is one basis field, non-zero at "
+      f"{len(single.support)} of {2 * 9 * 9} spectral entries, "
+      f"with H-norm {np.linalg.norm(values):.6f} = sqrt(C_B)")

@@ -71,12 +71,7 @@ def _run_audit(cfg: ExperimentConfig) -> dict:
         "t1_feasibility": t1_feasibility(model),
     }
     report["t1_feasibility"]["pass"] = report["t1_feasibility"]["feasible"]
-    if model.kind == "ns2d":
-        suite = norm_inequality_suite_2d(cfg.n_fields, model.cutoff,
-                                         _field_rng(cfg))
-    else:
-        suite = norm_inequality_suite_1d(cfg.n_fields, model.n_modes,
-                                         _field_rng(cfg))
+    suite = model.space.norm_suite(cfg.n_fields, _field_rng(cfg))
     suite["pass"] = _suite_pass(suite)
     report["norm_inequalities"] = suite
     energy = nonlinearity_energy_suite(model, cfg.n_fields,
@@ -111,8 +106,7 @@ def _resolve_constant_inputs(cfg: ExperimentConfig) -> dict:
     vals["x0_h_norm_sq"] = over.get("x0_h_norm_sq")
     if vals["x0_h_norm_sq"] is None:
         if cfg.x0 is not None:
-            raw = np.asarray(getattr(cfg.x0, "coeffs",
-                                     getattr(cfg.x0, "spec", cfg.x0)))
+            raw = model.space.raw(cfg.x0)
             vals["x0_h_norm_sq"] = float(np.sum(np.abs(raw) ** 2))
         else:
             vals["x0_h_norm_sq"] = 0.0
@@ -235,7 +229,7 @@ def _run_verify_t1(cfg: ExperimentConfig, out_dir: str) -> dict:
     lambda0 = cfg.lambda0 if cfg.lambda0 is not None \
         else 0.5 * ranges["lambda0_max_lemma"]
     f_int = model.f_tilde * cfg.solver.horizon
-    raw = np.asarray(getattr(cfg.x0, "coeffs", getattr(cfg.x0, "spec", cfg.x0)))
+    raw = model.space.raw(cfg.x0)
     x0_sq = float(np.sum(np.abs(raw) ** 2))
     mu_moment = cfg.mu_moment if cfg.mu_moment is not None \
         else math.exp(lambda0 * x0_sq)
@@ -260,8 +254,9 @@ def _run_verify_t1(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 def _run_inequalities(cfg: ExperimentConfig) -> dict:
     model = cfg.model
-    n_modes = model.n_modes if model is not None and model.kind != "ns2d" else 32
-    cutoff = model.cutoff if model is not None and model.kind == "ns2d" else 8
+    # the model's own resolution where it has one
+    n_modes = model.n_modes if model is not None and model.n_modes else 32
+    cutoff = model.cutoff if model is not None and model.cutoff else 8
 
     suite_1d = norm_inequality_suite_1d(cfg.n_fields, n_modes, _field_rng(cfg))
     suite_1d["pass"] = _suite_pass(suite_1d)

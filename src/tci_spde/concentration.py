@@ -17,9 +17,9 @@ from functools import partial
 
 import numpy as np
 
+from . import fields as fs
 from ._stats import fsum_mean, mean_and_stderr, wilson_upper
 from .errors import ParameterError
-from .fields import _wavegrids
 from .girsanov import ShiftFunction, coupled_ensemble, shift_entropy
 from .models import ModelSpec
 from .noise import LANE_REFINED, derived_replicate
@@ -67,25 +67,15 @@ class FunctionalSpec:
             return np.sqrt(paths["v_energy_total"])
         if self.kind == "sup_H_norm":
             return np.array(paths["sup_h_total"])
-        last = paths["terminal"].reshape(len(paths), -1)
+        last = paths["terminal"]
         if self.kind == "terminal_H_norm":
-            return np.sqrt(_sq_norms(last))
-        probe = self.probe.ravel()
-        if last.dtype.kind == "c":
-            return np.real(np.sum(np.conj(probe) * last, axis=1))
-        return np.matmul(last[:, None, :], probe[:, None])[:, 0, 0]
+            return np.sqrt(fs.space_of(last).sq_norms(last))
+        return fs.inners_h(last, self.probe)
 
 
-def _sq_norms(rows: np.ndarray) -> np.ndarray:
-    """Squared H-norm of each row of flattened raw states; a real row's is
-    its BLAS dot product, the value ``np.dot`` gives."""
-    if rows.dtype.kind == "c":
-        return np.sum(np.abs(rows) ** 2, axis=1)
-    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
-
-
-def _state_h_norm(state: np.ndarray) -> float:
-    return math.sqrt(float(_sq_norms(state.reshape(1, -1))[0]))
+def _h_norm(raw: np.ndarray) -> float:
+    """H-norm of one raw state, as ``FunctionalSpec.values`` takes it."""
+    return math.sqrt(float(fs.space_of(raw).sq_norms(raw[None])[0]))
 
 
 def l2_v_path_functional() -> FunctionalSpec:
@@ -101,83 +91,13 @@ def terminal_h_functional() -> FunctionalSpec:
 
 
 def linear_probe_functional(probe) -> FunctionalSpec:
-    """<g, u_T> with Lipschitz constant ||g||_H for the uniform_H metric."""
-    raw = np.asarray(getattr(probe, "coeffs", getattr(probe, "spec", probe)))
-    norm = _state_h_norm(raw)
+    """<g, u_T> with Lipschitz constant ||g||_H for the uniform_H metric;
+    ``probe`` is the raw state g."""
+    raw = np.asarray(probe)
+    norm = _h_norm(raw)
     if norm <= 0.0:
         raise ParameterError("probe element must be nonzero")
     return FunctionalSpec("linear_probe", norm, "uniform_H", probe=raw)
-
-
-def _path_v_weights(states: np.ndarray) -> np.ndarray:
-    if states.dtype.kind == "c":
-        cutoff = (states.shape[-1] - 1) // 2
-        return 4.0 * math.pi**2 * _wavegrids(cutoff)[2]
-    k = np.arange(1, states.shape[-1] + 1, dtype=np.float64)
-    return (k * math.pi) ** 2
-
-
-def trajectory_from_states(times: np.ndarray, states: np.ndarray,
-                           kind: str) -> Trajectory:
-    """Wrap raw snapshots, recomputing the running V-energy and sup-H norm."""
-    times = np.asarray(times, dtype=np.float64)
-    states = np.asarray(states)
-    if times.ndim != 1 or times.shape[0] != states.shape[0]:
-        raise ParameterError("times and states disagree")
-    w = _path_v_weights(states)
-    p = np.abs(states) ** 2 if states.dtype.kind == "c" else states**2
-    axes = tuple(range(1, states.ndim))
-    h_sq = np.sum(p, axis=axes)
-    if states.dtype.kind == "c":
-        v_sq = np.sum(w[None, None, :, :] * p, axis=axes)
-    else:
-        v_sq = np.sum(w[None, :] * p, axis=axes)
-    dt = np.diff(times)
-    v_energy = np.concatenate(
-        [[0.0], np.cumsum(0.5 * dt * (v_sq[:-1] + v_sq[1:]))])
-    return Trajectory(times=times, states=states, h_sq=h_sq, v_sq=v_sq,
-                      v_energy=v_energy,
-                      sup_h_norm=np.maximum.accumulate(np.sqrt(h_sq)), kind=kind,
-                      terminal=states[-1])
-
-
-def metric_distance(metric: str, a: Trajectory, b: Trajectory) -> float:
-    """Path distance between two trajectories on the same time grid."""
-    if a.states.shape != b.states.shape or not np.allclose(a.times, b.times):
-        raise ParameterError("trajectories live on different grids")
-    diff = a.states - b.states
-    p = np.abs(diff) ** 2 if diff.dtype.kind == "c" else diff**2
-    axes = tuple(range(1, diff.ndim))
-    if metric == "uniform_H":
-        return math.sqrt(float(np.max(np.sum(p, axis=axes))))
-    if metric != "L2_V_path":
-        raise ParameterError(f"unknown metric {metric!r}")
-    w = _path_v_weights(a.states)
-    if diff.dtype.kind == "c":
-        v_sq = np.sum(w[None, None, :, :] * p, axis=axes)
-    else:
-        v_sq = np.sum(w[None, :] * p, axis=axes)
-    dt = np.diff(a.times)
-    return math.sqrt(float(np.sum(0.5 * dt * (v_sq[:-1] + v_sq[1:]))))
-
-
-def lipschitz_audit(functional: FunctionalSpec, pairs) -> dict:
-    """|F(u) - F(v)| <= L d(u, v) over trajectory pairs; lists violations."""
-    worst = -math.inf
-    violations = 0
-    n = 0
-    for a, b in pairs:
-        gap = abs(functional(a) - functional(b))
-        dist = functional.lipschitz_constant * metric_distance(
-            functional.metric, a, b)
-        margin = gap - dist
-        worst = max(worst, margin)
-        if margin > 1e-9 * max(1.0, dist):
-            violations += 1
-        n += 1
-    return {"kind": functional.kind, "n_pairs": n,
-            "violations": violations, "worst_margin": worst,
-            "pass": violations == 0}
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +310,7 @@ def exp_moment_check(model: ModelSpec, cfg: SolverConfig, x0, c: float,
         estimate, stderr = mean_and_stderr(np.exp(exponent))
         infinite = False
     f_int = model.f_tilde * cfg.horizon
-    x0_sq = _state_h_norm(np.asarray(
-        getattr(x0, "coeffs", getattr(x0, "spec", x0)))) ** 2
+    x0_sq = _h_norm(model.space.raw(x0)) ** 2
     bound = math.exp(lambda0 * (f_int + x0_sq))
     ok = (not infinite) and estimate + 3.0 * stderr <= bound
     return {

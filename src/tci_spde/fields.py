@@ -6,6 +6,8 @@ e_k(x) = sqrt(2) sin(k pi x), k >= 1.  Two-dimensional fields are
 real, mean-zero velocity fields on the periodic unit torus, held as
 complex Fourier coefficients u_hat(k) in C^2 on the square wavevector
 block |k|_inf <= cutoff with Hermitian symmetry u_hat(-k) = conj(u_hat(k)).
+``SineSpace`` and ``TorusSpace`` are the one place that knows how the
+states of each space are stored; the other modules go through them.
 
 Norm conventions for the Gelfand triple V in H in V*:
 
@@ -25,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidFieldError, ResolutionError
+from .noise import NoiseOperator, support_values
 
 # Sharp Poincare constants for the squared embedding ||v||_V^2 >= C ||v||_H^2.
 POINCARE_1D = np.pi**2
@@ -43,52 +46,35 @@ _HERMITIAN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Uniform-grid quadrature rule on [0, 1].
+    """Midpoint rule on [0, 1]: nodes (j + 1/2)/n with equal weights.
 
-    ``midpoint`` uses nodes (j + 1/2)/n with equal weights, ``trapezoid``
-    uses nodes j/(n-1) with endpoint weights halved.  Both integrate
-    cos(m pi x) exactly for 0 <= m < 2 * resolution, which covers every
-    quartic product of sine modes once the resolution is at least four
-    times the modal cutoff.
+    It integrates cos(m pi x) exactly for 0 <= m < 2n, which covers every
+    quartic product of sine modes once n is at least four times the modal
+    cutoff.
     """
 
     n_points: int
-    rule: str = "midpoint"
 
     def __post_init__(self):
-        if self.rule not in ("midpoint", "trapezoid"):
-            raise InvalidFieldError(f"unknown quadrature rule {self.rule!r}")
         if self.n_points < 2:
             raise ResolutionError("quadrature needs at least 2 points")
 
-    @property
-    def resolution(self) -> int:
-        """Number of subintervals the rule resolves."""
-        return self.n_points if self.rule == "midpoint" else self.n_points - 1
-
     def nodes(self) -> np.ndarray:
-        if self.rule == "midpoint":
-            return (np.arange(self.n_points) + 0.5) / self.n_points
-        return np.linspace(0.0, 1.0, self.n_points)
+        return (np.arange(self.n_points) + 0.5) / self.n_points
 
     def weights(self) -> np.ndarray:
-        if self.rule == "midpoint":
-            return np.full(self.n_points, 1.0 / self.n_points)
-        w = np.full(self.n_points, 1.0 / (self.n_points - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        return np.full(self.n_points, 1.0 / self.n_points)
 
 
 def default_quadrature(n_modes: int) -> Quadrature:
     """Anti-aliased midpoint rule for fields with ``n_modes`` sine modes."""
-    return Quadrature(4 * n_modes, "midpoint")
+    return Quadrature(4 * n_modes)
 
 
 def _require_resolution(quad: Quadrature, n_modes: int):
-    if quad.resolution < 4 * n_modes:
+    if quad.n_points < 4 * n_modes:
         raise ResolutionError(
-            f"quadrature resolution {quad.resolution} is below the "
+            f"quadrature resolution {quad.n_points} is below the "
             f"anti-aliasing requirement 4 * n_modes = {4 * n_modes}"
         )
 
@@ -114,17 +100,12 @@ class Field1D:
     def n_modes(self) -> int:
         return self.coeffs.size
 
+    @property
+    def space(self) -> "SineSpace":
+        return SineSpace(self.coeffs.size)
+
     def __repr__(self):
         return f"Field1D(n_modes={self.n_modes}, norm_h={norm_h(self):.4g})"
-
-
-@lru_cache(maxsize=32)
-def _sine_table(n_modes: int, n_points: int, rule: str):
-    """Evaluation matrix E[j, k-1] = sqrt(2) sin(k pi x_j) on the quadrature grid."""
-    quad = Quadrature(n_points, rule)
-    x = quad.nodes()
-    k = np.arange(1, n_modes + 1)
-    return np.sqrt(2.0) * np.sin(np.pi * np.outer(x, k))
 
 
 def evaluate_1d(field: Field1D, quad: Quadrature | None = None) -> np.ndarray:
@@ -132,26 +113,6 @@ def evaluate_1d(field: Field1D, quad: Quadrature | None = None) -> np.ndarray:
     if quad is None:
         quad = default_quadrature(field.n_modes)
     return _sine_values(field.coeffs, quad)
-
-
-def evaluate_derivative_1d(field: Field1D, quad: Quadrature | None = None) -> np.ndarray:
-    """Point values of d/dx of the field on the quadrature grid."""
-    if quad is None:
-        quad = default_quadrature(field.n_modes)
-    x = quad.nodes()
-    k = np.arange(1, field.n_modes + 1)
-    table = np.sqrt(2.0) * (k * np.pi) * np.cos(np.pi * np.outer(x, k))
-    return table @ field.coeffs
-
-
-def project_1d(values: np.ndarray, n_modes: int, quad: Quadrature) -> np.ndarray:
-    """Sine coefficients of grid data: c_k = integral of f * sqrt(2) sin(k pi x).
-
-    Exact for trigonometric polynomials resolved by the grid; used by the
-    Burgers nonlinearity, whose integrands stay within the exact range.
-    """
-    table = _sine_table(n_modes, quad.n_points, quad.rule)
-    return table.T @ (quad.weights() * values)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +162,10 @@ class Field2D:
             raise InvalidFieldError("2-D field spectrum must have shape (2, n, n)")
         self.spec = check_spectra(arr)
         self.cutoff = arr.shape[1] // 2
+
+    @property
+    def space(self) -> "TorusSpace":
+        return TorusSpace(self.cutoff)
 
     def coeff(self, k1: int, k2: int) -> np.ndarray:
         """Complex 2-vector amplitude at wavevector (k1, k2)."""
@@ -336,10 +301,6 @@ def default_grid_2d(cutoff: int) -> int:
 # one field.
 
 
-def _raw(field) -> np.ndarray:
-    return field.coeffs if isinstance(field, Field1D) else field.spec
-
-
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products over the last axis, one BLAS call per field (a stack of
     vector-vector matmuls), each equal to ``np.dot`` on that field alone."""
@@ -362,7 +323,7 @@ def _scalar_powers(values, p: float) -> np.ndarray:
 
 def _sine_values(coeffs: np.ndarray, quad: Quadrature) -> np.ndarray:
     """Point values on the quadrature grid, one matrix-vector product per field."""
-    table = _sine_table(coeffs.shape[-1], quad.n_points, quad.rule)
+    table = SineSpace(coeffs.shape[-1]).table(quad.n_points)
     return np.matmul(table, coeffs[..., None])[..., 0]
 
 
@@ -454,38 +415,28 @@ def norms_l4(raw: np.ndarray, quad: Quadrature | None = None,
 
 def norm_h(field) -> float:
     """L^2 norm via Parseval."""
-    return float(norms_h(_raw(field)))
+    return float(norms_h(field.space.raw(field)))
 
 
 def inner_h(a, b) -> float:
-    """L^2 inner product of two fields of matching type and resolution."""
-    if isinstance(a, Field1D):
-        if a.n_modes != b.n_modes:
-            raise InvalidFieldError("mode count mismatch in inner product")
-    elif a.cutoff != b.cutoff:
-        raise InvalidFieldError("cutoff mismatch in inner product")
-    return float(inners_h(_raw(a), _raw(b)))
+    """L^2 inner product of two fields of one space."""
+    space = a.space
+    return float(inners_h(space.raw(a), space.raw(b)))
 
 
 def norm_v(field) -> float:
     """Dirichlet energy norm ||grad v||_{L^2}."""
-    return float(norms_v(_raw(field)))
+    return float(norms_v(field.space.raw(field)))
 
 
 def norm_vstar(field) -> float:
     """Dual norm; spectral weights are the reciprocals of the V weights."""
-    return float(norms_vstar(_raw(field)))
+    return float(norms_vstar(field.space.raw(field)))
 
 
 def norm_l4(field, quad: Quadrature | None = None, n_grid: int | None = None) -> float:
     """L^4 norm by physical-space quadrature on an anti-aliased grid."""
-    return float(norms_l4(_raw(field), quad, n_grid))
-
-
-def norm_h_quadrature(field, quad: Quadrature | None = None,
-                      n_grid: int | None = None) -> float:
-    """L^2 norm via the physical grid, for Parseval cross-checks."""
-    return float(np.sqrt(_quadrature_moments(_raw(field), quad, n_grid)[0]))
+    return float(norms_l4(field.space.raw(field), quad, n_grid))
 
 
 def poincare_audit(field, eta: float):
@@ -504,11 +455,8 @@ def poincare_audit(field, eta: float):
 
 def laplacian_apply(field):
     """Laplacian in spectral form: mode k scaled by -(k pi)^2 or -(2 pi |k|)^2."""
-    if isinstance(field, Field1D):
-        k = np.arange(1, field.n_modes + 1, dtype=np.float64)
-        return Field1D(-((k * np.pi) ** 2) * field.coeffs)
-    _, _, ksq = _wavegrids(field.cutoff)
-    return Field2D(-((2.0 * np.pi) ** 2) * ksq * field.spec)
+    space = field.space
+    return space.wrap(-space.laplacian_eigenvalues() * space.raw(field))
 
 
 # ---------------------------------------------------------------------------
@@ -578,23 +526,16 @@ def suite_chunks(n_fields: int) -> list:
 
 
 def _suite_terms_1d(n_fields: int, n_modes: int, rng: np.random.Generator):
-    """Per-field ||v||_H^2, ||v||_V^2, int v^4 and quadrature ||v||_H^2.
-
-    Each chunk goes through one matrix product with the sine table; on the
-    reference sizes (1000 fields, 32 modes) the rows come out as the bits
-    of a single product over all fields.
-    """
+    """Per-field ||v||_H^2, ||v||_V^2, int v^4 and quadrature ||v||_H^2, one
+    matrix-vector product per field serving both quadratures, so a field's
+    terms do not depend on its chunk."""
     k = np.arange(1, n_modes + 1, dtype=np.float64)
-    quad = default_quadrature(n_modes)
-    table = _sine_table(n_modes, quad.n_points, quad.rule)
-    w = quad.weights()
     terms = []
     for count in suite_chunks(n_fields):
         coeffs = random_fields_1d(count, n_modes, rng)
-        vals = coeffs @ table.T
+        m2, m4 = _quadrature_moments(coeffs)
         terms.append((np.sum(coeffs**2, axis=1),
-                      np.sum((coeffs * (np.pi * k)) ** 2, axis=1),
-                      (vals**4) @ w, (vals**2) @ w))
+                      np.sum((coeffs * (np.pi * k)) ** 2, axis=1), m4, m2))
     return [np.concatenate(col) for col in zip(*terms)]
 
 
@@ -677,3 +618,164 @@ def norm_inequality_suite_2d(n_fields: int, cutoff: int,
             "tolerance": _PARSEVAL_TOL,
         },
     }
+
+
+# ---------------------------------------------------------------------------
+# function spaces
+#
+# The two spaces own the storage of their states: a sine state is a real
+# vector of n_modes coefficients, a torus state a complex (2, n, n) spectral
+# block, and arrays of states carry them on leading axes.  Other modules
+# reach the storage through ``ModelSpec.space`` or ``space_of``.
+
+
+@dataclass(frozen=True)
+class SineSpace:
+    """Dirichlet sine modes e_1..e_N on [0, 1] (heat and Burgers)."""
+
+    n_modes: int
+
+    def laplacian_eigenvalues(self, viscosity: float = 1.0) -> np.ndarray:
+        """viscosity * (pi k)^2 per mode."""
+        k = np.arange(1, self.n_modes + 1, dtype=np.float64)
+        return viscosity * (np.pi * k) ** 2
+
+    def raw(self, field) -> np.ndarray:
+        """The coefficients of ``field``, which must be a field of this space."""
+        if not isinstance(field, Field1D) or field.n_modes != self.n_modes:
+            raise InvalidFieldError(f"expected a 1-D field with {self.n_modes} modes")
+        return field.coeffs
+
+    def wrap(self, raw) -> Field1D:
+        return Field1D(raw)
+
+    def sq_norms(self, rows: np.ndarray) -> np.ndarray:
+        """||u||_H^2 per state of ``rows`` (P, N): each its own BLAS dot
+        product, the value ``np.dot`` gives."""
+        return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+
+    @lru_cache(maxsize=32)
+    def table(self, n_points: int) -> np.ndarray:
+        """Evaluation matrix E[j, k-1] = sqrt(2) sin(k pi x_j) on the
+        ``n_points`` midpoint nodes; cached by value (the space is a frozen
+        value), and shared, so callers must not write to it."""
+        x = Quadrature(n_points).nodes()
+        k = np.arange(1, self.n_modes + 1)
+        return np.sqrt(2.0) * np.sin(np.pi * np.outer(x, k))
+
+    def draw(self, count: int, rng: np.random.Generator, scale=1.0) -> np.ndarray:
+        return random_fields_1d(count, self.n_modes, rng, scale=scale)
+
+    def norm_suite(self, n_fields: int, rng: np.random.Generator) -> dict:
+        return norm_inequality_suite_1d(n_fields, self.n_modes, rng)
+
+    def block(self, x0: np.ndarray, n_rows: int, lam: np.ndarray,
+              op: NoiseOperator, viscosity) -> "_SineRows":
+        """``n_rows`` copies of ``x0`` as one block; sine models have no
+        viscosity, so ``viscosity`` plays no part."""
+        return _SineRows(x0, n_rows, lam, op)
+
+
+@dataclass(frozen=True)
+class TorusSpace:
+    """Mean-free Fourier modes |k|_inf <= cutoff on the unit torus (ns2d)."""
+
+    cutoff: int
+
+    def laplacian_eigenvalues(self, viscosity: float = 1.0) -> np.ndarray:
+        """(viscosity (2 pi)^2) |k|^2 per wavevector."""
+        return viscosity * (2.0 * np.pi) ** 2 * _wavegrids(self.cutoff)[2]
+
+    def raw(self, field) -> np.ndarray:
+        """The spectrum of ``field``, which must be a field of this space."""
+        if not isinstance(field, Field2D) or field.cutoff != self.cutoff:
+            raise InvalidFieldError(f"expected a 2-D field with cutoff {self.cutoff}")
+        return field.spec
+
+    def wrap(self, raw) -> Field2D:
+        return Field2D(raw)
+
+    def sq_norms(self, rows: np.ndarray) -> np.ndarray:
+        """||u||_H^2 per state of ``rows`` (P, 2, n, n) as one pairwise sum
+        of |u|^2 (``norms_h`` adds two real dots instead)."""
+        return np.sum(np.abs(rows.reshape(len(rows), -1)) ** 2, axis=1)
+
+    def draw(self, count: int, rng: np.random.Generator, scale=1.0) -> np.ndarray:
+        return random_fields_2d(count, self.cutoff, rng, scale=scale)
+
+    def norm_suite(self, n_fields: int, rng: np.random.Generator) -> dict:
+        return norm_inequality_suite_2d(n_fields, self.cutoff, rng)
+
+    def block(self, x0: np.ndarray, n_rows: int, lam: np.ndarray,
+              op: NoiseOperator, viscosity: float) -> "_TorusRows":
+        """``n_rows`` copies of ``x0`` as one block."""
+        return _TorusRows(x0, n_rows, lam, op, viscosity)
+
+
+def space_of(raw: np.ndarray):
+    """The space of raw states (one, or many on leading axes)."""
+    if np.iscomplexobj(raw):
+        return TorusSpace(raw.shape[-1] // 2)
+    return SineSpace(raw.shape[-1])
+
+
+# A block holds P states as the rows of ``state``, which the solver updates
+# in place; ``norms`` reads them there.  ``lam`` are the eigenvalues of the
+# implicit step; on the torus they carry the viscosity, which the V-norm
+# divides out again (sine models have none).
+
+
+class _SineRows:
+    def __init__(self, x0, n_rows, lam, op):
+        # lhs[0] holds the rows and lhs[1] the rows weighted by lam.
+        self._lhs = np.empty((2, n_rows, x0.size))
+        self.state = self._lhs[0]
+        self.state[...] = x0
+        self._lam = lam
+        self._pairs = (self._lhs[:, :, None, :],
+                       np.broadcast_to(self.state[:, :, None],
+                                       self._lhs.shape + (1,)))
+        self._head = self.state[:, :op.n_w]
+        self._gains = op.gains
+
+    def norms(self) -> np.ndarray:
+        """(2, P) array of (||u||_H^2, ||u||_V^2) per row: BLAS dot products
+        taken one row at a time, both norms in one call, so they equal
+        ``np.dot`` on the row bitwise whatever the block holds."""
+        np.multiply(self._lam, self.state, out=self._lhs[1])
+        return np.matmul(*self._pairs).reshape(2, -1)
+
+    def add_noise(self, w: np.ndarray):
+        """Add B w, ``w`` of shape (P, n_w) with any clamp applied; the noise
+        reaches the first n_w modes."""
+        self._head += self._gains * w
+
+    def sq_gap(self, n: int) -> np.ndarray:
+        """||u_i - u_{n+i}||_H^2 for the first n rows, as pairwise sums."""
+        d = self.state[:n] - self.state[n:]
+        return (d * d).sum(axis=1)
+
+
+class _TorusRows:
+    def __init__(self, x0, n_rows, lam, op, viscosity):
+        self.state = np.repeat(x0[None], n_rows, axis=0)
+        self._flat = self.state.reshape(n_rows, -1)
+        self._weights = np.broadcast_to(lam, x0.shape).ravel()
+        self._visc = viscosity
+        self._op = op
+
+    def norms(self) -> np.ndarray:
+        """(2, P) array of (||u||_H^2, ||u||_V^2) per row; the V-norm is the
+        lam-weighted sum over the viscosity."""
+        p = np.abs(self._flat) ** 2
+        return np.array([p.sum(axis=1), (self._weights * p).sum(axis=1) / self._visc])
+
+    def add_noise(self, w: np.ndarray):
+        """Add B w, ``w`` of shape (P, n_w) with any clamp applied, on the
+        support of the noise basis, the only entries it changes."""
+        self._flat[:, self._op.support] += support_values(self._op, w)
+
+    def sq_gap(self, n: int) -> np.ndarray:
+        """||u_i - u_{n+i}||_H^2 for the first n rows."""
+        d = self.state[:n] - self.state[n:]
+        return (np.abs(d) ** 2).reshape(n, -1).sum(axis=1)

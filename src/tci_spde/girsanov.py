@@ -24,9 +24,7 @@ import numpy as np
 from ._stats import mean_and_stderr
 from .errors import ParameterError
 from .models import ModelSpec
-from .noise import increment_table
-from .solver import (SolverConfig, Trajectory, block_increments, map_blocks,
-                     solve_block)
+from .solver import SolverConfig, block_increments, map_blocks, solve_block
 
 
 @dataclass(frozen=True)
@@ -91,24 +89,6 @@ def shift_entropy(h: ShiftFunction) -> float:
     return 0.5 * integral
 
 
-@dataclass
-class CoupledPair:
-    """Shifted and unshifted trajectories driven by one increment table."""
-
-    x: Trajectory
-    y: Trajectory
-    sup_gap_sq: float
-    log_rn: float
-    girsanov_cost: float
-    experiment_seed: int
-    replicate: int
-
-
-def log_radon_nikodym(pair: CoupledPair) -> float:
-    """log M_T accumulated along the shifted simulation."""
-    return pair.log_rn
-
-
 def _log_rn_parts(h: ShiftFunction, inc: np.ndarray) -> tuple[float, float, float]:
     rows = h.dynamic_rows()
     s = float(np.sum(rows * inc))
@@ -122,24 +102,6 @@ def _check_shift(model: ModelSpec, cfg: SolverConfig, h: ShiftFunction):
         raise ParameterError("shift dimension disagrees with the noise")
     if abs(h.horizon - cfg.horizon) > 1e-9 or abs(h.dt - cfg.dt) > 1e-15:
         raise ParameterError("shift grid disagrees with the solver grid")
-
-
-def coupled_solve(model: ModelSpec, cfg: SolverConfig, x0, h: ShiftFunction,
-                  experiment_seed: int, replicate: int = 0) -> CoupledPair:
-    """Drive the shifted and unshifted dynamics with shared increments,
-    recording both paths."""
-    _check_shift(model, cfg, h)
-    inc = increment_table(model.noise, cfg.dt, experiment_seed, replicate,
-                          cfg.n_steps)
-    block = solve_block(model, cfg, x0, experiment_seed, [replicate],
-                        increments=inc[:, None, :],
-                        shifts=(h.dynamic_rows(), None), record="states")
-    x, y = block.trajectories
-    s, i_left, entropy = _log_rn_parts(h, inc)
-    return CoupledPair(x=x, y=y, sup_gap_sq=float(block.sup_gap_sq[0]),
-                       log_rn=s + i_left - entropy,
-                       girsanov_cost=2.0 * entropy,
-                       experiment_seed=experiment_seed, replicate=replicate)
 
 
 def _pair_block(replicates, model, cfg, x0, h, experiment_seed) -> dict:

@@ -20,9 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidFieldError, ParameterError
+from .errors import ParameterError
 from . import fields as fs
-from .fields import Field1D, Field2D
+from .fields import Field2D, SineSpace, TorusSpace
 from .noise import NoiseOperator, hs_norm, generator, derived_replicate, LANE_FIELDS
 
 ETA_1D = math.sqrt(math.pi**2 - 1.0)
@@ -87,6 +87,13 @@ class ModelSpec:
                 raise ParameterError("1-D noise must fit inside the mode count")
         if self.f_tilde < 0.0:
             raise ParameterError("f_tilde must be nonnegative")
+
+    @property
+    def space(self) -> SineSpace | TorusSpace:
+        """The function space of the model's states."""
+        if self.kind == "ns2d":
+            return TorusSpace(self.cutoff)
+        return SineSpace(self.n_modes)
 
     @property
     def locally_monotone(self) -> bool:
@@ -192,10 +199,9 @@ def ns_product_grid(cutoff: int) -> int:
 
 @lru_cache(maxsize=16)
 def _burgers_workspace(n_modes: int, n_grid: int):
-    quad = fs.Quadrature(n_grid, "midpoint")
-    x = quad.nodes()
+    x = fs.Quadrature(n_grid).nodes()
     k = np.arange(1, n_modes + 1)
-    eval_t = np.sqrt(2.0) * np.sin(np.pi * np.outer(x, k))
+    eval_t = SineSpace(n_modes).table(n_grid)
     deriv_t = np.sqrt(2.0) * (np.pi * k) * np.cos(np.pi * np.outer(x, k))
     proj_t = eval_t.T / n_grid
     return eval_t, deriv_t, proj_t
@@ -261,12 +267,11 @@ def ns_advection(spec: np.ndarray, cutoff: int,
 
 
 def linear_eigenvalues(model: ModelSpec) -> np.ndarray:
-    """Spectral eigenvalues of the implicit (linear) drift part."""
-    if model.kind == "ns2d":
-        _, _, ksq = fs._wavegrids(model.cutoff)
-        return model.viscosity * (2.0 * np.pi) ** 2 * ksq
-    k = np.arange(1, model.n_modes + 1, dtype=np.float64)
-    return (np.pi * k) ** 2
+    """Spectral eigenvalues of the implicit (linear) drift part; 1-D models
+    have no viscosity."""
+    if model.viscosity is None:
+        return model.space.laplacian_eigenvalues()
+    return model.space.laplacian_eigenvalues(model.viscosity)
 
 
 def explicit_drift(model: ModelSpec, t: float, state: np.ndarray,
@@ -290,17 +295,6 @@ def _drift(model: ModelSpec, t: float, raw: np.ndarray) -> np.ndarray:
     return out if extra is None else out + extra
 
 
-def drift_eval(model: ModelSpec, t: float, v):
-    """Full drift A(t, v) as a field in the dual (spectral) representation."""
-    if model.kind == "ns2d":
-        if not isinstance(v, Field2D) or v.cutoff != model.cutoff:
-            raise InvalidFieldError("ns2d drift needs a matching 2-D field")
-        return Field2D(_drift(model, t, v.spec))
-    if not isinstance(v, Field1D) or v.n_modes != model.n_modes:
-        raise InvalidFieldError(f"{model.kind} drift needs a matching 1-D field")
-    return Field1D(_drift(model, t, v.coeffs))
-
-
 def _energies(model: ModelSpec, raw: np.ndarray) -> np.ndarray:
     """<F(v), v> per field for the non-dissipative drift part."""
     if model.kind == "heat":
@@ -312,7 +306,7 @@ def _energies(model: ModelSpec, raw: np.ndarray) -> np.ndarray:
 
 def nonlinearity_energy(model: ModelSpec, v) -> float:
     """<F(v), v> for the non-dissipative drift part; zero analytically."""
-    return float(_energies(model, fs._raw(v)))
+    return float(_energies(model, model.space.raw(v)))
 
 
 def taylor_green_field(cutoff: int, amplitude: float = 1.0) -> Field2D:
@@ -333,15 +327,6 @@ def taylor_green_field(cutoff: int, amplitude: float = 1.0) -> Field2D:
 # hypothesis audits
 
 
-def _sample_fields(model: ModelSpec, rng: np.random.Generator, count: int,
-                   scale=1.0) -> np.ndarray:
-    """``count`` random fields of the model's space, raw; ``scale`` is one
-    number or one per field."""
-    if model.kind == "ns2d":
-        return fs.random_fields_2d(count, model.cutoff, rng, scale=scale)
-    return fs.random_fields_1d(count, model.n_modes, rng, scale=scale)
-
-
 def _hemicontinuity_entry(model: ModelSpec, rng: np.random.Generator,
                           n_triples: int) -> dict:
     """Continuity of s -> <A(v1 + s v2), v3> on [-1, 1].
@@ -357,7 +342,7 @@ def _hemicontinuity_entry(model: ModelSpec, rng: np.random.Generator,
     worst_fine = 0.0
     passed = True
     grid = np.linspace(-1.0, 1.0, 401)
-    triples = _sample_fields(model, rng, 3 * n_triples)
+    triples = model.space.draw(3 * n_triples, rng)
     triples = triples.reshape((n_triples, 3) + triples.shape[1:])
     steps = grid.reshape((-1,) + (1,) * (triples.ndim - 2))
     for v1, v2, v3 in triples:
@@ -405,7 +390,7 @@ def audit_hypotheses(model: ModelSpec, n_samples: int = 64,
     # of scale 1e-4 that is added to v1.
     near = np.arange(n_samples) % 4 == 3
     scales = np.stack([np.ones(n_samples), np.where(near, 1e-4, 1.0)], axis=1)
-    draws = _sample_fields(model, rng, 2 * n_samples, scale=scales.ravel())
+    draws = model.space.draw(2 * n_samples, rng, scale=scales.ravel())
     v1 = draws[0::2]
     v2 = np.where(near.reshape((-1,) + (1,) * (v1.ndim - 1)), v1 + draws[1::2],
                   draws[1::2])
@@ -522,7 +507,7 @@ def nonlinearity_energy_suite(model: ModelSpec, n_fields: int,
     worst = 0.0
     violations = 0
     for count in fs.suite_chunks(n_fields):
-        e = np.abs(_energies(model, _sample_fields(model, rng, count)))
+        e = np.abs(_energies(model, model.space.draw(count, rng)))
         worst = max(worst, float(np.max(e)))
         violations += int(np.sum(e > tol))
     return {

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import InvalidFieldError, ParameterError
-from .fields import Field1D, Field2D
+from .errors import ParameterError
 
 _MASK64 = (1 << 64) - 1
 _RAWS_PER_TICK = 4  # Philox-4x64 emits four 64-bit words per counter tick
@@ -39,19 +38,6 @@ def derived_replicate(lane: int, index: int) -> int:
     if not 0 <= index < (1 << 48):
         raise ParameterError("replicate index must lie in [0, 2^48)")
     return (lane << 48) | index
-
-
-@dataclass(frozen=True)
-class SeedSpec:
-    """Address of one increment block: (experiment_seed, replicate, step)."""
-
-    experiment_seed: int
-    replicate: int
-    step: int
-
-    def __post_init__(self):
-        if self.step < 0:
-            raise ParameterError("step must be nonnegative")
 
 
 def _philox(experiment_seed: int, replicate: int) -> np.random.Philox:
@@ -223,42 +209,17 @@ def noise_operator_2d(n_w: int, gains, c_b: float, cutoff: int,
                          c_b=c_b, clamp=clamp, kind="2d", cutoff=cutoff)
 
 
-def sample_increment(op: NoiseOperator, dt: float, spec: SeedSpec) -> np.ndarray:
-    """Wiener increment in U over one step: sqrt(dt) times fresh normals."""
-    if dt <= 0.0:
-        raise ParameterError("dt must be positive")
-    z = standard_normals(spec.experiment_seed, spec.replicate, spec.step, op.n_w)
-    return np.sqrt(dt) * z
-
-
 def increment_table(op: NoiseOperator, dt: float, experiment_seed: int,
                     replicate: int, n_steps: int) -> np.ndarray:
-    """All increments of one trajectory, rows bitwise equal to
-    ``sample_increment`` at the matching step."""
+    """All Wiener increments of one trajectory in U: row s is sqrt(dt) times
+    the ``standard_normals`` of step s."""
     z = standard_normal_table(experiment_seed, replicate, n_steps, op.n_w)
     return np.sqrt(dt) * z
 
 
-def hs_norm(op: NoiseOperator, v) -> float:
-    """Hilbert-Schmidt norm ||B(v)||_{L2(U;H)}."""
-    s = norm_if_field(v)
-    return float(np.sqrt(np.sum(op.gains**2)) * op.g(s))
-
-
-def norm_if_field(v) -> float:
-    if isinstance(v, (Field1D, Field2D)):
-        from .fields import norm_h
-        return norm_h(v)
-    return float(v)
-
-
-def embed_1d(op: NoiseOperator, w: np.ndarray, n_modes: int) -> np.ndarray:
-    """Coefficient-space image of B w for additive gains (g factor excluded)."""
-    if op.n_w > n_modes:
-        raise ParameterError("noise dimension exceeds field resolution")
-    out = np.zeros(n_modes)
-    out[: op.n_w] = op.gains * w
-    return out
+def hs_norm(op: NoiseOperator, h_norm: float) -> float:
+    """Hilbert-Schmidt norm ||B(v)||_{L2(U;H)} at a state of H-norm ``h_norm``."""
+    return float(np.sqrt(np.sum(op.gains**2)) * op.g(h_norm))
 
 
 def support_values(op: NoiseOperator, w: np.ndarray) -> np.ndarray:
@@ -266,30 +227,3 @@ def support_values(op: NoiseOperator, w: np.ndarray) -> np.ndarray:
     (..., len(op.support)) for ``w`` of shape (..., n_w); every other
     spectral entry of B w is zero."""
     return np.tensordot(op.gains * w, op.amplitudes, axes=(-1, 0))
-
-
-def embed_2d(op: NoiseOperator, w: np.ndarray) -> np.ndarray:
-    """Spectral image of B w (g factor excluded), shape (..., 2, n, n) for
-    ``w`` of shape (..., n_w)."""
-    vals = support_values(op, w)
-    n = 2 * op.cutoff + 1
-    out = np.zeros(vals.shape[:-1] + (2 * n * n,), dtype=np.complex128)
-    out[..., op.support] = vals
-    return out.reshape(vals.shape[:-1] + (2, n, n))
-
-
-def apply_noise(op: NoiseOperator, v, w: np.ndarray):
-    """Field increment B(v) w, including the multiplicative clamp."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (op.n_w,):
-        raise ParameterError(f"noise vector must have shape ({op.n_w},)")
-    g = op.g(norm_if_field(v))
-    if op.kind == "1d":
-        if not isinstance(v, Field1D):
-            raise InvalidFieldError("1-D noise operator applied to non-1-D field")
-        return Field1D(embed_1d(op, g * w, v.n_modes))
-    if not isinstance(v, Field2D):
-        raise InvalidFieldError("2-D noise operator applied to non-2-D field")
-    if v.cutoff != op.cutoff:
-        raise InvalidFieldError("cutoff mismatch between field and noise operator")
-    return Field2D(embed_2d(op, g * w))

@@ -29,11 +29,11 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError, InvalidFieldError
-from .fields import Field1D, Field2D
+from .errors import DivergenceError, ParameterError
+from .fields import Field1D, SineSpace, TorusSpace
 from .models import (ModelSpec, burgers_product_grid, explicit_drift,
                      linear_eigenvalues, ns_product_grid, taylor_green_field)
-from .noise import increment_table, support_values
+from .noise import increment_table
 from .parallel import parallel_map
 
 # Replicates per block.  A code constant, never derived from the worker
@@ -115,7 +115,7 @@ def _path_summaries(v_energy, sup_h, terminal) -> np.ndarray:
 class Trajectory:
     """One sample path, recorded every ``snapshot_stride`` steps.
 
-    ``states[i]`` is the raw coefficient array at time ``times[i]``;
+    ``states[i]`` is the raw state of ``space`` at time ``times[i]``;
     ``field(i)`` wraps it.  The last time is always the horizon.  A path
     recorded without its states has ``states`` None; ``terminal`` always
     holds the raw terminal state.
@@ -131,20 +131,17 @@ class Trajectory:
     v_sq: np.ndarray
     v_energy: np.ndarray
     sup_h_norm: np.ndarray
-    kind: str
+    space: SineSpace | TorusSpace
     terminal: np.ndarray
-
-    def _wrap(self, raw):
-        return Field1D(raw) if self.kind == "1d" else Field2D(raw)
 
     def field(self, i: int):
         if self.states is None:
             raise ParameterError("the trajectory was recorded without states")
-        return self._wrap(self.states[i])
+        return self.space.wrap(self.states[i])
 
     @property
     def terminal_field(self):
-        return self._wrap(self.terminal)
+        return self.space.wrap(self.terminal)
 
     @property
     def v_energy_total(self) -> float:
@@ -158,56 +155,6 @@ class Trajectory:
         """One-row path summary, as ``solve_block`` returns for ensembles."""
         return _path_summaries(self.v_energy[-1:], self.sup_h_norm[-1:],
                                self.terminal[None])
-
-
-def _state_rows(model: ModelSpec, x0_raw: np.ndarray, n_rows: int,
-                lam: np.ndarray):
-    """``n_rows`` copies of ``x0_raw`` and a function of no arguments that
-    returns the (2, n_rows) array of (||u||_H^2, ||u||_V^2) per row.
-
-    The function reads the rows in place, so the caller updates them in
-    place.  A real row's norms are BLAS dot products taken one row at a
-    time (a stack of vector-vector matmuls, both norms in one call), so
-    they equal ``np.dot`` on the row bitwise whatever the block holds.
-    """
-    if model.kind == "ns2d":
-        rows = np.repeat(x0_raw[None], n_rows, axis=0)
-        flat = rows.reshape(n_rows, -1)
-        weights = np.broadcast_to(lam, x0_raw.shape).ravel()
-        visc = model.viscosity
-
-        def norms():
-            p = np.abs(flat) ** 2
-            return np.array([p.sum(axis=1), (weights * p).sum(axis=1) / visc])
-        return rows, norms
-    # lhs[0] holds the rows and lhs[1] the rows weighted by lam.
-    lhs = np.empty((2, n_rows, x0_raw.size))
-    rows = lhs[0]
-    rows[...] = x0_raw
-    lhs_rows = lhs[:, :, None, :]
-    rhs = np.broadcast_to(rows[:, :, None], lhs.shape + (1,))
-
-    def norms():
-        np.multiply(lam, rows, out=lhs[1])
-        return np.matmul(lhs_rows, rhs).reshape(2, n_rows)
-    return rows, norms
-
-
-def _sq_gap(model: ModelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """||a - b||_H^2 per row."""
-    d = a - b
-    p = np.abs(d) ** 2 if model.kind == "ns2d" else d * d
-    return p.reshape(len(p), -1).sum(axis=1)
-
-
-def _initial_state(model: ModelSpec, x0) -> np.ndarray:
-    if model.kind == "ns2d":
-        if not isinstance(x0, Field2D) or x0.cutoff != model.cutoff:
-            raise InvalidFieldError("initial condition must match the model cutoff")
-        return x0.spec
-    if not isinstance(x0, Field1D) or x0.n_modes != model.n_modes:
-        raise InvalidFieldError("initial condition must match the model modes")
-    return x0.coeffs
 
 
 def block_increments(model: ModelSpec, cfg: SolverConfig, experiment_seed: int,
@@ -259,7 +206,8 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     M, dt, op = cfg.n_steps, cfg.dt, model.noise
     replicates = [int(r) for r in replicates]
     n_rep = len(replicates)
-    x0_raw = _initial_state(model, x0)
+    space = model.space
+    x0_raw = space.raw(x0)
 
     if zero_noise:
         inc = None
@@ -278,18 +226,12 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     lam = linear_eigenvalues(model)
     inv_lin = 1.0 / (1.0 + dt * lam)
     grid = _product_grid(model, cfg)
-    two_d = model.kind == "ns2d"
     half_dt = 0.5 * dt
 
-    # ``state`` is updated in place, so ``norms`` keeps reading it.
-    state, norms = _state_rows(model, x0_raw, len(shifts) * n_rep, lam)
-    # The noise reaches the first n_w sine modes, or the support entries
-    # of the flattened 2-D spectral blocks; no other entry changes.
-    if two_d:
-        flat = state.reshape(len(state), -1)
-    else:
-        head = state[:, :op.n_w]
-    hv = norms()
+    rows = space.block(x0_raw, len(shifts) * n_rep, lam, op, model.viscosity)
+    # ``state`` is updated in place, so ``rows.norms`` keeps reading it.
+    state = rows.state
+    hv = rows.norms()
     h_sq, prev_v_sq = hv
     v_energy = np.zeros(len(state))
     sup_h_sq = h_sq.copy()
@@ -323,12 +265,9 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
                 expl *= dt
                 state += expl
             if inc is not None:
-                if two_d:
-                    flat[:, op.support] += support_values(op, w)
-                else:
-                    head += op.gains * w
+                rows.add_noise(w)
             state *= inv_lin
-            hv = norms()
+            hv = rows.norms()
             # NaN and inf fail this screen; an overflowing sum of finite
             # norms falls through to the exact test.
             if not hv.sum() < np.inf:
@@ -355,8 +294,7 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
             # sup of their squares, bitwise.
             np.maximum(sup_h_sq, h_sq, out=sup_h_sq)
             if sup_gap is not None:
-                np.maximum(sup_gap, _sq_gap(model, state[:n_rep], state[n_rep:]),
-                           out=sup_gap)
+                np.maximum(sup_gap, rows.sq_gap(n_rep), out=sup_gap)
             if record and kept_steps[slot] == k + 1:
                 v_path[slot], h_path[slot], norm_path[slot] = (v_energy,
                                                                sup_h_sq, hv)
@@ -368,14 +306,13 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     block = Block(paths=_path_summaries(v_energy, sup_h, state), sup_gap_sq=sup_gap)
     if record:
         times = dt * kept
-        kind = "2d" if two_d else "1d"
         np.sqrt(h_path, out=h_path)
         block.trajectories = [
             Trajectory(times=times,
                        states=None if states is None else states[:, r],
                        h_sq=norm_path[:, 0, r], v_sq=norm_path[:, 1, r],
                        v_energy=v_path[:, r], sup_h_norm=h_path[:, r],
-                       kind=kind, terminal=block.paths["terminal"][r])
+                       space=space, terminal=block.paths["terminal"][r])
             for r in range(len(state))]
     return block
 

@@ -204,27 +204,20 @@ def norm_suite_2d(n_fields, cutoff, rng):
     }
 
 
-def norm_terms_1d(n_fields, n_modes, rng, chunk):
-    """(||v||_H^2, ||v||_V^2, int v^4, quadrature ||v||_H^2) of each field.
-
-    The 1-D suite evaluates a whole set of fields with one matrix product,
-    and BLAS picks its kernel by the product's shape, so the last bits of a
-    row depend on the rows around it.  The reference draws every field at
-    once and makes the products over the same ``chunk``-row slices.
-    """
+def norm_terms_1d(n_fields, n_modes, rng):
+    """(||v||_H^2, ||v||_V^2, int v^4, quadrature ||v||_H^2) of each field,
+    one field and one matrix-vector product at a time."""
     k = np.arange(1, n_modes + 1, dtype=np.float64)
-    coeffs = rng.standard_normal((n_fields, n_modes)) * k**-1.5
     n_points = 4 * n_modes
     table = sine_table(n_modes, n_points)
     w = np.full(n_points, 1.0 / n_points)
-    vals = np.concatenate([coeffs[i:i + chunk] @ table.T
-                           for i in range(0, n_fields, chunk)])
-    l4_4 = np.concatenate([(vals[i:i + chunk] ** 4) @ w
-                           for i in range(0, n_fields, chunk)])
-    h_quad = np.concatenate([(vals[i:i + chunk] ** 2) @ w
-                             for i in range(0, n_fields, chunk)])
-    return (np.sum(coeffs**2, axis=1), np.sum((coeffs * (np.pi * k)) ** 2, axis=1),
-            l4_4, h_quad)
+    out = []
+    for _ in range(n_fields):
+        f = field_1d(n_modes, rng)
+        vals = table @ f
+        out.append((np.sum(f**2), np.sum((f * (np.pi * k)) ** 2),
+                    np.dot(w, vals**4), np.dot(w, vals**2)))
+    return np.array(out).T
 
 
 def energy_suite(model, n_fields, experiment_seed, tol=1e-10):
@@ -386,3 +379,90 @@ def dense_embed_2d(gains, basis, w):
     """B w as a dense contraction of the gains-weighted w with every basis
     spectrum, shape (..., 2, n, n)."""
     return np.tensordot(gains * w, basis, axes=(-1, 0))
+
+
+# ---------------------------------------------------------------------------
+# the Burgers product by quadrature
+
+
+def sine_derivative_values(coeffs, n_points):
+    """d/dx of a sine series at the ``n_points`` midpoint nodes."""
+    x = (np.arange(n_points) + 0.5) / n_points
+    k = np.arange(1, coeffs.size + 1)
+    return (np.sqrt(2.0) * (k * np.pi) * np.cos(np.pi * np.outer(x, k))) @ coeffs
+
+
+def sine_project(values, n_modes):
+    """Sine coefficients c_k = int f sqrt(2) sin(k pi x) of midpoint grid
+    data; exact for trigonometric polynomials the grid resolves."""
+    n_points = values.size
+    return sine_table(n_modes, n_points).T @ (values / n_points)
+
+
+# ---------------------------------------------------------------------------
+# path distances, for auditing the declared Lipschitz constants of the
+# trajectory functionals
+
+
+def _path_v_weights(states):
+    if np.iscomplexobj(states):
+        return 4.0 * math.pi**2 * _wavegrids(states.shape[-1] // 2)[2]
+    k = np.arange(1, states.shape[-1] + 1, dtype=np.float64)
+    return (k * math.pi) ** 2
+
+
+def trajectory_from_states(times, states, space):
+    """A ``Trajectory`` of raw snapshots of ``space``, its norms, running
+    V-energy and sup-H norm recomputed from the snapshots."""
+    from tci_spde.errors import ParameterError
+    from tci_spde.solver import Trajectory
+
+    times = np.asarray(times, dtype=np.float64)
+    states = np.asarray(states)
+    if times.ndim != 1 or times.shape[0] != states.shape[0]:
+        raise ParameterError("times and states disagree")
+    p = np.abs(states) ** 2
+    axes = tuple(range(1, states.ndim))
+    h_sq = np.sum(p, axis=axes)
+    v_sq = np.sum(_path_v_weights(states) * p, axis=axes)
+    v_energy = np.concatenate(
+        [[0.0], np.cumsum(0.5 * np.diff(times) * (v_sq[:-1] + v_sq[1:]))])
+    return Trajectory(times=times, states=states, h_sq=h_sq, v_sq=v_sq,
+                      v_energy=v_energy,
+                      sup_h_norm=np.maximum.accumulate(np.sqrt(h_sq)),
+                      space=space, terminal=states[-1])
+
+
+def metric_distance(metric, a, b):
+    """Path distance between two trajectories on the same time grid:
+    ``uniform_H`` is sup_t ||a - b||_H, ``L2_V_path`` the trapezoid
+    (int ||a - b||_V^2 dt)^(1/2)."""
+    from tci_spde.errors import ParameterError
+
+    if a.states.shape != b.states.shape or not np.allclose(a.times, b.times):
+        raise ParameterError("trajectories live on different grids")
+    p = np.abs(a.states - b.states) ** 2
+    axes = tuple(range(1, p.ndim))
+    if metric == "uniform_H":
+        return math.sqrt(float(np.max(np.sum(p, axis=axes))))
+    if metric != "L2_V_path":
+        raise ParameterError(f"unknown metric {metric!r}")
+    v_sq = np.sum(_path_v_weights(a.states) * p, axis=axes)
+    return math.sqrt(float(np.sum(0.5 * np.diff(a.times) * (v_sq[:-1] + v_sq[1:]))))
+
+
+def lipschitz_audit(functional, pairs):
+    """|F(u) - F(v)| <= L d(u, v) over trajectory pairs; counts violations."""
+    worst, violations, n = -math.inf, 0, 0
+    for a, b in pairs:
+        gap = abs(functional(a) - functional(b))
+        dist = functional.lipschitz_constant * metric_distance(
+            functional.metric, a, b)
+        margin = gap - dist
+        worst = max(worst, margin)
+        if margin > 1e-9 * max(1.0, dist):
+            violations += 1
+        n += 1
+    return {"kind": functional.kind, "n_pairs": n,
+            "violations": violations, "worst_margin": worst,
+            "pass": violations == 0}

@@ -137,11 +137,13 @@ def test_block_rows_do_not_depend_on_block_company():
     block = S.solve_block(model, cfg, x0, 2, range(S.BLOCK_REPLICATES))
     assert np.array_equal(block.paths[6]["terminal"], alone.states[-1])
     assert block.paths[6]["v_energy_total"] == alone.v_energy_total
-    h = G.ShiftFunction(values=np.zeros((cfg.n_steps + 1, 4)), dt=cfg.dt)
-    pair = G.coupled_solve(model, cfg, x0, h, experiment_seed=2, replicate=6)
-    assert pair.sup_gap_sq == 0.0
-    assert np.array_equal(pair.x.states, pair.y.states)
-    assert np.array_equal(pair.x.states, alone.states)
+    h = np.zeros((cfg.n_steps, 4))
+    pair = S.solve_block(model, cfg, x0, 2, [6], shifts=(h, None),
+                         record="states")
+    x, y = pair.trajectories
+    assert pair.sup_gap_sq[0] == 0.0
+    assert np.array_equal(x.states, y.states)
+    assert np.array_equal(x.states, alone.states)
 
 
 def test_snapshot_stride_thins_states_but_not_reductions():

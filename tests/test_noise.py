@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from tci_spde import fields as F
+from tci_spde import models as M
 from tci_spde import noise as N
+from tci_spde import solver as S
 from tci_spde.errors import ParameterError
 
 
 def test_same_seedspec_is_bitwise_identical():
-    op = N.noise_operator_1d(6, N.gains_inverse_k(6, 1.0), 1.0)
-    spec = N.SeedSpec(experiment_seed=42, replicate=3, step=17)
-    a = N.sample_increment(op, 1e-3, spec)
-    b = N.sample_increment(op, 1e-3, spec)
+    # one (experiment_seed, replicate, step) address, drawn twice with
+    # other draws between
+    a = N.standard_normals(42, 3, 17, 6)
+    N.standard_normals(42, 4, 17, 6)
+    b = N.standard_normals(42, 3, 17, 6)
     assert np.array_equal(a, b)
 
 
@@ -21,7 +24,7 @@ def test_increment_table_matches_single_steps():
     table = N.increment_table(op, 0.01, experiment_seed=7, replicate=2, n_steps=40)
     assert table.shape == (40, 5)
     for step in (0, 1, 7, 39):
-        single = N.sample_increment(op, 0.01, N.SeedSpec(7, 2, step))
+        single = np.sqrt(0.01) * N.standard_normals(7, 2, step, 5)
         assert np.array_equal(table[step], single)
 
 
@@ -67,23 +70,15 @@ def test_derived_replicate_lanes_disjoint():
         N.derived_replicate(0, 1 << 48)
 
 
-def test_sample_increment_rejects_bad_dt():
-    op = N.noise_operator_1d(2, [1.0, 0.0], 1.0)
-    with pytest.raises(ParameterError):
-        N.sample_increment(op, 0.0, N.SeedSpec(0, 0, 0))
-    with pytest.raises(ParameterError):
-        N.SeedSpec(0, 0, -1)
-
-
 # ---------------------------------------------------------------------------
 # operators
 
 
 def test_hs_norm_examples():
     single = N.noise_operator_1d(3, [1.0, 0.0, 0.0], 1.0)
-    assert N.hs_norm(single, F.Field1D(np.ones(4))) == pytest.approx(1.0, rel=1e-14)
+    assert N.hs_norm(single, 2.0) == pytest.approx(1.0, rel=1e-14)
     pair = N.noise_operator_1d(2, [1.0, 1.0], 2.0)
-    assert N.hs_norm(pair, F.Field1D(np.ones(4))) == pytest.approx(np.sqrt(2.0), rel=1e-14)
+    assert N.hs_norm(pair, 2.0) == pytest.approx(np.sqrt(2.0), rel=1e-14)
 
 
 def test_gain_profiles_hit_the_budget():
@@ -106,45 +101,65 @@ def test_clamped_hs_norm_stays_within_budget():
     rng = np.random.default_rng(1)
     for _ in range(1000):
         v = F.random_field_1d(8, rng, scale=float(rng.uniform(0.0, 10.0)))
-        assert N.hs_norm(op, v) <= np.sqrt(1.0) + 1e-12
+        assert N.hs_norm(op, F.norm_h(v)) <= np.sqrt(1.0) + 1e-12
     # clamp really bites for large fields
     big = F.Field1D(np.full(8, 10.0))
-    assert N.hs_norm(op, big) < N.hs_norm(op, F.Field1D(np.zeros(8)))
+    assert N.hs_norm(op, F.norm_h(big)) < N.hs_norm(op, 0.0)
+
+
+def _one_noise_step(op, n_modes, w):
+    """Terminal rows of one heat step from zero, driven by increments ``w``
+    of shape (P, n_w): B w damped by the implicit step."""
+    model = M.heat_model(n_modes, op)
+    cfg = S.SolverConfig(dt=0.01, horizon=0.01)
+    block = S.solve_block(model, cfg, F.Field1D(np.zeros(n_modes)), 0,
+                          range(len(w)), increments=w[None])
+    return block.paths["terminal"] * (1.0 + cfg.dt * M.linear_eigenvalues(model))
+
+
+def _basis_field(op, j):
+    """Basis field j of a 2-D operator as a dense spectrum."""
+    n = 2 * op.cutoff + 1
+    flat = np.zeros(2 * n * n, dtype=np.complex128)
+    flat[op.support] = op.amplitudes[j]
+    return F.Field2D(flat.reshape(2, n, n))
 
 
 def test_apply_noise_examples():
     op = N.noise_operator_1d(3, [0.7, 0.2, 0.1], 1.0)
-    v = F.Field1D(np.zeros(6))
-    zero = N.apply_noise(op, v, np.zeros(3))
-    assert F.norm_h(zero) == 0.0
-    e1 = N.apply_noise(op, v, np.array([1.0, 0.0, 0.0]))
-    expected = np.zeros(6)
-    expected[0] = 0.7
-    assert np.array_equal(e1.coeffs, expected)
+    zero, e1 = _one_noise_step(op, 6, np.array([[0.0, 0.0, 0.0],
+                                                [1.0, 0.0, 0.0]]))
+    assert not np.any(zero)
+    assert np.allclose(e1, [0.7, 0.0, 0.0, 0.0, 0.0, 0.0], rtol=1e-15, atol=0.0)
+    op_2d = N.noise_operator_2d(3, [0.7, 0.2, 0.1], 1.0, cutoff=2)
+    assert not np.any(N.support_values(op_2d, np.zeros(3)))
+    assert np.array_equal(N.support_values(op_2d, np.array([1.0, 0.0, 0.0])),
+                          0.7 * op_2d.amplitudes[0])
 
 
 def test_apply_noise_linearity():
     op = N.noise_operator_1d(4, N.gains_inverse_k(4, 1.0), 1.0)
-    v = F.Field1D(np.ones(8))
+    op_2d = N.noise_operator_2d(4, N.gains_inverse_k(4, 1.0), 1.0, cutoff=3)
     rng = np.random.default_rng(2)
     for _ in range(20):
         w1 = rng.standard_normal(4)
         w2 = rng.standard_normal(4)
-        joint = N.apply_noise(op, v, w1 + w2)
-        split = N.apply_noise(op, v, w1).coeffs + N.apply_noise(op, v, w2).coeffs
-        assert np.max(np.abs(joint.coeffs - split)) <= 1e-12
+        joint, one, two = _one_noise_step(op, 8, np.array([w1 + w2, w1, w2]))
+        assert np.max(np.abs(joint - one - two)) <= 1e-12
+        split = N.support_values(op_2d, w1) + N.support_values(op_2d, w2)
+        assert np.max(np.abs(N.support_values(op_2d, w1 + w2) - split)) <= 1e-12
 
 
 def test_apply_noise_rejects_dimension_mismatch():
     op = N.noise_operator_1d(3, [1.0, 0.0, 0.0], 1.0)
     with pytest.raises(ParameterError):
-        N.apply_noise(op, F.Field1D(np.zeros(6)), np.zeros(2))
+        _one_noise_step(op, 6, np.zeros((1, 2)))
 
 
 def test_2d_noise_basis_is_orthonormal_and_divergence_free():
     cutoff, n_w = 4, 8
     op = N.noise_operator_2d(n_w, N.gains_inverse_k(n_w, 1.0), 1.0, cutoff=cutoff)
-    fields = [F.Field2D(N.embed_2d(op, np.eye(n_w)[j] / op.gains[j])) for j in range(n_w)]
+    fields = [_basis_field(op, j) for j in range(n_w)]
     for j, fj in enumerate(fields):
         assert F.divergence_linf(fj) <= 1e-12
         for i, fi in enumerate(fields):

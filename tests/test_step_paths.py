@@ -8,7 +8,8 @@
 - ``simulate`` takes replicate 0's path from its moment pass; it must
   equal a recorded ``solve`` of replicate 0.
 - A diverging run leaves a report with the address of the divergence:
-  seed, replicate, time step and shift leg.
+  seed, replicate, time step, dt and shift leg; ``solve`` at that address
+  diverges again, also for a row of ``moment_report``'s refined pass.
 
 The references live in ``oracles`` and share no code with these paths.
 """
@@ -21,12 +22,13 @@ import numpy as np
 import pytest
 
 import oracles as orc
+from tci_spde import concentration as K
 from tci_spde import fields as F
 from tci_spde import models as M
 from tci_spde import noise as N
 from tci_spde import solver as S
 from tci_spde.cli import main
-from tci_spde.config import load_config
+from tci_spde.config import load_config, parse_config
 from tci_spde.errors import DivergenceError, ParameterError
 
 from test_config_cli import read_report
@@ -87,8 +89,10 @@ def test_sparse_noise_equals_dense_embedding(kind, rows):
     rng = np.random.default_rng(rows)
     w = rng.standard_normal((rows, n_w))
     dense = orc.dense_embed_2d(op.gains, basis, w)
-    assert np.array_equal(N.embed_2d(op, w), dense)
-    assert np.array_equal(N.embed_2d(op, w[0]), dense[0])
+    sparse = np.zeros_like(dense)
+    sparse.reshape(rows, -1)[:, op.support] = N.support_values(op, w)
+    assert np.array_equal(sparse, dense)
+    assert np.array_equal(N.support_values(op, w[0]), sparse[0].ravel()[op.support])
     # the support is exactly where some basis field is non-zero
     reached = np.flatnonzero(np.any(basis.reshape(n_w, -1) != 0.0, axis=0))
     assert np.array_equal(op.support, reached)
@@ -252,3 +256,22 @@ def test_shifted_leg_divergence_names_its_leg(tmp_path, capsys):
     # the same replicate without the shift does not diverge
     S.solve(cfg.model, cfg.solver, cfg.x0, div["experiment_seed"],
             replicate=div["replicate"])
+
+
+def test_refined_pass_divergence_reproduces_at_half_dt():
+    # No config makes only the dt/2 pass of moment_report diverge, so this
+    # drives that pass directly: replicates of the refined lane at dt/2.
+    parsed = parse_config(dict(DIVERGING, noise={"n_w": 4, "c_b": 4000.0,
+                                                 "gains": "inverse_k"}))
+    model, x0 = parsed.model, parsed.x0
+    cfg = S.SolverConfig(dt=parsed.solver.dt / 2.0, horizon=2.0)
+    refined = [N.derived_replicate(N.LANE_REFINED, r) for r in range(16)]
+    with pytest.raises(DivergenceError) as err:
+        K._moment_pass(model, cfg, x0, 0, 2.0, refined)
+    div = err.value
+    assert (div.replicate, div.step, div.dt, div.shifted) == \
+        (N.derived_replicate(N.LANE_REFINED, 2), 13, 0.025, False)
+
+    with pytest.raises(DivergenceError) as again:
+        S.solve(model, cfg, x0, div.experiment_seed, replicate=div.replicate)
+    assert (again.value.step, again.value.time) == (div.step, div.time)
