@@ -37,8 +37,8 @@ print(f"\n{REPLICATES} replicates:")
 print(f"  E[M_T]        = {mart:.4f} +- {mart_se:.4f}  (expected 1)")
 print(f"  E_Q[log M_T]  = {ent:.4f} +- {ent_se:.4f}  (expected 0.5)")
 
-t2 = t2_constant(cfg.horizon, model.constants.K2, model.noise.c_b)
-report = contraction_report(model, cfg, x0, h, t2=t2, ensemble=ens)
+c_t2 = t2_constant(cfg.horizon, model.constants.K2, model.noise.c_b)["value"]
+report = contraction_report(model, h, ens, c_t2)
 gap = report["sup_gap_sq"]
 print(f"  E[sup gap^2]  = {gap['mean']:.6f} vs bound "
       f"C_T2 * 2H = {report['bound']:.4f}")

@@ -10,8 +10,7 @@ import numpy as np
 from tci_spde.noise import (LANE_NOISE, derived_replicate, gains_inverse_k,
                             gains_single_mode, generator, hs_norm,
                             increment_table, noise_operator_1d,
-                            noise_operator_2d, standard_normals,
-                            support_values)
+                            noise_operator_2d, support_values)
 
 SEED = 42
 DT = 1e-3
@@ -19,16 +18,16 @@ DT = 1e-3
 op = noise_operator_1d(4, gains_inverse_k(4, 2.5), 2.5)
 
 # drawing replicate 7 first or last gives the same numbers
-inc_a = np.sqrt(DT) * standard_normals(SEED, 7, 3, op.n_w)
+inc_a = increment_table(op, DT, SEED, replicate=7, n_steps=4)
 for rep in (0, 1, 2):
-    standard_normals(SEED, rep, 3, op.n_w)
-inc_b = np.sqrt(DT) * standard_normals(SEED, 7, 3, op.n_w)
-print(f"replicate 7, step 3, drawn twice with other draws between: "
+    increment_table(op, DT, SEED, replicate=rep, n_steps=4)
+inc_b = increment_table(op, DT, SEED, replicate=7, n_steps=4)
+print(f"replicate 7, drawn twice with other draws between: "
       f"identical? {np.array_equal(inc_a, inc_b)}")
 
 table = increment_table(op, DT, SEED, replicate=7, n_steps=10)
-print(f"increment_table row 3 matches the single draw? "
-      f"{np.array_equal(table[3], inc_a)}")
+print(f"a 10-step table starts with the 4-step one? "
+      f"{np.array_equal(table[:4], inc_a)}")
 
 draws = increment_table(op, DT, SEED, replicate=0, n_steps=20000)
 print(f"increment variance {draws.var():.2e} (target dt = {DT:.2e})")

@@ -1,50 +1,33 @@
 """Spectral fields and the norm inequalities the estimates lean on.
 
-Builds a few 1-D and 2-D fields by hand, checks Parseval, Poincare, and
-the L4 interpolation bound, then sweeps the randomized suites.
+Builds a 1-D field by hand, checks Parseval, Poincare, and the L4
+interpolation bound on it, then sweeps the randomized suites.  The
+norms take raw coefficient arrays, one field or a batch on leading axes.
 """
 
 import numpy as np
 
-from tci_spde import (ETA_1D, ETA_2D, Field1D, default_quadrature,
-                      evaluate_1d, helmholtz_project, norm_h, norm_l4,
-                      norm_v, norm_inequality_suite_1d,
-                      norm_inequality_suite_2d, poincare_audit,
-                      random_field_2d, taylor_green_field)
-from tci_spde.noise import LANE_FIELDS, derived_replicate, generator
+from tci_spde import (ETA_1D, ETA_2D, default_quadrature,
+                      norm_inequality_suite_1d, norm_inequality_suite_2d)
+from tci_spde.fields import norms_h, norms_l4, norms_v
+from tci_spde.noise import generator
 
 # sin(pi x) has unit L2 norm with the sqrt(2) sine convention
-coeffs = np.zeros(8)
-coeffs[0] = 2.0 ** -0.5
-v = Field1D(coeffs)
-print(f"sin(pi x):  ||v||_H = {norm_h(v):.6f}   ||v||_V = {norm_v(v):.6f}")
+v = np.zeros(8)
+v[0] = 2.0 ** -0.5
+h, hv = float(norms_h(v)), float(norms_v(v))
+print(f"sin(pi x):  ||v||_H = {h:.6f}   ||v||_V = {hv:.6f}")
 
-passed, ratio = poincare_audit(v, ETA_1D)
+ratio = (hv / h) ** 2
 print(f"Poincare ratio ||v||_V^2 / ||v||_H^2 = {ratio:.6f} "
       f"(>= pi^2 = {np.pi**2:.6f}, embedding eta = {ETA_1D:.6f})")
 
-quad = default_quadrature(8)
-l4 = norm_l4(v, quad)
+l4 = float(norms_l4(v, default_quadrature(8)))
 print(f"L4 interpolation: ||v||_L4^4 = {l4**4:.6f} <= "
-      f"4 ||v||_H^2 ||v||_V^2 = {4 * norm_h(v)**2 * norm_v(v)**2:.6f}")
+      f"4 ||v||_H^2 ||v||_V^2 = {4 * h**2 * hv**2:.6f}")
 
-values = evaluate_1d(v, quad)
-print(f"largest point value on the quadrature grid: {values.max():.6f} "
-      f"(sin(pi x) peaks at 1 between midpoint nodes)")
-
-# the Taylor-Green vortex is already divergence-free, so the Leray
-# projection leaves it alone
-tg = taylor_green_field(8)
-proj = helmholtz_project(tg)
-print(f"\nTaylor-Green: ||P(u) - u|| = "
-      f"{np.max(np.abs(proj.spec - tg.spec)):.2e} (fixed point)")
-
-rng = generator(0, derived_replicate(LANE_FIELDS, 0))
-u = random_field_2d(9, rng)
-pu = helmholtz_project(u)
-ppu = helmholtz_project(pu)
-print(f"random 2-D field: P o P == P exactly? "
-      f"{np.array_equal(pu.spec, ppu.spec)}")
+# a batch of fields: 2 sin(pi x) and 3 sin(pi x) at once
+print(f"batched H-norms of 2v and 3v: {norms_h(np.stack([2 * v, 3 * v]))}")
 
 print("\nrandomized suites (500 fields each):")
 for name, suite in (

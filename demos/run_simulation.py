@@ -8,7 +8,7 @@ pathwise when the noise is off.
 
 import numpy as np
 
-from tci_spde.fields import Field1D, norm_h
+from tci_spde.fields import Field1D
 from tci_spde.models import (burgers_model, heat_model, ns2d_model,
                              taylor_green_field)
 from tci_spde.noise import (gains_inverse_k, gains_single_mode,
@@ -34,7 +34,7 @@ print(f"with noise: sup_t ||X||_H = {traj.sup_h_total:.4f}, "
 
 burgers = burgers_model(16, noise_operator_1d(4, gains_inverse_k(4, 1.0), 1.0))
 traj = solve(burgers, cfg, Field1D(x0), experiment_seed=0, zero_noise=True)
-h_norms = [norm_h(traj.field(i)) for i in range(0, len(traj.times), 250)]
+h_norms = np.sqrt(traj.h_sq[::250]).tolist()
 print(f"\nburgers, zero noise: ||X||_H at t = 0, .25, .5, .75, 1 -> "
       + ", ".join(f"{h:.4f}" for h in h_norms))
 print("monotone decay?", all(a >= b for a, b in zip(h_norms, h_norms[1:])))

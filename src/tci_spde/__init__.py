@@ -7,12 +7,11 @@ consequence of the T1/T2 inequalities: exponential moments, Gaussian
 tails, contraction bounds, and the closed-form constants behind them.
 """
 
-from .concentration import (Ensemble, FunctionalSpec, bobkov_gotze_check,
-                            ensemble_to_csv, exp_moment_check,
-                            exp_moment_empirical, functional_ensemble,
-                            gaussian_tail_check, l2_v_path_functional,
-                            linear_probe_functional, moment_report,
-                            sup_h_functional, t2_chain_check,
+from .concentration import (FunctionalSpec, bobkov_gotze_check,
+                            exp_moment_check, exp_moment_empirical,
+                            functional_ensemble, gaussian_tail_check,
+                            l2_v_path_functional, linear_probe_functional,
+                            moment_report, sup_h_functional, t2_chain_check,
                             terminal_h_functional, w2_small_cloud,
                             w2_sorted_1d)
 from .config import ExperimentConfig, config_hash, load_config, parse_config
@@ -22,23 +21,18 @@ from .errors import (DivergenceError, InfeasibleError, InvalidFieldError,
                      ParameterError, ResolutionError, SchemaError)
 from .fields import (L4_INTERPOLATION_1D, L4_INTERPOLATION_2D, POINCARE_1D,
                      POINCARE_2D, Field1D, Field2D, Quadrature, SineSpace,
-                     TorusSpace, default_quadrature, divergence_linf,
-                     evaluate_1d, helmholtz_project, inner_h, laplacian_apply,
-                     norm_h, norm_inequality_suite_1d,
-                     norm_inequality_suite_2d, norm_l4, norm_v, norm_vstar,
-                     poincare_audit, random_field_1d, random_field_2d)
+                     TorusSpace, default_quadrature, norm_h,
+                     norm_inequality_suite_1d, norm_inequality_suite_2d)
 from .girsanov import (ShiftFunction, contraction_report, coupled_ensemble,
                        shift_entropy, shift_from_descriptor)
 from .models import (ETA_1D, ETA_2D, AssumptionConstants, ModelSpec,
                      audit_hypotheses, burgers_model, burgers_nonlinearity,
-                     heat_model, linear_eigenvalues,
-                     nonlinearity_energy, nonlinearity_energy_suite,
-                     ns2d_model, ns_advection, rho_local, t1_feasibility,
+                     heat_model, linear_eigenvalues, nonlinearity_energy_suite,
+                     ns2d_model, ns_advection, t1_feasibility,
                      taylor_green_field)
 from .noise import (NoiseOperator, derived_replicate, gains_inverse_k,
                     gains_single_mode, generator, hs_norm, increment_table,
-                    noise_operator_1d, noise_operator_2d, standard_normal_table,
-                    standard_normals)
+                    noise_operator_1d, noise_operator_2d, standard_normal_table)
 from .solver import (BLOCK_REPLICATES, SolverConfig, Trajectory,
                      heat_convergence_report, solve, solve_block,
                      taylor_green_report)

@@ -106,8 +106,7 @@ def _resolve_constant_inputs(cfg: ExperimentConfig) -> dict:
     vals["x0_h_norm_sq"] = over.get("x0_h_norm_sq")
     if vals["x0_h_norm_sq"] is None:
         if cfg.x0 is not None:
-            raw = model.space.raw(cfg.x0)
-            vals["x0_h_norm_sq"] = float(np.sum(np.abs(raw) ** 2))
+            vals["x0_h_norm_sq"] = conc.h_norm_sq(model.space.raw(cfg.x0))
         else:
             vals["x0_h_norm_sq"] = 0.0
     return vals
@@ -185,16 +184,15 @@ def _run_simulate(cfg: ExperimentConfig, out_dir: str) -> dict:
     }
 
 
-def _write_coupled_csv(path, ensemble, functional, experiment_seed):
+def _write_ensemble_csv(path, experiment_seed, columns):
+    """``replicate,seed,functional,value`` rows, one per replicate value of
+    each (label, values) column in turn."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["replicate", "seed", "functional", "value"])
-        for leg in ("shifted", "unshifted"):
-            values = functional.values(ensemble[leg])
+        for label, values in columns:
             for rep, val in enumerate(values):
-                writer.writerow([rep, experiment_seed,
-                                 f"{functional.kind}[{leg}]",
-                                 repr(float(val))])
+                writer.writerow([rep, experiment_seed, label, repr(float(val))])
 
 
 def _run_verify_t2(cfg: ExperimentConfig, out_dir: str) -> dict:
@@ -203,19 +201,20 @@ def _run_verify_t2(cfg: ExperimentConfig, out_dir: str) -> dict:
     if h is None:
         raise SchemaError(["shift: required by verify-t2"])
     model = cfg.model
-    t2 = cst.t2_constant(cfg.solver.horizon, model.constants.K2,
-                         model.noise.c_b, cfg.C1)
+    c_t2 = cst.t2_constant(cfg.solver.horizon, model.constants.K2,
+                           model.noise.c_b, cfg.C1)["value"]
     functionals = cfg.functionals or [conc.sup_h_functional()]
     # One coupled pass feeds every functional and the contraction report.
     ens = coupled_ensemble(model, cfg.solver, cfg.x0, h, cfg.replicates,
                            cfg.experiment_seed)
-    _write_coupled_csv(os.path.join(out_dir, "ensemble.csv"), ens,
-                       functionals[0], cfg.experiment_seed)
-    chain = [conc.t2_chain_check(model, cfg.solver, cfg.x0, h, functional,
-                                 t2=t2, ensemble=ens)
+    first = functionals[0]
+    _write_ensemble_csv(
+        os.path.join(out_dir, "ensemble.csv"), cfg.experiment_seed,
+        [(f"{first.kind}[{leg}]", first.values(ens[leg]))
+         for leg in ("shifted", "unshifted")])
+    chain = [conc.t2_chain_check(model, h, functional, ens, c_t2)
              for functional in functionals]
-    contraction = contraction_report(model, cfg.solver, cfg.x0, h, t2=t2,
-                                     ensemble=ens)
+    contraction = contraction_report(model, h, ens, c_t2)
     return {"shift_entropy": float(shift_entropy(h)),
             "contraction": contraction, "chain": chain}
 
@@ -226,29 +225,35 @@ def _run_verify_t1(cfg: ExperimentConfig, out_dir: str) -> dict:
     cons = model.constants
     ranges = cst.admissible_ranges(cons.theta, cons.eta, cons.K3,
                                    model.noise.c_b, cfg.c)
-    lambda0 = cfg.lambda0 if cfg.lambda0 is not None \
-        else 0.5 * ranges["lambda0_max_lemma"]
+    lambda0_max = ranges["lambda0_max_lemma"]
+    lambda0 = cfg.lambda0 if cfg.lambda0 is not None else 0.5 * lambda0_max
+    # An inadmissible lambda0 is refused before any replicate is solved.
+    conc.check_lambda0(lambda0, lambda0_max)
     f_int = model.f_tilde * cfg.solver.horizon
-    raw = model.space.raw(cfg.x0)
-    x0_sq = float(np.sum(np.abs(raw) ** 2))
+    x0_sq = conc.h_norm_sq(model.space.raw(cfg.x0))
     mu_moment = cfg.mu_moment if cfg.mu_moment is not None \
         else math.exp(lambda0 * x0_sq)
     c_t1 = cst.t1_constant(lambda0, cfg.c, cons.theta, f_int, mu_moment)
 
-    ens = conc.functional_ensemble(model, cfg.solver, cfg.x0,
-                                   conc.l2_v_path_functional(),
-                                   cfg.replicates, cfg.experiment_seed)
-    conc.ensemble_to_csv(ens, os.path.join(out_dir, "ensemble.csv"))
+    functional = conc.l2_v_path_functional()
+    values = conc.functional_ensemble(model, cfg.solver, cfg.x0, functional,
+                                      cfg.replicates, cfg.experiment_seed)
+    _write_ensemble_csv(os.path.join(out_dir, "ensemble.csv"),
+                        cfg.experiment_seed, [(functional.kind, values)])
+    lip = functional.lipschitz_constant
     return {
         "ranges": ranges,
         "lambda0": float(lambda0),
         "c": float(cfg.c),
         "mu_moment": float(mu_moment),
         "C_T1": float(c_t1),
-        "exp_moment": conc.exp_moment_check(model, cfg.solver, cfg.x0, cfg.c,
-                                            lambda0, ensemble=ens),
-        "bobkov_gotze": conc.bobkov_gotze_check(ens, c_t1, cfg.lambda_grid),
-        "gaussian_tail": conc.gaussian_tail_check(ens, c_t1, cfg.r_grid),
+        "exp_moment": conc.exp_moment_check(model, values, cfg.c, lambda0,
+                                            lambda0_max, f_int, x0_sq,
+                                            cfg.experiment_seed),
+        "bobkov_gotze": conc.bobkov_gotze_check(values, lip, c_t1,
+                                                cfg.lambda_grid),
+        "gaussian_tail": conc.gaussian_tail_check(values, lip, c_t1,
+                                                  cfg.r_grid),
     }
 
 

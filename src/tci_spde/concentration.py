@@ -2,7 +2,10 @@
 
 Lipschitz functionals of trajectories turn path laws into scalar
 ensembles; exponential moments, Gaussian tails and empirical W2 of those
-ensembles witness the transportation inequalities one-sidedly.  All
+ensembles witness the transportation inequalities one-sidedly.
+``functional_ensemble`` and ``moment_report`` solve ensembles; the checks
+are statistics over values (or a coupled ensemble) the caller has already
+solved, with constants the caller has already computed.  All
 statistical verdicts are one-sided at three standard errors; exponential
 moments use max-subtraction and report an infinite flag instead of
 clipping when the exponent range is unrepresentable.
@@ -10,7 +13,6 @@ clipping when the exponent range is unrepresentable.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -20,10 +22,10 @@ import numpy as np
 from . import fields as fs
 from ._stats import fsum_mean, mean_and_stderr, wilson_upper
 from .errors import ParameterError
-from .girsanov import ShiftFunction, coupled_ensemble, shift_entropy
+from .girsanov import ShiftFunction, shift_entropy
 from .models import ModelSpec
 from .noise import LANE_REFINED, derived_replicate
-from .solver import SolverConfig, Trajectory, map_blocks, solve_block
+from .solver import SolverConfig, map_blocks, solve_block
 
 _EXP_RANGE = 700.0
 
@@ -57,12 +59,9 @@ class FunctionalSpec:
         if self.kind == "linear_probe" and self.probe is None:
             raise ParameterError("linear_probe needs a probe element")
 
-    def __call__(self, traj: Trajectory) -> float:
-        return float(self.values(traj.summary())[0])
-
     def values(self, paths: np.ndarray) -> np.ndarray:
         """The functional on every row of a path-summary array
-        (``solver.solve_block``, ``Trajectory.summary``)."""
+        (``solver.solve_block``)."""
         if self.kind == "l2_V_path_norm":
             return np.sqrt(paths["v_energy_total"])
         if self.kind == "sup_H_norm":
@@ -73,9 +72,10 @@ class FunctionalSpec:
         return fs.inners_h(last, self.probe)
 
 
-def _h_norm(raw: np.ndarray) -> float:
-    """H-norm of one raw state, as ``FunctionalSpec.values`` takes it."""
-    return math.sqrt(float(fs.space_of(raw).sq_norms(raw[None])[0]))
+def h_norm_sq(raw: np.ndarray) -> float:
+    """||u||_H^2 of one raw state, in the form the solver and
+    ``FunctionalSpec.values`` take state norms (``sq_norms`` of its space)."""
+    return float(fs.space_of(raw).sq_norms(raw[None])[0])
 
 
 def l2_v_path_functional() -> FunctionalSpec:
@@ -94,7 +94,7 @@ def linear_probe_functional(probe) -> FunctionalSpec:
     """<g, u_T> with Lipschitz constant ||g||_H for the uniform_H metric;
     ``probe`` is the raw state g."""
     raw = np.asarray(probe)
-    norm = _h_norm(raw)
+    norm = math.sqrt(h_norm_sq(raw))
     if norm <= 0.0:
         raise ParameterError("probe element must be nonzero")
     return FunctionalSpec("linear_probe", norm, "uniform_H", probe=raw)
@@ -102,24 +102,6 @@ def linear_probe_functional(probe) -> FunctionalSpec:
 
 # ---------------------------------------------------------------------------
 # scalar ensembles
-
-
-@dataclass
-class Ensemble:
-    """Replicate values of one functional under a fixed experiment seed."""
-
-    values: np.ndarray
-    functional: FunctionalSpec | None
-    experiment_seed: int
-    replicates: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.replicates = np.asarray(self.replicates, dtype=np.int64)
-        if self.values.ndim != 1 or self.values.shape != self.replicates.shape:
-            raise ParameterError("values and replicates disagree")
-        if not np.all(np.isfinite(self.values)):
-            raise ParameterError("ensemble values must be finite")
 
 
 def _path_block(replicates, model, cfg, x0, experiment_seed, record_rep):
@@ -149,28 +131,21 @@ def _ensemble_paths(model, cfg, x0, experiment_seed, replicates,
 
 def functional_ensemble(model: ModelSpec, cfg: SolverConfig, x0,
                         functional: FunctionalSpec, n_replicates: int,
-                        experiment_seed: int) -> Ensemble:
-    """Independent replicates of one functional, parallel over blocks."""
-    reps = list(range(n_replicates))
-    paths, _ = _ensemble_paths(model, cfg, x0, experiment_seed, reps)
-    return Ensemble(values=functional.values(paths), functional=functional,
-                    experiment_seed=experiment_seed,
-                    replicates=np.asarray(reps))
+                        experiment_seed: int) -> np.ndarray:
+    """The values of one functional on independent replicates 0..n-1,
+    parallel over blocks."""
+    paths, _ = _ensemble_paths(model, cfg, x0, experiment_seed,
+                               list(range(n_replicates)))
+    return functional.values(paths)
 
 
-def ensemble_to_csv(e: Ensemble, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replicate", "seed", "functional", "value"])
-        kind = e.functional.kind if e.functional is not None else ""
-        for rep, val in zip(e.replicates, e.values):
-            writer.writerow([int(rep), e.experiment_seed, kind, repr(float(val))])
-
-
-def _ensemble_values(e) -> np.ndarray:
-    values = np.asarray(getattr(e, "values", e), dtype=np.float64)
+def _ensemble_values(values) -> np.ndarray:
+    """Replicate values as a 1-D float array of at least two finite entries."""
+    values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.size < 2:
         raise ParameterError("need at least two replicate values")
+    if not np.all(np.isfinite(values)):
+        raise ParameterError("ensemble values must be finite")
     return values
 
 
@@ -178,14 +153,14 @@ def _ensemble_values(e) -> np.ndarray:
 # exponential moments and tails
 
 
-def exp_moment_empirical(e, lam: float) -> dict:
+def exp_moment_empirical(values, lam: float) -> dict:
     """(1/M) sum exp(lam (v_i - mean)) with a jackknife standard error.
 
     Stabilized by max-subtraction; when lam times the value range exceeds
     the representable exponent the estimate is flagged infinite rather
     than silently clipped.
     """
-    values = _ensemble_values(e)
+    values = _ensemble_values(values)
     m_count = values.size
     mean = fsum_mean(values)
     dev = values - mean
@@ -209,17 +184,16 @@ def exp_moment_empirical(e, lam: float) -> dict:
             "stderr": float(stderr), "infinite": False, "n": int(m_count)}
 
 
-def bobkov_gotze_check(e, C: float, lambda_grid) -> dict:
-    """Centered exponential moments against exp(C lam^2 L^2 / 2).
+def bobkov_gotze_check(values, lip: float, C: float, lambda_grid) -> dict:
+    """Centered exponential moments of the values of a functional with
+    Lipschitz constant ``lip`` against exp(C lam^2 L^2 / 2).
 
     A violation is declared only when the estimate exceeds the bound by
     more than three standard errors; the Gaussian equality case must pass.
     """
     if C <= 0.0:
         raise ParameterError("C must be positive")
-    values = _ensemble_values(e)
-    lip = e.functional.lipschitz_constant if getattr(e, "functional", None) \
-        else 1.0
+    values = _ensemble_values(values)
     entries = []
     for lam in lambda_grid:
         res = exp_moment_empirical(values, lam)
@@ -240,17 +214,16 @@ def bobkov_gotze_check(e, C: float, lambda_grid) -> dict:
             "pass": bool(all(ent["pass"] for ent in entries))}
 
 
-def gaussian_tail_check(e, C: float, r_grid) -> dict:
-    """Empirical upper tails of F - mean against exp(-r^2 / (2 C L^2)).
+def gaussian_tail_check(values, lip: float, C: float, r_grid) -> dict:
+    """Empirical upper tails of F - mean, for the values of a functional F
+    with Lipschitz constant ``lip``, against exp(-r^2 / (2 C L^2)).
 
     The verdict compares a Wilson upper confidence limit (z = 3) for the
     tail probability with the Gaussian bound.
     """
     if C <= 0.0:
         raise ParameterError("C must be positive")
-    values = _ensemble_values(e)
-    lip = e.functional.lipschitz_constant if getattr(e, "functional", None) \
-        else 1.0
+    values = _ensemble_values(values)
     dev = values - fsum_mean(values)
     n = values.size
     entries = []
@@ -273,53 +246,41 @@ def gaussian_tail_check(e, C: float, r_grid) -> dict:
             "pass": bool(all(ent["pass"] for ent in entries))}
 
 
-def exp_moment_check(model: ModelSpec, cfg: SolverConfig, x0, c: float,
-                     lambda0: float, n_replicates: int = 2048,
-                     experiment_seed: int = 0,
-                     ensemble: Ensemble | None = None) -> dict:
-    """E exp(c lambda0 theta int ||X||_V^2 dt) against its closed-form bound.
+def check_lambda0(lambda0: float, lambda0_max: float):
+    """Raise unless lambda0 lies in the admissible interval (0, lambda0_max)."""
+    if not 0.0 < lambda0 < lambda0_max:
+        raise ParameterError(f"lambda0 must lie in (0, {lambda0_max:.6g})")
 
-    (c, lambda0) must sit inside the admissible range with the smaller
-    (moment-lemma) lambda0 bound; the verdict is conservative, estimate
-    plus three standard errors against the bound.  A precomputed
-    l2_V_path_norm ensemble may be passed to avoid re-solving.
+
+def exp_moment_check(model: ModelSpec, values, c: float, lambda0: float,
+                     lambda0_max: float, f_int: float, x0_sq: float,
+                     experiment_seed: int) -> dict:
+    """E exp(c lambda0 theta int ||X||_V^2 dt) against its closed-form bound
+    exp(lambda0 (f_int + x0_sq)), from l2_V_path_norm ``values``.
+
+    lambda0 must lie below ``lambda0_max``, the smaller (moment-lemma)
+    bound of ``constants.admissible_ranges``; ``f_int`` is int f~ dt and
+    ``x0_sq`` is ||x0||_H^2.  The verdict is conservative, estimate plus
+    three standard errors against the bound.
     """
-    from .constants import admissible_ranges
-
-    cons = model.constants
-    ranges = admissible_ranges(cons.theta, cons.eta, cons.K3,
-                               model.noise.c_b, c)
-    if not 0.0 < lambda0 < ranges["lambda0_max_lemma"]:
-        raise ParameterError(
-            f"lambda0 must lie in (0, {ranges['lambda0_max_lemma']:.6g})")
-    a = c * lambda0 * cons.theta
-    if ensemble is None:
-        ens = functional_ensemble(model, cfg, x0, l2_v_path_functional(),
-                                  n_replicates, experiment_seed)
-    else:
-        if ensemble.functional is None \
-                or ensemble.functional.kind != "l2_V_path_norm":
-            raise ParameterError("ensemble must carry l2_V_path_norm values")
-        ens = ensemble
-        n_replicates = ens.values.size
-        experiment_seed = ens.experiment_seed
-    exponent = a * ens.values**2
+    check_lambda0(lambda0, lambda0_max)
+    values = _ensemble_values(values)
+    a = c * lambda0 * model.constants.theta
+    exponent = a * values**2
     if float(np.max(exponent)) > _EXP_RANGE:
         estimate, stderr, infinite = math.inf, math.inf, True
     else:
         estimate, stderr = mean_and_stderr(np.exp(exponent))
         infinite = False
-    f_int = model.f_tilde * cfg.horizon
-    x0_sq = _h_norm(model.space.raw(x0)) ** 2
     bound = math.exp(lambda0 * (f_int + x0_sq))
     ok = (not infinite) and estimate + 3.0 * stderr <= bound
     return {
         "model": model.kind,
         "c": float(c),
         "lambda0": float(lambda0),
-        "lambda0_max_lemma": ranges["lambda0_max_lemma"],
+        "lambda0_max_lemma": float(lambda0_max),
         "a": float(a),
-        "n_replicates": int(n_replicates),
+        "n_replicates": int(values.size),
         "experiment_seed": int(experiment_seed),
         "estimate": float(estimate),
         "stderr": float(stderr),
@@ -375,29 +336,22 @@ def w2_small_cloud(a, b) -> float:
     return math.sqrt(float(np.mean(cost[rows, cols])))
 
 
-def t2_chain_check(model: ModelSpec, cfg: SolverConfig, x0,
-                   h: ShiftFunction, functional: FunctionalSpec,
-                   n_replicates: int = 2048, experiment_seed: int = 0,
-                   t2: dict | None = None, ensemble: dict | None = None) -> dict:
-    """W2 of functional marginals against L sqrt(2 C H(Q | P)).
+def t2_chain_check(model: ModelSpec, h: ShiftFunction,
+                   functional: FunctionalSpec, coupled: dict,
+                   c_t2: float) -> dict:
+    """W2 of functional marginals against L sqrt(2 C H(Q | P)), from the
+    ``girsanov.coupled_ensemble`` ``coupled`` of shift ``h`` and the T2
+    constant ``c_t2``.
 
     One-Lipschitz functionals cannot expand W2, so the image-measure
     distance is a sound one-sided witness of the path-space inequality.
     """
-    from .constants import t2_constant
-
-    if ensemble is None:
-        ensemble = coupled_ensemble(model, cfg, x0, h, n_replicates,
-                                    experiment_seed)
-    if t2 is None:
-        t2 = t2_constant(horizon=cfg.horizon, K2=model.constants.K2,
-                         C_B=model.noise.c_b, C1=model.constants.C1)
-    fx = functional.values(ensemble["shifted"])
-    fy = functional.values(ensemble["unshifted"])
+    fx = functional.values(coupled["shifted"])
+    fy = functional.values(coupled["unshifted"])
     entropy = shift_entropy(h)
     w2 = w2_sorted_1d(fx, fy)
     lip = functional.lipschitz_constant
-    bound = lip * math.sqrt(2.0 * t2["value"] * entropy)
+    bound = lip * math.sqrt(2.0 * c_t2 * entropy)
     _, se_x = mean_and_stderr(fx)
     _, se_y = mean_and_stderr(fy)
     combined = math.sqrt(se_x**2 + se_y**2)
@@ -405,11 +359,11 @@ def t2_chain_check(model: ModelSpec, cfg: SolverConfig, x0,
         "model": model.kind,
         "functional": functional.kind,
         "lipschitz_constant": float(lip),
-        "n_replicates": int(ensemble["n_replicates"]),
-        "experiment_seed": int(ensemble["experiment_seed"]),
+        "n_replicates": int(coupled["n_replicates"]),
+        "experiment_seed": int(coupled["experiment_seed"]),
         "shift_entropy": float(entropy),
         "w2_empirical": float(w2),
-        "t2_constant": float(t2["value"]),
+        "t2_constant": float(c_t2),
         "bound": float(bound),
         "combined_stderr": float(combined),
         "margin": float(bound - w2),

@@ -11,12 +11,12 @@ states of each space are stored; the other modules go through them.
 
 Norm conventions for the Gelfand triple V in H in V*:
 
-* ``norm_h``      Parseval l2 norm of the coefficients (H = L^2),
-* ``norm_v``      coefficients weighted by k*pi (1-D) or 2*pi*|k| (2-D),
-* ``norm_vstar``  coefficients weighted by the inverse factors,
-* ``norm_l4``     physical-space quadrature on an anti-aliased grid
-                  (grid resolution at least 4x the modal resolution,
-                  exact for the quartic trigonometric polynomials here).
+* ``norms_h``      Parseval l2 norm of the coefficients (H = L^2),
+* ``norms_v``      coefficients weighted by k*pi (1-D) or 2*pi*|k| (2-D),
+* ``norms_vstar``  coefficients weighted by the inverse factors,
+* ``norms_l4``     physical-space quadrature on an anti-aliased grid
+                   (grid resolution at least 4x the modal resolution,
+                   exact for the quartic trigonometric polynomials here).
 """
 
 from __future__ import annotations
@@ -108,13 +108,6 @@ class Field1D:
         return f"Field1D(n_modes={self.n_modes}, norm_h={norm_h(self):.4g})"
 
 
-def evaluate_1d(field: Field1D, quad: Quadrature | None = None) -> np.ndarray:
-    """Point values of the field on the quadrature grid."""
-    if quad is None:
-        quad = default_quadrature(field.n_modes)
-    return _sine_values(field.coeffs, quad)
-
-
 # ---------------------------------------------------------------------------
 # 2-D fields
 
@@ -167,13 +160,6 @@ class Field2D:
     def space(self) -> "TorusSpace":
         return TorusSpace(self.cutoff)
 
-    def coeff(self, k1: int, k2: int) -> np.ndarray:
-        """Complex 2-vector amplitude at wavevector (k1, k2)."""
-        K = self.cutoff
-        if abs(k1) > K or abs(k2) > K:
-            raise InvalidFieldError(f"wavevector ({k1}, {k2}) outside cutoff {K}")
-        return self.spec[:, k1 + K, k2 + K]
-
     def __repr__(self):
         return f"Field2D(cutoff={self.cutoff}, norm_h={norm_h(self):.4g})"
 
@@ -209,17 +195,6 @@ def _leray(spec: np.ndarray) -> np.ndarray:
     out[..., 1, :, :] -= k2 * dot
     out[..., K, K] = 0.0
     return out
-
-
-def helmholtz_project(field: Field2D) -> Field2D:
-    """Leray projection onto divergence-free fields: u_hat -= k (k.u_hat)/|k|^2."""
-    return Field2D(_leray(field.spec))
-
-
-def divergence_linf(field: Field2D) -> float:
-    """Max spectral divergence |k . u_hat(k)|, zero for divergence-free fields."""
-    k1, k2, _ = _wavegrids(field.cutoff)
-    return float(np.max(np.abs(k1 * field.spec[0] + k2 * field.spec[1])))
 
 
 def half_to_grid(half: np.ndarray, n_grid: int) -> np.ndarray:
@@ -297,8 +272,7 @@ def default_grid_2d(cutoff: int) -> int:
 # whose leading axes hold independent fields: real (..., N) sine
 # coefficients or complex (..., 2, n, n) torus spectra.  Each field gets its
 # own BLAS dot products and its own pairwise sums, so its norm is the same
-# bits alone or in any batch.  The Field functions are the same code at
-# one field.
+# bits alone or in any batch.  ``norm_h`` is the same code at one field.
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -418,47 +392,6 @@ def norm_h(field) -> float:
     return float(norms_h(field.space.raw(field)))
 
 
-def inner_h(a, b) -> float:
-    """L^2 inner product of two fields of one space."""
-    space = a.space
-    return float(inners_h(space.raw(a), space.raw(b)))
-
-
-def norm_v(field) -> float:
-    """Dirichlet energy norm ||grad v||_{L^2}."""
-    return float(norms_v(field.space.raw(field)))
-
-
-def norm_vstar(field) -> float:
-    """Dual norm; spectral weights are the reciprocals of the V weights."""
-    return float(norms_vstar(field.space.raw(field)))
-
-
-def norm_l4(field, quad: Quadrature | None = None, n_grid: int | None = None) -> float:
-    """L^4 norm by physical-space quadrature on an anti-aliased grid."""
-    return float(norms_l4(field.space.raw(field), quad, n_grid))
-
-
-def poincare_audit(field, eta: float):
-    """Check ||v||_V^2 >= eta * ||v||_H^2 for a single nonzero field.
-
-    Returns (passed, ratio) where ratio = ||v||_V^2 / ||v||_H^2.  The squared
-    convention is deliberate: it is the form the coercivity bookkeeping
-    actually consumes, and the usual eta values pass under it.
-    """
-    h = norm_h(field)
-    if h == 0.0:
-        raise InvalidFieldError("poincare ratio is undefined for the zero field")
-    ratio = (norm_v(field) / h) ** 2
-    return bool(ratio >= eta), float(ratio)
-
-
-def laplacian_apply(field):
-    """Laplacian in spectral form: mode k scaled by -(k pi)^2 or -(2 pi |k|)^2."""
-    space = field.space
-    return space.wrap(-space.laplacian_eigenvalues() * space.raw(field))
-
-
 # ---------------------------------------------------------------------------
 # seeded random fields (audits and inequality suites)
 
@@ -490,20 +423,6 @@ def random_fields_2d(count: int, cutoff: int, rng: np.random.Generator,
     spec = hermitian_symmetrize(np.reshape(scale, (-1, 1, 1, 1)) * env * raw)
     spec[..., cutoff, cutoff] = 0.0
     return check_spectra(_leray(spec) if divergence_free else spec)
-
-
-def random_field_1d(n_modes: int, rng: np.random.Generator,
-                    envelope: float = -1.5, scale: float = 1.0) -> Field1D:
-    """One draw of ``random_fields_1d``."""
-    return Field1D(random_fields_1d(1, n_modes, rng, envelope, scale)[0])
-
-
-def random_field_2d(cutoff: int, rng: np.random.Generator,
-                    envelope: float = -1.5, scale: float = 1.0,
-                    divergence_free: bool = True) -> Field2D:
-    """One draw of ``random_fields_2d``."""
-    return Field2D(random_fields_2d(1, cutoff, rng, envelope, scale,
-                                    divergence_free)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -140,38 +140,27 @@ def coupled_ensemble(model: ModelSpec, cfg: SolverConfig, x0, h: ShiftFunction,
     return out
 
 
-def contraction_report(model: ModelSpec, cfg: SolverConfig, x0,
-                       h: ShiftFunction, n_replicates: int = 256,
-                       experiment_seed: int = 0, t2: dict | None = None,
-                       ensemble: dict | None = None) -> dict:
-    """Girsanov coupling audit: martingale normalization, entropy identity,
-    and the squared-gap contraction bound.
+def contraction_report(model: ModelSpec, h: ShiftFunction, coupled: dict,
+                       c_t2: float) -> dict:
+    """Girsanov coupling audit of the ``coupled_ensemble`` ``coupled`` of
+    shift ``h``: martingale normalization, entropy identity, and the
+    squared-gap contraction bound with the T2 constant ``c_t2``.
 
     Verdicts are one-sided at three standard errors; the gap bound compares
     mean + 3 stderr against C(T, K2, C_B) int ||h||^2 dt.
     """
-    from .constants import t2_constant
-
-    if ensemble is None:
-        ensemble = coupled_ensemble(model, cfg, x0, h, n_replicates,
-                                    experiment_seed)
-    n_replicates = ensemble["n_replicates"]
     entropy = shift_entropy(h)
     cost = 2.0 * entropy
+    bound = c_t2 * cost
 
-    if t2 is None:
-        t2 = t2_constant(horizon=cfg.horizon, K2=model.constants.K2,
-                         C_B=model.noise.c_b, C1=model.constants.C1)
-    bound = t2["value"] * cost
+    gap_mean, gap_se = mean_and_stderr(coupled["sup_gap_sq"])
+    mart_mean, mart_se = mean_and_stderr(np.exp(coupled["log_rn_base_view"]))
+    ent_mean, ent_se = mean_and_stderr(coupled["log_rn"])
 
-    gap_mean, gap_se = mean_and_stderr(ensemble["sup_gap_sq"])
-    mart_mean, mart_se = mean_and_stderr(np.exp(ensemble["log_rn_base_view"]))
-    ent_mean, ent_se = mean_and_stderr(ensemble["log_rn"])
-
-    report = {
+    return {
         "model": model.kind,
-        "n_replicates": int(n_replicates),
-        "experiment_seed": int(ensemble["experiment_seed"]),
+        "n_replicates": int(coupled["n_replicates"]),
+        "experiment_seed": int(coupled["experiment_seed"]),
         "shift_entropy": float(entropy),
         "girsanov_cost": float(cost),
         "martingale": {
@@ -187,9 +176,8 @@ def contraction_report(model: ModelSpec, cfg: SolverConfig, x0,
             "pass": bool(abs(ent_mean - entropy) <= 3.0 * ent_se),
         },
         "sup_gap_sq": {"mean": float(gap_mean), "stderr": float(gap_se)},
-        "t2_constant": float(t2["value"]),
+        "t2_constant": float(c_t2),
         "bound": float(bound),
         "margin": float(bound - (gap_mean + 3.0 * gap_se)),
         "pass": bool(gap_mean + 3.0 * gap_se <= bound),
     }
-    return report

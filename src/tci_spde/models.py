@@ -4,7 +4,7 @@ Three models share the variational skeleton dX = A(t, X) dt + B(t, X) dW:
 
 * ``heat``     A(v) = Laplace(v)                        (monotone)
 * ``burgers``  A(v) = Laplace(v) + v v_x                (locally monotone)
-* ``ns2d``     A(v) = nu Laplace(v) - P[(v.grad)v] + f  (locally monotone)
+* ``ns2d``     A(v) = nu Laplace(v) - P[(v.grad)v]      (locally monotone)
 
 Every model carries the structural constants of the variational framework
 (coercivity theta, embedding eta, monotonicity and growth constants) plus
@@ -65,7 +65,6 @@ class ModelSpec:
     n_modes: int | None = None
     cutoff: int | None = None
     viscosity: float | None = None
-    forcing: Field2D | None = None
     f_tilde: float = 0.0
     local_rho: str | None = None
     rho_coefficient: float = 1.0
@@ -132,38 +131,24 @@ def burgers_model(n_modes: int, noise: NoiseOperator,
 
 
 def ns2d_model(cutoff: int, viscosity: float, noise: NoiseOperator,
-               forcing: Field2D | None = None,
                K2_tilde: float = 1.0, K4_tilde: float | None = None) -> ModelSpec:
     """2-D Navier-Stokes on the torus, mean-free and Leray projected.
 
-    The coercivity schedule is f_tilde(t) = ||f_t||_{V*}^2 / nu + C_B.
+    The model is unforced, so the coercivity schedule is f_tilde = C_B.
     The local monotonicity weight keeps the shape ||v||_L4^4 but carries
     the coefficient 27/(32 nu^3) that the interpolation estimate for the
     advection term produces; the growth constant 8 covers the squared
-    triangle bound on nu*Laplace + advection + forcing for nu <= 1/3.
+    triangle bound on nu*Laplace + advection for nu <= 1/3.
     """
-    if forcing is not None:
-        if forcing.cutoff != cutoff:
-            raise ParameterError("forcing cutoff must match the model cutoff")
-        if fs.divergence_linf(forcing) > 1e-10:
-            raise ParameterError("forcing must be divergence-free")
-    f_norm_sq = fs.norm_vstar(forcing) ** 2 if forcing is not None else 0.0
     constants = AssumptionConstants(alpha=2.0, theta=viscosity, eta=ETA_2D,
                                     K3=0.0, K2_tilde=K2_tilde,
                                     K4_tilde=8.0 if K4_tilde is None else K4_tilde,
                                     beta=2.0)
     return ModelSpec(kind="ns2d", constants=constants, noise=noise,
-                     cutoff=cutoff, viscosity=viscosity, forcing=forcing,
+                     cutoff=cutoff, viscosity=viscosity,
                      local_rho="l4_fourth_power",
                      rho_coefficient=27.0 / (32.0 * viscosity**3),
-                     f_tilde=f_norm_sq / viscosity + noise.c_b)
-
-
-def rho_local(model: ModelSpec, v) -> float:
-    """Local monotonicity weight rho(v); zero for globally monotone models."""
-    if not model.locally_monotone:
-        return 0.0
-    return model.rho_coefficient * fs.norm_l4(v) ** 4
+                     f_tilde=noise.c_b)
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +261,13 @@ def linear_eigenvalues(model: ModelSpec) -> np.ndarray:
 
 def explicit_drift(model: ModelSpec, t: float, state: np.ndarray,
                    n_grid: int | None = None) -> np.ndarray | None:
-    """Non-implicit drift terms (nonlinearity and forcing) on raw coefficients;
-    a leading axis of ``state`` holds independent fields."""
+    """Non-implicit drift term (the nonlinearity) on raw coefficients; a
+    leading axis of ``state`` holds independent fields."""
     if model.kind == "heat":
         return None
     if model.kind == "burgers":
         return burgers_nonlinearity(state, n_grid)
-    out = ns_advection(state, model.cutoff, n_grid)
-    if model.forcing is not None:
-        out = out + model.forcing.spec
-    return out
+    return ns_advection(state, model.cutoff, n_grid)
 
 
 def _drift(model: ModelSpec, t: float, raw: np.ndarray) -> np.ndarray:
@@ -302,11 +284,6 @@ def _energies(model: ModelSpec, raw: np.ndarray) -> np.ndarray:
     if model.kind == "burgers":
         return fs.inners_h(burgers_nonlinearity(raw), raw)
     return fs.inners_h(ns_advection(raw, model.cutoff), raw)
-
-
-def nonlinearity_energy(model: ModelSpec, v) -> float:
-    """<F(v), v> for the non-dissipative drift part; zero analytically."""
-    return float(_energies(model, model.space.raw(v)))
 
 
 def taylor_green_field(cutoff: int, amplitude: float = 1.0) -> Field2D:

@@ -65,20 +65,11 @@ def _blocks_per_step(n: int) -> int:
     return -(-n // _RAWS_PER_TICK)
 
 
-def standard_normals(experiment_seed: int, replicate: int, step: int,
-                     n: int) -> np.ndarray:
-    """The n standard normals assigned to one (replicate, step) block."""
-    bg = _philox(experiment_seed, replicate)
-    if step > 0:
-        bg.advance(step * _blocks_per_step(n))
-    raw = bg.random_raw(n)
-    return _normals_from_raw(np.asarray(raw, dtype=np.uint64))
-
-
 def standard_normal_table(experiment_seed: int, replicate: int,
                           n_steps: int, n: int) -> np.ndarray:
-    """All step blocks at once, shape (n_steps, n); row s equals the
-    single-step draw for step s bitwise."""
+    """All step blocks at once, shape (n_steps, n): row s holds the n
+    normals of the (experiment_seed, replicate, step s) block, which starts
+    s * ceil(n / 4) counter ticks into the stream."""
     width = _blocks_per_step(n) * _RAWS_PER_TICK
     bg = _philox(experiment_seed, replicate)
     raw = np.asarray(bg.random_raw(n_steps * width), dtype=np.uint64)
@@ -212,7 +203,7 @@ def noise_operator_2d(n_w: int, gains, c_b: float, cutoff: int,
 def increment_table(op: NoiseOperator, dt: float, experiment_seed: int,
                     replicate: int, n_steps: int) -> np.ndarray:
     """All Wiener increments of one trajectory in U: row s is sqrt(dt) times
-    the ``standard_normals`` of step s."""
+    the ``standard_normal_table`` row of step s."""
     z = standard_normal_table(experiment_seed, replicate, n_steps, op.n_w)
     return np.sqrt(dt) * z
 

@@ -115,10 +115,9 @@ def _path_summaries(v_energy, sup_h, terminal) -> np.ndarray:
 class Trajectory:
     """One sample path, recorded every ``snapshot_stride`` steps.
 
-    ``states[i]`` is the raw state of ``space`` at time ``times[i]``;
-    ``field(i)`` wraps it.  The last time is always the horizon.  A path
-    recorded without its states has ``states`` None; ``terminal`` always
-    holds the raw terminal state.
+    ``states[i]`` is the raw state of ``space`` at time ``times[i]``.  The
+    last time is always the horizon.  A path recorded without its states
+    has ``states`` None; ``terminal`` always holds the raw terminal state.
     ``h_sq[i]`` and ``v_sq[i]`` are ||X_{t_i}||_H^2 and ||X_{t_i}||_V^2.
     ``v_energy[i]`` is the trapezoid value of int_0^{t_i} ||X_s||_V^2 ds and
     ``sup_h_norm[i]`` the running max of the H-norm, both accumulated over
@@ -134,11 +133,6 @@ class Trajectory:
     space: SineSpace | TorusSpace
     terminal: np.ndarray
 
-    def field(self, i: int):
-        if self.states is None:
-            raise ParameterError("the trajectory was recorded without states")
-        return self.space.wrap(self.states[i])
-
     @property
     def terminal_field(self):
         return self.space.wrap(self.terminal)
@@ -150,11 +144,6 @@ class Trajectory:
     @property
     def sup_h_total(self) -> float:
         return float(self.sup_h_norm[-1])
-
-    def summary(self) -> np.ndarray:
-        """One-row path summary, as ``solve_block`` returns for ensembles."""
-        return _path_summaries(self.v_energy[-1:], self.sup_h_norm[-1:],
-                               self.terminal[None])
 
 
 def block_increments(model: ModelSpec, cfg: SolverConfig, experiment_seed: int,

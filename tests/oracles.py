@@ -120,6 +120,13 @@ def norm_h(raw):
     return float(np.linalg.norm(raw))
 
 
+def divergence_linf(spec):
+    """Max spectral divergence |k . u_hat(k)| of one torus spectrum (2, n, n),
+    zero for divergence-free fields."""
+    k1, k2, _ = _wavegrids(spec.shape[-1] // 2)
+    return float(np.max(np.abs(k1 * spec[0] + k2 * spec[1])))
+
+
 def inner_h(a, b):
     if np.iscomplexobj(a):
         return float(np.real(np.sum(np.conj(a) * b)))
@@ -331,6 +338,21 @@ def audit(model, n_samples, experiment_seed, t=0.0):
 
 
 # ---------------------------------------------------------------------------
+# one Philox block at a time
+
+
+def standard_normals(experiment_seed, replicate, step, n):
+    """The n standard normals of one (replicate, step) block, from a stream
+    advanced to the step on its own, without drawing the steps before it."""
+    from tci_spde.noise import _blocks_per_step, _normals_from_raw, _philox
+
+    bg = _philox(experiment_seed, replicate)
+    if step > 0:
+        bg.advance(step * _blocks_per_step(n))
+    return _normals_from_raw(np.asarray(bg.random_raw(n), dtype=np.uint64))
+
+
+# ---------------------------------------------------------------------------
 # full-size references for the pruned transforms and the sparse noise
 
 
@@ -451,11 +473,21 @@ def metric_distance(metric, a, b):
     return math.sqrt(float(np.sum(0.5 * np.diff(a.times) * (v_sq[:-1] + v_sq[1:]))))
 
 
+def functional_of(functional, traj):
+    """The package functional on one trajectory: ``values`` on the one-row
+    path summary that ``solve_block`` would give for it."""
+    from tci_spde.solver import _path_summaries
+
+    row = _path_summaries(traj.v_energy[-1:], traj.sup_h_norm[-1:],
+                          traj.terminal[None])
+    return float(functional.values(row)[0])
+
+
 def lipschitz_audit(functional, pairs):
     """|F(u) - F(v)| <= L d(u, v) over trajectory pairs; counts violations."""
     worst, violations, n = -math.inf, 0, 0
     for a, b in pairs:
-        gap = abs(functional(a) - functional(b))
+        gap = abs(functional_of(functional, a) - functional_of(functional, b))
         dist = functional.lipschitz_constant * metric_distance(
             functional.metric, a, b)
         margin = gap - dist

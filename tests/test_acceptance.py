@@ -110,7 +110,7 @@ def test_criterion_03_contraction_chain(heat_coupled):
     start = time.perf_counter()
     assert model.constants.K2 == 0.0
     t2 = cst.t2_constant(cfg.horizon, model.constants.K2, model.noise.c_b)
-    report = contraction_report(model, cfg, x0, h, t2=t2, ensemble=ens)
+    report = contraction_report(model, h, ens, t2["value"])
     gap = report["sup_gap_sq"]
     bound_ok = gap["mean"] + 3.0 * gap["stderr"] <= report["bound"]
 
@@ -135,8 +135,8 @@ def test_criterion_04_w2_functional_domination(heat_coupled):
             for key, val in ens.items()}
     half["n_replicates"] = 2048
     t2 = cst.t2_constant(cfg.horizon, model.constants.K2, model.noise.c_b)
-    report = conc.t2_chain_check(model, cfg, x0, h, conc.sup_h_functional(),
-                                 t2=t2, ensemble=half)
+    report = conc.t2_chain_check(model, h, conc.sup_h_functional(), half,
+                                 t2["value"])
     elapsed = build + time.perf_counter() - start
     ok = (report["w2_empirical"] <= report["bound"]
           and report["margin"] > 10.0 * report["combined_stderr"]
@@ -157,19 +157,16 @@ def test_criterion_05_exponential_moment_lemma():
         ranges = cst.admissible_ranges(cons.theta, cons.eta, cons.K3,
                                        model.noise.c_b, 0.5)
         lam0 = 0.5 * ranges["lambda0_max_lemma"]
-        report = conc.exp_moment_check(model, cfg, x0, 0.5, lam0,
-                                       n_replicates=2048, experiment_seed=0)
+        values = conc.functional_ensemble(model, cfg, x0,
+                                          conc.l2_v_path_functional(), 2048, 0)
+        report = conc.exp_moment_check(
+            model, values, 0.5, lam0, ranges["lambda0_max_lemma"],
+            model.f_tilde * cfg.horizon, conc.h_norm_sq(x0.coeffs), 0)
         elapsed = time.perf_counter() - start
         ok = ok and report["pass"] and elapsed < 300.0
         details.append(f"{model.kind}: {report['estimate']:.4f}+3se <= "
                        f"{report['bound']:.4f} in {elapsed:.0f}s")
     checklist(5, ok, "; ".join(details) + " (< 300s each)")
-
-
-def synthetic_ensemble(values):
-    values = np.asarray(values, dtype=np.float64)
-    return conc.Ensemble(values=values, functional=conc.sup_h_functional(),
-                         experiment_seed=0, replicates=np.arange(values.size))
 
 
 def test_criterion_06_bobkov_gotze_suite():
@@ -181,16 +178,16 @@ def test_criterion_06_bobkov_gotze_suite():
     lam0 = 0.5 * ranges["lambda0_max_lemma"]
     c_t1 = cst.t1_constant(lam0, 0.5, cons.theta,
                            model.f_tilde * cfg.horizon, 1.0)
-    ens = conc.functional_ensemble(model, cfg, x0, conc.l2_v_path_functional(),
-                                   4096, 0)
-    report = conc.bobkov_gotze_check(ens, c_t1,
-                                     [-1.0, -0.5, -0.1, 0.1, 0.5, 1.0])
+    functional = conc.l2_v_path_functional()
+    values = conc.functional_ensemble(model, cfg, x0, functional, 4096, 0)
+    report = conc.bobkov_gotze_check(values, functional.lipschitz_constant,
+                                     c_t1, [-1.0, -0.5, -0.1, 0.1, 0.5, 1.0])
     model_ok = report["pass"] and all(e["pass"] for e in report["entries"])
 
     gauss = np.random.default_rng(17).standard_normal(100_000)
     grid = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
-    positive = conc.bobkov_gotze_check(synthetic_ensemble(gauss), 1.0, grid)
-    negative = conc.bobkov_gotze_check(synthetic_ensemble(gauss), 0.25, grid)
+    positive = conc.bobkov_gotze_check(gauss, 1.0, 1.0, grid)
+    negative = conc.bobkov_gotze_check(gauss, 1.0, 0.25, grid)
     controls_ok = (positive["pass"]
                    and not negative["pass"]
                    and all(not e["pass"] for e in negative["entries"]

@@ -78,7 +78,7 @@ def _setup(kind):
         return M.heat_model(8, _noise_1d()), cfg, F.Field1D(np.zeros(8))
     if kind in ("burgers", "burgers_clamped"):
         clamp = 0.3 if kind == "burgers_clamped" else None
-        x0 = F.random_field_1d(12, np.random.default_rng(4))
+        x0 = F.Field1D(F.random_fields_1d(1, 12, np.random.default_rng(4))[0])
         return M.burgers_model(12, _noise_1d(clamp)), cfg, x0
     op = N.noise_operator_2d(6, N.gains_inverse_k(6, 0.05), 0.05, 8)
     cfg = S.SolverConfig(dt=2e-3, horizon=0.02)

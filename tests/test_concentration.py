@@ -14,17 +14,12 @@ from tci_spde import girsanov as G
 from tci_spde import models as M
 from tci_spde import noise as N
 from tci_spde import solver as S
-from tci_spde.constants import admissible_ranges
+from tci_spde.cli import _write_ensemble_csv
+from tci_spde.constants import admissible_ranges, t2_constant
 from tci_spde.errors import ParameterError
 
 import oracles as orc
 from oracles import w2_factorial_oracle
-
-
-def synthetic_ensemble(values, functional=None):
-    values = np.asarray(values, dtype=np.float64)
-    return K.Ensemble(values=values, functional=functional or K.sup_h_functional(),
-                      experiment_seed=0, replicates=np.arange(values.size))
 
 
 # ---------------------------------------------------------------------------
@@ -88,16 +83,16 @@ def test_jackknife_stderr_matches_delta_method():
 
 def test_bobkov_gotze_gaussian_equality_case_passes():
     rng = np.random.default_rng(4)
-    e = synthetic_ensemble(rng.standard_normal(100_000))
-    report = K.bobkov_gotze_check(e, C=1.0, lambda_grid=[-2.0, -1.0, -0.5, 0.0,
-                                                         0.5, 1.0, 2.0])
+    e = rng.standard_normal(100_000)
+    report = K.bobkov_gotze_check(e, 1.0, C=1.0, lambda_grid=[-2.0, -1.0, -0.5,
+                                                              0.0, 0.5, 1.0, 2.0])
     assert report["pass"], report
 
 
 def test_bobkov_gotze_flags_undersized_constant():
     rng = np.random.default_rng(4)
-    e = synthetic_ensemble(rng.standard_normal(100_000))
-    report = K.bobkov_gotze_check(e, C=0.25, lambda_grid=[0.5, 1.0, 2.0, -2.0])
+    e = rng.standard_normal(100_000)
+    report = K.bobkov_gotze_check(e, 1.0, C=0.25, lambda_grid=[0.5, 1.0, 2.0, -2.0])
     assert not report["pass"]
     for entry in report["entries"]:
         if abs(entry["lambda"]) >= 2.0:
@@ -106,16 +101,16 @@ def test_bobkov_gotze_flags_undersized_constant():
 
 def test_gaussian_tail_check_passes_at_matched_constant():
     rng = np.random.default_rng(5)
-    e = synthetic_ensemble(rng.standard_normal(100_000))
-    report = K.gaussian_tail_check(e, C=1.0, r_grid=[0.0, 0.5, 1.0, 2.0, 3.0])
+    e = rng.standard_normal(100_000)
+    report = K.gaussian_tail_check(e, 1.0, C=1.0, r_grid=[0.0, 0.5, 1.0, 2.0, 3.0])
     assert report["pass"], report
     assert report["entries"][0]["bound"] == 1.0
 
 
 def test_gaussian_tail_check_flags_heavy_tails():
     rng = np.random.default_rng(6)
-    e = synthetic_ensemble(rng.standard_t(3, size=100_000))
-    report = K.gaussian_tail_check(e, C=0.25, r_grid=[3.0, 4.0])
+    e = rng.standard_t(3, size=100_000)
+    report = K.gaussian_tail_check(e, 1.0, C=0.25, r_grid=[3.0, 4.0])
     assert not report["pass"]
 
 
@@ -196,20 +191,20 @@ def synthetic_pair(rng, n_steps=20, n_modes=6):
 def test_trajectory_from_states_consistency():
     rng = np.random.default_rng(9)
     traj, _ = synthetic_pair(rng)
-    h = [F.norm_h(traj.field(i)) for i in range(len(traj.times))]
+    h = F.norms_h(traj.states)
     assert np.allclose(traj.sup_h_norm, np.maximum.accumulate(h), rtol=1e-12)
-    v_sq = [F.norm_v(traj.field(i)) ** 2 for i in range(len(traj.times))]
+    v_sq = F.norms_v(traj.states) ** 2
     assert traj.v_energy[-1] == pytest.approx(np.trapezoid(v_sq, traj.times), rel=1e-12)
 
 
 def test_functional_values():
     rng = np.random.default_rng(10)
     traj, _ = synthetic_pair(rng)
-    assert K.l2_v_path_functional()(traj) == pytest.approx(
+    assert orc.functional_of(K.l2_v_path_functional(), traj) == pytest.approx(
         math.sqrt(traj.v_energy_total), rel=1e-15
     )
-    assert K.sup_h_functional()(traj) == traj.sup_h_total
-    assert K.terminal_h_functional()(traj) == pytest.approx(
+    assert orc.functional_of(K.sup_h_functional(), traj) == traj.sup_h_total
+    assert orc.functional_of(K.terminal_h_functional(), traj) == pytest.approx(
         F.norm_h(traj.terminal_field), rel=1e-14
     )
     probe = rng.standard_normal(6)
@@ -217,7 +212,8 @@ def test_functional_values():
     assert probed.lipschitz_constant == pytest.approx(
         float(np.linalg.norm(probe)), rel=1e-14
     )
-    assert probed(traj) == pytest.approx(float(probe @ traj.states[-1]), rel=1e-13)
+    assert orc.functional_of(probed, traj) == pytest.approx(
+        float(probe @ traj.states[-1]), rel=1e-13)
 
 
 def test_lipschitz_audit_clean_across_functionals():
@@ -264,17 +260,27 @@ def test_exp_moment_check_passes_on_heat():
     model, cfg, x0 = small_heat()
     ranges = admissible_ranges(model.constants.theta, model.constants.eta,
                                model.constants.K3, model.noise.c_b)
-    report = K.exp_moment_check(model, cfg, x0, c=0.5,
+    values = K.functional_ensemble(model, cfg, x0, K.l2_v_path_functional(),
+                                   256, 0)
+    report = K.exp_moment_check(model, values, c=0.5,
                                 lambda0=0.5 * ranges["lambda0_max_lemma"],
-                                n_replicates=256)
+                                lambda0_max=ranges["lambda0_max_lemma"],
+                                f_int=model.f_tilde * cfg.horizon, x0_sq=0.0,
+                                experiment_seed=0)
     assert report["pass"], report
+    assert report["n_replicates"] == 256
     assert report["estimate"] + 3.0 * report["stderr"] <= report["bound"]
 
 
 def test_exp_moment_check_rejects_inadmissible_lambda0():
-    model, cfg, x0 = small_heat()
-    with pytest.raises(ParameterError):
-        K.exp_moment_check(model, cfg, x0, c=0.5, lambda0=10.0, n_replicates=4)
+    model, cfg, _ = small_heat()
+    ranges = admissible_ranges(model.constants.theta, model.constants.eta,
+                               model.constants.K3, model.noise.c_b)
+    with pytest.raises(ParameterError, match="lambda0 must lie in"):
+        K.exp_moment_check(model, np.ones(4), c=0.5, lambda0=10.0,
+                           lambda0_max=ranges["lambda0_max_lemma"],
+                           f_int=model.f_tilde * cfg.horizon, x0_sq=0.0,
+                           experiment_seed=0)
 
 
 def test_zero_noise_moments_vanish():
@@ -298,20 +304,32 @@ def test_moment_report_stable_under_refinement():
 def test_t2_chain_check_passes_on_heat():
     model, cfg, x0 = small_heat()
     h = G.shift_from_descriptor({"type": "constant", "amplitude": 1.0}, 4, cfg)
-    report = K.t2_chain_check(model, cfg, x0, h, K.sup_h_functional(),
-                              n_replicates=128)
+    coupled = G.coupled_ensemble(model, cfg, x0, h, 128, 0)
+    c_t2 = t2_constant(cfg.horizon, model.constants.K2, model.noise.c_b,
+                       model.constants.C1)["value"]
+    report = K.t2_chain_check(model, h, K.sup_h_functional(), coupled, c_t2)
     assert report["pass"], report
     assert report["w2_empirical"] <= report["bound"] + 3.0 * report["combined_stderr"]
 
 
 def test_ensemble_csv_round_trip(tmp_path):
-    e = K.functional_ensemble(*small_heat(), K.sup_h_functional(),
-                              n_replicates=6, experiment_seed=1)
+    values = K.functional_ensemble(*small_heat(), K.sup_h_functional(),
+                                   n_replicates=6, experiment_seed=1)
     path = tmp_path / "ensemble.csv"
-    K.ensemble_to_csv(e, path)
+    _write_ensemble_csv(path, 1, [("sup_H_norm", values)])
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 6
+    assert [r["replicate"] for r in rows] == [str(i) for i in range(6)]
+    assert {r["seed"] for r in rows} == {"1"}
     assert rows[0]["functional"] == "sup_H_norm"
     back = np.array([float(r["value"]) for r in rows])
-    assert np.array_equal(back, e.values)
+    assert np.array_equal(back, values)
+
+
+def test_statistics_refuse_short_or_non_finite_values():
+    for bad in ([1.0], [[1.0, 2.0]], [0.0, np.nan], [np.inf, 1.0]):
+        with pytest.raises(ParameterError):
+            K.bobkov_gotze_check(bad, 1.0, 1.0, [0.5])
+        with pytest.raises(ParameterError):
+            K.gaussian_tail_check(bad, 1.0, 1.0, [0.5])

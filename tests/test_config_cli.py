@@ -3,13 +3,18 @@
 import copy
 import csv
 import json
+import math
 import os
 
 import pytest
 
 from tci_spde.cli import main
 from tci_spde.config import config_hash, parse_config
+from tci_spde.constants import admissible_ranges
 from tci_spde.errors import SchemaError
+from tci_spde.models import ETA_1D
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "configs")
 
 BASE = {
     "model": {"kind": "heat", "n_modes": 8},
@@ -143,6 +148,34 @@ def test_verify_t1_subcommand(tmp_path, capsys):
     assert report["gaussian_tail"]["pass"]
     assert (out / "ensemble.csv").exists()
     capsys.readouterr()
+
+
+def test_verify_t1_takes_the_x0_norm_in_one_form(tmp_path, capsys):
+    # The Taylor-Green start at amplitude 0.5 has ||x0||_H^2 = 0.125 exactly,
+    # and the exponential-moment block reports the value mu_moment uses.
+    with open(os.path.join(CONFIG_DIR, "ns2d_reference.json")) as fh:
+        doc = json.load(fh)
+    doc.update({"replicates": 2, "solver": {"dt": 0.001, "horizon": 0.01}})
+    path = tmp_path / "ns2d.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["verify-t1", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = read_report(out)
+    assert report["exp_moment"]["x0_h_norm_sq"] == 0.125
+    assert report["mu_moment"] == math.exp(report["lambda0"] * 0.125)
+
+
+def test_inadmissible_lambda0_exits_2_before_solving(tmp_path, capsys):
+    lambda0_max = admissible_ranges(1.5, ETA_1D, 0.0, 1.0, 0.5)["lambda0_max_lemma"]
+    out = tmp_path / "out"
+    code = main(["verify-t1", "--config",
+                 write_config(tmp_path, {"t1": {"lambda0": 50.0}}),
+                 "--out", str(out)])
+    assert code == 2
+    assert f"lambda0 must lie in (0, {lambda0_max:.6g})" in capsys.readouterr().err
+    assert not (out / "ensemble.csv").exists()
+    assert not (out / "report.json").exists()
 
 
 def test_simulate_subcommand(tmp_path, capsys):

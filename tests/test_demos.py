@@ -1,13 +1,18 @@
-"""The demos import only names the package has.
+"""The demos import only names the package has, and call them as their
+signatures allow.
 
 Each ``from tci_spde... import ...`` line of every ``demos/*.py`` is read
 with ``ast``, without running the demo, and every imported name must
 resolve: as an attribute of the module or as one of its submodules.
+Every call of an imported name must bind to its signature: the call's
+positional count and keyword names, as ``inspect.Signature.bind`` checks
+them.  Calls that spread ``*`` or ``**`` arguments are skipped.
 """
 
 import ast
 import glob
 import importlib
+import inspect
 import os
 
 import pytest
@@ -16,14 +21,17 @@ DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
                                       "demos", "*.py")))
 
 
-def _package_imports(path):
+def _parse(path):
     with open(path) as fh:
-        tree = ast.parse(fh.read(), filename=path)
-    for node in ast.walk(tree):
+        return ast.parse(fh.read(), filename=path)
+
+
+def _package_imports(path):
+    for node in ast.walk(_parse(path)):
         if isinstance(node, ast.ImportFrom) and node.level == 0 \
                 and node.module.split(".")[0] == "tci_spde":
             for alias in node.names:
-                yield node.module, alias.name
+                yield node.module, alias
 
 
 def _resolves(module, name):
@@ -43,6 +51,36 @@ def test_there_are_demos():
 
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_imports_resolve(path):
-    missing = [f"{module}.{name}" for module, name in _package_imports(path)
-               if not _resolves(module, name)]
+    missing = [f"{module}.{alias.name}"
+               for module, alias in _package_imports(path)
+               if not _resolves(module, alias.name)]
     assert not missing, missing
+
+
+def _package_calls(path):
+    """(line, module, name, positional count, keyword names) of every call
+    of a name imported from the package, except calls with * or **."""
+    imported = {alias.asname or alias.name: (module, alias.name)
+                for module, alias in _package_imports(path)}
+    for node in ast.walk(_parse(path)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in imported):
+            continue
+        if any(isinstance(arg, ast.Starred) for arg in node.args) \
+                or any(kw.arg is None for kw in node.keywords):
+            continue
+        module, name = imported[node.func.id]
+        yield (node.lineno, module, name, len(node.args),
+               [kw.arg for kw in node.keywords])
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_calls_bind_to_package_signatures(path):
+    stale = []
+    for line, module, name, n_args, keywords in _package_calls(path):
+        obj = getattr(importlib.import_module(module), name)
+        try:
+            inspect.signature(obj).bind(*range(n_args), **dict.fromkeys(keywords))
+        except TypeError as exc:
+            stale.append(f"line {line}: {module}.{name}: {exc}")
+    assert not stale, stale

@@ -9,6 +9,7 @@ from tci_spde import models as M
 from tci_spde import noise as N
 from tci_spde import solver as S
 from tci_spde._stats import fsum_mean, mean_and_stderr
+from tci_spde.constants import t2_constant
 from tci_spde.errors import ParameterError
 
 
@@ -156,10 +157,16 @@ def test_coupled_ensemble_matches_single_pairs():
         assert ens["log_rn"][r] == log_rn
 
 
+def t2_value(model, cfg):
+    return t2_constant(cfg.horizon, model.constants.K2, model.noise.c_b,
+                       model.constants.C1)["value"]
+
+
 def test_contraction_report_passes():
     model, cfg, x0 = heat_setup(n_modes=8, dt=0.005)
-    report = G.contraction_report(model, cfg, x0, unit_shift(cfg),
-                                  n_replicates=64, experiment_seed=0)
+    h = unit_shift(cfg)
+    ens = G.coupled_ensemble(model, cfg, x0, h, n_replicates=64, experiment_seed=0)
+    report = G.contraction_report(model, h, ens, t2_value(model, cfg))
     assert report["pass"], report
     assert report["martingale"]["pass"]
     assert report["entropy_identity"]["pass"]
@@ -174,7 +181,7 @@ def test_girsanov_cost_is_twice_entropy():
     cfg = S.SolverConfig(dt=0.001, horizon=1.0)
     h = G.shift_from_descriptor({"type": "ramp", "amplitude": 2.0}, 2, cfg)
     model, _, x0 = heat_setup(dt=0.001)
-    report = G.contraction_report(model, cfg, x0, h, n_replicates=2,
-                                  experiment_seed=1)
+    ens = G.coupled_ensemble(model, cfg, x0, h, n_replicates=2, experiment_seed=1)
+    report = G.contraction_report(model, h, ens, t2_value(model, cfg))
     assert report["girsanov_cost"] == pytest.approx(2.0 * G.shift_entropy(h),
                                                     rel=1e-14)

@@ -33,7 +33,7 @@ def test_zero_initial_state_is_a_fixed_point():
 def test_initial_state_stored_exactly():
     model = M.burgers_model(8, noise_1d())
     cfg = S.SolverConfig(dt=0.01, horizon=0.05)
-    x0 = F.random_field_1d(8, np.random.default_rng(0))
+    x0 = F.Field1D(F.random_fields_1d(1, 8, np.random.default_rng(0))[0])
     traj = S.solve(model, cfg, x0, experiment_seed=1)
     assert np.array_equal(traj.states[0], x0.coeffs)
     assert traj.times[0] == 0.0
@@ -55,7 +55,7 @@ def test_implicit_factor_on_heat_eigenmode():
 def test_determinism_bitwise():
     model = M.burgers_model(12, noise_1d())
     cfg = S.SolverConfig(dt=0.005, horizon=0.1)
-    x0 = F.random_field_1d(12, np.random.default_rng(3))
+    x0 = F.Field1D(F.random_fields_1d(1, 12, np.random.default_rng(3))[0])
     a = S.solve(model, cfg, x0, experiment_seed=9, replicate=4)
     b = S.solve(model, cfg, x0, experiment_seed=9, replicate=4)
     assert np.array_equal(a.states, b.states)
@@ -67,9 +67,9 @@ def test_determinism_bitwise():
 def test_v_energy_matches_posthoc_trapezoid():
     model = M.burgers_model(12, noise_1d())
     cfg = S.SolverConfig(dt=0.002, horizon=0.1)
-    x0 = F.random_field_1d(12, np.random.default_rng(5))
+    x0 = F.Field1D(F.random_fields_1d(1, 12, np.random.default_rng(5))[0])
     traj = S.solve(model, cfg, x0, experiment_seed=2)
-    v_sq = np.array([F.norm_v(traj.field(i)) ** 2 for i in range(len(traj.times))])
+    v_sq = F.norms_v(traj.states) ** 2
     recomputed = np.concatenate(
         [[0.0], np.cumsum(0.5 * (v_sq[1:] + v_sq[:-1]) * np.diff(traj.times))]
     )
@@ -83,7 +83,7 @@ def test_sup_h_norm_is_running_max():
     model = M.heat_model(8, noise_1d())
     cfg = S.SolverConfig(dt=0.01, horizon=0.2)
     traj = S.solve(model, cfg, sin_pi_x(8), experiment_seed=7)
-    h = np.array([F.norm_h(traj.field(i)) for i in range(len(traj.times))])
+    h = F.norms_h(traj.states)
     assert np.allclose(traj.sup_h_norm, np.maximum.accumulate(h), rtol=1e-12)
 
 
@@ -91,7 +91,7 @@ def test_burgers_energy_decays_without_noise():
     model = M.burgers_model(16, noise_1d())
     cfg = S.SolverConfig(dt=0.005, horizon=0.25)
     traj = S.solve(model, cfg, sin_pi_x(16), experiment_seed=0, zero_noise=True)
-    h = np.array([F.norm_h(traj.field(i)) for i in range(len(traj.times))])
+    h = F.norms_h(traj.states)
     assert np.all(np.diff(h) < 0.0)
 
 
