@@ -91,8 +91,8 @@ def test_increment_table(benchmark):
 
 
 def test_norm_inequality_suite_2d(benchmark):
-    report = benchmark(lambda: F.norm_inequality_suite_2d(
-        1000, 8, N.generator(0, N.derived_replicate(N.LANE_FIELDS, 1))))
+    report = benchmark(lambda: F.norm_inequality_suite(
+        F.TorusSpace(8), 1000, N.generator(0, N.derived_replicate(N.LANE_FIELDS, 1))))
     assert report["parseval"]["violations"] == 0
 
 

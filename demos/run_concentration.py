@@ -10,7 +10,7 @@ import numpy as np
 
 from tci_spde.concentration import (bobkov_gotze_check, exp_moment_check,
                                     functional_ensemble, gaussian_tail_check,
-                                    h_norm_sq, l2_v_path_functional,
+                                    l2_v_path_functional,
                                     sup_h_functional, t2_chain_check,
                                     w2_small_cloud, w2_sorted_1d)
 from tci_spde.constants import admissible_ranges, t1_constant, t2_constant
@@ -38,7 +38,8 @@ functional = l2_v_path_functional()
 values = functional_ensemble(model, cfg, x0, functional, REPLICATES, 0)
 f_int = model.f_tilde * cfg.horizon
 rep = exp_moment_check(model, values, 0.5, lam0, ranges["lambda0_max_lemma"],
-                       f_int, h_norm_sq(x0.coeffs), experiment_seed=0)
+                       f_int, float(model.space.sq_norms(x0.coeffs)),
+                       experiment_seed=0)
 print(f"exponential moment: estimate {rep['estimate']:.4f} + 3se "
       f"<= bound {rep['bound']:.4f}  ->  {rep['pass']}")
 

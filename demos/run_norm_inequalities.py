@@ -7,8 +7,8 @@ norms take raw coefficient arrays, one field or a batch on leading axes.
 
 import numpy as np
 
-from tci_spde import (ETA_1D, ETA_2D, default_quadrature,
-                      norm_inequality_suite_1d, norm_inequality_suite_2d)
+from tci_spde import (ETA_1D, ETA_2D, SineSpace, TorusSpace,
+                      norm_inequality_suite)
 from tci_spde.fields import norms_h, norms_l4, norms_v
 from tci_spde.noise import generator
 
@@ -22,7 +22,7 @@ ratio = (hv / h) ** 2
 print(f"Poincare ratio ||v||_V^2 / ||v||_H^2 = {ratio:.6f} "
       f"(>= pi^2 = {np.pi**2:.6f}, embedding eta = {ETA_1D:.6f})")
 
-l4 = float(norms_l4(v, default_quadrature(8)))
+l4 = float(norms_l4(v))
 print(f"L4 interpolation: ||v||_L4^4 = {l4**4:.6f} <= "
       f"4 ||v||_H^2 ||v||_V^2 = {4 * h**2 * hv**2:.6f}")
 
@@ -31,8 +31,8 @@ print(f"batched H-norms of 2v and 3v: {norms_h(np.stack([2 * v, 3 * v]))}")
 
 print("\nrandomized suites (500 fields each):")
 for name, suite in (
-        ("1-D", norm_inequality_suite_1d(500, 16, generator(1, 0))),
-        ("2-D", norm_inequality_suite_2d(500, 8, generator(1, 1)))):
+        ("1-D", norm_inequality_suite(SineSpace(16), 500, generator(1, 0))),
+        ("2-D", norm_inequality_suite(TorusSpace(8), 500, generator(1, 1)))):
     for key, sub in suite.items():
         if isinstance(sub, dict) and "violations" in sub:
             print(f"  {name} {key}: {sub['violations']} violations")

@@ -24,7 +24,7 @@ from . import constants as cst
 from .config import ExperimentConfig, load_config
 from .errors import (DivergenceError, InfeasibleError, ParameterError,
                      SchemaError)
-from .fields import norm_h, norm_inequality_suite_1d, norm_inequality_suite_2d
+from .fields import SineSpace, TorusSpace, norm_inequality_suite
 from .girsanov import contraction_report, coupled_ensemble, shift_entropy
 from .models import (audit_hypotheses, burgers_model, ns2d_model,
                      nonlinearity_energy_suite, t1_feasibility)
@@ -58,6 +58,12 @@ def _field_rng(cfg: ExperimentConfig, index: int = 0):
     return generator(cfg.experiment_seed, derived_replicate(LANE_FIELDS, index))
 
 
+def _x0_sq(cfg: ExperimentConfig) -> float:
+    """||x0||_H^2 in the form the solver takes state norms."""
+    space = cfg.model.space
+    return float(space.sq_norms(space.raw(cfg.x0)))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -71,7 +77,7 @@ def _run_audit(cfg: ExperimentConfig) -> dict:
         "t1_feasibility": t1_feasibility(model),
     }
     report["t1_feasibility"]["pass"] = report["t1_feasibility"]["feasible"]
-    suite = model.space.norm_suite(cfg.n_fields, _field_rng(cfg))
+    suite = norm_inequality_suite(model.space, cfg.n_fields, _field_rng(cfg))
     suite["pass"] = _suite_pass(suite)
     report["norm_inequalities"] = suite
     energy = nonlinearity_energy_suite(model, cfg.n_fields,
@@ -106,7 +112,7 @@ def _resolve_constant_inputs(cfg: ExperimentConfig) -> dict:
     vals["x0_h_norm_sq"] = over.get("x0_h_norm_sq")
     if vals["x0_h_norm_sq"] is None:
         if cfg.x0 is not None:
-            vals["x0_h_norm_sq"] = conc.h_norm_sq(model.space.raw(cfg.x0))
+            vals["x0_h_norm_sq"] = _x0_sq(cfg)
         else:
             vals["x0_h_norm_sq"] = 0.0
     return vals
@@ -176,7 +182,7 @@ def _run_simulate(cfg: ExperimentConfig, out_dir: str) -> dict:
         "trajectory": {
             "file": "trajectory_0.csv",
             "n_steps": cfg.solver.n_steps,
-            "terminal_h_norm": norm_h(traj.terminal_field),
+            "terminal_h_norm": math.sqrt(traj.h_sq[-1]),
             "sup_h_norm": traj.sup_h_total,
             "v_energy": traj.v_energy_total,
         },
@@ -230,7 +236,7 @@ def _run_verify_t1(cfg: ExperimentConfig, out_dir: str) -> dict:
     # An inadmissible lambda0 is refused before any replicate is solved.
     conc.check_lambda0(lambda0, lambda0_max)
     f_int = model.f_tilde * cfg.solver.horizon
-    x0_sq = conc.h_norm_sq(model.space.raw(cfg.x0))
+    x0_sq = _x0_sq(cfg)
     mu_moment = cfg.mu_moment if cfg.mu_moment is not None \
         else math.exp(lambda0 * x0_sq)
     c_t1 = cst.t1_constant(lambda0, cfg.c, cons.theta, f_int, mu_moment)
@@ -263,10 +269,11 @@ def _run_inequalities(cfg: ExperimentConfig) -> dict:
     n_modes = model.n_modes if model is not None and model.n_modes else 32
     cutoff = model.cutoff if model is not None and model.cutoff else 8
 
-    suite_1d = norm_inequality_suite_1d(cfg.n_fields, n_modes, _field_rng(cfg))
+    suite_1d = norm_inequality_suite(SineSpace(n_modes), cfg.n_fields,
+                                     _field_rng(cfg))
     suite_1d["pass"] = _suite_pass(suite_1d)
-    suite_2d = norm_inequality_suite_2d(cfg.n_fields, cutoff,
-                                        _field_rng(cfg, index=1))
+    suite_2d = norm_inequality_suite(TorusSpace(cutoff), cfg.n_fields,
+                                     _field_rng(cfg, index=1))
     suite_2d["pass"] = _suite_pass(suite_2d)
 
     op_1d = noise_operator_1d(4, gains_inverse_k(4, 1.0), 1.0)

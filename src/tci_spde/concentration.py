@@ -68,14 +68,8 @@ class FunctionalSpec:
             return np.array(paths["sup_h_total"])
         last = paths["terminal"]
         if self.kind == "terminal_H_norm":
-            return np.sqrt(fs.space_of(last).sq_norms(last))
+            return fs.norms_h(last)
         return fs.inners_h(last, self.probe)
-
-
-def h_norm_sq(raw: np.ndarray) -> float:
-    """||u||_H^2 of one raw state, in the form the solver and
-    ``FunctionalSpec.values`` take state norms (``sq_norms`` of its space)."""
-    return float(fs.space_of(raw).sq_norms(raw[None])[0])
 
 
 def l2_v_path_functional() -> FunctionalSpec:
@@ -94,7 +88,7 @@ def linear_probe_functional(probe) -> FunctionalSpec:
     """<g, u_T> with Lipschitz constant ||g||_H for the uniform_H metric;
     ``probe`` is the raw state g."""
     raw = np.asarray(probe)
-    norm = math.sqrt(h_norm_sq(raw))
+    norm = float(fs.norms_h(raw))
     if norm <= 0.0:
         raise ParameterError("probe element must be nonzero")
     return FunctionalSpec("linear_probe", norm, "uniform_H", probe=raw)

@@ -9,14 +9,25 @@ block |k|_inf <= cutoff with Hermitian symmetry u_hat(-k) = conj(u_hat(k)).
 ``SineSpace`` and ``TorusSpace`` are the one place that knows how the
 states of each space are stored; the other modules go through them.
 
-Norm conventions for the Gelfand triple V in H in V*:
+Norms of the Gelfand triple V in H in V*.  Each space has one kernel,
+``sq_norms(raw, weights)``, the weighted sum sum_k w_k |x_k|^2 per state,
+and every norm of the package is that kernel (or its square root):
 
-* ``norms_h``      Parseval l2 norm of the coefficients (H = L^2),
-* ``norms_v``      coefficients weighted by k*pi (1-D) or 2*pi*|k| (2-D),
-* ``norms_vstar``  coefficients weighted by the inverse factors,
-* ``norms_l4``     physical-space quadrature on an anti-aliased grid
-                   (grid resolution at least 4x the modal resolution,
-                   exact for the quartic trigonometric polynomials here).
+* sine fields:  one BLAS dot product dot(w * x, x) per state,
+* torus fields: one pairwise sum of w |x|^2 over the flattened (2, n, n)
+  block,
+
+with the weights
+
+* ``norms_h``      w = 1 (Parseval, H = L^2),
+* ``norms_v``      w = laplacian_eigenvalues(): (k pi)^2 on the sine modes,
+                   (2 pi)^2 |k|^2 on the torus,
+* ``norms_vstar``  w = 1 / laplacian_eigenvalues() (0 at k = 0),
+
+so the solver's norm paths, the functionals, the suites and the audit take
+the same bits for the same state.  ``norms_l4`` is a physical-space
+quadrature on an anti-aliased grid (4N midpoints, or 4K+4 points per torus
+axis), exact for the quartic trigonometric polynomials here.
 """
 
 from __future__ import annotations
@@ -66,19 +77,6 @@ class Quadrature:
         return np.full(self.n_points, 1.0 / self.n_points)
 
 
-def default_quadrature(n_modes: int) -> Quadrature:
-    """Anti-aliased midpoint rule for fields with ``n_modes`` sine modes."""
-    return Quadrature(4 * n_modes)
-
-
-def _require_resolution(quad: Quadrature, n_modes: int):
-    if quad.n_points < 4 * n_modes:
-        raise ResolutionError(
-            f"quadrature resolution {quad.n_points} is below the "
-            f"anti-aliasing requirement 4 * n_modes = {4 * n_modes}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # 1-D fields
 
@@ -100,12 +98,9 @@ class Field1D:
     def n_modes(self) -> int:
         return self.coeffs.size
 
-    @property
-    def space(self) -> "SineSpace":
-        return SineSpace(self.coeffs.size)
-
     def __repr__(self):
-        return f"Field1D(n_modes={self.n_modes}, norm_h={norm_h(self):.4g})"
+        norm = float(norms_h(self.coeffs))
+        return f"Field1D(n_modes={self.n_modes}, norm_h={norm:.4g})"
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +151,9 @@ class Field2D:
         self.spec = check_spectra(arr)
         self.cutoff = arr.shape[1] // 2
 
-    @property
-    def space(self) -> "TorusSpace":
-        return TorusSpace(self.cutoff)
-
     def __repr__(self):
-        return f"Field2D(cutoff={self.cutoff}, norm_h={norm_h(self):.4g})"
+        norm = float(norms_h(self.spec))
+        return f"Field2D(cutoff={self.cutoff}, norm_h={norm:.4g})"
 
 
 @lru_cache(maxsize=32)
@@ -272,7 +264,7 @@ def default_grid_2d(cutoff: int) -> int:
 # whose leading axes hold independent fields: real (..., N) sine
 # coefficients or complex (..., 2, n, n) torus spectra.  Each field gets its
 # own BLAS dot products and its own pairwise sums, so its norm is the same
-# bits alone or in any batch.  ``norm_h`` is the same code at one field.
+# bits alone or in any batch.
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -295,101 +287,33 @@ def _scalar_powers(values, p: float) -> np.ndarray:
     return np.array([x ** p for x in values.ravel().tolist()]).reshape(values.shape)
 
 
-def _sine_values(coeffs: np.ndarray, quad: Quadrature) -> np.ndarray:
-    """Point values on the quadrature grid, one matrix-vector product per field."""
-    table = SineSpace(coeffs.shape[-1]).table(quad.n_points)
-    return np.matmul(table, coeffs[..., None])[..., 0]
-
-
-def _spectral_norms(spec: np.ndarray, wsq: np.ndarray) -> np.ndarray:
-    """sqrt(sum_k wsq(k) |u_hat(k)|^2) per torus field, summed by component."""
-    p = _sums(wsq * np.abs(spec) ** 2, 2)
-    return np.sqrt(p[..., 0] + p[..., 1])
-
-
-def _sine_norms(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Euclidean norm of w * coeffs per sine field."""
-    wc = w * coeffs
-    return np.sqrt(_row_dots(wc, wc))
-
-
 def norms_h(raw: np.ndarray) -> np.ndarray:
     """L^2 norms via Parseval, per field."""
-    if np.iscomplexobj(raw):
-        flat = raw.reshape(raw.shape[:-3] + (-1,))
-        return np.sqrt(_row_dots(flat.real, flat.real)
-                       + _row_dots(flat.imag, flat.imag))
-    return np.sqrt(_row_dots(raw, raw))
+    return np.sqrt(space_of(raw).sq_norms(raw))
 
 
 def inners_h(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """L^2 inner products per field; ``b`` may broadcast against ``a``."""
-    if np.iscomplexobj(a):
-        return _sums(np.conj(a) * b, 3).real
-    return _row_dots(a, b)
+    return space_of(a).inners(a, b)
 
 
 def norms_v(raw: np.ndarray) -> np.ndarray:
     """Dirichlet energy norms ||grad v||_{L^2}, per field."""
-    if np.iscomplexobj(raw):
-        _, _, ksq = _wavegrids(raw.shape[-1] // 2)
-        return _spectral_norms(raw, (2.0 * np.pi * np.sqrt(ksq)) ** 2)
-    k = np.arange(1, raw.shape[-1] + 1, dtype=np.float64)
-    return _sine_norms(raw, np.pi * k)
+    space = space_of(raw)
+    return np.sqrt(space.sq_norms(raw, space.laplacian_eigenvalues()))
 
 
 def norms_vstar(raw: np.ndarray) -> np.ndarray:
-    """Dual norms, per field; spectral weights are the reciprocal V weights."""
-    if np.iscomplexobj(raw):
-        _, _, ksq = _wavegrids(raw.shape[-1] // 2)
-        wsq = np.where(ksq == 0.0, 0.0,
-                       1.0 / ((2.0 * np.pi) ** 2 * np.where(ksq == 0, 1, ksq)))
-        return _spectral_norms(raw, wsq)
-    k = np.arange(1, raw.shape[-1] + 1, dtype=np.float64)
-    return _sine_norms(raw, 1.0 / (np.pi * k))
+    """Dual norms, per field: the reciprocal V weights, 0 at k = 0."""
+    space = space_of(raw)
+    lam = space.laplacian_eigenvalues()
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
+    return np.sqrt(space.sq_norms(raw, inv))
 
 
-def _quadrature_moments(raw: np.ndarray, quad: Quadrature | None = None,
-                        n_grid: int | None = None):
-    """Per-field physical-space quadratures (int |v|^2, int |v|^4) from one
-    transform to the grid: sine fields on ``quad`` (default the quartic
-    midpoint rule), torus fields on the n_grid x n_grid grid (default
-    ``default_grid_2d``)."""
-    if np.iscomplexobj(raw):
-        cutoff = raw.shape[-1] // 2
-        if n_grid is None:
-            n_grid = default_grid_2d(cutoff)
-        vals = half_to_grid(raw[..., cutoff:], n_grid)
-        speed_sq = vals[..., 0, :, :] ** 2 + vals[..., 1, :, :] ** 2
-        n_points = n_grid * n_grid
-        return _sums(speed_sq, 2) / n_points, _sums(speed_sq**2, 2) / n_points
-    n_modes = raw.shape[-1]
-    if quad is None:
-        quad = default_quadrature(n_modes)
-    _require_resolution(quad, n_modes)
-    vals = _sine_values(raw, quad)
-    w = quad.weights()
-    return _row_dots(w, vals**2), _row_dots(w, vals**4)
-
-
-def norms_l4(raw: np.ndarray, quad: Quadrature | None = None,
-             n_grid: int | None = None) -> np.ndarray:
+def norms_l4(raw: np.ndarray) -> np.ndarray:
     """L^4 norms by physical-space quadrature on an anti-aliased grid."""
-    if np.iscomplexobj(raw):
-        cutoff = raw.shape[-1] // 2
-        if n_grid is None:
-            n_grid = default_grid_2d(cutoff)
-        if n_grid < 4 * cutoff + 1:
-            raise ResolutionError(
-                f"2-D grid {n_grid} is below the quartic anti-aliasing "
-                f"requirement {4 * cutoff + 1}"
-            )
-    return _scalar_powers(_quadrature_moments(raw, quad, n_grid)[1], 0.25)
-
-
-def norm_h(field) -> float:
-    """L^2 norm via Parseval."""
-    return float(norms_h(field.space.raw(field)))
+    return _scalar_powers(space_of(raw).grid_moments(raw)[1], 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -444,92 +368,47 @@ def suite_chunks(n_fields: int) -> list:
             for start in range(0, n_fields, SUITE_CHUNK)]
 
 
-def _suite_terms_1d(n_fields: int, n_modes: int, rng: np.random.Generator):
-    """Per-field ||v||_H^2, ||v||_V^2, int v^4 and quadrature ||v||_H^2, one
-    matrix-vector product per field serving both quadratures, so a field's
-    terms do not depend on its chunk."""
-    k = np.arange(1, n_modes + 1, dtype=np.float64)
+def _suite_terms(space, n_fields: int, rng: np.random.Generator):
+    """Per-field ||v||_H^2, ||v||_V^2, int |v|^4 and quadrature ||v||_H^2 of
+    ``n_fields`` random fields of ``space``, drawn ``SUITE_CHUNK`` at a
+    time; one grid transform per chunk serves both quadratures, and a
+    field's terms do not depend on its chunk."""
+    lam = space.laplacian_eigenvalues()
     terms = []
     for count in suite_chunks(n_fields):
-        coeffs = random_fields_1d(count, n_modes, rng)
-        m2, m4 = _quadrature_moments(coeffs)
-        terms.append((np.sum(coeffs**2, axis=1),
-                      np.sum((coeffs * (np.pi * k)) ** 2, axis=1), m4, m2))
+        raw = space.draw(count, rng)
+        m2, m4 = space.grid_moments(raw)
+        terms.append((space.sq_norms(raw), space.sq_norms(raw, lam), m4, m2))
     return [np.concatenate(col) for col in zip(*terms)]
 
 
-def _suite_terms_2d(n_fields: int, cutoff: int, rng: np.random.Generator):
-    """Per-field ||v||_H, ||v||_V, ||v||_L4 and quadrature ||v||_H, one grid
-    transform per chunk serving both quadratures."""
-    terms = []
-    for count in suite_chunks(n_fields):
-        spec = random_fields_2d(count, cutoff, rng)
-        m2, m4 = _quadrature_moments(spec)
-        terms.append((norms_h(spec), norms_v(spec),
-                      _scalar_powers(m4, 0.25), np.sqrt(m2)))
-    return [np.concatenate(col) for col in zip(*terms)]
-
-
-def norm_inequality_suite_1d(n_fields: int, n_modes: int,
-                             rng: np.random.Generator) -> dict:
-    """Poincare, L^4 interpolation and Parseval checks on random 1-D fields.
+def norm_inequality_suite(space, n_fields: int, rng: np.random.Generator) -> dict:
+    """Poincare, L^4 interpolation and Parseval checks on random fields of
+    ``space`` (divergence-free on the torus), on squared norms and grid
+    moments; fields with zero H-norm are skipped.
 
     Returns violation counts and worst margins; every margin is
     nonnegative when the implementation is sound.
     """
-    h_sq, v_sq, l4_4, h_sq_quad = _suite_terms_1d(n_fields, n_modes, rng)
-
-    poincare_margin = v_sq - POINCARE_1D * h_sq
-    interp_margin = L4_INTERPOLATION_1D * h_sq * v_sq - l4_4
-    parseval_err = np.abs(h_sq_quad - h_sq) / (1.0 + h_sq)
-
-    return {
-        "n_fields": int(n_fields),
-        "poincare": {
-            "violations": int(np.sum(poincare_margin < -_POINCARE_TOL * v_sq)),
-            "worst_ratio": float(np.min(v_sq / h_sq)),
-            "bound": float(POINCARE_1D),
-        },
-        "l4_interpolation": {
-            "violations": int(np.sum(interp_margin < 0.0)),
-            "worst_margin": float(np.min(interp_margin)),
-            "constant": L4_INTERPOLATION_1D,
-        },
-        "parseval": {
-            "violations": int(np.sum(parseval_err > _PARSEVAL_TOL)),
-            "worst_error": float(np.max(parseval_err)),
-            "tolerance": _PARSEVAL_TOL,
-        },
-    }
-
-
-def norm_inequality_suite_2d(n_fields: int, cutoff: int,
-                             rng: np.random.Generator) -> dict:
-    """Same checks as the 1-D suite, on divergence-free torus fields; fields
-    with zero H-norm are skipped."""
-    h, v, l4, q = _suite_terms_2d(n_fields, cutoff, rng)
-    h_sq = _scalar_powers(h, 2)
+    h_sq, v_sq, l4_4, q_sq = _suite_terms(space, n_fields, rng)
     keep = h_sq != 0.0
-    h_sq = h_sq[keep]
-    v_sq = _scalar_powers(v[keep], 2)
-    l4_4 = _scalar_powers(l4[keep], 4)
-    q_sq = _scalar_powers(q[keep], 2)
+    h_sq, v_sq, l4_4, q_sq = h_sq[keep], v_sq[keep], l4_4[keep], q_sq[keep]
 
     ratio = v_sq / h_sq
-    interp = L4_INTERPOLATION_2D * h_sq * v_sq - l4_4
+    interp = space.l4_interpolation * h_sq * v_sq - l4_4
     perr = np.abs(q_sq - h_sq) / (1.0 + h_sq)
 
     return {
         "n_fields": int(n_fields),
         "poincare": {
-            "violations": int(np.sum(ratio < POINCARE_2D * (1.0 - _POINCARE_TOL))),
+            "violations": int(np.sum(ratio < space.poincare * (1.0 - _POINCARE_TOL))),
             "worst_ratio": float(np.min(ratio, initial=np.inf)),
-            "bound": float(POINCARE_2D),
+            "bound": float(space.poincare),
         },
         "l4_interpolation": {
             "violations": int(np.sum(interp < 0.0)),
             "worst_margin": float(np.min(interp, initial=np.inf)),
-            "constant": L4_INTERPOLATION_2D,
+            "constant": space.l4_interpolation,
         },
         "parseval": {
             "violations": int(np.sum(perr > _PARSEVAL_TOL)),
@@ -554,6 +433,9 @@ class SineSpace:
 
     n_modes: int
 
+    poincare = POINCARE_1D
+    l4_interpolation = L4_INTERPOLATION_1D
+
     def laplacian_eigenvalues(self, viscosity: float = 1.0) -> np.ndarray:
         """viscosity * (pi k)^2 per mode."""
         k = np.arange(1, self.n_modes + 1, dtype=np.float64)
@@ -565,13 +447,16 @@ class SineSpace:
             raise InvalidFieldError(f"expected a 1-D field with {self.n_modes} modes")
         return field.coeffs
 
-    def wrap(self, raw) -> Field1D:
-        return Field1D(raw)
+    def sq_norms(self, raw: np.ndarray, weights=None) -> np.ndarray:
+        """sum_k w_k x_k^2 per state of ``raw`` (..., N), as the BLAS dot
+        product dot(w * x, x), the value ``np.dot`` gives.  ``weights``
+        (default 1) broadcasts against ``raw``: one (N,) vector, or a stack
+        of m on a leading axis, (m, 1, N) for states (P, N), which gives
+        an (m, P) result."""
+        return _row_dots(raw if weights is None else weights * raw, raw)
 
-    def sq_norms(self, rows: np.ndarray) -> np.ndarray:
-        """||u||_H^2 per state of ``rows`` (P, N): each its own BLAS dot
-        product, the value ``np.dot`` gives."""
-        return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+    def inners(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return _row_dots(a, b)
 
     @lru_cache(maxsize=32)
     def table(self, n_points: int) -> np.ndarray:
@@ -582,17 +467,21 @@ class SineSpace:
         k = np.arange(1, self.n_modes + 1)
         return np.sqrt(2.0) * np.sin(np.pi * np.outer(x, k))
 
+    def grid_moments(self, raw: np.ndarray):
+        """Per-field (int v^2, int v^4) by the midpoint rule on 4N nodes,
+        one matrix-vector product per field serving both."""
+        quad = Quadrature(4 * self.n_modes)
+        vals = np.matmul(self.table(quad.n_points), raw[..., None])[..., 0]
+        w = quad.weights()
+        return _row_dots(w, vals**2), _row_dots(w, vals**4)
+
     def draw(self, count: int, rng: np.random.Generator, scale=1.0) -> np.ndarray:
         return random_fields_1d(count, self.n_modes, rng, scale=scale)
 
-    def norm_suite(self, n_fields: int, rng: np.random.Generator) -> dict:
-        return norm_inequality_suite_1d(n_fields, self.n_modes, rng)
-
-    def block(self, x0: np.ndarray, n_rows: int, lam: np.ndarray,
-              op: NoiseOperator, viscosity) -> "_SineRows":
-        """``n_rows`` copies of ``x0`` as one block; sine models have no
-        viscosity, so ``viscosity`` plays no part."""
-        return _SineRows(x0, n_rows, lam, op)
+    def add_noise(self, state: np.ndarray, op: NoiseOperator, w: np.ndarray):
+        """Add B w to the states (P, N) in place, ``w`` of shape (P, n_w) with
+        any clamp applied; the noise reaches the first n_w modes."""
+        state[:, :op.n_w] += op.gains * w
 
 
 @dataclass(frozen=True)
@@ -600,6 +489,9 @@ class TorusSpace:
     """Mean-free Fourier modes |k|_inf <= cutoff on the unit torus (ns2d)."""
 
     cutoff: int
+
+    poincare = POINCARE_2D
+    l4_interpolation = L4_INTERPOLATION_2D
 
     def laplacian_eigenvalues(self, viscosity: float = 1.0) -> np.ndarray:
         """(viscosity (2 pi)^2) |k|^2 per wavevector."""
@@ -611,24 +503,35 @@ class TorusSpace:
             raise InvalidFieldError(f"expected a 2-D field with cutoff {self.cutoff}")
         return field.spec
 
-    def wrap(self, raw) -> Field2D:
-        return Field2D(raw)
+    def sq_norms(self, raw: np.ndarray, weights=None) -> np.ndarray:
+        """sum_k w(k) |u_hat(k)|^2 per state of ``raw`` (..., 2, n, n), as
+        one pairwise sum over the flattened block.  ``weights`` (default 1)
+        broadcasts against ``raw``: one (n, n) array per wavevector, or a
+        stack of m on a leading axis, (m, 1, 1, n, n) for states
+        (P, 2, n, n), which gives an (m, P) result."""
+        p = np.abs(raw) ** 2
+        return _sums(p if weights is None else weights * p, 3)
 
-    def sq_norms(self, rows: np.ndarray) -> np.ndarray:
-        """||u||_H^2 per state of ``rows`` (P, 2, n, n) as one pairwise sum
-        of |u|^2 (``norms_h`` adds two real dots instead)."""
-        return np.sum(np.abs(rows.reshape(len(rows), -1)) ** 2, axis=1)
+    def inners(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return _sums(np.conj(a) * b, 3).real
+
+    def grid_moments(self, raw: np.ndarray):
+        """Per-field (int |v|^2, int |v|^4) on the ``default_grid_2d`` grid,
+        one real inverse transform per field serving both."""
+        n_grid = default_grid_2d(self.cutoff)
+        vals = half_to_grid(raw[..., self.cutoff:], n_grid)
+        speed_sq = vals[..., 0, :, :] ** 2 + vals[..., 1, :, :] ** 2
+        n_points = n_grid * n_grid
+        return _sums(speed_sq, 2) / n_points, _sums(speed_sq**2, 2) / n_points
 
     def draw(self, count: int, rng: np.random.Generator, scale=1.0) -> np.ndarray:
         return random_fields_2d(count, self.cutoff, rng, scale=scale)
 
-    def norm_suite(self, n_fields: int, rng: np.random.Generator) -> dict:
-        return norm_inequality_suite_2d(n_fields, self.cutoff, rng)
-
-    def block(self, x0: np.ndarray, n_rows: int, lam: np.ndarray,
-              op: NoiseOperator, viscosity: float) -> "_TorusRows":
-        """``n_rows`` copies of ``x0`` as one block."""
-        return _TorusRows(x0, n_rows, lam, op, viscosity)
+    def add_noise(self, state: np.ndarray, op: NoiseOperator, w: np.ndarray):
+        """Add B w to the contiguous states (P, 2, n, n) in place, ``w`` of
+        shape (P, n_w) with any clamp applied, on the support of the noise
+        basis, the only entries it changes."""
+        state.reshape(len(state), -1)[:, op.support] += support_values(op, w)
 
 
 def space_of(raw: np.ndarray):
@@ -636,65 +539,3 @@ def space_of(raw: np.ndarray):
     if np.iscomplexobj(raw):
         return TorusSpace(raw.shape[-1] // 2)
     return SineSpace(raw.shape[-1])
-
-
-# A block holds P states as the rows of ``state``, which the solver updates
-# in place; ``norms`` reads them there.  ``lam`` are the eigenvalues of the
-# implicit step; on the torus they carry the viscosity, which the V-norm
-# divides out again (sine models have none).
-
-
-class _SineRows:
-    def __init__(self, x0, n_rows, lam, op):
-        # lhs[0] holds the rows and lhs[1] the rows weighted by lam.
-        self._lhs = np.empty((2, n_rows, x0.size))
-        self.state = self._lhs[0]
-        self.state[...] = x0
-        self._lam = lam
-        self._pairs = (self._lhs[:, :, None, :],
-                       np.broadcast_to(self.state[:, :, None],
-                                       self._lhs.shape + (1,)))
-        self._head = self.state[:, :op.n_w]
-        self._gains = op.gains
-
-    def norms(self) -> np.ndarray:
-        """(2, P) array of (||u||_H^2, ||u||_V^2) per row: BLAS dot products
-        taken one row at a time, both norms in one call, so they equal
-        ``np.dot`` on the row bitwise whatever the block holds."""
-        np.multiply(self._lam, self.state, out=self._lhs[1])
-        return np.matmul(*self._pairs).reshape(2, -1)
-
-    def add_noise(self, w: np.ndarray):
-        """Add B w, ``w`` of shape (P, n_w) with any clamp applied; the noise
-        reaches the first n_w modes."""
-        self._head += self._gains * w
-
-    def sq_gap(self, n: int) -> np.ndarray:
-        """||u_i - u_{n+i}||_H^2 for the first n rows, as pairwise sums."""
-        d = self.state[:n] - self.state[n:]
-        return (d * d).sum(axis=1)
-
-
-class _TorusRows:
-    def __init__(self, x0, n_rows, lam, op, viscosity):
-        self.state = np.repeat(x0[None], n_rows, axis=0)
-        self._flat = self.state.reshape(n_rows, -1)
-        self._weights = np.broadcast_to(lam, x0.shape).ravel()
-        self._visc = viscosity
-        self._op = op
-
-    def norms(self) -> np.ndarray:
-        """(2, P) array of (||u||_H^2, ||u||_V^2) per row; the V-norm is the
-        lam-weighted sum over the viscosity."""
-        p = np.abs(self._flat) ** 2
-        return np.array([p.sum(axis=1), (self._weights * p).sum(axis=1) / self._visc])
-
-    def add_noise(self, w: np.ndarray):
-        """Add B w, ``w`` of shape (P, n_w) with any clamp applied, on the
-        support of the noise basis, the only entries it changes."""
-        self._flat[:, self._op.support] += support_values(self._op, w)
-
-    def sq_gap(self, n: int) -> np.ndarray:
-        """||u_i - u_{n+i}||_H^2 for the first n rows."""
-        d = self.state[:n] - self.state[n:]
-        return (np.abs(d) ** 2).reshape(n, -1).sum(axis=1)

@@ -161,7 +161,7 @@ def burgers_product_grid(n_modes: int) -> int:
     Projecting v v_x onto the sine modes integrates trigonometric terms of
     degree up to 3N, and the midpoint rule on n nodes integrates cos(m pi x)
     exactly only for m < 2n, so n must exceed 3N/2.  The L^4 norms keep the
-    quartic 4N quadrature (``fields.default_quadrature``).
+    quartic 4N quadrature (``SineSpace.grid_moments``).
     """
     return 3 * n_modes // 2 + 1
 

@@ -30,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DivergenceError, ParameterError
-from .fields import Field1D, SineSpace, TorusSpace
+from .fields import Field1D
 from .models import (ModelSpec, burgers_product_grid, explicit_drift,
                      linear_eigenvalues, ns_product_grid, taylor_green_field)
 from .noise import increment_table
@@ -46,10 +46,9 @@ BLOCK_REPLICATES = 8
 class SolverConfig:
     """Time-stepping parameters; the horizon must be a whole number of steps.
 
-    The resolution fields are optional cross-checks: when given they must
-    agree with the model (the model owns its resolution, because the noise
-    embedding depends on it).  ``dealias`` evaluates the quadratic products
-    of the nonlinearities on the smallest alias-free product grid (3N//2+1
+    The model owns the resolution, because the noise embedding depends on
+    it.  ``dealias`` evaluates the quadratic products of the
+    nonlinearities on the smallest alias-free product grid (3N//2+1
     midpoints for Burgers, the smallest 5-smooth side >= 3K+1 for ns2d);
     switching it off evaluates them at the minimal collocation resolution
     (N and 3K+1).  The product grid is not the quartic grid of the L^4 norms
@@ -59,8 +58,6 @@ class SolverConfig:
 
     dt: float
     horizon: float
-    n_modes: int | None = None
-    cutoff: int | None = None
     dealias: bool = True
     snapshot_stride: int = 1
 
@@ -78,13 +75,6 @@ class SolverConfig:
     @property
     def n_steps(self) -> int:
         return round(self.horizon / self.dt)
-
-
-def _check_resolution(model: ModelSpec, cfg: SolverConfig):
-    if cfg.n_modes is not None and cfg.n_modes != model.n_modes:
-        raise ParameterError("solver n_modes disagrees with the model")
-    if cfg.cutoff is not None and cfg.cutoff != model.cutoff:
-        raise ParameterError("solver cutoff disagrees with the model")
 
 
 def _product_grid(model: ModelSpec, cfg: SolverConfig) -> int | None:
@@ -115,7 +105,7 @@ def _path_summaries(v_energy, sup_h, terminal) -> np.ndarray:
 class Trajectory:
     """One sample path, recorded every ``snapshot_stride`` steps.
 
-    ``states[i]`` is the raw state of ``space`` at time ``times[i]``.  The
+    ``states[i]`` is the raw state at time ``times[i]``.  The
     last time is always the horizon.  A path recorded without its states
     has ``states`` None; ``terminal`` always holds the raw terminal state.
     ``h_sq[i]`` and ``v_sq[i]`` are ||X_{t_i}||_H^2 and ||X_{t_i}||_V^2.
@@ -130,12 +120,7 @@ class Trajectory:
     v_sq: np.ndarray
     v_energy: np.ndarray
     sup_h_norm: np.ndarray
-    space: SineSpace | TorusSpace
     terminal: np.ndarray
-
-    @property
-    def terminal_field(self):
-        return self.space.wrap(self.terminal)
 
     @property
     def v_energy_total(self) -> float:
@@ -191,7 +176,6 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     and running reductions there; ``record="norms"`` keeps the same except
     the states.
     """
-    _check_resolution(model, cfg)
     M, dt, op = cfg.n_steps, cfg.dt, model.noise
     replicates = [int(r) for r in replicates]
     n_rep = len(replicates)
@@ -217,10 +201,13 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     grid = _product_grid(model, cfg)
     half_dt = 0.5 * dt
 
-    rows = space.block(x0_raw, len(shifts) * n_rep, lam, op, model.viscosity)
-    # ``state`` is updated in place, so ``rows.norms`` keeps reading it.
-    state = rows.state
-    hv = rows.norms()
+    state = np.repeat(x0_raw[None], len(shifts) * n_rep, axis=0)
+    # H and V weights stacked so that one kernel call per step gives both
+    # squared norms
+    v_weights = space.laplacian_eigenvalues()
+    hv_weights = np.stack([np.ones_like(v_weights), v_weights]).reshape(
+        (2,) + (1,) * (state.ndim - v_weights.ndim) + v_weights.shape)
+    hv = space.sq_norms(state, hv_weights)
     h_sq, prev_v_sq = hv
     v_energy = np.zeros(len(state))
     sup_h_sq = h_sq.copy()
@@ -254,9 +241,9 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
                 expl *= dt
                 state += expl
             if inc is not None:
-                rows.add_noise(w)
+                space.add_noise(state, op, w)
             state *= inv_lin
-            hv = rows.norms()
+            hv = space.sq_norms(state, hv_weights)
             # NaN and inf fail this screen; an overflowing sum of finite
             # norms falls through to the exact test.
             if not hv.sum() < np.inf:
@@ -283,7 +270,8 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
             # sup of their squares, bitwise.
             np.maximum(sup_h_sq, h_sq, out=sup_h_sq)
             if sup_gap is not None:
-                np.maximum(sup_gap, rows.sq_gap(n_rep), out=sup_gap)
+                np.maximum(sup_gap, space.sq_norms(state[:n_rep] - state[n_rep:]),
+                           out=sup_gap)
             if record and kept_steps[slot] == k + 1:
                 v_path[slot], h_path[slot], norm_path[slot] = (v_energy,
                                                                sup_h_sq, hv)
@@ -301,7 +289,7 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
                        states=None if states is None else states[:, r],
                        h_sq=norm_path[:, 0, r], v_sq=norm_path[:, 1, r],
                        v_energy=v_path[:, r], sup_h_norm=h_path[:, r],
-                       space=space, terminal=block.paths["terminal"][r])
+                       terminal=block.paths["terminal"][r])
             for r in range(len(state))]
     return block
 

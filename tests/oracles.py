@@ -65,9 +65,12 @@ def w2_factorial_oracle(a, b):
 # per-field references for the batched field suites and the audit
 #
 # One field per Python iteration, with the numpy norms of one field
-# (np.linalg.norm, np.dot, np.sum, np.mean) and Python-float powers.  They
-# share only the single-row drift kernels with the package; the model
-# tests check those against brute-force triad sums.
+# (np.dot, np.sum, np.mean) and Python-float powers.  They share only the
+# single-row drift kernels with the package; the model tests check those
+# against brute-force triad sums.  A weighted squared norm sum_k w_k |x_k|^2
+# is np.dot(w * x, x) on a sine field and one np.sum of w |x|^2 over a
+# whole torus field, with w = 1 (H), the Laplacian eigenvalues (V) or their
+# reciprocals (V*).
 
 
 def _wavegrids(cutoff):
@@ -116,8 +119,22 @@ def torus_grid(spec, n_grid):
     return np.fft.irfft2(buf, s=(n_grid, n_grid), norm="forward")
 
 
+def _v_weights(raw):
+    """(k pi)^2 per sine mode, (2 pi)^2 |k|^2 per torus wavevector."""
+    if np.iscomplexobj(raw):
+        return (2.0 * np.pi) ** 2 * _wavegrids(raw.shape[-1] // 2)[2]
+    return (np.pi * np.arange(1, raw.shape[-1] + 1, dtype=np.float64)) ** 2
+
+
+def sq_norm(raw, w=1.0):
+    """sum_k w_k |x_k|^2 of one field."""
+    if np.iscomplexobj(raw):
+        return float(np.sum(w * np.abs(raw) ** 2))
+    return float(np.dot(w * raw, raw))
+
+
 def norm_h(raw):
-    return float(np.linalg.norm(raw))
+    return float(np.sqrt(sq_norm(raw)))
 
 
 def divergence_linf(spec):
@@ -133,29 +150,14 @@ def inner_h(a, b):
     return float(np.dot(a, b))
 
 
-def _weighted_norm(raw, w):
-    """sqrt(sum (w |raw|)^2): a BLAS norm of w * raw for sine fields, a sum
-    of w^2 |raw|^2 per component for torus fields."""
-    if np.iscomplexobj(raw):
-        return float(np.sqrt(np.sum((w**2) * np.abs(raw[0]) ** 2)
-                             + np.sum((w**2) * np.abs(raw[1]) ** 2)))
-    return float(np.linalg.norm(w * raw))
-
-
 def norm_v(raw):
-    if np.iscomplexobj(raw):
-        return _weighted_norm(raw, 2.0 * np.pi * np.sqrt(_wavegrids(raw.shape[-1] // 2)[2]))
-    return _weighted_norm(raw, np.pi * np.arange(1, raw.size + 1, dtype=np.float64))
+    return float(np.sqrt(sq_norm(raw, _v_weights(raw))))
 
 
 def norm_vstar(raw):
-    if np.iscomplexobj(raw):
-        ksq = _wavegrids(raw.shape[-1] // 2)[2]
-        wsq = np.where(ksq == 0.0, 0.0,
-                       1.0 / ((2.0 * np.pi) ** 2 * np.where(ksq == 0, 1, ksq)))
-        return float(np.sqrt(np.sum(wsq * np.abs(raw[0]) ** 2)
-                             + np.sum(wsq * np.abs(raw[1]) ** 2)))
-    return _weighted_norm(raw, 1.0 / (np.pi * np.arange(1, raw.size + 1, dtype=np.float64)))
+    w = _v_weights(raw)
+    return float(np.sqrt(sq_norm(raw, np.where(w == 0.0, 0.0,
+                                               1.0 / np.where(w == 0.0, 1.0, w)))))
 
 
 def norm_l4(raw):
@@ -167,30 +169,50 @@ def norm_l4(raw):
     return float(np.dot(np.full(n_points, 1.0 / n_points), vals**4) ** 0.25)
 
 
-def norm_h_quadrature_2d(spec):
-    vals = torus_grid(spec, 4 * (spec.shape[-1] // 2) + 4)
-    return float(np.sqrt(np.mean(vals[0] ** 2 + vals[1] ** 2)))
-
-
 def norm_terms_2d(n_fields, cutoff, rng):
-    """(||v||_H, ||v||_V, ||v||_L4, quadrature ||v||_H) of each field."""
+    """(||v||_H^2, ||v||_V^2, int |v|^4, quadrature ||v||_H^2) of each
+    field, one field and one inverse FFT at a time."""
+    n_grid = 4 * cutoff + 4
     out = []
     for _ in range(n_fields):
         f = field_2d(cutoff, rng)
-        out.append((norm_h(f), norm_v(f), norm_l4(f), norm_h_quadrature_2d(f)))
+        vals = torus_grid(f, n_grid)
+        speed_sq = vals[0] ** 2 + vals[1] ** 2
+        out.append((sq_norm(f), sq_norm(f, _v_weights(f)),
+                    np.mean(speed_sq**2), np.mean(speed_sq)))
     return np.array(out).T
 
 
-def norm_suite_2d(n_fields, cutoff, rng):
-    """The 2-D norm inequality report, one field at a time."""
-    poincare, interp_c, tol = 4.0 * np.pi**2, 2.0, 1e-12
+def norm_terms_1d(n_fields, n_modes, rng):
+    """(||v||_H^2, ||v||_V^2, int v^4, quadrature ||v||_H^2) of each field,
+    one field and one matrix-vector product at a time."""
+    n_points = 4 * n_modes
+    table = sine_table(n_modes, n_points)
+    w = np.full(n_points, 1.0 / n_points)
+    out = []
+    for _ in range(n_fields):
+        f = field_1d(n_modes, rng)
+        vals = table @ f
+        out.append((sq_norm(f), sq_norm(f, _v_weights(f)),
+                    np.dot(w, vals**4), np.dot(w, vals**2)))
+    return np.array(out).T
+
+
+def norm_suite(kind, n_fields, size, rng):
+    """The norm inequality report on ``n_fields`` fields of ``size`` sine
+    modes (``kind`` "1d") or torus cutoff ("2d"), one field at a time."""
+    if kind == "1d":
+        poincare, interp_c = np.pi**2, 4.0
+        terms = norm_terms_1d(n_fields, size, rng)
+    else:
+        poincare, interp_c = 4.0 * np.pi**2, 2.0
+        terms = norm_terms_2d(n_fields, size, rng)
+    tol = 1e-12
     worst_ratio, worst_interp, worst_parseval = np.inf, np.inf, 0.0
     viol_p = viol_i = viol_q = 0
-    for h, v, l4, q in norm_terms_2d(n_fields, cutoff, rng).T.tolist():
-        h_sq = h**2
+    for h_sq, v_sq, l4_4, q_sq in terms.T.tolist():
         if h_sq == 0.0:
             continue
-        v_sq, l4_4, q_sq = v**2, l4**4, q**2
         ratio = v_sq / h_sq
         interp = interp_c * h_sq * v_sq - l4_4
         perr = abs(q_sq - h_sq) / (1.0 + h_sq)
@@ -209,22 +231,6 @@ def norm_suite_2d(n_fields, cutoff, rng):
         "parseval": {"violations": viol_q, "worst_error": worst_parseval,
                      "tolerance": tol},
     }
-
-
-def norm_terms_1d(n_fields, n_modes, rng):
-    """(||v||_H^2, ||v||_V^2, int v^4, quadrature ||v||_H^2) of each field,
-    one field and one matrix-vector product at a time."""
-    k = np.arange(1, n_modes + 1, dtype=np.float64)
-    n_points = 4 * n_modes
-    table = sine_table(n_modes, n_points)
-    w = np.full(n_points, 1.0 / n_points)
-    out = []
-    for _ in range(n_fields):
-        f = field_1d(n_modes, rng)
-        vals = table @ f
-        out.append((np.sum(f**2), np.sum((f * (np.pi * k)) ** 2),
-                    np.dot(w, vals**4), np.dot(w, vals**2)))
-    return np.array(out).T
 
 
 def energy_suite(model, n_fields, experiment_seed, tol=1e-10):
@@ -426,15 +432,8 @@ def sine_project(values, n_modes):
 # trajectory functionals
 
 
-def _path_v_weights(states):
-    if np.iscomplexobj(states):
-        return 4.0 * math.pi**2 * _wavegrids(states.shape[-1] // 2)[2]
-    k = np.arange(1, states.shape[-1] + 1, dtype=np.float64)
-    return (k * math.pi) ** 2
-
-
-def trajectory_from_states(times, states, space):
-    """A ``Trajectory`` of raw snapshots of ``space``, its norms, running
+def trajectory_from_states(times, states):
+    """A ``Trajectory`` of raw snapshots, its norms, running
     V-energy and sup-H norm recomputed from the snapshots."""
     from tci_spde.errors import ParameterError
     from tci_spde.solver import Trajectory
@@ -446,13 +445,13 @@ def trajectory_from_states(times, states, space):
     p = np.abs(states) ** 2
     axes = tuple(range(1, states.ndim))
     h_sq = np.sum(p, axis=axes)
-    v_sq = np.sum(_path_v_weights(states) * p, axis=axes)
+    v_sq = np.sum(_v_weights(states) * p, axis=axes)
     v_energy = np.concatenate(
         [[0.0], np.cumsum(0.5 * np.diff(times) * (v_sq[:-1] + v_sq[1:]))])
     return Trajectory(times=times, states=states, h_sq=h_sq, v_sq=v_sq,
                       v_energy=v_energy,
                       sup_h_norm=np.maximum.accumulate(np.sqrt(h_sq)),
-                      space=space, terminal=states[-1])
+                      terminal=states[-1])
 
 
 def metric_distance(metric, a, b):
@@ -469,7 +468,7 @@ def metric_distance(metric, a, b):
         return math.sqrt(float(np.max(np.sum(p, axis=axes))))
     if metric != "L2_V_path":
         raise ParameterError(f"unknown metric {metric!r}")
-    v_sq = np.sum(_path_v_weights(a.states) * p, axis=axes)
+    v_sq = np.sum(_v_weights(a.states) * p, axis=axes)
     return math.sqrt(float(np.sum(0.5 * np.diff(a.times) * (v_sq[:-1] + v_sq[1:]))))
 
 

@@ -161,7 +161,7 @@ def test_criterion_05_exponential_moment_lemma():
                                           conc.l2_v_path_functional(), 2048, 0)
         report = conc.exp_moment_check(
             model, values, 0.5, lam0, ranges["lambda0_max_lemma"],
-            model.f_tilde * cfg.horizon, conc.h_norm_sq(x0.coeffs), 0)
+            model.f_tilde * cfg.horizon, float(model.space.sq_norms(x0.coeffs)), 0)
         elapsed = time.perf_counter() - start
         ok = ok and report["pass"] and elapsed < 300.0
         details.append(f"{model.kind}: {report['estimate']:.4f}+3se <= "
@@ -202,10 +202,10 @@ def test_criterion_06_bobkov_gotze_suite():
 
 def test_criterion_07_inequality_property_suites():
     start = time.perf_counter()
-    suite_1d = F.norm_inequality_suite_1d(
-        1000, 32, N.generator(7, N.derived_replicate(N.LANE_FIELDS, 0)))
-    suite_2d = F.norm_inequality_suite_2d(
-        1000, 8, N.generator(7, N.derived_replicate(N.LANE_FIELDS, 1)))
+    suite_1d = F.norm_inequality_suite(
+        F.SineSpace(32), 1000, N.generator(7, N.derived_replicate(N.LANE_FIELDS, 0)))
+    suite_2d = F.norm_inequality_suite(
+        F.TorusSpace(8), 1000, N.generator(7, N.derived_replicate(N.LANE_FIELDS, 1)))
     op = N.noise_operator_1d(4, N.gains_inverse_k(4, 1.0), 1.0)
     op2 = N.noise_operator_2d(4, N.gains_inverse_k(4, 1.0), 1.0, 8)
     energy_1d = M.nonlinearity_energy_suite(M.burgers_model(32, op), 1000, 7)

@@ -177,6 +177,25 @@ def test_recorded_norms_are_the_norms_of_the_recorded_states(kind):
                           traj.sup_h_norm)
 
 
+@pytest.mark.parametrize("kind", ["heat", "burgers_clamped", "ns2d"])
+def test_recorded_norms_and_gap_are_the_space_kernel_on_the_states(kind):
+    # one form per norm: the step's norms and the coupled gap are the
+    # space's sq_norms of the recorded states, bit for bit
+    model, cfg, x0 = _setup(kind)
+    space = model.space
+    values = np.zeros((cfg.n_steps, model.noise.n_w))
+    values[:, 1] = 1.5
+    pair = S.solve_block(model, cfg, x0, 4, [2], shifts=(values, None),
+                         record="states")
+    for traj in pair.trajectories:
+        assert np.array_equal(traj.h_sq, space.sq_norms(traj.states))
+        assert np.array_equal(traj.v_sq, space.sq_norms(
+            traj.states, space.laplacian_eigenvalues()))
+    x, y = pair.trajectories
+    assert pair.sup_gap_sq[0] > 0.0
+    assert pair.sup_gap_sq[0] == np.max(space.sq_norms(x.states - y.states))
+
+
 def _simulate_csv(tmp_path, stride, name):
     doc = copy.deepcopy(BASE)
     doc["solver"] = {"dt": 0.01, "horizon": 0.2, "snapshot_stride": stride}

@@ -180,11 +180,10 @@ def test_w2_sorted_triangle_inequality(a, data):
 
 def synthetic_pair(rng, n_steps=20, n_modes=6):
     times = np.linspace(0.0, 1.0, n_steps + 1)
-    space = F.SineSpace(n_modes)
     a = orc.trajectory_from_states(
-        times, rng.standard_normal((n_steps + 1, n_modes)), space)
+        times, rng.standard_normal((n_steps + 1, n_modes)))
     b = orc.trajectory_from_states(
-        times, rng.standard_normal((n_steps + 1, n_modes)), space)
+        times, rng.standard_normal((n_steps + 1, n_modes)))
     return a, b
 
 
@@ -205,7 +204,7 @@ def test_functional_values():
     )
     assert orc.functional_of(K.sup_h_functional(), traj) == traj.sup_h_total
     assert orc.functional_of(K.terminal_h_functional(), traj) == pytest.approx(
-        F.norm_h(traj.terminal_field), rel=1e-14
+        float(F.norms_h(traj.terminal)), rel=1e-14
     )
     probe = rng.standard_normal(6)
     probed = K.linear_probe_functional(probe)

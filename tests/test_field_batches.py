@@ -97,20 +97,28 @@ def test_batched_norms_match_single_field_numpy(kind):
 
 def test_norm_terms_2d_match_per_field_norms():
     n_fields = 2 * CHUNK + 5
-    terms = F._suite_terms_2d(n_fields, 3, np.random.default_rng(5))
+    terms = F._suite_terms(F.TorusSpace(3), n_fields, np.random.default_rng(5))
     ref = O.norm_terms_2d(n_fields, 3, np.random.default_rng(5))
     assert np.array_equal(np.array(terms), ref)
 
 
 def test_norm_suite_2d_matches_per_field_loop():
     n_fields = CHUNK + 1
-    report = F.norm_inequality_suite_2d(n_fields, 4, np.random.default_rng(6))
-    assert report == O.norm_suite_2d(n_fields, 4, np.random.default_rng(6))
+    report = F.norm_inequality_suite(F.TorusSpace(4), n_fields,
+                                     np.random.default_rng(6))
+    assert report == O.norm_suite("2d", n_fields, 4, np.random.default_rng(6))
+
+
+def test_norm_suite_1d_matches_per_field_loop():
+    n_fields = CHUNK + 1
+    report = F.norm_inequality_suite(F.SineSpace(24), n_fields,
+                                     np.random.default_rng(8))
+    assert report == O.norm_suite("1d", n_fields, 24, np.random.default_rng(8))
 
 
 def test_norm_terms_1d_match_per_field_products():
     n_fields = 2 * CHUNK + 5
-    terms = F._suite_terms_1d(n_fields, 24, np.random.default_rng(7))
+    terms = F._suite_terms(F.SineSpace(24), n_fields, np.random.default_rng(7))
     ref = O.norm_terms_1d(n_fields, 24, np.random.default_rng(7))
     assert np.array_equal(np.array(terms), ref)
 
@@ -118,10 +126,10 @@ def test_norm_terms_1d_match_per_field_products():
 def test_norm_terms_1d_do_not_depend_on_the_chunk(monkeypatch):
     # 517 fields in chunks of 64 leave a 5-field tail, whose products a
     # shape-dependent BLAS kernel would round apart from one 517-row product
-    chunked = F._suite_terms_1d(517, 32, np.random.default_rng(9))
+    chunked = F._suite_terms(F.SineSpace(32), 517, np.random.default_rng(9))
     monkeypatch.setattr(F, "SUITE_CHUNK", 517)
     assert F.suite_chunks(517) == [517]
-    whole = F._suite_terms_1d(517, 32, np.random.default_rng(9))
+    whole = F._suite_terms(F.SineSpace(32), 517, np.random.default_rng(9))
     assert np.array_equal(np.array(chunked), np.array(whole))
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tci_spde import fields as F
-from tci_spde.errors import InvalidFieldError, ResolutionError
+from tci_spde.errors import InvalidFieldError
 from tci_spde.models import ETA_1D, ETA_2D, taylor_green_field
 
 import oracles as orc
@@ -18,9 +18,14 @@ def sin_pi_x():
     return F.Field1D([2.0**-0.5, 0.0, 0.0, 0.0])
 
 
+def raw_of(field):
+    return field.coeffs if isinstance(field, F.Field1D) else field.spec
+
+
 def quadrature_norm_h(field):
     """L^2 norm on the physical grid of the L^4 norms, for Parseval checks."""
-    return float(np.sqrt(F._quadrature_moments(field.space.raw(field))[0]))
+    raw = raw_of(field)
+    return float(np.sqrt(F.space_of(raw).grid_moments(raw)[0]))
 
 
 def sin_2pi_x():
@@ -41,16 +46,16 @@ def lowest_mode_2d(amplitude=1.0):
 
 
 def test_norm_h_zero_field():
-    assert F.norm_h(F.Field1D(np.zeros(8))) == 0.0
+    assert F.norms_h(np.zeros(8)) == 0.0
 
 
 def test_norm_h_sine():
-    assert F.norm_h(sin_pi_x()) == pytest.approx(np.sqrt(0.5), rel=1e-14)
+    assert F.norms_h(sin_pi_x().coeffs) == pytest.approx(np.sqrt(0.5), rel=1e-14)
 
 
 def test_norm_h_basis_element():
     e1 = F.Field1D([1.0, 0.0, 0.0])
-    assert F.norm_h(e1) == 1.0
+    assert F.norms_h(e1.coeffs) == 1.0
 
 
 def test_norm_v_values():
@@ -72,20 +77,16 @@ def test_norm_l4_homogeneity():
     assert F.norms_l4(2.0 * v) == pytest.approx(2.0 * F.norms_l4(v), rel=1e-13)
 
 
-def test_norm_l4_rejects_coarse_quadrature():
-    quad = F.Quadrature(n_points=16)
-    with pytest.raises(ResolutionError):
-        F.norms_l4(np.zeros(8), quad=quad)
-
-
 def test_norm_h_matches_quadrature_parseval():
     rng = np.random.default_rng(11)
     for _ in range(50):
         v = F.Field1D(F.random_fields_1d(1, 24, rng)[0])
-        assert quadrature_norm_h(v) == pytest.approx(F.norm_h(v), rel=1e-12)
+        assert quadrature_norm_h(v) == pytest.approx(float(F.norms_h(v.coeffs)),
+                                                     rel=1e-12)
     for _ in range(20):
         u = F.Field2D(F.random_fields_2d(1, 6, rng)[0])
-        assert quadrature_norm_h(u) == pytest.approx(F.norm_h(u), rel=1e-12)
+        assert quadrature_norm_h(u) == pytest.approx(float(F.norms_h(u.spec)),
+                                                     rel=1e-12)
 
 
 def test_invalid_fields_rejected():
@@ -108,7 +109,7 @@ def test_invalid_fields_rejected():
 
 
 def poincare_ratio(field):
-    raw = field.space.raw(field)
+    raw = raw_of(field)
     return float((F.norms_v(raw) / F.norms_h(raw)) ** 2)
 
 
@@ -228,7 +229,7 @@ def test_laplacian_2d_eigenfunction():
 
 
 def test_norm_inequality_suite_1d_clean():
-    report = F.norm_inequality_suite_1d(200, 24, np.random.default_rng(0))
+    report = F.norm_inequality_suite(F.SineSpace(24), 200, np.random.default_rng(0))
     assert report["n_fields"] == 200
     for part in ("poincare", "l4_interpolation", "parseval"):
         assert report[part]["violations"] == 0
@@ -236,7 +237,7 @@ def test_norm_inequality_suite_1d_clean():
 
 
 def test_norm_inequality_suite_2d_clean():
-    report = F.norm_inequality_suite_2d(100, 6, np.random.default_rng(0))
+    report = F.norm_inequality_suite(F.TorusSpace(6), 100, np.random.default_rng(0))
     for part in ("poincare", "l4_interpolation", "parseval"):
         assert report[part]["violations"] == 0
     assert report["poincare"]["worst_ratio"] >= 4.0 * np.pi**2 - 1e-9
@@ -274,6 +275,6 @@ def test_l4_interpolation_property(coeffs):
 @settings(max_examples=100, deadline=None)
 def test_parseval_property(coeffs):
     v = F.Field1D(coeffs)
-    spectral = F.norm_h(v)
+    spectral = float(F.norms_h(v.coeffs))
     quad = quadrature_norm_h(v)
     assert abs(spectral - quad) <= 1e-12 * max(1.0, spectral)

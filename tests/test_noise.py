@@ -106,7 +106,7 @@ def test_clamped_hs_norm_stays_within_budget():
         assert N.hs_norm(op, float(F.norms_h(v))) <= np.sqrt(1.0) + 1e-12
     # clamp really bites for large fields
     big = F.Field1D(np.full(8, 10.0))
-    assert N.hs_norm(op, F.norm_h(big)) < N.hs_norm(op, 0.0)
+    assert N.hs_norm(op, float(F.norms_h(big.coeffs))) < N.hs_norm(op, 0.0)
 
 
 def _one_noise_step(op, n_modes, w):

@@ -7,7 +7,9 @@ Python path, then compares, per (subcommand, config) pair:
 - ``report.json`` with its ``timestamp`` key removed;
 - every CSV the run wrote, byte for byte.
 
-It prints one line per pair and exits 1 if any pair differs.  Usage:
+It prints one line per pair, then, when the two reports differ, one
+indented line per differing key path with its old -> new values, and
+exits 1 if any pair differs.  Usage:
 
     python tools/compare_outputs.py OLD_TREE NEW_TREE
     python tools/compare_outputs.py OLD NEW --config extra.json --workers 1 3
@@ -76,6 +78,19 @@ def compare(old: tuple, new: tuple) -> list[str]:
     return diffs
 
 
+def key_diffs(old, new, path: str = "report") -> list[str]:
+    """``path: old -> new`` for every leaf at which two JSON values differ;
+    a key missing on one side reads <absent>."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [d for key in sorted(set(old) | set(new))
+                for d in key_diffs(old.get(key, "<absent>"),
+                                   new.get(key, "<absent>"), f"{path}.{key}")]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [d for i, (a, b) in enumerate(zip(old, new))
+                for d in key_diffs(a, b, f"{path}[{i}]")]
+    return [] if old == new else [f"{path}: {old!r} -> {new!r}"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", help="source tree of the reference outputs")
@@ -111,6 +126,10 @@ def main(argv=None) -> int:
                 line = (f"{'DIFF' if diffs else 'same'}  {sub:<12} {stem:<28} "
                         f"exit {results[1][0]}  [{files}]")
                 print(line + "".join(f"; {d}" for d in diffs), flush=True)
+                reports = [outs.get("report.json") for _, outs in results]
+                if None not in reports:
+                    for d in key_diffs(*reports):
+                        print(f"    {d}", flush=True)
     print(f"{n_diff} of {len(configs) * len(SUBCOMMANDS)} pairs differ")
     return 1 if n_diff else 0
 
