@@ -20,6 +20,7 @@ from functools import partial
 import numpy as np
 
 from . import fields as fs
+from .constants import gaussian_moment_pair
 from ._stats import fsum_mean, mean_and_stderr, wilson_upper
 from .errors import ParameterError
 from .girsanov import ShiftFunction, shift_entropy
@@ -259,14 +260,14 @@ def exp_moment_check(model: ModelSpec, values, c: float, lambda0: float,
     """
     check_lambda0(lambda0, lambda0_max)
     values = _ensemble_values(values)
-    a = c * lambda0 * model.constants.theta
+    a, bound = gaussian_moment_pair(c, lambda0, model.constants.theta, f_int,
+                                    x0_sq)
     exponent = a * values**2
     if float(np.max(exponent)) > _EXP_RANGE:
         estimate, stderr, infinite = math.inf, math.inf, True
     else:
         estimate, stderr = mean_and_stderr(np.exp(exponent))
         infinite = False
-    bound = math.exp(lambda0 * (f_int + x0_sq))
     ok = (not infinite) and estimate + 3.0 * stderr <= bound
     return {
         "model": model.kind,
@@ -409,7 +410,6 @@ def moment_report(model: ModelSpec, cfg: SolverConfig, x0,
         report["pass"] = base["finite"]
         return report, first
     fine_cfg = SolverConfig(dt=cfg.dt / 2.0, horizon=cfg.horizon,
-                            dealias=cfg.dealias,
                             snapshot_stride=cfg.snapshot_stride)
     fine, _ = _moment_pass(model, fine_cfg, x0, experiment_seed, p,
                            [derived_replicate(LANE_REFINED, r)

@@ -204,15 +204,13 @@ def _build_solver(reader: _Reader):
                      describe="must be positive")
     horizon = section.get("horizon", float, check=lambda v: v > 0,
                           describe="must be positive")
-    dealias = section.get("dealias", bool, default=True)
     stride = section.get("snapshot_stride", int, default=1,
                          check=lambda v: v >= 1, describe="must be positive")
-    section.unknown_keys({"dt", "horizon", "dealias", "snapshot_stride"})
+    section.unknown_keys({"dt", "horizon", "snapshot_stride"})
     if dt is None or horizon is None:
         return None
     try:
-        return SolverConfig(dt=dt, horizon=horizon, dealias=dealias,
-                            snapshot_stride=stride)
+        return SolverConfig(dt=dt, horizon=horizon, snapshot_stride=stride)
     except ValueError as exc:
         reader.problems.append(f"solver: {exc}")
         return None

@@ -19,15 +19,16 @@ and every norm of the package is that kernel (or its square root):
 
 with the weights
 
-* ``norms_h``      w = 1 (Parseval, H = L^2),
-* ``norms_v``      w = laplacian_eigenvalues(): (k pi)^2 on the sine modes,
-                   (2 pi)^2 |k|^2 on the torus,
-* ``norms_vstar``  w = 1 / laplacian_eigenvalues() (0 at k = 0),
+* H   w = 1 (Parseval, H = L^2; ``norms_h`` is its square root),
+* V   w = laplacian_eigenvalues(): (k pi)^2 on the sine modes,
+      (2 pi)^2 |k|^2 on the torus,
+* V*  w = 1 / laplacian_eigenvalues() (0 at k = 0),
 
 so the solver's norm paths, the functionals, the suites and the audit take
-the same bits for the same state.  ``norms_l4`` is a physical-space
-quadrature on an anti-aliased grid (4N midpoints, or 4K+4 points per torus
-axis), exact for the quartic trigonometric polynomials here.
+the same bits for the same state.  ``grid_moments`` gives int |v|^2 and
+int |v|^4 by physical-space quadrature on an anti-aliased grid (4N
+midpoints, or 4K+4 points per torus axis), exact for the quartic
+trigonometric polynomials here.
 """
 
 from __future__ import annotations
@@ -260,11 +261,11 @@ def default_grid_2d(cutoff: int) -> int:
 # ---------------------------------------------------------------------------
 # norms and inner products
 #
-# The array functions (``norms_h``, ``inners_h``, ...) take raw coefficients
-# whose leading axes hold independent fields: real (..., N) sine
-# coefficients or complex (..., 2, n, n) torus spectra.  Each field gets its
-# own BLAS dot products and its own pairwise sums, so its norm is the same
-# bits alone or in any batch.
+# ``norms_h`` and ``inners_h`` take raw coefficients whose leading axes
+# hold independent fields: real (..., N) sine coefficients or complex
+# (..., 2, n, n) torus spectra.  Each field gets its own BLAS dot products
+# and its own pairwise sums, so its norm is the same bits alone or in any
+# batch.
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -279,14 +280,6 @@ def _sums(x: np.ndarray, n_axes: int) -> np.ndarray:
     return x.reshape(x.shape[:x.ndim - n_axes] + (-1,)).sum(axis=-1)
 
 
-def _scalar_powers(values, p: float) -> np.ndarray:
-    """``values ** p`` taken one Python float at a time.  Numpy's vectorized
-    power can differ from the scalar libm power in the last ulp, so this
-    keeps a batched field's value equal to the single-field one."""
-    values = np.asarray(values)
-    return np.array([x ** p for x in values.ravel().tolist()]).reshape(values.shape)
-
-
 def norms_h(raw: np.ndarray) -> np.ndarray:
     """L^2 norms via Parseval, per field."""
     return np.sqrt(space_of(raw).sq_norms(raw))
@@ -295,25 +288,6 @@ def norms_h(raw: np.ndarray) -> np.ndarray:
 def inners_h(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """L^2 inner products per field; ``b`` may broadcast against ``a``."""
     return space_of(a).inners(a, b)
-
-
-def norms_v(raw: np.ndarray) -> np.ndarray:
-    """Dirichlet energy norms ||grad v||_{L^2}, per field."""
-    space = space_of(raw)
-    return np.sqrt(space.sq_norms(raw, space.laplacian_eigenvalues()))
-
-
-def norms_vstar(raw: np.ndarray) -> np.ndarray:
-    """Dual norms, per field: the reciprocal V weights, 0 at k = 0."""
-    space = space_of(raw)
-    lam = space.laplacian_eigenvalues()
-    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
-    return np.sqrt(space.sq_norms(raw, inv))
-
-
-def norms_l4(raw: np.ndarray) -> np.ndarray:
-    """L^4 norms by physical-space quadrature on an anti-aliased grid."""
-    return _scalar_powers(space_of(raw).grid_moments(raw)[1], 0.25)
 
 
 # ---------------------------------------------------------------------------

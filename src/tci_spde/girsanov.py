@@ -89,14 +89,6 @@ def shift_entropy(h: ShiftFunction) -> float:
     return 0.5 * integral
 
 
-def _log_rn_parts(h: ShiftFunction, inc: np.ndarray) -> tuple[float, float, float]:
-    rows = h.dynamic_rows()
-    s = float(np.sum(rows * inc))
-    i_left = h.dt * float(np.sum(rows**2))
-    entropy = shift_entropy(h)
-    return s, i_left, entropy
-
-
 def _check_shift(model: ModelSpec, cfg: SolverConfig, h: ShiftFunction):
     if h.n_w != model.noise.n_w:
         raise ParameterError("shift dimension disagrees with the noise")
@@ -106,15 +98,16 @@ def _check_shift(model: ModelSpec, cfg: SolverConfig, h: ShiftFunction):
 
 def _pair_block(replicates, model, cfg, x0, h, experiment_seed) -> dict:
     inc = block_increments(model, cfg, experiment_seed, replicates)
+    rows = h.dynamic_rows()
     block = solve_block(model, cfg, x0, experiment_seed, replicates,
-                        increments=inc, shifts=(h.dynamic_rows(), None))
+                        increments=inc, shifts=(rows, None))
     n = len(replicates)
-    s, i_left, entropy = np.array([_log_rn_parts(h, inc[:, i])
-                                   for i in range(n)]).T
+    s = np.array([np.sum(rows * inc[:, i]) for i in range(n)])
+    i_left = h.dt * float(np.sum(rows**2))
     # log M_T with the draws read under the base measure; subtracting half
     # the left-rule integral (the variance of s) makes E exp(.) = 1 exactly.
     return {"sup_gap_sq": block.sup_gap_sq,
-            "log_rn": s + i_left - entropy,
+            "log_rn": s + i_left - shift_entropy(h),
             "log_rn_base_view": s - 0.5 * i_left,
             "shifted": block.paths[:n],
             "unshifted": block.paths[n:]}

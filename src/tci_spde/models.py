@@ -8,8 +8,12 @@ Three models share the variational skeleton dX = A(t, X) dt + B(t, X) dW:
 
 Every model carries the structural constants of the variational framework
 (coercivity theta, embedding eta, monotonicity and growth constants) plus
-a noise operator.  ``audit_hypotheses`` probes the hypotheses numerically
-on seeded random fields; violations become report entries, not errors.
+a noise operator.  The nonlinearities evaluate their quadratic products on
+one grid each, the smallest alias-free one (``burgers_product_grid``,
+``ns_product_grid``), for the solver and the audits alike.
+``audit_hypotheses`` probes the hypotheses numerically on seeded random
+fields, as array arithmetic on the space's norm kernels; violations become
+report entries, not errors.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ class AssumptionConstants:
     K2_tilde: float | None = None
     K4_tilde: float | None = None
     beta: float = 0.0
-    C1: float = 2.0
 
     def __post_init__(self):
         if self.theta <= 0.0:
@@ -51,8 +54,6 @@ class AssumptionConstants:
             raise ParameterError("eta must be positive")
         if self.alpha <= 1.0:
             raise ParameterError("alpha must exceed 1")
-        if self.C1 <= 0.0:
-            raise ParameterError("the Burkholder constant C1 must be positive")
 
 
 @dataclass(frozen=True)
@@ -259,31 +260,30 @@ def linear_eigenvalues(model: ModelSpec) -> np.ndarray:
     return model.space.laplacian_eigenvalues(model.viscosity)
 
 
-def explicit_drift(model: ModelSpec, t: float, state: np.ndarray,
-                   n_grid: int | None = None) -> np.ndarray | None:
-    """Non-implicit drift term (the nonlinearity) on raw coefficients; a
-    leading axis of ``state`` holds independent fields."""
+def explicit_drift(model: ModelSpec, state: np.ndarray) -> np.ndarray | None:
+    """Non-implicit drift term (the nonlinearity) on raw coefficients, on
+    the kernel's alias-free product grid; a leading axis of ``state``
+    holds independent fields."""
     if model.kind == "heat":
         return None
     if model.kind == "burgers":
-        return burgers_nonlinearity(state, n_grid)
-    return ns_advection(state, model.cutoff, n_grid)
+        return burgers_nonlinearity(state)
+    return ns_advection(state, model.cutoff)
 
 
-def _drift(model: ModelSpec, t: float, raw: np.ndarray) -> np.ndarray:
-    """Full drift A(t, v) on raw coefficients; leading axes hold fields."""
+def _drift(model: ModelSpec, raw: np.ndarray) -> np.ndarray:
+    """Full drift A(v) on raw coefficients; leading axes hold fields."""
     out = -linear_eigenvalues(model) * raw
-    extra = explicit_drift(model, t, raw)
+    extra = explicit_drift(model, raw)
     return out if extra is None else out + extra
 
 
 def _energies(model: ModelSpec, raw: np.ndarray) -> np.ndarray:
     """<F(v), v> per field for the non-dissipative drift part."""
-    if model.kind == "heat":
+    extra = explicit_drift(model, raw)
+    if extra is None:
         return np.zeros(raw.shape[:-1])
-    if model.kind == "burgers":
-        return fs.inners_h(burgers_nonlinearity(raw), raw)
-    return fs.inners_h(ns_advection(raw, model.cutoff), raw)
+    return fs.inners_h(extra, raw)
 
 
 def taylor_green_field(cutoff: int, amplitude: float = 1.0) -> Field2D:
@@ -325,7 +325,7 @@ def _hemicontinuity_entry(model: ModelSpec, rng: np.random.Generator,
     for v1, v2, v3 in triples:
         probes = v1 + steps * v2
         vals = np.concatenate([
-            fs.inners_h(_drift(model, 0.0, probes[i:i + fs.SUITE_CHUNK]), v3)
+            fs.inners_h(_drift(model, probes[i:i + fs.SUITE_CHUNK]), v3)
             for i in range(0, len(probes), fs.SUITE_CHUNK)])
         scale = 1.0 + np.max(np.abs(vals))
         coarse = vals[::4]
@@ -348,17 +348,19 @@ def _hemicontinuity_entry(model: ModelSpec, rng: np.random.Generator,
 
 
 def audit_hypotheses(model: ModelSpec, n_samples: int = 64,
-                     experiment_seed: int = 0, t: float = 0.0) -> dict:
+                     experiment_seed: int = 0) -> dict:
     """Numerical audit of the variational hypotheses on random fields.
 
     Fields are drawn with a k^-1.5 spectral envelope; every fourth pair is
-    made nearly parallel to stress the monotonicity denominators.  The
-    drifts and norms of all pairs are computed as batches, each A(v1) once
-    for monotonicity, coercivity and growth.  The report is
+    made nearly parallel to stress the monotonicity denominators.  Every
+    term of every pair comes from the space kernels as one array (each
+    A(v1) once for monotonicity, coercivity and growth), and each witness
+    is the first pair at the extreme slack.  The report is
     JSON-serializable; failed checks set ``pass`` to False.
     """
     rng = generator(experiment_seed, derived_replicate(LANE_FIELDS, 0))
     cst = model.constants
+    space = model.space
     tol = 1e-9
 
     h1 = _hemicontinuity_entry(model, rng, n_triples=max(4, n_samples // 16))
@@ -367,80 +369,54 @@ def audit_hypotheses(model: ModelSpec, n_samples: int = 64,
     # of scale 1e-4 that is added to v1.
     near = np.arange(n_samples) % 4 == 3
     scales = np.stack([np.ones(n_samples), np.where(near, 1e-4, 1.0)], axis=1)
-    draws = model.space.draw(2 * n_samples, rng, scale=scales.ravel())
+    draws = space.draw(2 * n_samples, rng, scale=scales.ravel())
     v1 = draws[0::2]
     v2 = np.where(near.reshape((-1,) + (1,) * (v1.ndim - 1)), v1 + draws[1::2],
                   draws[1::2])
-    a1 = _drift(model, t, v1)
+    a1 = _drift(model, v1)
     dv = v1 - v2
-    columns = [fs.norms_h(dv), fs.inners_h(a1 - _drift(model, t, v2), dv),
-               fs.norms_h(v1), fs.norms_h(v2), fs.norms_v(v1),
-               fs.inners_h(a1, v1), fs.norms_vstar(a1),
-               fs.norms_l4(v2) if model.locally_monotone else np.zeros(n_samples)]
+    lam = space.laplacian_eigenvalues()
+    inv_lam = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
 
-    mono_slack = np.inf
-    mono_required = -np.inf
-    mono_witness = -1
-    coercivity_slack = np.inf
-    coercivity_witness = -1
-    growth_slack = np.inf
-    growth_witness = -1
-    hs_worst = 0.0
-
-    # Per-pair scalars in Python floats, as single-field norms give them.
-    rows = zip(*(col.tolist() for col in columns))
-    for i, (gap, cross, h_v1, h_v2, v_v1, power, dual, l4_v2) in enumerate(rows):
-        b_v1 = hs_norm(model.noise, h_v1)
-        b_gap = b_v1 - hs_norm(model.noise, h_v2)
-        gap_sq = gap ** 2
-        lhs = 2.0 * cross + b_gap**2
-        if model.locally_monotone:
-            required = lhs / gap_sq - model.rho_coefficient * l4_v2 ** 4
-            if required > mono_required:
-                mono_required = required
-                mono_witness = i
-        else:
-            slack = cst.K2 * gap_sq - lhs
-            if slack < mono_slack:
-                mono_slack = slack
-                mono_witness = i
-
-        h_sq = h_v1 ** 2
-        v_sq = v_v1 ** 2
-        b_sq = b_v1 ** 2
-        lhs3 = 2.0 * power + b_sq
-        slack3 = (model.f_tilde - cst.theta * v_sq + cst.K3 * h_sq) - lhs3
-        if slack3 < coercivity_slack:
-            coercivity_slack = slack3
-            coercivity_witness = i
-
-        if model.locally_monotone:
-            rhs4 = (model.f_tilde + cst.K4_tilde * v_sq) * (1.0 + h_sq ** (cst.beta / 2.0))
-            slack4 = rhs4 - dual**2
-        else:
-            slack4 = (math.sqrt(model.f_tilde) + cst.K4 * math.sqrt(v_sq)) - dual
-        if slack4 < growth_slack:
-            growth_slack = slack4
-            growth_witness = i
-
-        hs_worst = max(hs_worst, b_sq)
+    gap_sq = space.sq_norms(dv)
+    h_sq = space.sq_norms(v1)
+    v_sq = space.sq_norms(v1, lam)
+    dual_sq = space.sq_norms(a1, inv_lam)
+    b_v1 = hs_norm(model.noise, np.sqrt(h_sq))
+    b_sq = b_v1 * b_v1
+    b_gap = b_v1 - hs_norm(model.noise, np.sqrt(space.sq_norms(v2)))
+    lhs = 2.0 * space.inners(a1 - _drift(model, v2), dv) + b_gap * b_gap
 
     if model.locally_monotone:
+        required = (lhs / gap_sq
+                    - model.rho_coefficient * space.grid_moments(v2)[1])
+        mono_witness = int(np.argmax(required))
         monotonicity = {
-            "pass": bool(mono_required <= cst.K2_tilde + tol),
-            "empirical_K2_tilde": float(mono_required),
+            "pass": bool(required[mono_witness] <= cst.K2_tilde + tol),
+            "empirical_K2_tilde": float(required[mono_witness]),
             "declared_K2_tilde": float(cst.K2_tilde),
-            "witness": int(mono_witness),
+            "witness": mono_witness,
             "rho": model.local_rho,
             "rho_coefficient": float(model.rho_coefficient),
         }
+        growth = ((model.f_tilde + cst.K4_tilde * v_sq)
+                  * (1.0 + h_sq ** (cst.beta / 2.0)) - dual_sq)
     else:
+        mono = cst.K2 * gap_sq - lhs
+        mono_witness = int(np.argmin(mono))
         monotonicity = {
-            "pass": bool(mono_slack >= -tol),
-            "worst_slack": float(mono_slack),
+            "pass": bool(mono[mono_witness] >= -tol),
+            "worst_slack": float(mono[mono_witness]),
             "declared_K2": float(cst.K2),
-            "witness": int(mono_witness),
+            "witness": mono_witness,
         }
+        growth = ((math.sqrt(model.f_tilde) + cst.K4 * np.sqrt(v_sq))
+                  - np.sqrt(dual_sq))
+    coercivity = ((model.f_tilde - cst.theta * v_sq + cst.K3 * h_sq)
+                  - (2.0 * space.inners(a1, v1) + b_sq))
+    coercivity_witness = int(np.argmin(coercivity))
+    growth_witness = int(np.argmin(growth))
+    hs_worst = float(np.max(b_sq))
 
     report = {
         "model": model.kind,
@@ -449,16 +425,16 @@ def audit_hypotheses(model: ModelSpec, n_samples: int = 64,
         "hemicontinuity": h1,
         "monotonicity": monotonicity,
         "coercivity": {
-            "pass": bool(coercivity_slack >= -tol),
-            "worst_slack": float(coercivity_slack),
+            "pass": bool(coercivity[coercivity_witness] >= -tol),
+            "worst_slack": float(coercivity[coercivity_witness]),
             "theta": float(cst.theta),
             "f_tilde": float(model.f_tilde),
-            "witness": int(coercivity_witness),
+            "witness": coercivity_witness,
         },
         "growth": {
-            "pass": bool(growth_slack >= -tol),
-            "worst_slack": float(growth_slack),
-            "witness": int(growth_witness),
+            "pass": bool(growth[growth_witness] >= -tol),
+            "worst_slack": float(growth[growth_witness]),
+            "witness": growth_witness,
         },
         "noise_bound": {
             "pass": bool(hs_worst <= model.noise.c_b * (1.0 + 1e-12)),

@@ -208,9 +208,10 @@ def increment_table(op: NoiseOperator, dt: float, experiment_seed: int,
     return np.sqrt(dt) * z
 
 
-def hs_norm(op: NoiseOperator, h_norm: float) -> float:
-    """Hilbert-Schmidt norm ||B(v)||_{L2(U;H)} at a state of H-norm ``h_norm``."""
-    return float(np.sqrt(np.sum(op.gains**2)) * op.g(h_norm))
+def hs_norm(op: NoiseOperator, h_norm):
+    """Hilbert-Schmidt norm ||B(v)||_{L2(U;H)} at a state of H-norm ``h_norm``,
+    or elementwise for an array of them (one number for additive noise)."""
+    return np.sqrt(np.sum(op.gains**2)) * op.g(h_norm)
 
 
 def support_values(op: NoiseOperator, w: np.ndarray) -> np.ndarray:

@@ -3,11 +3,11 @@
 Each step treats the (negative definite) linear part implicitly and
 everything else explicitly:
 
-    u_{n+1} = [u_n + dt F(t_n, u_n) + dt f(t_n)
-               + B(t_n, u_n)(dW_n + h(t_n) dt)] / (1 + dt lambda_k)
+    u_{n+1} = [u_n + dt F(u_n) + B(u_n)(dW_n + h(t_n) dt)] / (1 + dt lambda_k)
 
 applied mode by mode, where lambda_k are the spectral eigenvalues of the
-implicit part and h is an optional Girsanov shift.
+implicit part, F is the nonlinearity on its alias-free product grid and h
+is an optional Girsanov shift.
 
 One loop, ``solve_block``, advances a block of replicates at once: the
 state carries a leading row axis, and running reductions (trapezoid
@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import DivergenceError, ParameterError
 from .fields import Field1D
-from .models import (ModelSpec, burgers_product_grid, explicit_drift,
-                     linear_eigenvalues, ns_product_grid, taylor_green_field)
+from .models import (ModelSpec, explicit_drift, linear_eigenvalues,
+                     taylor_green_field)
 from .noise import increment_table
 from .parallel import parallel_map
 
@@ -47,18 +47,14 @@ class SolverConfig:
     """Time-stepping parameters; the horizon must be a whole number of steps.
 
     The model owns the resolution, because the noise embedding depends on
-    it.  ``dealias`` evaluates the quadratic products of the
-    nonlinearities on the smallest alias-free product grid (3N//2+1
-    midpoints for Burgers, the smallest 5-smooth side >= 3K+1 for ns2d);
-    switching it off evaluates them at the minimal collocation resolution
-    (N and 3K+1).  The product grid is not the quartic grid of the L^4 norms
-    (4N and 4K+4), which products do not need.  ``snapshot_stride`` thins
-    the steps a recorded trajectory keeps.
+    it, and its drift kernels own their one product grid, the smallest
+    alias-free one (``models.burgers_product_grid``,
+    ``models.ns_product_grid``).  ``snapshot_stride`` thins the steps a
+    recorded trajectory keeps.
     """
 
     dt: float
     horizon: float
-    dealias: bool = True
     snapshot_stride: int = 1
 
     def __post_init__(self):
@@ -75,18 +71,6 @@ class SolverConfig:
     @property
     def n_steps(self) -> int:
         return round(self.horizon / self.dt)
-
-
-def _product_grid(model: ModelSpec, cfg: SolverConfig) -> int | None:
-    """Grid on which the drift kernel evaluates its quadratic product: with
-    ``cfg.dealias`` the smallest alias-free one (``burgers_product_grid``,
-    ``ns_product_grid``), otherwise the minimal collocation grid.  None for
-    heat, which has no product."""
-    if model.kind == "heat":
-        return None
-    if model.kind == "burgers":
-        return burgers_product_grid(model.n_modes) if cfg.dealias else model.n_modes
-    return ns_product_grid(model.cutoff) if cfg.dealias else 3 * model.cutoff + 1
 
 
 def _path_summaries(v_energy, sup_h, terminal) -> np.ndarray:
@@ -198,7 +182,6 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
 
     lam = linear_eigenvalues(model)
     inv_lin = 1.0 / (1.0 + dt * lam)
-    grid = _product_grid(model, cfg)
     half_dt = 0.5 * dt
 
     state = np.repeat(x0_raw[None], len(shifts) * n_rep, axis=0)
@@ -230,7 +213,7 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(M):
-            expl = explicit_drift(model, k * dt, state, grid)
+            expl = explicit_drift(model, state)
             if inc is not None:
                 w = [inc[k] if dth is None else inc[k] + dth[k]
                      for dth in shift_steps]

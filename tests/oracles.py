@@ -65,7 +65,7 @@ def w2_factorial_oracle(a, b):
 # per-field references for the batched field suites and the audit
 #
 # One field per Python iteration, with the numpy norms of one field
-# (np.dot, np.sum, np.mean) and Python-float powers.  They share only the
+# (np.dot, np.sum, np.mean) and Python-float arithmetic.  They share only the
 # single-row drift kernels with the package; the model tests check those
 # against brute-force triad sums.  A weighted squared norm sum_k w_k |x_k|^2
 # is np.dot(w * x, x) on a sine field and one np.sum of w |x|^2 over a
@@ -119,7 +119,7 @@ def torus_grid(spec, n_grid):
     return np.fft.irfft2(buf, s=(n_grid, n_grid), norm="forward")
 
 
-def _v_weights(raw):
+def v_weights(raw):
     """(k pi)^2 per sine mode, (2 pi)^2 |k|^2 per torus wavevector."""
     if np.iscomplexobj(raw):
         return (2.0 * np.pi) ** 2 * _wavegrids(raw.shape[-1] // 2)[2]
@@ -150,52 +150,41 @@ def inner_h(a, b):
     return float(np.dot(a, b))
 
 
-def norm_v(raw):
-    return float(np.sqrt(sq_norm(raw, _v_weights(raw))))
+def vstar_weights(raw):
+    """The reciprocal V weights, 0 at k = 0."""
+    w = v_weights(raw)
+    return np.where(w == 0.0, 0.0, 1.0 / np.where(w == 0.0, 1.0, w))
 
 
-def norm_vstar(raw):
-    w = _v_weights(raw)
-    return float(np.sqrt(sq_norm(raw, np.where(w == 0.0, 0.0,
-                                               1.0 / np.where(w == 0.0, 1.0, w)))))
-
-
-def norm_l4(raw):
+def grid_moments(raw):
+    """(int |v|^2, int |v|^4) of one field on the quartic quadrature grid
+    (4N midpoints, or 4K+4 points per torus axis)."""
     if np.iscomplexobj(raw):
         vals = torus_grid(raw, 4 * (raw.shape[-1] // 2) + 4)
-        return float(np.mean((vals[0] ** 2 + vals[1] ** 2) ** 2) ** 0.25)
+        speed_sq = vals[0] ** 2 + vals[1] ** 2
+        return np.mean(speed_sq), np.mean(speed_sq**2)
     n_points = 4 * raw.size
     vals = sine_table(raw.size, n_points) @ raw
-    return float(np.dot(np.full(n_points, 1.0 / n_points), vals**4) ** 0.25)
+    w = np.full(n_points, 1.0 / n_points)
+    return np.dot(w, vals**2), np.dot(w, vals**4)
+
+
+def _norm_terms(fields):
+    """(||v||_H^2, ||v||_V^2, int |v|^4, quadrature ||v||_H^2) of each
+    field, one field and one grid evaluation at a time."""
+    out = []
+    for f in fields:
+        m2, m4 = grid_moments(f)
+        out.append((sq_norm(f), sq_norm(f, v_weights(f)), m4, m2))
+    return np.array(out).T
 
 
 def norm_terms_2d(n_fields, cutoff, rng):
-    """(||v||_H^2, ||v||_V^2, int |v|^4, quadrature ||v||_H^2) of each
-    field, one field and one inverse FFT at a time."""
-    n_grid = 4 * cutoff + 4
-    out = []
-    for _ in range(n_fields):
-        f = field_2d(cutoff, rng)
-        vals = torus_grid(f, n_grid)
-        speed_sq = vals[0] ** 2 + vals[1] ** 2
-        out.append((sq_norm(f), sq_norm(f, _v_weights(f)),
-                    np.mean(speed_sq**2), np.mean(speed_sq)))
-    return np.array(out).T
+    return _norm_terms(field_2d(cutoff, rng) for _ in range(n_fields))
 
 
 def norm_terms_1d(n_fields, n_modes, rng):
-    """(||v||_H^2, ||v||_V^2, int v^4, quadrature ||v||_H^2) of each field,
-    one field and one matrix-vector product at a time."""
-    n_points = 4 * n_modes
-    table = sine_table(n_modes, n_points)
-    w = np.full(n_points, 1.0 / n_points)
-    out = []
-    for _ in range(n_fields):
-        f = field_1d(n_modes, rng)
-        vals = table @ f
-        out.append((sq_norm(f), sq_norm(f, _v_weights(f)),
-                    np.dot(w, vals**4), np.dot(w, vals**2)))
-    return np.array(out).T
+    return _norm_terms(field_1d(n_modes, rng) for _ in range(n_fields))
 
 
 def norm_suite(kind, n_fields, size, rng):
@@ -253,8 +242,9 @@ def energy_suite(model, n_fields, experiment_seed, tol=1e-10):
             "worst_energy": worst, "tolerance": tol}
 
 
-def audit(model, n_samples, experiment_seed, t=0.0):
-    """The hypothesis audit report, one field and one drift call at a time."""
+def audit(model, n_samples, experiment_seed):
+    """The hypothesis audit report, one field and one drift call at a time,
+    on squared norms and grid moments."""
     from tci_spde.models import explicit_drift, linear_eigenvalues
     from tci_spde.noise import LANE_FIELDS, derived_replicate, generator
 
@@ -267,12 +257,12 @@ def audit(model, n_samples, experiment_seed, t=0.0):
             return field_2d(model.cutoff, rng, scale=scale)
         return field_1d(model.n_modes, rng, scale=scale)
 
-    def drift(v, t):
-        extra = explicit_drift(model, t, v)
+    def drift(v):
+        extra = explicit_drift(model, v)
         return -lam * v if extra is None else -lam * v + extra
 
-    def hs(v):
-        return float(np.sqrt(np.sum(op.gains**2)) * op.g(norm_h(v)))
+    def hs(h_sq):
+        return float(np.sqrt(np.sum(op.gains**2)) * op.g(math.sqrt(h_sq)))
 
     grid = np.linspace(-1.0, 1.0, 401)
     n_triples = max(4, n_samples // 16)
@@ -280,7 +270,7 @@ def audit(model, n_samples, experiment_seed, t=0.0):
     passed = True
     for _ in range(n_triples):
         v1, v2, v3 = sample(), sample(), sample()
-        vals = np.array([inner_h(drift(v1 + s * v2, 0.0), v3) for s in grid])
+        vals = np.array([inner_h(drift(v1 + s * v2), v3) for s in grid])
         scale = 1.0 + np.max(np.abs(vals))
         res_c = np.max(np.abs(vals[2::4] - 0.5 * (vals[::4][:-1] + vals[::4][1:])))
         res_f = np.max(np.abs(vals[1::2] - 0.5 * (vals[::2][:-1] + vals[::2][1:])))
@@ -294,23 +284,23 @@ def audit(model, n_samples, experiment_seed, t=0.0):
     for i in range(n_samples):
         v1 = sample()
         v2 = v1 + sample(1e-4) if i % 4 == 3 else sample()
-        a1 = drift(v1, t)
-        gap_sq = norm_h(v1 - v2) ** 2
-        lhs = 2.0 * inner_h(a1 - drift(v2, t), v1 - v2) + (hs(v1) - hs(v2)) ** 2
+        a1 = drift(v1)
+        gap_sq, h_sq = sq_norm(v1 - v2), sq_norm(v1)
+        v_sq, dual_sq = sq_norm(v1, v_weights(v1)), sq_norm(a1, vstar_weights(a1))
+        b1 = hs(h_sq)
+        b_gap = b1 - hs(sq_norm(v2))
+        lhs = 2.0 * inner_h(a1 - drift(v2), v1 - v2) + b_gap * b_gap
         if model.locally_monotone:
-            mono.append(lhs / gap_sq - model.rho_coefficient * norm_l4(v2) ** 4)
+            mono.append(lhs / gap_sq - model.rho_coefficient * grid_moments(v2)[1])
+            growth.append((model.f_tilde + cst.K4_tilde * v_sq)
+                          * (1.0 + h_sq ** (cst.beta / 2.0)) - dual_sq)
         else:
             mono.append(cst.K2 * gap_sq - lhs)
-        h_sq, v_sq, b_sq = norm_h(v1) ** 2, norm_v(v1) ** 2, hs(v1) ** 2
+            growth.append((math.sqrt(model.f_tilde) + cst.K4 * math.sqrt(v_sq))
+                          - math.sqrt(dual_sq))
         coer.append((model.f_tilde - cst.theta * v_sq + cst.K3 * h_sq)
-                    - (2.0 * inner_h(a1, v1) + b_sq))
-        dual = norm_vstar(a1)
-        if model.locally_monotone:
-            growth.append((model.f_tilde + cst.K4_tilde * v_sq)
-                          * (1.0 + h_sq ** (cst.beta / 2.0)) - dual**2)
-        else:
-            growth.append((math.sqrt(model.f_tilde) + cst.K4 * math.sqrt(v_sq)) - dual)
-        hs_worst = max(hs_worst, b_sq)
+                    - (2.0 * inner_h(a1, v1) + b1 * b1))
+        hs_worst = max(hs_worst, b1 * b1)
 
     if model.locally_monotone:
         w = int(np.argmax(mono))
@@ -445,7 +435,7 @@ def trajectory_from_states(times, states):
     p = np.abs(states) ** 2
     axes = tuple(range(1, states.ndim))
     h_sq = np.sum(p, axis=axes)
-    v_sq = np.sum(_v_weights(states) * p, axis=axes)
+    v_sq = np.sum(v_weights(states) * p, axis=axes)
     v_energy = np.concatenate(
         [[0.0], np.cumsum(0.5 * np.diff(times) * (v_sq[:-1] + v_sq[1:]))])
     return Trajectory(times=times, states=states, h_sq=h_sq, v_sq=v_sq,
@@ -468,7 +458,7 @@ def metric_distance(metric, a, b):
         return math.sqrt(float(np.max(np.sum(p, axis=axes))))
     if metric != "L2_V_path":
         raise ParameterError(f"unknown metric {metric!r}")
-    v_sq = np.sum(_v_weights(a.states) * p, axis=axes)
+    v_sq = np.sum(v_weights(a.states) * p, axis=axes)
     return math.sqrt(float(np.sum(0.5 * np.diff(a.times) * (v_sq[:-1] + v_sq[1:]))))
 
 

@@ -32,7 +32,6 @@ def reference_row(model, cfg, x0, inc, shift=None):
     """(v_energy_total, states at every step) of one row."""
     op, dt = model.noise, cfg.dt
     lam = M.linear_eigenvalues(model)
-    grid = S._product_grid(model, cfg)
     two_d = model.kind == "ns2d"
     weight = lam / model.viscosity if two_d else lam
     if two_d:
@@ -49,7 +48,7 @@ def reference_row(model, cfg, x0, inc, shift=None):
         else:
             noise = np.zeros_like(u)
             noise[:op.n_w] = op.gains * w
-        drift = M.explicit_drift(model, k * dt, u, grid)
+        drift = M.explicit_drift(model, u)
         if drift is None:
             drift = 0.0
         u = (u + dt * drift + noise) / (1.0 + dt * lam)

@@ -192,7 +192,8 @@ def test_trajectory_from_states_consistency():
     traj, _ = synthetic_pair(rng)
     h = F.norms_h(traj.states)
     assert np.allclose(traj.sup_h_norm, np.maximum.accumulate(h), rtol=1e-12)
-    v_sq = F.norms_v(traj.states) ** 2
+    space = F.space_of(traj.states)
+    v_sq = space.sq_norms(traj.states, space.laplacian_eigenvalues())
     assert traj.v_energy[-1] == pytest.approx(np.trapezoid(v_sq, traj.times), rel=1e-12)
 
 
@@ -305,7 +306,7 @@ def test_t2_chain_check_passes_on_heat():
     h = G.shift_from_descriptor({"type": "constant", "amplitude": 1.0}, 4, cfg)
     coupled = G.coupled_ensemble(model, cfg, x0, h, 128, 0)
     c_t2 = t2_constant(cfg.horizon, model.constants.K2, model.noise.c_b,
-                       model.constants.C1)["value"]
+                       2.0)["value"]
     report = K.t2_chain_check(model, h, K.sup_h_functional(), coupled, c_t2)
     assert report["pass"], report
     assert report["w2_empirical"] <= report["bound"] + 3.0 * report["combined_stderr"]

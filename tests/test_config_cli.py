@@ -228,6 +228,14 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert "solver.dt" in err
 
 
+def test_solver_dealias_is_an_unknown_key(tmp_path, capsys):
+    # the drift kernels have one product grid each, with no switch
+    path = write_config(tmp_path, {"solver": {"dealias": True}})
+    code = main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "solver.dealias: unknown key" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code = main(["audit", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")])

@@ -87,10 +87,12 @@ def test_batched_norms_match_single_field_numpy(kind):
     else:
         a = F.random_fields_2d(CHUNK + 1, 4, rng)
     b = a[::-1].copy()
-    for batch, single in ((F.norms_h(a), O.norm_h), (F.norms_v(a), O.norm_v),
-                          (F.norms_vstar(a), O.norm_vstar),
-                          (F.norms_l4(a), O.norm_l4)):
-        assert np.array_equal(batch, [single(f) for f in a])
+    space = F.space_of(a)
+    assert np.array_equal(F.norms_h(a), [O.norm_h(f) for f in a])
+    for w in (1.0, O.v_weights(a[0]), O.vstar_weights(a[0])):
+        assert np.array_equal(space.sq_norms(a, w), [O.sq_norm(f, w) for f in a])
+    assert np.array_equal(np.transpose(space.grid_moments(a)),
+                          [O.grid_moments(f) for f in a])
     assert np.array_equal(F.inners_h(a, b), [O.inner_h(x, y) for x, y in zip(a, b)])
     assert np.array_equal(F.inners_h(a, b[0]), [O.inner_h(x, b[0]) for x in a])
 

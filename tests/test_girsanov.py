@@ -159,7 +159,7 @@ def test_coupled_ensemble_matches_single_pairs():
 
 def t2_value(model, cfg):
     return t2_constant(cfg.horizon, model.constants.K2, model.noise.c_b,
-                       model.constants.C1)["value"]
+                       2.0)["value"]
 
 
 def test_contraction_report_passes():

@@ -27,7 +27,7 @@ def noise_2d(cutoff=4, n_w=4, c_b=0.01):
 def test_heat_drift_is_the_laplacian():
     model = M.heat_model(8, noise_1d())
     v = np.array([2.0**-0.5] + [0.0] * 7)  # sin(pi x)
-    out = M._drift(model, 0.0, v)
+    out = M._drift(model, v)
     assert np.allclose(out, -np.pi**2 * v, rtol=1e-13)
 
 
@@ -37,7 +37,7 @@ def test_burgers_drift_oracle():
     model = M.burgers_model(16, noise_1d())
     coeffs = np.zeros(16)
     coeffs[1] = 2.0**-0.5
-    out = M._drift(model, 0.0, coeffs)
+    out = M._drift(model, coeffs)
     expected = np.zeros(16)
     expected[1] = -4.0 * np.pi**2 * 2.0**-0.5
     expected[3] = np.pi * 2.0**-0.5
@@ -50,7 +50,7 @@ def test_burgers_drift_matches_quadrature_on_random_fields():
     n_points = 16 * 12
     for _ in range(10):
         v = F.random_fields_1d(1, 12, rng)[0]
-        out = M._drift(model, 0.0, v)
+        out = M._drift(model, v)
         vals = orc.sine_table(12, n_points) @ v
         dvals = orc.sine_derivative_values(v, n_points)
         lap = -model.space.laplacian_eigenvalues() * v
@@ -62,7 +62,7 @@ def test_ns2d_taylor_green_drift_is_purely_viscous():
     nu = 0.1
     model = M.ns2d_model(8, nu, noise_2d(cutoff=8))
     tg = M.taylor_green_field(8, 1.0)
-    out = M._drift(model, 0.0, tg.spec)
+    out = M._drift(model, tg.spec)
     viscous = -model.space.laplacian_eigenvalues(nu) * tg.spec
     assert np.max(np.abs(out - viscous)) <= 1e-10
 
@@ -154,9 +154,10 @@ def test_rho_growth_bound():
     rng = np.random.default_rng(8)
     for _ in range(200):
         v = F.random_fields_1d(1, 16, rng)[0]
-        rho = model.rho_coefficient * float(F.norms_l4(v)) ** 4
-        assert rho <= 4.0 * float(F.norms_h(v)) ** 2 * float(F.norms_v(v)) ** 2 \
-            * (1.0 + 1e-10)
+        space = model.space
+        rho = model.rho_coefficient * float(space.grid_moments(v)[1])
+        assert rho <= 4.0 * float(space.sq_norms(v)) \
+            * float(space.sq_norms(v, space.laplacian_eigenvalues())) * (1.0 + 1e-10)
 
 
 def test_audit_hypotheses_passes_for_all_models():
@@ -239,5 +240,7 @@ small_coeffs = arrays(
 @settings(max_examples=100, deadline=None)
 def test_burgers_nonlinearity_energy_neutral(coeffs):
     model = M.burgers_model(coeffs.size, noise_1d(n_w=1))
-    scale = max(1.0, float(F.norms_h(coeffs)) ** 2 * float(F.norms_v(coeffs)))
+    space = model.space
+    scale = max(1.0, float(space.sq_norms(coeffs))
+                * float(np.sqrt(space.sq_norms(coeffs, space.laplacian_eigenvalues()))))
     assert abs(float(M._energies(model, coeffs))) <= 1e-10 * scale

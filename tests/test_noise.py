@@ -83,6 +83,15 @@ def test_hs_norm_examples():
     assert N.hs_norm(pair, 2.0) == pytest.approx(np.sqrt(2.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("clamp", [None, 0.5])
+def test_hs_norm_takes_arrays(clamp):
+    # the clamp bites on part of the norms; additive noise gives one number
+    op = N.noise_operator_1d(4, N.gains_inverse_k(4, 1.0), 1.0, clamp=clamp)
+    norms = np.array([0.0, 0.25, 0.5, 0.75, 3.0, 40.0])
+    got = np.broadcast_to(N.hs_norm(op, norms), norms.shape)
+    assert np.array_equal(got, [N.hs_norm(op, float(h)) for h in norms])
+
+
 def test_gain_profiles_hit_the_budget():
     for n_w, c_b in ((1, 1.0), (8, 1.0), (16, 0.25)):
         b = N.gains_inverse_k(n_w, c_b)

@@ -69,7 +69,7 @@ def test_v_energy_matches_posthoc_trapezoid():
     cfg = S.SolverConfig(dt=0.002, horizon=0.1)
     x0 = F.Field1D(F.random_fields_1d(1, 12, np.random.default_rng(5))[0])
     traj = S.solve(model, cfg, x0, experiment_seed=2)
-    v_sq = F.norms_v(traj.states) ** 2
+    v_sq = model.space.sq_norms(traj.states, model.space.laplacian_eigenvalues())
     recomputed = np.concatenate(
         [[0.0], np.cumsum(0.5 * (v_sq[1:] + v_sq[:-1]) * np.diff(traj.times))]
     )

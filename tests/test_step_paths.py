@@ -109,7 +109,7 @@ def test_sparse_noise_equals_dense_embedding(kind, rows):
         g = op.g(np.sqrt(np.sum(np.abs(u.reshape(1, -1)) ** 2, axis=1)))
         assert g[0] < 1.0
         w = g[:, None] * w
-    drift = M.explicit_drift(model, 0.0, u, S._product_grid(model, cfg)) * cfg.dt
+    drift = M.explicit_drift(model, u) * cfg.dt
     inv_lin = 1.0 / (1.0 + cfg.dt * M.linear_eigenvalues(model))
     for r in range(rows):
         noise = orc.dense_embed_2d(op.gains, basis, w[r])
