@@ -56,9 +56,9 @@ def test_grid_transforms(benchmark, direction):
 def _block_case(kind, size):
     """Model and initial condition at the reference parameters."""
     if kind == "ns2d":
-        op = N.noise_operator_2d(8, N.gains_inverse_k(8, 0.01), 0.01, size)
+        op = N.NoiseOperator(8, N.gains_inverse_k(8, 0.01), 0.01)
         return M.ns2d_model(size, 0.1, op), M.taylor_green_field(size, 0.5)
-    op = N.noise_operator_1d(8, N.gains_inverse_k(8, 1.0), 1.0)
+    op = N.NoiseOperator(8, N.gains_inverse_k(8, 1.0), 1.0)
     model = M.heat_model(size, op) if kind == "heat" else M.burgers_model(size, op)
     return model, F.Field1D(F.random_fields_1d(1, size, np.random.default_rng(size))[0])
 
@@ -85,7 +85,7 @@ def test_burgers_nonlinearity(benchmark):
 
 
 def test_increment_table(benchmark):
-    op = N.noise_operator_1d(8, N.gains_inverse_k(8, 1.0), 1.0)
+    op = N.NoiseOperator(8, N.gains_inverse_k(8, 1.0), 1.0)
     table = benchmark(N.increment_table, op, 1e-3, 0, 3, 1000)
     assert table.shape == (1000, 8)
 

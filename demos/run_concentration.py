@@ -17,12 +17,12 @@ from tci_spde.constants import admissible_ranges, t1_constant, t2_constant
 from tci_spde.fields import Field1D
 from tci_spde.girsanov import coupled_ensemble, shift_from_descriptor
 from tci_spde.models import burgers_model
-from tci_spde.noise import gains_inverse_k, noise_operator_1d
+from tci_spde.noise import NoiseOperator, gains_inverse_k
 from tci_spde.solver import SolverConfig
 
 REPLICATES = 256
 
-op = noise_operator_1d(8, gains_inverse_k(8, 1.0), 1.0)
+op = NoiseOperator(8, gains_inverse_k(8, 1.0), 1.0)
 model = burgers_model(32, op)
 cfg = SolverConfig(dt=1e-3, horizon=1.0)
 x0 = Field1D(np.zeros(32))

@@ -13,12 +13,12 @@ from tci_spde.fields import Field1D
 from tci_spde.girsanov import (contraction_report, coupled_ensemble,
                                shift_from_descriptor, shift_entropy)
 from tci_spde.models import heat_model
-from tci_spde.noise import gains_single_mode, noise_operator_1d
+from tci_spde.noise import NoiseOperator, gains_single_mode
 from tci_spde.solver import SolverConfig
 
 REPLICATES = 512
 
-op = noise_operator_1d(8, gains_single_mode(8, 1.0, 1), 1.0)
+op = NoiseOperator(8, gains_single_mode(8, 1.0, 1), 1.0)
 model = heat_model(32, op)
 cfg = SolverConfig(dt=1e-3, horizon=1.0)
 x0 = Field1D(np.zeros(32))

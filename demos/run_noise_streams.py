@@ -7,15 +7,15 @@ Hilbert-Schmidt budget.
 
 import numpy as np
 
-from tci_spde.noise import (LANE_NOISE, derived_replicate, gains_inverse_k,
-                            gains_single_mode, generator, hs_norm,
-                            increment_table, noise_operator_1d,
-                            noise_operator_2d, support_values)
+from tci_spde.fields import TorusSpace
+from tci_spde.noise import (LANE_NOISE, NoiseOperator, derived_replicate,
+                            gains_inverse_k, gains_single_mode, generator,
+                            hs_norm, increment_table)
 
 SEED = 42
 DT = 1e-3
 
-op = noise_operator_1d(4, gains_inverse_k(4, 2.5), 2.5)
+op = NoiseOperator(4, gains_inverse_k(4, 2.5), 2.5)
 
 # drawing replicate 7 first or last gives the same numbers
 inc_a = increment_table(op, DT, SEED, replicate=7, n_steps=4)
@@ -43,8 +43,10 @@ print(f"sum of squared gains = {np.sum(op.gains**2):.6f} (budget C_B = 2.5)")
 print(f"HS norm at any state (additive) = {hs_norm(op, 0.0):.6f} "
       f"= sqrt(C_B) = {2.5**0.5:.6f}")
 
-single = noise_operator_2d(4, gains_single_mode(4, 1.0, 1), 1.0, cutoff=4)
-values = support_values(single, np.array([1.0, 0.0, 0.0, 0.0]))
+single = NoiseOperator(4, gains_single_mode(4, 1.0, 1), 1.0)
+torus = TorusSpace(4)
+state = np.zeros((1, 2, 9, 9), dtype=np.complex128)
+torus.add_noise(state, single, np.array([[1.0, 0.0, 0.0, 0.0]]))
 print(f"2-D single-mode operator: B e1 is one basis field, non-zero at "
-      f"{len(single.support)} of {2 * 9 * 9} spectral entries, "
-      f"with H-norm {np.linalg.norm(values):.6f} = sqrt(C_B)")
+      f"{np.count_nonzero(state)} of {2 * 9 * 9} spectral entries, "
+      f"with H-norm {np.linalg.norm(state):.6f} = sqrt(C_B)")

@@ -11,12 +11,11 @@ import numpy as np
 from tci_spde.fields import Field1D
 from tci_spde.models import (burgers_model, heat_model, ns2d_model,
                              taylor_green_field)
-from tci_spde.noise import (gains_inverse_k, gains_single_mode,
-                            noise_operator_1d, noise_operator_2d)
+from tci_spde.noise import NoiseOperator, gains_inverse_k, gains_single_mode
 from tci_spde.solver import (SolverConfig, heat_convergence_report, solve,
                              taylor_green_report)
 
-op = noise_operator_1d(4, gains_single_mode(4, 1.0, 1), 1.0)
+op = NoiseOperator(4, gains_single_mode(4, 1.0, 1), 1.0)
 heat = heat_model(16, op, f_tilde=0.0)
 cfg = SolverConfig(dt=1e-3, horizon=1.0)
 
@@ -32,14 +31,14 @@ traj = solve(heat, cfg, Field1D(x0), experiment_seed=0)
 print(f"with noise: sup_t ||X||_H = {traj.sup_h_total:.4f}, "
       f"int ||X||_V^2 dt = {traj.v_energy_total:.4f}")
 
-burgers = burgers_model(16, noise_operator_1d(4, gains_inverse_k(4, 1.0), 1.0))
+burgers = burgers_model(16, NoiseOperator(4, gains_inverse_k(4, 1.0), 1.0))
 traj = solve(burgers, cfg, Field1D(x0), experiment_seed=0, zero_noise=True)
 h_norms = np.sqrt(traj.h_sq[::250]).tolist()
 print(f"\nburgers, zero noise: ||X||_H at t = 0, .25, .5, .75, 1 -> "
       + ", ".join(f"{h:.4f}" for h in h_norms))
 print("monotone decay?", all(a >= b for a, b in zip(h_norms, h_norms[1:])))
 
-op2 = noise_operator_2d(2, gains_inverse_k(2, 1e-4), 1e-4, 8)
+op2 = NoiseOperator(2, gains_inverse_k(2, 1e-4), 1e-4)
 ns = ns2d_model(8, 0.05, op2)
 tg = taylor_green_field(8)
 traj = solve(ns, SolverConfig(dt=1e-3, horizon=0.25), tg,

@@ -20,8 +20,8 @@ from .constants import (admissible_ranges, ccr_constant, gaussian_moment_pair,
 from .errors import (DivergenceError, InfeasibleError, InvalidFieldError,
                      ParameterError, ResolutionError, SchemaError)
 from .fields import (L4_INTERPOLATION_1D, L4_INTERPOLATION_2D, POINCARE_1D,
-                     POINCARE_2D, Field1D, Field2D, Quadrature, SineSpace,
-                     TorusSpace, norm_inequality_suite)
+                     POINCARE_2D, Field1D, Field2D, SineSpace, TorusSpace,
+                     norm_inequality_suite)
 from .girsanov import (ShiftFunction, contraction_report, coupled_ensemble,
                        shift_entropy, shift_from_descriptor)
 from .models import (ETA_1D, ETA_2D, AssumptionConstants, ModelSpec,
@@ -31,7 +31,7 @@ from .models import (ETA_1D, ETA_2D, AssumptionConstants, ModelSpec,
                      taylor_green_field)
 from .noise import (NoiseOperator, derived_replicate, gains_inverse_k,
                     gains_single_mode, generator, hs_norm, increment_table,
-                    noise_operator_1d, noise_operator_2d, standard_normal_table)
+                    standard_normal_table)
 from .solver import (BLOCK_REPLICATES, SolverConfig, Trajectory,
                      heat_convergence_report, solve, solve_block,
                      taylor_green_report)

@@ -28,8 +28,8 @@ from .fields import SineSpace, TorusSpace, norm_inequality_suite
 from .girsanov import contraction_report, coupled_ensemble, shift_entropy
 from .models import (audit_hypotheses, burgers_model, ns2d_model,
                      nonlinearity_energy_suite, t1_feasibility)
-from .noise import (LANE_FIELDS, derived_replicate, gains_inverse_k,
-                    generator, noise_operator_1d, noise_operator_2d)
+from .noise import (LANE_FIELDS, NoiseOperator, derived_replicate,
+                    gains_inverse_k, generator)
 from .solver import heat_convergence_report, taylor_green_report
 
 
@@ -118,6 +118,24 @@ def _resolve_constant_inputs(cfg: ExperimentConfig) -> dict:
     return vals
 
 
+def _t1_constants(cfg: ExperimentConfig, theta, eta, K3, c_b, f_int, x0_sq,
+                  refuse_inadmissible: bool = False) -> dict:
+    """The T1 report keys: the admissible ranges, lambda0 (default half of
+    lambda0_max_lemma), c, mu_moment (default exp(lambda0 ||x0||_H^2)) and
+    C_T1.  With ``refuse_inadmissible``, a lambda0 outside
+    (0, lambda0_max_lemma) raises before anything else is computed."""
+    ranges = cst.admissible_ranges(theta, eta, K3, c_b, cfg.c)
+    lambda0 = cfg.lambda0 if cfg.lambda0 is not None \
+        else 0.5 * ranges["lambda0_max_lemma"]
+    if refuse_inadmissible:
+        conc.check_lambda0(lambda0, ranges["lambda0_max_lemma"])
+    mu_moment = cfg.mu_moment if cfg.mu_moment is not None \
+        else math.exp(lambda0 * x0_sq)
+    return {"ranges": ranges, "lambda0": float(lambda0), "c": float(cfg.c),
+            "mu_moment": float(mu_moment),
+            "C_T1": cst.t1_constant(lambda0, cfg.c, theta, f_int, mu_moment)}
+
+
 def _run_constants(cfg: ExperimentConfig) -> dict:
     vals = _resolve_constant_inputs(cfg)
     missing = [k for k in ("horizon", "K2", "C_B") if vals[k] is None]
@@ -134,22 +152,14 @@ def _run_constants(cfg: ExperimentConfig) -> dict:
         report.update({"ranges": None, "C_T1": None, "D": None,
                        "gaussian_moment": None})
         return report
-    ranges = cst.admissible_ranges(vals["theta"], vals["eta"],
-                                   vals["K3"] or 0.0, vals["C_B"], cfg.c)
-    lambda0 = cfg.lambda0 if cfg.lambda0 is not None \
-        else 0.5 * ranges["lambda0_max_lemma"]
     f_int = vals["f_tilde_integral"] or 0.0
     x0_sq = vals["x0_h_norm_sq"]
-    mu_moment = cfg.mu_moment if cfg.mu_moment is not None \
-        else math.exp(lambda0 * x0_sq)
-    a, b = cst.gaussian_moment_pair(cfg.c, lambda0, vals["theta"], f_int, x0_sq)
+    t1 = _t1_constants(cfg, vals["theta"], vals["eta"], vals["K3"] or 0.0,
+                       vals["C_B"], f_int, x0_sq)
+    a, b = cst.gaussian_moment_pair(cfg.c, t1["lambda0"], vals["theta"],
+                                    f_int, x0_sq)
+    report.update(t1)
     report.update({
-        "ranges": ranges,
-        "lambda0": float(lambda0),
-        "c": float(cfg.c),
-        "mu_moment": float(mu_moment),
-        "C_T1": cst.t1_constant(lambda0, cfg.c, vals["theta"], f_int,
-                                mu_moment),
         "gaussian_moment": {"a": float(a), "b": float(b)},
         "D": cst.ccr_constant(a, b) if a > 0.0 else None,
     })
@@ -229,17 +239,12 @@ def _run_verify_t1(cfg: ExperimentConfig, out_dir: str) -> dict:
     _require(cfg, "model", "solver", "x0")
     model = cfg.model
     cons = model.constants
-    ranges = cst.admissible_ranges(cons.theta, cons.eta, cons.K3,
-                                   model.noise.c_b, cfg.c)
-    lambda0_max = ranges["lambda0_max_lemma"]
-    lambda0 = cfg.lambda0 if cfg.lambda0 is not None else 0.5 * lambda0_max
-    # An inadmissible lambda0 is refused before any replicate is solved.
-    conc.check_lambda0(lambda0, lambda0_max)
     f_int = model.f_tilde * cfg.solver.horizon
     x0_sq = _x0_sq(cfg)
-    mu_moment = cfg.mu_moment if cfg.mu_moment is not None \
-        else math.exp(lambda0 * x0_sq)
-    c_t1 = cst.t1_constant(lambda0, cfg.c, cons.theta, f_int, mu_moment)
+    # An inadmissible lambda0 is refused before any replicate is solved.
+    t1 = _t1_constants(cfg, cons.theta, cons.eta, cons.K3, model.noise.c_b,
+                       f_int, x0_sq, refuse_inadmissible=True)
+    lambda0, c_t1 = t1["lambda0"], t1["C_T1"]
 
     functional = conc.l2_v_path_functional()
     values = conc.functional_ensemble(model, cfg.solver, cfg.x0, functional,
@@ -248,14 +253,10 @@ def _run_verify_t1(cfg: ExperimentConfig, out_dir: str) -> dict:
                         cfg.experiment_seed, [(functional.kind, values)])
     lip = functional.lipschitz_constant
     return {
-        "ranges": ranges,
-        "lambda0": float(lambda0),
-        "c": float(cfg.c),
-        "mu_moment": float(mu_moment),
-        "C_T1": float(c_t1),
-        "exp_moment": conc.exp_moment_check(model, values, cfg.c, lambda0,
-                                            lambda0_max, f_int, x0_sq,
-                                            cfg.experiment_seed),
+        **t1,
+        "exp_moment": conc.exp_moment_check(
+            model, values, cfg.c, lambda0, t1["ranges"]["lambda0_max_lemma"],
+            f_int, x0_sq, cfg.experiment_seed),
         "bobkov_gotze": conc.bobkov_gotze_check(values, lip, c_t1,
                                                 cfg.lambda_grid),
         "gaussian_tail": conc.gaussian_tail_check(values, lip, c_t1,
@@ -276,16 +277,15 @@ def _run_inequalities(cfg: ExperimentConfig) -> dict:
                                      _field_rng(cfg, index=1))
     suite_2d["pass"] = _suite_pass(suite_2d)
 
-    op_1d = noise_operator_1d(4, gains_inverse_k(4, 1.0), 1.0)
-    op_2d = noise_operator_2d(4, gains_inverse_k(4, 1.0), 1.0, cutoff)
+    op = NoiseOperator(4, gains_inverse_k(4, 1.0), 1.0)
     if model is not None and model.kind == "burgers":
         burgers = model
     else:
-        burgers = burgers_model(n_modes, op_1d)
+        burgers = burgers_model(n_modes, op)
     if model is not None and model.kind == "ns2d":
         ns = model
     else:
-        ns = ns2d_model(cutoff, 0.1, op_2d)
+        ns = ns2d_model(cutoff, 0.1, op)
     energy_1d = nonlinearity_energy_suite(burgers, cfg.n_fields,
                                           cfg.experiment_seed)
     energy_1d["pass"] = energy_1d["violations"] == 0

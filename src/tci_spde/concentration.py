@@ -3,9 +3,10 @@
 Lipschitz functionals of trajectories turn path laws into scalar
 ensembles; exponential moments, Gaussian tails and empirical W2 of those
 ensembles witness the transportation inequalities one-sidedly.
-``functional_ensemble`` and ``moment_report`` solve ensembles; the checks
-are statistics over values (or a coupled ensemble) the caller has already
-solved, with constants the caller has already computed.  All
+``functional_ensemble`` and ``moment_report`` are statistics over
+``solver.ensemble`` passes; the checks are statistics over values (or a
+coupled ensemble) the caller has already solved, with constants the
+caller has already computed.  All
 statistical verdicts are one-sided at three standard errors; exponential
 moments use max-subtraction and report an infinite flag instead of
 clipping when the exponent range is unrepresentable.
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import ParameterError
 from .girsanov import ShiftFunction, shift_entropy
 from .models import ModelSpec
 from .noise import LANE_REFINED, derived_replicate
-from .solver import SolverConfig, map_blocks, solve_block
+from .solver import SolverConfig, ensemble
 
 _EXP_RANGE = 700.0
 
@@ -99,39 +99,13 @@ def linear_probe_functional(probe) -> FunctionalSpec:
 # scalar ensembles
 
 
-def _path_block(replicates, model, cfg, x0, experiment_seed, record_rep):
-    """Path summaries of one block, and the norm path of replicate
-    ``record_rep`` if the block holds it (else None)."""
-    if record_rep not in replicates:
-        block = solve_block(model, cfg, x0, experiment_seed, replicates)
-        return block.paths, None
-    block = solve_block(model, cfg, x0, experiment_seed, replicates,
-                        record="norms")
-    return block.paths, block.trajectories[replicates.index(record_rep)]
-
-
-def _ensemble_paths(model, cfg, x0, experiment_seed, replicates,
-                    record_rep: int | None = None):
-    """Path summaries of independent replicates, stepped in blocks, and the
-    norm path of replicate ``record_rep``, recorded as its row of its
-    block (None when not asked for)."""
-    blocks = map_blocks(
-        partial(_path_block, model=model, cfg=cfg, x0=x0,
-                experiment_seed=experiment_seed, record_rep=record_rep),
-        replicates)
-    recorded = [traj for _, traj in blocks if traj is not None]
-    return (np.concatenate([paths for paths, _ in blocks]),
-            recorded[0] if recorded else None)
-
-
 def functional_ensemble(model: ModelSpec, cfg: SolverConfig, x0,
                         functional: FunctionalSpec, n_replicates: int,
                         experiment_seed: int) -> np.ndarray:
-    """The values of one functional on independent replicates 0..n-1,
-    parallel over blocks."""
-    paths, _ = _ensemble_paths(model, cfg, x0, experiment_seed,
-                               list(range(n_replicates)))
-    return functional.values(paths)
+    """The values of one functional on independent replicates 0..n-1, from
+    one ``solver.ensemble`` pass."""
+    return functional.values(
+        ensemble(model, cfg, x0, experiment_seed, range(n_replicates)).paths)
 
 
 def _ensemble_values(values) -> np.ndarray:
@@ -372,9 +346,10 @@ def t2_chain_check(model: ModelSpec, h: ShiftFunction,
 
 def _moment_pass(model, cfg, x0, experiment_seed, p, replicates,
                  record_rep=None):
-    paths, traj = _ensemble_paths(model, cfg, x0, experiment_seed,
-                                  replicates, record_rep)
-    arr = np.stack([paths["sup_h_total"] ** p, paths["v_energy_total"]], axis=1)
+    ens = ensemble(model, cfg, x0, experiment_seed, replicates,
+                   record_rep=record_rep)
+    arr = np.stack([ens.paths["sup_h_total"] ** p,
+                    ens.paths["v_energy_total"]], axis=1)
     sup_mean, sup_se = mean_and_stderr(arr[:, 0])
     v_mean, v_se = mean_and_stderr(arr[:, 1])
     return {
@@ -382,7 +357,7 @@ def _moment_pass(model, cfg, x0, experiment_seed, p, replicates,
         "sup_h_moment": {"mean": float(sup_mean), "stderr": float(sup_se)},
         "v_energy": {"mean": float(v_mean), "stderr": float(v_se)},
         "finite": bool(np.all(np.isfinite(arr))),
-    }, traj
+    }, ens.trajectories[0] if ens.trajectories else None
 
 
 def moment_report(model: ModelSpec, cfg: SolverConfig, x0,

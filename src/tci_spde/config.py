@@ -22,8 +22,7 @@ from .errors import SchemaError
 from .fields import Field1D, Field2D
 from .girsanov import ShiftFunction, shift_from_descriptor
 from .models import ModelSpec, burgers_model, heat_model, ns2d_model, taylor_green_field
-from .noise import (gains_inverse_k, gains_single_mode, noise_operator_1d,
-                    noise_operator_2d)
+from .noise import NoiseOperator, gains_inverse_k, gains_single_mode
 from .solver import SolverConfig
 
 _REQUIRED = object()
@@ -118,8 +117,8 @@ class ExperimentConfig:
                                      self.model.noise.n_w, self.solver)
 
 
-def _build_noise(reader: _Reader, kind: str, cutoff):
-    noise = reader.section("noise", required=kind is not None)
+def _build_noise(reader: _Reader):
+    noise = reader.section("noise", required=True)
     n_w = noise.get("n_w", int, default=8, check=lambda v: v >= 1,
                     describe="must be a positive integer")
     c_b = noise.get("c_b", float, default=1.0, check=lambda v: v > 0,
@@ -150,9 +149,7 @@ def _build_noise(reader: _Reader, kind: str, cutoff):
             "noise.gains: expected 'inverse_k', 'single_mode', or a list")
         return None
     try:
-        if kind == "ns2d":
-            return noise_operator_2d(n_w, gains, c_b, cutoff, clamp=clamp)
-        return noise_operator_1d(n_w, gains, c_b, clamp=clamp)
+        return NoiseOperator(n_w, gains, c_b, clamp=clamp)
     except ValueError as exc:
         reader.problems.append(f"noise: {exc}")
         return None
@@ -181,7 +178,7 @@ def _build_model(reader: _Reader):
                           "f_tilde", "K2_tilde"})
     if kind is None or reader.problems:
         return None
-    noise = _build_noise(reader, kind, cutoff)
+    noise = _build_noise(reader)
     if noise is None:
         return None
     try:

@@ -8,6 +8,9 @@ complex Fourier coefficients u_hat(k) in C^2 on the square wavevector
 block |k|_inf <= cutoff with Hermitian symmetry u_hat(-k) = conj(u_hat(k)).
 ``SineSpace`` and ``TorusSpace`` are the one place that knows how the
 states of each space are stored; the other modules go through them.
+Each space also embeds the noise, B w for w in U = R^{n_w}
+(``add_noise``): U-coordinate j feeds sine mode j, or the j-th field of
+the torus's divergence-free basis (``TorusSpace.noise_basis``).
 
 Norms of the Gelfand triple V in H in V*.  Each space has one kernel,
 ``sq_norms(raw, weights)``, the weighted sum sum_k w_k |x_k|^2 per state,
@@ -38,8 +41,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidFieldError, ResolutionError
-from .noise import NoiseOperator, support_values
+from .errors import InvalidFieldError, ParameterError, ResolutionError
+from .noise import NoiseOperator
 
 # Sharp Poincare constants for the squared embedding ||v||_V^2 >= C ||v||_H^2.
 POINCARE_1D = np.pi**2
@@ -56,26 +59,14 @@ _HERMITIAN_TOL = 1e-12
 # quadrature
 
 
-@dataclass(frozen=True)
-class Quadrature:
-    """Midpoint rule on [0, 1]: nodes (j + 1/2)/n with equal weights.
+def midpoint_nodes(n_points: int) -> np.ndarray:
+    """Midpoint rule nodes (j + 1/2)/n on [0, 1].
 
-    It integrates cos(m pi x) exactly for 0 <= m < 2n, which covers every
-    quartic product of sine modes once n is at least four times the modal
-    cutoff.
+    With the equal weights 1/n the rule integrates cos(m pi x) exactly for
+    0 <= m < 2n, which covers every quartic product of sine modes once n is
+    at least four times the modal cutoff.
     """
-
-    n_points: int
-
-    def __post_init__(self):
-        if self.n_points < 2:
-            raise ResolutionError("quadrature needs at least 2 points")
-
-    def nodes(self) -> np.ndarray:
-        return (np.arange(self.n_points) + 0.5) / self.n_points
-
-    def weights(self) -> np.ndarray:
-        return np.full(self.n_points, 1.0 / self.n_points)
+    return (np.arange(n_points) + 0.5) / n_points
 
 
 # ---------------------------------------------------------------------------
@@ -437,16 +428,16 @@ class SineSpace:
         """Evaluation matrix E[j, k-1] = sqrt(2) sin(k pi x_j) on the
         ``n_points`` midpoint nodes; cached by value (the space is a frozen
         value), and shared, so callers must not write to it."""
-        x = Quadrature(n_points).nodes()
+        x = midpoint_nodes(n_points)
         k = np.arange(1, self.n_modes + 1)
         return np.sqrt(2.0) * np.sin(np.pi * np.outer(x, k))
 
     def grid_moments(self, raw: np.ndarray):
         """Per-field (int v^2, int v^4) by the midpoint rule on 4N nodes,
         one matrix-vector product per field serving both."""
-        quad = Quadrature(4 * self.n_modes)
-        vals = np.matmul(self.table(quad.n_points), raw[..., None])[..., 0]
-        w = quad.weights()
+        n_points = 4 * self.n_modes
+        vals = np.matmul(self.table(n_points), raw[..., None])[..., 0]
+        w = np.full(n_points, 1.0 / n_points)
         return _row_dots(w, vals**2), _row_dots(w, vals**4)
 
     def draw(self, count: int, rng: np.random.Generator, scale=1.0) -> np.ndarray:
@@ -501,11 +492,48 @@ class TorusSpace:
     def draw(self, count: int, rng: np.random.Generator, scale=1.0) -> np.ndarray:
         return random_fields_2d(count, self.cutoff, rng, scale=scale)
 
+    @lru_cache(maxsize=32)
+    def noise_basis(self, n_w: int):
+        """The first n_w orthonormal divergence-free real basis fields,
+        spectrally; cached by value (cutoff, n_w), and shared, so callers
+        must not write to it.
+
+        Wavevectors are enumerated over the half-space (k1 > 0, or k1 = 0
+        and k2 > 0) sorted by (|k|^2, k1, k2); each contributes a cosine and
+        a sine field polarized along k-perp.  Returns the support, the
+        sorted flat indices into a (2, n, n) block of the entries some field
+        is non-zero at, and the (n_w, support) amplitudes of the fields
+        there.
+        """
+        cutoff = self.cutoff
+        half = sorted((k1 * k1 + k2 * k2, k1, k2) for k1 in range(cutoff + 1)
+                      for k2 in range(-cutoff, cutoff + 1) if k1 > 0 or k2 > 0)
+        if n_w > 2 * len(half):
+            raise ParameterError(
+                f"n_w = {n_w} exceeds the {2 * len(half)} divergence-free "
+                f"modes available at cutoff {cutoff}"
+            )
+        n = 2 * cutoff + 1
+        out = np.zeros((n_w, 2, n, n), dtype=np.complex128)
+        for j in range(n_w):
+            _, k1, k2 = half[j // 2]
+            norm = np.hypot(k1, k2)
+            d = np.array([-k2 / norm, k1 / norm])
+            amp = d / np.sqrt(2.0) if j % 2 == 0 else -1j * d / np.sqrt(2.0)
+            out[j, :, k1 + cutoff, k2 + cutoff] = amp
+            out[j, :, -k1 + cutoff, -k2 + cutoff] = np.conj(amp)
+        flat = out.reshape(n_w, -1)
+        support = np.flatnonzero(np.any(flat != 0.0, axis=0))
+        return support, flat[:, support]
+
     def add_noise(self, state: np.ndarray, op: NoiseOperator, w: np.ndarray):
         """Add B w to the contiguous states (P, 2, n, n) in place, ``w`` of
-        shape (P, n_w) with any clamp applied, on the support of the noise
-        basis, the only entries it changes."""
-        state.reshape(len(state), -1)[:, op.support] += support_values(op, w)
+        shape (P, n_w) with any clamp applied: U-coordinate j feeds basis
+        field j (``noise_basis``), and only the support of the basis
+        changes."""
+        support, amplitudes = self.noise_basis(op.n_w)
+        state.reshape(len(state), -1)[:, support] += np.tensordot(
+            op.gains * w, amplitudes, axes=(-1, 0))
 
 
 def space_of(raw: np.ndarray):

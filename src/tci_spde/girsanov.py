@@ -10,21 +10,22 @@ law P.  The density of Q against P along the path is
 where dW are increments of the original process; under the shifted
 simulation these are the drawn increments plus h dt.  The relative
 entropy is H(Q | P) = 1/2 int ||h||^2 dt, exactly, since h is
-deterministic.  ``contraction_report`` checks the resulting squared-gap
-bound   E_Q sup_t ||X - Y||_H^2 <= C(T, K2, C_B) int ||h||^2 dt.
+deterministic.  ``coupled_ensemble`` reads both legs and the pairings
+sum_k <h(t_k), dW_k> off one shifted ``solver.ensemble`` pass, and
+``contraction_report`` checks the resulting squared-gap bound
+E_Q sup_t ||X - Y||_H^2 <= C(T, K2, C_B) int ||h||^2 dt.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from ._stats import mean_and_stderr
 from .errors import ParameterError
 from .models import ModelSpec
-from .solver import SolverConfig, block_increments, map_blocks, solve_block
+from .solver import SolverConfig, ensemble
 
 
 @dataclass(frozen=True)
@@ -96,41 +97,29 @@ def _check_shift(model: ModelSpec, cfg: SolverConfig, h: ShiftFunction):
         raise ParameterError("shift grid disagrees with the solver grid")
 
 
-def _pair_block(replicates, model, cfg, x0, h, experiment_seed) -> dict:
-    inc = block_increments(model, cfg, experiment_seed, replicates)
-    rows = h.dynamic_rows()
-    block = solve_block(model, cfg, x0, experiment_seed, replicates,
-                        increments=inc, shifts=(rows, None))
-    n = len(replicates)
-    s = np.array([np.sum(rows * inc[:, i]) for i in range(n)])
-    i_left = h.dt * float(np.sum(rows**2))
-    # log M_T with the draws read under the base measure; subtracting half
-    # the left-rule integral (the variance of s) makes E exp(.) = 1 exactly.
-    return {"sup_gap_sq": block.sup_gap_sq,
-            "log_rn": s + i_left - shift_entropy(h),
-            "log_rn_base_view": s - 0.5 * i_left,
-            "shifted": block.paths[:n],
-            "unshifted": block.paths[n:]}
-
-
 def coupled_ensemble(model: ModelSpec, cfg: SolverConfig, x0, h: ShiftFunction,
                      n_replicates: int, experiment_seed: int) -> dict:
-    """Replicate arrays for the coupling checks, one coupled pass.
-
-    Pairs are stepped in blocks (``solver.map_blocks``); each replicate's
-    increment table is drawn once and drives both legs and its log-density.
-    ``shifted`` and ``unshifted`` hold per-replicate path summaries
-    (``solver.solve_block``) on which any functional can be evaluated.
+    """Replicate arrays for the coupling checks, from one shifted
+    ``solver.ensemble`` pass: each replicate's increment table is drawn
+    once and drives both legs and its log-density.  ``shifted`` and
+    ``unshifted`` hold per-replicate path summaries on which any
+    functional can be evaluated.
     """
     _check_shift(model, cfg, h)
-    blocks = map_blocks(
-        partial(_pair_block, model=model, cfg=cfg, x0=x0, h=h,
-                experiment_seed=experiment_seed),
-        range(n_replicates))
-    out = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
-    out["n_replicates"] = int(n_replicates)
-    out["experiment_seed"] = int(experiment_seed)
-    return out
+    rows = h.dynamic_rows()
+    ens = ensemble(model, cfg, x0, experiment_seed, range(n_replicates),
+                   shift=rows)
+    i_left = h.dt * float(np.sum(rows**2))
+    # log M_T with the draws read under the base measure; subtracting half
+    # the left-rule integral (the variance of the pairing) makes E exp(.) = 1
+    # exactly.
+    return {"sup_gap_sq": ens.sup_gap_sq,
+            "log_rn": ens.pairing + i_left - shift_entropy(h),
+            "log_rn_base_view": ens.pairing - 0.5 * i_left,
+            "shifted": ens.paths[:n_replicates],
+            "unshifted": ens.paths[n_replicates:],
+            "n_replicates": int(n_replicates),
+            "experiment_seed": int(experiment_seed)}
 
 
 def contraction_report(model: ModelSpec, h: ShiftFunction, coupled: dict,

@@ -7,15 +7,16 @@ out of order, in parallel, bitwise identically.  Normals come from the
 inverse CDF applied to 53-bit uniforms, one raw draw per normal, which
 keeps the stream position a pure function of the counter.
 
-Noise operators are diagonal in the field basis: U-coordinate j feeds
-mode j with gain b_j, optionally scaled by a bounded clamp g(||v||_H).
-The squared Hilbert-Schmidt norm is then g(||v||_H)^2 sum_j b_j^2 and is
-capped by the declared budget C_B.
+A noise operator is the U side of B alone: U-coordinate j has gain b_j,
+optionally scaled by a bounded clamp g(||v||_H), and the squared
+Hilbert-Schmidt norm g(||v||_H)^2 sum_j b_j^2 is capped by the declared
+budget C_B.  Which field feeds coordinate j is the space's business:
+``fields.SineSpace`` and ``fields.TorusSpace`` embed B w into their states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -100,61 +101,20 @@ def gains_single_mode(n_w: int, c_b: float, mode_index: int = 1) -> np.ndarray:
 # noise operators
 
 
-def _basis_2d(cutoff: int, n_w: int):
-    """First n_w orthonormal divergence-free real basis fields, spectrally.
-
-    Wavevectors are enumerated over the half-space (k1 > 0, or k1 = 0 and
-    k2 > 0) sorted by (|k|^2, k1, k2); each contributes a cosine and a sine
-    field polarized along k-perp.  Returns the support, the sorted flat
-    indices into a (2, n, n) block of the entries some field is non-zero
-    at, and the (n_w, support) amplitudes of the fields there.
-    """
-    half = []
-    for k1 in range(0, cutoff + 1):
-        for k2 in range(-cutoff, cutoff + 1):
-            if k1 == 0 and k2 <= 0:
-                continue
-            half.append((k1 * k1 + k2 * k2, k1, k2))
-    half.sort()
-    if n_w > 2 * len(half):
-        raise ParameterError(
-            f"n_w = {n_w} exceeds the {2 * len(half)} divergence-free "
-            f"modes available at cutoff {cutoff}"
-        )
-    n = 2 * cutoff + 1
-    out = np.zeros((n_w, 2, n, n), dtype=np.complex128)
-    for j in range(n_w):
-        _, k1, k2 = half[j // 2]
-        norm = np.hypot(k1, k2)
-        d = np.array([-k2 / norm, k1 / norm])
-        amp = d / np.sqrt(2.0) if j % 2 == 0 else -1j * d / np.sqrt(2.0)
-        out[j, :, k1 + cutoff, k2 + cutoff] = amp
-        out[j, :, -k1 + cutoff, -k2 + cutoff] = np.conj(amp)
-    flat = out.reshape(n_w, -1)
-    support = np.flatnonzero(np.any(flat != 0.0, axis=0))
-    return support, flat[:, support].copy()
-
-
 @dataclass(frozen=True)
 class NoiseOperator:
-    """Diagonal map from U = R^{n_w} into the field space.
+    """Diagonal map from U = R^{n_w}: U-coordinate j has gain b_j.
 
     ``clamp`` of None means additive noise (g identically 1); a positive
     clamp R gives the bounded multiplicative factor g(s) = R / max(R, s).
-    A 2-D operator keeps its basis sparsely: ``support`` holds the flat
-    indices into the (2, n, n) spectral block that the noise reaches and
-    ``amplitudes`` the (n_w, support) values of the basis fields there.
+    The operator knows nothing of the field space: each space embeds
+    B w into its states (``SineSpace.add_noise``, ``TorusSpace.add_noise``).
     """
 
     n_w: int
     gains: np.ndarray
     c_b: float
     clamp: float | None = None
-    kind: str = "1d"
-    cutoff: int | None = None
-    support: np.ndarray | None = field(default=None, init=False, repr=False)
-    amplitudes: np.ndarray | None = field(default=None, init=False,
-                                          repr=False)
 
     def __post_init__(self):
         gains = np.asarray(self.gains, dtype=np.float64)
@@ -172,32 +132,12 @@ class NoiseOperator:
         if self.clamp is not None and self.clamp <= 0.0:
             raise ParameterError("clamp must be positive when present")
         object.__setattr__(self, "gains", gains)
-        if self.kind == "2d":
-            if self.cutoff is None:
-                raise ParameterError("2-D noise needs the field cutoff")
-            support, amplitudes = _basis_2d(self.cutoff, self.n_w)
-            object.__setattr__(self, "support", support)
-            object.__setattr__(self, "amplitudes", amplitudes)
-        elif self.kind != "1d":
-            raise ParameterError(f"unknown noise kind {self.kind!r}")
 
     def g(self, h_norm):
         """Clamp factor for an H-norm, or elementwise for an array of them."""
         if self.clamp is None:
             return 1.0
         return self.clamp / np.maximum(self.clamp, h_norm)
-
-
-def noise_operator_1d(n_w: int, gains, c_b: float,
-                      clamp: float | None = None) -> NoiseOperator:
-    return NoiseOperator(n_w=n_w, gains=np.asarray(gains, dtype=np.float64),
-                         c_b=c_b, clamp=clamp, kind="1d")
-
-
-def noise_operator_2d(n_w: int, gains, c_b: float, cutoff: int,
-                      clamp: float | None = None) -> NoiseOperator:
-    return NoiseOperator(n_w=n_w, gains=np.asarray(gains, dtype=np.float64),
-                         c_b=c_b, clamp=clamp, kind="2d", cutoff=cutoff)
 
 
 def increment_table(op: NoiseOperator, dt: float, experiment_seed: int,
@@ -212,10 +152,3 @@ def hs_norm(op: NoiseOperator, h_norm):
     """Hilbert-Schmidt norm ||B(v)||_{L2(U;H)} at a state of H-norm ``h_norm``,
     or elementwise for an array of them (one number for additive noise)."""
     return np.sqrt(np.sum(op.gains**2)) * op.g(h_norm)
-
-
-def support_values(op: NoiseOperator, w: np.ndarray) -> np.ndarray:
-    """B w (g factor excluded) on the support of a 2-D operator, shape
-    (..., len(op.support)) for ``w`` of shape (..., n_w); every other
-    spectral entry of B w is zero."""
-    return np.tensordot(op.gains * w, op.amplitudes, axes=(-1, 0))

@@ -2,8 +2,8 @@
 
 ``TCI_SPDE_WORKERS`` selects the process count (default 1).  Results are
 returned in submission order and every replicate derives its randomness
-from its own counter-based stream; ensembles map over replicate blocks of
-a fixed size (``solver.map_blocks``), so the outputs are bitwise
+from its own counter-based stream; the ensemble pass maps over replicate
+blocks of a fixed size (``solver.ensemble``), so the outputs are bitwise
 identical for any worker count.
 """
 

@@ -15,9 +15,14 @@ V-energy, sup H-norm, terminal state, and for coupled blocks the sup of
 the squared gap between shifted and unshifted rows) replace stored paths.
 ``solve`` is that loop on one row with its states recorded; a block can
 also record its rows' norm paths alone (``record="norms"``), so an
-ensemble yields one replicate's path without solving it twice.  Ensembles cut
-their replicates into blocks of ``BLOCK_REPLICATES``, a code constant, so
-their results do not depend on the worker count.  Blow-up raises with the
+ensemble yields one replicate's path without solving it twice.
+
+Every ensemble is one ``ensemble`` pass: it cuts the replicates into
+blocks of ``BLOCK_REPLICATES``, a code constant, so the results do not
+depend on the worker count; it draws each block's increment table once
+(Philox table -> ``block_increments`` -> ``solve_block``, where the space
+embeds B w) and joins the blocks per shift leg.  The deterministic oracles
+drive the same loop with zero increments.  Blow-up raises with the
 (experiment_seed, replicate, step) address instead of propagating NaNs.
 """
 
@@ -128,23 +133,26 @@ def block_increments(model: ModelSpec, cfg: SolverConfig, experiment_seed: int,
 
 @dataclass
 class Block:
-    """Results of one block.  Rows are leg-major: row j * P + i is the i-th
-    of the P replicates on the j-th shift leg.
+    """Results of one block, or of an ``ensemble`` pass joined from its
+    blocks.  Rows are leg-major: row j * P + i is the i-th of the P
+    replicates on the j-th shift leg.
 
     ``paths`` holds one path summary per row; ``sup_gap_sq`` (two-leg
     blocks only) the per-replicate sup_t ||X_leg0 - X_leg1||_H^2;
-    ``trajectories`` (recorded blocks only) one Trajectory per row.
+    ``trajectories`` (recorded blocks only) one Trajectory per row;
+    ``pairing`` (shifted ``ensemble`` passes only) the per-replicate
+    sum_k <h(t_k), dW_k>.
     """
 
     paths: np.ndarray
     sup_gap_sq: np.ndarray | None = None
     trajectories: list | None = None
+    pairing: np.ndarray | None = None
 
 
 def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
                 replicates, increments: np.ndarray | None = None,
-                shifts=(None,), zero_noise: bool = False,
-                record: str | None = None) -> Block:
+                shifts=(None,), record: str | None = None) -> Block:
     """Advance every (shift leg, replicate) row of one block in lockstep.
 
     Every row starts from ``x0``.  ``increments`` holds the Wiener
@@ -166,14 +174,10 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     space = model.space
     x0_raw = space.raw(x0)
 
-    if zero_noise:
-        inc = None
-    elif increments is None:
-        inc = block_increments(model, cfg, experiment_seed, replicates)
-    elif increments.shape != (M, n_rep, op.n_w):
+    inc = block_increments(model, cfg, experiment_seed, replicates) \
+        if increments is None else increments
+    if inc.shape != (M, n_rep, op.n_w):
         raise ParameterError("increments must have shape (n_steps, replicates, n_w)")
-    else:
-        inc = increments
     for h in shifts:
         if h is not None and h.shape != (M, op.n_w):
             raise ParameterError("shift values must have shape (n_steps, n_w)")
@@ -214,17 +218,15 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(M):
             expl = explicit_drift(model, state)
-            if inc is not None:
-                w = [inc[k] if dth is None else inc[k] + dth[k]
-                     for dth in shift_steps]
-                w = w[0] if len(w) == 1 else np.concatenate(w)
-                if op.clamp is not None:
-                    w = op.g(np.sqrt(h_sq))[:, None] * w
+            w = [inc[k] if dth is None else inc[k] + dth[k]
+                 for dth in shift_steps]
+            w = w[0] if len(w) == 1 else np.concatenate(w)
+            if op.clamp is not None:
+                w = op.g(np.sqrt(h_sq))[:, None] * w
             if expl is not None:
                 expl *= dt
                 state += expl
-            if inc is not None:
-                space.add_noise(state, op, w)
+            space.add_noise(state, op, w)
             state *= inv_lin
             hv = space.sq_norms(state, hv_weights)
             # NaN and inf fail this screen; an overflowing sum of finite
@@ -277,29 +279,61 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     return block
 
 
-def _catch_divergence(fn, block):
+def _ensemble_block(replicates, model, cfg, x0, experiment_seed, shift,
+                    record_rep):
+    """One block of ``ensemble``, or the DivergenceError it raised."""
+    inc = block_increments(model, cfg, experiment_seed, replicates)
+    record = "norms" if record_rep in replicates else None
     try:
-        return fn(block)
+        block = solve_block(model, cfg, x0, experiment_seed, replicates,
+                            increments=inc, record=record,
+                            shifts=(None,) if shift is None else (shift, None))
     except DivergenceError as exc:
         return exc
+    if shift is not None:
+        block.pairing = np.array([np.sum(shift * inc[:, i])
+                                  for i in range(len(replicates))])
+    if record:
+        block.trajectories = [block.trajectories[replicates.index(record_rep)]]
+    return block
 
 
-def map_blocks(fn, replicates) -> list:
-    """``fn`` on consecutive blocks of ``BLOCK_REPLICATES`` replicates, fanned
-    out by ``parallel_map``; results come back in block order.
+def ensemble(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
+             replicates, shift: np.ndarray | None = None,
+             record_rep: int | None = None) -> Block:
+    """The one ensemble pass: every replicate stepped once from ``x0``, in
+    consecutive blocks of ``BLOCK_REPLICATES`` fanned out by
+    ``parallel_map``, joined per leg into one leg-major Block.
+
+    Each block draws its increment table once (``block_increments``) and
+    steps it with ``solve_block``.  With ``shift``, the (n_steps, n_w)
+    values h(t_k) of a Girsanov shift, the same increments drive a shifted
+    and an unshifted leg, and ``pairing`` holds each replicate's
+    sum_k <h(t_k), dW_k>.  The norm path of replicate ``record_rep`` is
+    recorded as its row of its block, the one entry of ``trajectories``.
 
     Every block runs even when one diverges; the error re-raised is the
     earliest divergence, lowest replicate first at equal steps, so it does
     not depend on the worker count either.
     """
-    replicates = list(replicates)
-    blocks = [replicates[i:i + BLOCK_REPLICATES]
-              for i in range(0, len(replicates), BLOCK_REPLICATES)]
-    results = parallel_map(partial(_catch_divergence, fn), blocks)
-    failed = [r for r in results if isinstance(r, DivergenceError)]
+    replicates = [int(r) for r in replicates]
+    blocks = parallel_map(
+        partial(_ensemble_block, model=model, cfg=cfg, x0=x0,
+                experiment_seed=experiment_seed, shift=shift,
+                record_rep=record_rep),
+        [replicates[i:i + BLOCK_REPLICATES]
+         for i in range(0, len(replicates), BLOCK_REPLICATES)])
+    failed = [b for b in blocks if isinstance(b, DivergenceError)]
     if failed:
         raise min(failed, key=lambda exc: (exc.step, exc.replicate))
-    return results
+    n_legs = 1 if shift is None else 2
+    out = Block(paths=np.concatenate(
+        [b.paths.reshape(n_legs, -1) for b in blocks], axis=1).ravel())
+    if shift is not None:
+        out.sup_gap_sq = np.concatenate([b.sup_gap_sq for b in blocks])
+        out.pairing = np.concatenate([b.pairing for b in blocks])
+    out.trajectories = [t for b in blocks for t in b.trajectories or ()] or None
+    return out
 
 
 def solve(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
@@ -312,15 +346,17 @@ def solve(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     and the step index, so replicates are reproducible independently of
     execution order.  ``shift_values`` holds h(t_k) rows for a Girsanov
     shift; ``increments`` overrides the generated ones (shared-noise
-    couplings); ``zero_noise`` runs the deterministic skeleton.
+    couplings); ``zero_noise`` drives the path with zero increments.
     """
-    if increments is not None and not zero_noise:
+    if zero_noise:
+        increments = np.zeros((cfg.n_steps, model.noise.n_w))
+    if increments is not None:
         if increments.shape != (cfg.n_steps, model.noise.n_w):
             raise ParameterError("increments must have shape (n_steps, n_w)")
         increments = increments[:, None, :]
     return solve_block(model, cfg, x0, experiment_seed, [replicate],
                        increments=increments, shifts=(shift_values,),
-                       zero_noise=zero_noise, record="states").trajectories[0]
+                       record="states").trajectories[0]
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +364,11 @@ def solve(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
 
 
 def _zero_noise_terminal(model: ModelSpec, cfg: SolverConfig, x0) -> np.ndarray:
-    """Terminal state of the deterministic skeleton, from the running block
-    reductions: the oracles read nothing else, so no path is stored."""
-    return solve_block(model, cfg, x0, 0, [0], zero_noise=True).paths["terminal"][0]
+    """Terminal state of the deterministic skeleton (zero increments), from
+    the running block reductions: the oracles read nothing else, so no path
+    is stored."""
+    zero = np.zeros((cfg.n_steps, 1, model.noise.n_w))
+    return solve_block(model, cfg, x0, 0, [0], increments=zero).paths["terminal"][0]
 
 
 def heat_convergence_report(n_modes: int = 32, horizon: float = 1.0,
@@ -341,9 +379,9 @@ def heat_convergence_report(n_modes: int = 32, horizon: float = 1.0,
     fitted slope of log error against log dt should sit near one.
     """
     from .models import heat_model
-    from .noise import noise_operator_1d, gains_single_mode
+    from .noise import NoiseOperator, gains_single_mode
 
-    op = noise_operator_1d(1, gains_single_mode(1, 1.0), 1.0)
+    op = NoiseOperator(1, gains_single_mode(1, 1.0), 1.0)
     model = heat_model(n_modes, op)
     x0 = np.zeros(n_modes)
     x0[0] = 1.0 / math.sqrt(2.0)  # sin(pi x)
@@ -373,9 +411,9 @@ def taylor_green_report(cutoff: int = 32, viscosity: float = 0.05,
     rate; the report also records the largest projected nonlinearity seen.
     """
     from .models import ns2d_model, ns_advection
-    from .noise import noise_operator_2d, gains_inverse_k
+    from .noise import NoiseOperator, gains_inverse_k
 
-    op = noise_operator_2d(2, gains_inverse_k(2, 1e-4), 1e-4, cutoff)
+    op = NoiseOperator(2, gains_inverse_k(2, 1e-4), 1e-4)
     model = ns2d_model(cutoff, viscosity, op)
     x0 = taylor_green_field(cutoff)
 

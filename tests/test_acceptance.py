@@ -38,14 +38,14 @@ def checklist(num, ok, detail):
 
 
 def heat_reference():
-    op = N.noise_operator_1d(8, N.gains_single_mode(8, 1.0, 1), 1.0)
+    op = N.NoiseOperator(8, N.gains_single_mode(8, 1.0, 1), 1.0)
     model = M.heat_model(32, op)
     cfg = S.SolverConfig(dt=1e-3, horizon=1.0)
     return model, cfg, F.Field1D(np.zeros(32))
 
 
 def burgers_reference():
-    op = N.noise_operator_1d(8, N.gains_inverse_k(8, 1.0), 1.0)
+    op = N.NoiseOperator(8, N.gains_inverse_k(8, 1.0), 1.0)
     model = M.burgers_model(32, op)
     cfg = S.SolverConfig(dt=1e-3, horizon=1.0)
     return model, cfg, F.Field1D(np.zeros(32))
@@ -206,10 +206,9 @@ def test_criterion_07_inequality_property_suites():
         F.SineSpace(32), 1000, N.generator(7, N.derived_replicate(N.LANE_FIELDS, 0)))
     suite_2d = F.norm_inequality_suite(
         F.TorusSpace(8), 1000, N.generator(7, N.derived_replicate(N.LANE_FIELDS, 1)))
-    op = N.noise_operator_1d(4, N.gains_inverse_k(4, 1.0), 1.0)
-    op2 = N.noise_operator_2d(4, N.gains_inverse_k(4, 1.0), 1.0, 8)
+    op = N.NoiseOperator(4, N.gains_inverse_k(4, 1.0), 1.0)
     energy_1d = M.nonlinearity_energy_suite(M.burgers_model(32, op), 1000, 7)
-    energy_2d = M.nonlinearity_energy_suite(M.ns2d_model(8, 0.1, op2), 1000, 7)
+    energy_2d = M.nonlinearity_energy_suite(M.ns2d_model(8, 0.1, op), 1000, 7)
 
     violations = sum(sub["violations"] for suite in (suite_1d, suite_2d)
                      for sub in suite.values() if isinstance(sub, dict))

@@ -68,7 +68,7 @@ def sup_h(states):
 
 
 def _noise_1d(clamp=None):
-    return N.noise_operator_1d(4, N.gains_inverse_k(4, 1.0), 1.0, clamp=clamp)
+    return N.NoiseOperator(4, N.gains_inverse_k(4, 1.0), 1.0, clamp=clamp)
 
 
 def _setup(kind):
@@ -79,7 +79,7 @@ def _setup(kind):
         clamp = 0.3 if kind == "burgers_clamped" else None
         x0 = F.Field1D(F.random_fields_1d(1, 12, np.random.default_rng(4))[0])
         return M.burgers_model(12, _noise_1d(clamp)), cfg, x0
-    op = N.noise_operator_2d(6, N.gains_inverse_k(6, 0.05), 0.05, 8)
+    op = N.NoiseOperator(6, N.gains_inverse_k(6, 0.05), 0.05)
     cfg = S.SolverConfig(dt=2e-3, horizon=0.02)
     return M.ns2d_model(8, 0.1, op), cfg, M.taylor_green_field(8, 0.5)
 
@@ -224,7 +224,8 @@ def test_block_divergence_names_lowest_replicate_without_warnings():
     cfg = S.SolverConfig(dt=0.5, horizon=50.0)
     x0 = F.Field1D(np.full(8, 40.0))
     with pytest.raises(DivergenceError) as err:
-        S.solve_block(model, cfg, x0, 3, [12, 5, 9], zero_noise=True)
+        S.solve_block(model, cfg, x0, 3, [12, 5, 9],
+                      increments=np.zeros((cfg.n_steps, 3, 4)))
     assert err.value.replicate == 5
     assert err.value.experiment_seed == 3
     assert "replicate=5" in str(err.value)
@@ -236,7 +237,7 @@ def test_block_divergence_names_lowest_replicate_without_warnings():
 def test_ensemble_divergence_is_the_earliest_over_all_blocks(monkeypatch):
     # strong noise near the blow-up threshold: replicates diverge at
     # different steps, so the earliest one is a real choice
-    noise = N.noise_operator_1d(4, N.gains_inverse_k(4, 100.0), 100.0)
+    noise = N.NoiseOperator(4, N.gains_inverse_k(4, 100.0), 100.0)
     model = M.burgers_model(8, noise)
     cfg = S.SolverConfig(dt=0.05, horizon=5.0)
     x0 = F.Field1D(np.full(8, 5.0))

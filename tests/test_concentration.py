@@ -249,7 +249,7 @@ def test_metric_distance_rejects_mismatched_grids():
 
 
 def small_heat():
-    op = N.noise_operator_1d(4, N.gains_inverse_k(4, 1.0), 1.0)
+    op = N.NoiseOperator(4, N.gains_inverse_k(4, 1.0), 1.0)
     model = M.heat_model(8, op)
     cfg = S.SolverConfig(dt=0.01, horizon=0.5)
     x0 = F.Field1D(np.zeros(8))
@@ -284,7 +284,7 @@ def test_exp_moment_check_rejects_inadmissible_lambda0():
 
 
 def test_zero_noise_moments_vanish():
-    op = N.noise_operator_1d(2, [0.0, 0.0], 1.0)  # zero gains: B = 0
+    op = N.NoiseOperator(2, [0.0, 0.0], 1.0)  # zero gains: B = 0
     model = M.heat_model(8, op, f_tilde=0.0)
     cfg = S.SolverConfig(dt=0.01, horizon=0.2)
     report, _ = K.moment_report(model, cfg, F.Field1D(np.zeros(8)),

@@ -236,6 +236,19 @@ def test_solver_dealias_is_an_unknown_key(tmp_path, capsys):
     assert "solver.dealias: unknown key" in capsys.readouterr().err
 
 
+def test_noise_beyond_the_torus_basis_exits_2(tmp_path, capsys):
+    # cutoff 1 has 4 half-space wavevectors, so 8 divergence-free fields
+    path = write_config(tmp_path, {
+        "model": {"kind": "ns2d", "cutoff": 1, "viscosity": 0.1},
+        "noise": {"n_w": 9},
+        "initial_condition": {"type": "taylor_green"}})
+    code = main(["audit", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "model: n_w = 9 exceeds the 8 divergence-free modes" in err
+    assert "at cutoff 1" in err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code = main(["audit", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")])

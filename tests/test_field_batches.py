@@ -18,16 +18,15 @@ CHUNK = F.SUITE_CHUNK
 
 
 def _noise_1d(clamp=None):
-    return N.noise_operator_1d(4, N.gains_inverse_k(4, 1.0), 1.0, clamp=clamp)
+    return N.NoiseOperator(4, N.gains_inverse_k(4, 1.0), 1.0, clamp=clamp)
 
 
 def _models():
-    op_2d = N.noise_operator_2d(4, N.gains_inverse_k(4, 1.0), 1.0, 4)
     return {
         "heat": M.heat_model(12, _noise_1d()),
         "heat_clamped": M.heat_model(12, _noise_1d(clamp=0.5)),
         "burgers": M.burgers_model(16, _noise_1d()),
-        "ns2d": M.ns2d_model(4, 0.2, op_2d),
+        "ns2d": M.ns2d_model(4, 0.2, _noise_1d()),
     }
 
 

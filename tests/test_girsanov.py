@@ -14,7 +14,7 @@ from tci_spde.errors import ParameterError
 
 
 def single_mode_noise(n_w=2, c_b=1.0):
-    return N.noise_operator_1d(n_w, N.gains_single_mode(n_w, c_b, 1), c_b)
+    return N.NoiseOperator(n_w, N.gains_single_mode(n_w, c_b, 1), c_b)
 
 
 def heat_setup(n_modes=8, dt=0.01, horizon=1.0):
@@ -143,18 +143,23 @@ def test_martingale_and_entropy_identities():
 
 
 def test_coupled_ensemble_matches_single_pairs():
+    n_rep = S.BLOCK_REPLICATES + 3   # a full block and a partial one, joined
     model, cfg, x0 = heat_setup(n_modes=4, dt=0.02, horizon=0.2)
     h = unit_shift(cfg)
-    ens = G.coupled_ensemble(model, cfg, x0, h, n_replicates=5, experiment_seed=3)
+    ens = G.coupled_ensemble(model, cfg, x0, h, n_replicates=n_rep,
+                             experiment_seed=3)
     rows = h.dynamic_rows()
-    for r in range(5):
+    i_left = cfg.dt * float(np.sum(rows**2))
+    for r in range(n_rep):
         pair = coupled_pair(model, cfg, x0, h, experiment_seed=3, replicate=r)
         assert ens["sup_gap_sq"][r] == pair.sup_gap_sq[0]
+        assert ens["shifted"][r] == pair.paths[0]
+        assert ens["unshifted"][r] == pair.paths[1]
         # log M_T = sum <h, dW> + dt sum ||h||^2 - H(Q | P), dW the drawn increments
         inc = N.increment_table(model.noise, cfg.dt, 3, r, cfg.n_steps)
-        log_rn = (float(np.sum(rows * inc)) + cfg.dt * float(np.sum(rows**2))
-                  - G.shift_entropy(h))
-        assert ens["log_rn"][r] == log_rn
+        pairing = float(np.sum(rows * inc))
+        assert ens["log_rn"][r] == pairing + i_left - G.shift_entropy(h)
+        assert ens["log_rn_base_view"][r] == pairing - 0.5 * i_left
 
 
 def t2_value(model, cfg):

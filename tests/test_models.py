@@ -17,11 +17,11 @@ import oracles as orc
 
 
 def noise_1d(n_w=4, c_b=1.0):
-    return N.noise_operator_1d(n_w, N.gains_inverse_k(n_w, c_b), c_b)
+    return N.NoiseOperator(n_w, N.gains_inverse_k(n_w, c_b), c_b)
 
 
-def noise_2d(cutoff=4, n_w=4, c_b=0.01):
-    return N.noise_operator_2d(n_w, N.gains_inverse_k(n_w, c_b), c_b, cutoff=cutoff)
+def noise_2d(n_w=4, c_b=0.01):
+    return N.NoiseOperator(n_w, N.gains_inverse_k(n_w, c_b), c_b)
 
 
 def test_heat_drift_is_the_laplacian():
@@ -60,7 +60,7 @@ def test_burgers_drift_matches_quadrature_on_random_fields():
 
 def test_ns2d_taylor_green_drift_is_purely_viscous():
     nu = 0.1
-    model = M.ns2d_model(8, nu, noise_2d(cutoff=8))
+    model = M.ns2d_model(8, nu, noise_2d())
     tg = M.taylor_green_field(8, 1.0)
     out = M._drift(model, tg.spec)
     viscous = -model.space.laplacian_eigenvalues(nu) * tg.spec
@@ -163,7 +163,7 @@ def test_rho_growth_bound():
 def test_audit_hypotheses_passes_for_all_models():
     heat = M.heat_model(16, noise_1d())
     burgers = M.burgers_model(16, noise_1d())
-    ns = M.ns2d_model(6, 0.1, noise_2d(cutoff=6))
+    ns = M.ns2d_model(6, 0.1, noise_2d())
     for model in (heat, burgers, ns):
         report = M.audit_hypotheses(model, n_samples=48, experiment_seed=0)
         assert report["pass"], report
@@ -192,7 +192,7 @@ def test_nonlinearity_energy_suites():
     rep1 = M.nonlinearity_energy_suite(burgers, 200, experiment_seed=0)
     assert rep1["violations"] == 0
     assert rep1["worst_energy"] <= 1e-10
-    ns = M.ns2d_model(6, 0.1, noise_2d(cutoff=6))
+    ns = M.ns2d_model(6, 0.1, noise_2d())
     rep2 = M.nonlinearity_energy_suite(ns, 100, experiment_seed=0)
     assert rep2["violations"] == 0
 

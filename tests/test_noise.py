@@ -22,7 +22,7 @@ def test_same_seedspec_is_bitwise_identical():
 
 
 def test_increment_table_matches_single_steps():
-    op = N.noise_operator_1d(5, N.gains_inverse_k(5, 2.0), 2.0)
+    op = N.NoiseOperator(5, N.gains_inverse_k(5, 2.0), 2.0)
     table = N.increment_table(op, 0.01, experiment_seed=7, replicate=2, n_steps=40)
     assert table.shape == (40, 5)
     for step in (0, 1, 7, 39):
@@ -77,16 +77,16 @@ def test_derived_replicate_lanes_disjoint():
 
 
 def test_hs_norm_examples():
-    single = N.noise_operator_1d(3, [1.0, 0.0, 0.0], 1.0)
+    single = N.NoiseOperator(3, [1.0, 0.0, 0.0], 1.0)
     assert N.hs_norm(single, 2.0) == pytest.approx(1.0, rel=1e-14)
-    pair = N.noise_operator_1d(2, [1.0, 1.0], 2.0)
+    pair = N.NoiseOperator(2, [1.0, 1.0], 2.0)
     assert N.hs_norm(pair, 2.0) == pytest.approx(np.sqrt(2.0), rel=1e-14)
 
 
 @pytest.mark.parametrize("clamp", [None, 0.5])
 def test_hs_norm_takes_arrays(clamp):
     # the clamp bites on part of the norms; additive noise gives one number
-    op = N.noise_operator_1d(4, N.gains_inverse_k(4, 1.0), 1.0, clamp=clamp)
+    op = N.NoiseOperator(4, N.gains_inverse_k(4, 1.0), 1.0, clamp=clamp)
     norms = np.array([0.0, 0.25, 0.5, 0.75, 3.0, 40.0])
     got = np.broadcast_to(N.hs_norm(op, norms), norms.shape)
     assert np.array_equal(got, [N.hs_norm(op, float(h)) for h in norms])
@@ -104,11 +104,11 @@ def test_gain_profiles_hit_the_budget():
 
 def test_budget_violation_rejected():
     with pytest.raises(ParameterError):
-        N.noise_operator_1d(2, [1.0, 1.0], 1.0)
+        N.NoiseOperator(2, [1.0, 1.0], 1.0)
 
 
 def test_clamped_hs_norm_stays_within_budget():
-    op = N.noise_operator_1d(4, N.gains_inverse_k(4, 1.0), 1.0, clamp=0.5)
+    op = N.NoiseOperator(4, N.gains_inverse_k(4, 1.0), 1.0, clamp=0.5)
     rng = np.random.default_rng(1)
     for _ in range(1000):
         v = F.random_fields_1d(1, 8, rng, scale=float(rng.uniform(0.0, 10.0)))[0]
@@ -128,50 +128,61 @@ def _one_noise_step(op, n_modes, w):
     return block.paths["terminal"] * (1.0 + cfg.dt * M.linear_eigenvalues(model))
 
 
-def _basis_field(op, j):
-    """Basis field j of a 2-D operator as a dense spectrum (2, n, n),
-    checked to be a real mean-free field."""
-    n = 2 * op.cutoff + 1
+def _basis_field(cutoff, n_w, j):
+    """Basis field j of the torus noise basis as a dense spectrum
+    (2, n, n), checked to be a real mean-free field."""
+    support, amplitudes = F.TorusSpace(cutoff).noise_basis(n_w)
+    n = 2 * cutoff + 1
     flat = np.zeros(2 * n * n, dtype=np.complex128)
-    flat[op.support] = op.amplitudes[j]
+    flat[support] = amplitudes[j]
     return F.check_spectra(flat.reshape(2, n, n))
 
 
+def _torus_noise(cutoff, op, w):
+    """B w on the support of the torus noise basis, one row per row of
+    ``w`` (P, n_w): the entries ``TorusSpace.add_noise`` adds to zero
+    states there."""
+    n = 2 * cutoff + 1
+    state = np.zeros((len(w), 2, n, n), dtype=np.complex128)
+    F.TorusSpace(cutoff).add_noise(state, op, w)
+    support, _ = F.TorusSpace(cutoff).noise_basis(op.n_w)
+    return state.reshape(len(w), -1)[:, support]
+
+
 def test_apply_noise_examples():
-    op = N.noise_operator_1d(3, [0.7, 0.2, 0.1], 1.0)
+    op = N.NoiseOperator(3, [0.7, 0.2, 0.1], 1.0)
     zero, e1 = _one_noise_step(op, 6, np.array([[0.0, 0.0, 0.0],
                                                 [1.0, 0.0, 0.0]]))
     assert not np.any(zero)
     assert np.allclose(e1, [0.7, 0.0, 0.0, 0.0, 0.0, 0.0], rtol=1e-15, atol=0.0)
-    op_2d = N.noise_operator_2d(3, [0.7, 0.2, 0.1], 1.0, cutoff=2)
-    assert not np.any(N.support_values(op_2d, np.zeros(3)))
-    assert np.array_equal(N.support_values(op_2d, np.array([1.0, 0.0, 0.0])),
-                          0.7 * op_2d.amplitudes[0])
+    _, amplitudes = F.TorusSpace(2).noise_basis(3)
+    zero, e1 = _torus_noise(2, op, np.array([[0.0, 0.0, 0.0],
+                                             [1.0, 0.0, 0.0]]))
+    assert not np.any(zero)
+    assert np.array_equal(e1, 0.7 * amplitudes[0])
 
 
 def test_apply_noise_linearity():
-    op = N.noise_operator_1d(4, N.gains_inverse_k(4, 1.0), 1.0)
-    op_2d = N.noise_operator_2d(4, N.gains_inverse_k(4, 1.0), 1.0, cutoff=3)
+    op = N.NoiseOperator(4, N.gains_inverse_k(4, 1.0), 1.0)
     rng = np.random.default_rng(2)
     for _ in range(20):
         w1 = rng.standard_normal(4)
         w2 = rng.standard_normal(4)
         joint, one, two = _one_noise_step(op, 8, np.array([w1 + w2, w1, w2]))
         assert np.max(np.abs(joint - one - two)) <= 1e-12
-        split = N.support_values(op_2d, w1) + N.support_values(op_2d, w2)
-        assert np.max(np.abs(N.support_values(op_2d, w1 + w2) - split)) <= 1e-12
+        joint, one, two = _torus_noise(3, op, np.array([w1 + w2, w1, w2]))
+        assert np.max(np.abs(joint - one - two)) <= 1e-12
 
 
 def test_apply_noise_rejects_dimension_mismatch():
-    op = N.noise_operator_1d(3, [1.0, 0.0, 0.0], 1.0)
+    op = N.NoiseOperator(3, [1.0, 0.0, 0.0], 1.0)
     with pytest.raises(ParameterError):
         _one_noise_step(op, 6, np.zeros((1, 2)))
 
 
 def test_2d_noise_basis_is_orthonormal_and_divergence_free():
     cutoff, n_w = 4, 8
-    op = N.noise_operator_2d(n_w, N.gains_inverse_k(n_w, 1.0), 1.0, cutoff=cutoff)
-    fields = [_basis_field(op, j) for j in range(n_w)]
+    fields = [_basis_field(cutoff, n_w, j) for j in range(n_w)]
     for j, fj in enumerate(fields):
         assert O.divergence_linf(fj) <= 1e-12
         for i, fi in enumerate(fields):

@@ -11,7 +11,7 @@ from tci_spde.errors import DivergenceError, ParameterError
 
 
 def noise_1d(n_w=4, c_b=1.0):
-    return N.noise_operator_1d(n_w, N.gains_inverse_k(n_w, c_b), c_b)
+    return N.NoiseOperator(n_w, N.gains_inverse_k(n_w, c_b), c_b)
 
 
 def sin_pi_x(n_modes):

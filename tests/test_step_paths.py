@@ -74,28 +74,34 @@ def test_pruned_transforms_round_trip_band_limited_fields():
     assert np.allclose(back, half, rtol=0.0, atol=1e-15)
 
 
-def _ops(cutoff, n_w):
-    gains = N.gains_inverse_k(n_w, 0.05)
-    return {"additive": N.noise_operator_2d(n_w, gains, 0.05, cutoff),
-            "clamped": N.noise_operator_2d(n_w, gains, 0.05, cutoff, clamp=0.05)}
-
-
 @pytest.mark.parametrize("kind", ["additive", "clamped"])
 @pytest.mark.parametrize("rows", [1, 2, 8])
 def test_sparse_noise_equals_dense_embedding(kind, rows):
-    cutoff, n_w = 6, 9                      # odd n_w: a lone cosine field
-    op = _ops(cutoff, n_w)[kind]
+    # one operator on two cutoffs: the space, not the operator, embeds it
+    n_w = 9                                 # odd: a lone cosine field
+    op = N.NoiseOperator(n_w, N.gains_inverse_k(n_w, 0.05), 0.05,
+                         clamp=0.05 if kind == "clamped" else None)
+    for cutoff in (6, 3):
+        _check_sparse_noise(op, cutoff, rows)
+
+
+def _check_sparse_noise(op, cutoff, rows):
+    n_w = op.n_w
+    space = F.TorusSpace(cutoff)
+    support, _ = space.noise_basis(n_w)
     basis = orc.dense_basis_2d(cutoff, n_w)
     rng = np.random.default_rng(rows)
     w = rng.standard_normal((rows, n_w))
     dense = orc.dense_embed_2d(op.gains, basis, w)
     sparse = np.zeros_like(dense)
-    sparse.reshape(rows, -1)[:, op.support] = N.support_values(op, w)
+    space.add_noise(sparse, op, w)
     assert np.array_equal(sparse, dense)
-    assert np.array_equal(N.support_values(op, w[0]), sparse[0].ravel()[op.support])
+    one = np.zeros_like(dense[:1])
+    space.add_noise(one, op, w[:1])
+    assert np.array_equal(one[0].ravel()[support], sparse[0].ravel()[support])
     # the support is exactly where some basis field is non-zero
     reached = np.flatnonzero(np.any(basis.reshape(n_w, -1) != 0.0, axis=0))
-    assert np.array_equal(op.support, reached)
+    assert np.array_equal(support, reached)
 
     # one solver step adds the noise, clamped by g(||x0||_H), in place
     model = M.ns2d_model(cutoff, 0.1, op)
@@ -105,7 +111,7 @@ def test_sparse_noise_equals_dense_embedding(kind, rows):
     block = S.solve_block(model, cfg, x0, 0, range(rows), increments=inc)
     u = x0.spec
     w = inc[0]
-    if kind == "clamped":
+    if op.clamp is not None:
         g = op.g(np.sqrt(np.sum(np.abs(u.reshape(1, -1)) ** 2, axis=1)))
         assert g[0] < 1.0
         w = g[:, None] * w
@@ -170,7 +176,7 @@ def test_simulate_trajectory_is_a_recorded_solve_of_replicate_0(
 
 
 def test_norm_recording_keeps_the_paths_of_state_recording():
-    model = M.burgers_model(8, N.noise_operator_1d(4, N.gains_inverse_k(4, 1.0), 1.0))
+    model = M.burgers_model(8, N.NoiseOperator(4, N.gains_inverse_k(4, 1.0), 1.0))
     cfg = S.SolverConfig(dt=0.01, horizon=0.2, snapshot_stride=7)
     x0 = F.Field1D(F.random_fields_1d(1, 8, np.random.default_rng(1))[0])
     full = S.solve_block(model, cfg, x0, 2, [3, 4], record="states")
