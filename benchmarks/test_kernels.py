@@ -60,7 +60,7 @@ def _block_case(kind, size):
         return M.ns2d_model(size, 0.1, op), M.taylor_green_field(size, 0.5)
     op = N.NoiseOperator(8, N.gains_inverse_k(8, 1.0), 1.0)
     model = M.heat_model(size, op) if kind == "heat" else M.burgers_model(size, op)
-    return model, F.Field1D(F.random_fields_1d(1, size, np.random.default_rng(size))[0])
+    return model, F.random_fields_1d(1, size, np.random.default_rng(size))[0]
 
 
 @pytest.mark.parametrize("kind,size,rows", [

@@ -14,7 +14,6 @@ from tci_spde.concentration import (bobkov_gotze_check, exp_moment_check,
                                     sup_h_functional, t2_chain_check,
                                     w2_small_cloud, w2_sorted_1d)
 from tci_spde.constants import admissible_ranges, t1_constant, t2_constant
-from tci_spde.fields import Field1D
 from tci_spde.girsanov import coupled_ensemble, shift_from_descriptor
 from tci_spde.models import burgers_model
 from tci_spde.noise import NoiseOperator, gains_inverse_k
@@ -25,7 +24,7 @@ REPLICATES = 256
 op = NoiseOperator(8, gains_inverse_k(8, 1.0), 1.0)
 model = burgers_model(32, op)
 cfg = SolverConfig(dt=1e-3, horizon=1.0)
-x0 = Field1D(np.zeros(32))
+x0 = np.zeros(32)
 
 cons = model.constants
 ranges = admissible_ranges(cons.theta, cons.eta, cons.K3, model.noise.c_b, 0.5)
@@ -38,7 +37,7 @@ functional = l2_v_path_functional()
 values = functional_ensemble(model, cfg, x0, functional, REPLICATES, 0)
 f_int = model.f_tilde * cfg.horizon
 rep = exp_moment_check(model, values, 0.5, lam0, ranges["lambda0_max_lemma"],
-                       f_int, float(model.space.sq_norms(x0.coeffs)),
+                       f_int, float(model.space.sq_norms(x0)),
                        experiment_seed=0)
 print(f"exponential moment: estimate {rep['estimate']:.4f} + 3se "
       f"<= bound {rep['bound']:.4f}  ->  {rep['pass']}")

@@ -9,7 +9,6 @@ import numpy as np
 
 from tci_spde._stats import mean_and_stderr
 from tci_spde.constants import t2_constant
-from tci_spde.fields import Field1D
 from tci_spde.girsanov import (contraction_report, coupled_ensemble,
                                shift_from_descriptor, shift_entropy)
 from tci_spde.models import heat_model
@@ -21,7 +20,7 @@ REPLICATES = 512
 op = NoiseOperator(8, gains_single_mode(8, 1.0, 1), 1.0)
 model = heat_model(32, op)
 cfg = SolverConfig(dt=1e-3, horizon=1.0)
-x0 = Field1D(np.zeros(32))
+x0 = np.zeros(32)
 h = shift_from_descriptor(
     {"type": "constant", "mode_index": 1, "amplitude": 1.0}, 8, cfg)
 print(f"shift entropy H(Q|P) = {shift_entropy(h):.4f} "

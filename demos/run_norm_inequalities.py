@@ -10,7 +10,6 @@ import numpy as np
 
 from tci_spde import (ETA_1D, ETA_2D, SineSpace, TorusSpace,
                       norm_inequality_suite)
-from tci_spde.fields import norms_h
 from tci_spde.noise import generator
 
 # sin(pi x) has unit L2 norm with the sqrt(2) sine convention
@@ -30,7 +29,7 @@ print(f"L4 interpolation: ||v||_L4^4 = {l4_4:.6f} <= "
       f"4 ||v||_H^2 ||v||_V^2 = {4 * h_sq * v_sq:.6f}")
 
 # a batch of fields: 2 sin(pi x) and 3 sin(pi x) at once
-print(f"batched H-norms of 2v and 3v: {norms_h(np.stack([2 * v, 3 * v]))}")
+print(f"batched H-norms of 2v and 3v: {np.sqrt(space.sq_norms(np.stack([2 * v, 3 * v])))}")
 
 print("\nrandomized suites (500 fields each):")
 for name, suite in (

@@ -20,8 +20,7 @@ from .constants import (admissible_ranges, ccr_constant, gaussian_moment_pair,
 from .errors import (DivergenceError, InfeasibleError, InvalidFieldError,
                      ParameterError, ResolutionError, SchemaError)
 from .fields import (L4_INTERPOLATION_1D, L4_INTERPOLATION_2D, POINCARE_1D,
-                     POINCARE_2D, Field1D, Field2D, SineSpace, TorusSpace,
-                     norm_inequality_suite)
+                     POINCARE_2D, SineSpace, TorusSpace, norm_inequality_suite)
 from .girsanov import (ShiftFunction, contraction_report, coupled_ensemble,
                        shift_entropy, shift_from_descriptor)
 from .models import (ETA_1D, ETA_2D, AssumptionConstants, ModelSpec,

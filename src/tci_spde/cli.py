@@ -60,8 +60,7 @@ def _field_rng(cfg: ExperimentConfig, index: int = 0):
 
 def _x0_sq(cfg: ExperimentConfig) -> float:
     """||x0||_H^2 in the form the solver takes state norms."""
-    space = cfg.model.space
-    return float(space.sq_norms(space.raw(cfg.x0)))
+    return float(cfg.model.space.sq_norms(cfg.x0))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +225,7 @@ def _run_verify_t2(cfg: ExperimentConfig, out_dir: str) -> dict:
     first = functionals[0]
     _write_ensemble_csv(
         os.path.join(out_dir, "ensemble.csv"), cfg.experiment_seed,
-        [(f"{first.kind}[{leg}]", first.values(ens[leg]))
+        [(f"{first.kind}[{leg}]", first.values(ens[leg], model.space))
          for leg in ("shifted", "unshifted")])
     chain = [conc.t2_chain_check(model, h, functional, ens, c_t2)
              for functional in functionals]

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fields as fs
 from .constants import gaussian_moment_pair
 from ._stats import fsum_mean, mean_and_stderr, wilson_upper
 from .errors import ParameterError
@@ -60,17 +59,17 @@ class FunctionalSpec:
         if self.kind == "linear_probe" and self.probe is None:
             raise ParameterError("linear_probe needs a probe element")
 
-    def values(self, paths: np.ndarray) -> np.ndarray:
+    def values(self, paths: np.ndarray, space) -> np.ndarray:
         """The functional on every row of a path-summary array
-        (``solver.solve_block``)."""
+        (``solver.solve_block``) of states of ``space``."""
         if self.kind == "l2_V_path_norm":
             return np.sqrt(paths["v_energy_total"])
         if self.kind == "sup_H_norm":
             return np.array(paths["sup_h_total"])
         last = paths["terminal"]
         if self.kind == "terminal_H_norm":
-            return fs.norms_h(last)
-        return fs.inners_h(last, self.probe)
+            return np.sqrt(space.sq_norms(last))
+        return space.inners(last, self.probe)
 
 
 def l2_v_path_functional() -> FunctionalSpec:
@@ -85,11 +84,11 @@ def terminal_h_functional() -> FunctionalSpec:
     return FunctionalSpec("terminal_H_norm", 1.0, "uniform_H")
 
 
-def linear_probe_functional(probe) -> FunctionalSpec:
+def linear_probe_functional(probe, space) -> FunctionalSpec:
     """<g, u_T> with Lipschitz constant ||g||_H for the uniform_H metric;
-    ``probe`` is the raw state g."""
-    raw = np.asarray(probe)
-    norm = float(fs.norms_h(raw))
+    ``probe`` is the raw state g, checked as a state of ``space``."""
+    raw = space.check(probe)
+    norm = math.sqrt(float(space.sq_norms(raw)))
     if norm <= 0.0:
         raise ParameterError("probe element must be nonzero")
     return FunctionalSpec("linear_probe", norm, "uniform_H", probe=raw)
@@ -105,7 +104,8 @@ def functional_ensemble(model: ModelSpec, cfg: SolverConfig, x0,
     """The values of one functional on independent replicates 0..n-1, from
     one ``solver.ensemble`` pass."""
     return functional.values(
-        ensemble(model, cfg, x0, experiment_seed, range(n_replicates)).paths)
+        ensemble(model, cfg, x0, experiment_seed, range(n_replicates)).paths,
+        model.space)
 
 
 def _ensemble_values(values) -> np.ndarray:
@@ -315,8 +315,8 @@ def t2_chain_check(model: ModelSpec, h: ShiftFunction,
     One-Lipschitz functionals cannot expand W2, so the image-measure
     distance is a sound one-sided witness of the path-space inequality.
     """
-    fx = functional.values(coupled["shifted"])
-    fy = functional.values(coupled["unshifted"])
+    fx = functional.values(coupled["shifted"], model.space)
+    fy = functional.values(coupled["unshifted"], model.space)
     entropy = shift_entropy(h)
     w2 = w2_sorted_1d(fx, fy)
     lip = functional.lipschitz_constant

@@ -19,7 +19,6 @@ from .concentration import (FunctionalSpec, l2_v_path_functional,
                             linear_probe_functional, sup_h_functional,
                             terminal_h_functional)
 from .errors import SchemaError
-from .fields import Field1D, Field2D
 from .girsanov import ShiftFunction, shift_from_descriptor
 from .models import ModelSpec, burgers_model, heat_model, ns2d_model, taylor_green_field
 from .noise import NoiseOperator, gains_inverse_k, gains_single_mode
@@ -89,7 +88,7 @@ class ExperimentConfig:
     raw: dict
     model: ModelSpec | None
     solver: SolverConfig | None
-    x0: object
+    x0: np.ndarray | None
     shift_descriptor: dict | None
     functionals: list
     lambda_grid: list
@@ -234,7 +233,7 @@ def _build_x0(reader: _Reader, model):
                 "use taylor_green")
             return None
         n = 2 * model.cutoff + 1
-        return Field2D(np.zeros((2, n, n), dtype=np.complex128))
+        return np.zeros((2, n, n), dtype=np.complex128)
     if kind == "taylor_green":
         reader.problems.append(
             "initial_condition.type: taylor_green needs the ns2d model")
@@ -245,7 +244,7 @@ def _build_x0(reader: _Reader, model):
             reader.problems.append("initial_condition.mode_index: exceeds n_modes")
             return None
         coeffs[mode_index - 1] = amplitude
-    return Field1D(coeffs)
+    return coeffs
 
 
 _FUNCTIONALS = {
@@ -277,7 +276,7 @@ def _build_functionals(reader: _Reader, model):
                 continue
             probe = np.zeros(model.n_modes)
             probe[idx - 1] = amp
-            out.append(linear_probe_functional(probe))
+            out.append(linear_probe_functional(probe, model.space))
         else:
             reader.problems.append(
                 f"functionals[{i}]: unknown functional {item!r}")
@@ -359,7 +358,11 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
     overrides = {}
     for key in ("horizon", "T", "K2", "C_B", "theta", "eta", "K3",
                 "f_tilde_integral", "x0_h_norm_sq"):
-        val = cons.get(key, float, default=None)
+        if key in ("f_tilde_integral", "x0_h_norm_sq"):
+            val = cons.get(key, float, default=None, check=lambda v: v >= 0,
+                           describe="must be nonnegative")
+        else:
+            val = cons.get(key, float, default=None)
         if val is not None:
             overrides[key] = val
     cons.unknown_keys({"C1", "horizon", "T", "K2", "C_B", "theta", "eta",

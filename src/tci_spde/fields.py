@@ -6,8 +6,9 @@ e_k(x) = sqrt(2) sin(k pi x), k >= 1.  Two-dimensional fields are
 real, mean-zero velocity fields on the periodic unit torus, held as
 complex Fourier coefficients u_hat(k) in C^2 on the square wavevector
 block |k|_inf <= cutoff with Hermitian symmetry u_hat(-k) = conj(u_hat(k)).
-``SineSpace`` and ``TorusSpace`` are the one place that knows how the
-states of each space are stored; the other modules go through them.
+A state is a raw array.  ``SineSpace`` and ``TorusSpace`` are the one
+place that knows how the states of each space are stored, and their
+``check`` validates one; the other modules go through them.
 Each space also embeds the noise, B w for w in U = R^{n_w}
 (``add_noise``): U-coordinate j feeds sine mode j, or the j-th field of
 the torus's divergence-free basis (``TorusSpace.noise_basis``).
@@ -22,7 +23,7 @@ and every norm of the package is that kernel (or its square root):
 
 with the weights
 
-* H   w = 1 (Parseval, H = L^2; ``norms_h`` is its square root),
+* H   w = 1 (Parseval, H = L^2),
 * V   w = laplacian_eigenvalues(): (k pi)^2 on the sine modes,
       (2 pi)^2 |k|^2 on the torus,
 * V*  w = 1 / laplacian_eigenvalues() (0 at k = 0),
@@ -70,47 +71,18 @@ def midpoint_nodes(n_points: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# 1-D fields
-
-
-class Field1D:
-    """Dirichlet field on [0, 1]; ``coeffs[k-1]`` multiplies sqrt(2) sin(k pi x)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        arr = np.asarray(coeffs, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise InvalidFieldError("1-D field needs a nonempty coefficient vector")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidFieldError("1-D field has non-finite coefficients")
-        self.coeffs = arr
-
-    @property
-    def n_modes(self) -> int:
-        return self.coeffs.size
-
-    def __repr__(self):
-        norm = float(norms_h(self.coeffs))
-        return f"Field1D(n_modes={self.n_modes}, norm_h={norm:.4g})"
-
-
-# ---------------------------------------------------------------------------
-# 2-D fields
+# torus spectra
 
 
 def check_spectra(spec: np.ndarray) -> np.ndarray:
-    """Validate torus spectra of shape (..., 2, n, n) and return them.
+    """Validate torus spectra of shape (..., 2, 2K+1, 2K+1) and return them;
+    the caller fixes the shape (``TorusSpace.check``, ``random_fields_2d``).
 
     Leading axes hold independent fields.  Each block must be finite,
     Hermitian (u_hat(-k) = conj(u_hat(k)), so the field is real) and free
     of a mean mode; the tolerance scales with each block's own largest
     amplitude.  Raises InvalidFieldError otherwise.
     """
-    if spec.ndim < 3 or spec.shape[-3] != 2 or spec.shape[-2] != spec.shape[-1]:
-        raise InvalidFieldError("2-D field spectrum must have shape (2, n, n)")
-    if spec.shape[-1] % 2 != 1:
-        raise InvalidFieldError("2-D spectrum needs an odd side (modes -K..K)")
     if not np.all(np.isfinite(spec)):
         raise InvalidFieldError("2-D field has non-finite coefficients")
     cutoff = spec.shape[-1] // 2
@@ -123,29 +95,6 @@ def check_spectra(spec: np.ndarray) -> np.ndarray:
               > _HERMITIAN_TOL * scale):
         raise InvalidFieldError("2-D field has a nonzero mean mode")
     return spec
-
-
-class Field2D:
-    """Mean-zero velocity field on the unit torus.
-
-    ``spec[c, i, j]`` is the complex amplitude of component ``c`` at
-    wavevector (i - cutoff, j - cutoff); the k = 0 amplitude must vanish
-    and the array must satisfy Hermitian symmetry so the field is real
-    (``check_spectra``).
-    """
-
-    __slots__ = ("spec", "cutoff")
-
-    def __init__(self, spec):
-        arr = np.asarray(spec, dtype=np.complex128)
-        if arr.ndim != 3:
-            raise InvalidFieldError("2-D field spectrum must have shape (2, n, n)")
-        self.spec = check_spectra(arr)
-        self.cutoff = arr.shape[1] // 2
-
-    def __repr__(self):
-        norm = float(norms_h(self.spec))
-        return f"Field2D(cutoff={self.cutoff}, norm_h={norm:.4g})"
 
 
 @lru_cache(maxsize=32)
@@ -250,13 +199,11 @@ def default_grid_2d(cutoff: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# norms and inner products
+# norm kernels
 #
-# ``norms_h`` and ``inners_h`` take raw coefficients whose leading axes
-# hold independent fields: real (..., N) sine coefficients or complex
-# (..., 2, n, n) torus spectra.  Each field gets its own BLAS dot products
-# and its own pairwise sums, so its norm is the same bits alone or in any
-# batch.
+# Leading axes of the arguments hold independent fields.  Each field gets
+# its own BLAS dot products and its own pairwise sums, so its norm is the
+# same bits alone or in any batch.
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -269,16 +216,6 @@ def _sums(x: np.ndarray, n_axes: int) -> np.ndarray:
     """Sums over the last ``n_axes`` axes, flattened into the one pairwise
     sum that ``np.sum`` takes over a single contiguous field."""
     return x.reshape(x.shape[:x.ndim - n_axes] + (-1,)).sum(axis=-1)
-
-
-def norms_h(raw: np.ndarray) -> np.ndarray:
-    """L^2 norms via Parseval, per field."""
-    return np.sqrt(space_of(raw).sq_norms(raw))
-
-
-def inners_h(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L^2 inner products per field; ``b`` may broadcast against ``a``."""
-    return space_of(a).inners(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +326,7 @@ def norm_inequality_suite(space, n_fields: int, rng: np.random.Generator) -> dic
 # The two spaces own the storage of their states: a sine state is a real
 # vector of n_modes coefficients, a torus state a complex (2, n, n) spectral
 # block, and arrays of states carry them on leading axes.  Other modules
-# reach the storage through ``ModelSpec.space`` or ``space_of``.
+# reach the storage through ``ModelSpec.space``.
 
 
 @dataclass(frozen=True)
@@ -406,11 +343,17 @@ class SineSpace:
         k = np.arange(1, self.n_modes + 1, dtype=np.float64)
         return viscosity * (np.pi * k) ** 2
 
-    def raw(self, field) -> np.ndarray:
-        """The coefficients of ``field``, which must be a field of this space."""
-        if not isinstance(field, Field1D) or field.n_modes != self.n_modes:
+    def check(self, raw) -> np.ndarray:
+        """``raw`` as one state of this space, a real, finite (n_modes,)
+        float array; a complex array is rejected, not cast."""
+        if np.iscomplexobj(raw):
+            raise InvalidFieldError("1-D field must be real")
+        arr = np.asarray(raw, dtype=np.float64)
+        if arr.shape != (self.n_modes,):
             raise InvalidFieldError(f"expected a 1-D field with {self.n_modes} modes")
-        return field.coeffs
+        if not np.all(np.isfinite(arr)):
+            raise InvalidFieldError("1-D field has non-finite coefficients")
+        return arr
 
     def sq_norms(self, raw: np.ndarray, weights=None) -> np.ndarray:
         """sum_k w_k x_k^2 per state of ``raw`` (..., N), as the BLAS dot
@@ -462,11 +405,14 @@ class TorusSpace:
         """(viscosity (2 pi)^2) |k|^2 per wavevector."""
         return viscosity * (2.0 * np.pi) ** 2 * _wavegrids(self.cutoff)[2]
 
-    def raw(self, field) -> np.ndarray:
-        """The spectrum of ``field``, which must be a field of this space."""
-        if not isinstance(field, Field2D) or field.cutoff != self.cutoff:
+    def check(self, raw) -> np.ndarray:
+        """``raw`` as one state of this space, a complex (2, 2K+1, 2K+1)
+        spectrum that passes ``check_spectra``."""
+        arr = np.asarray(raw, dtype=np.complex128)
+        n = 2 * self.cutoff + 1
+        if arr.shape != (2, n, n):
             raise InvalidFieldError(f"expected a 2-D field with cutoff {self.cutoff}")
-        return field.spec
+        return check_spectra(arr)
 
     def sq_norms(self, raw: np.ndarray, weights=None) -> np.ndarray:
         """sum_k w(k) |u_hat(k)|^2 per state of ``raw`` (..., 2, n, n), as
@@ -534,10 +480,3 @@ class TorusSpace:
         support, amplitudes = self.noise_basis(op.n_w)
         state.reshape(len(state), -1)[:, support] += np.tensordot(
             op.gains * w, amplitudes, axes=(-1, 0))
-
-
-def space_of(raw: np.ndarray):
-    """The space of raw states (one, or many on leading axes)."""
-    if np.iscomplexobj(raw):
-        return TorusSpace(raw.shape[-1] // 2)
-    return SineSpace(raw.shape[-1])

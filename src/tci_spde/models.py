@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterError
 from . import fields as fs
-from .fields import Field2D, SineSpace, TorusSpace
+from .fields import SineSpace, TorusSpace
 from .noise import NoiseOperator, hs_norm, generator, derived_replicate, LANE_FIELDS
 
 ETA_1D = math.sqrt(math.pi**2 - 1.0)
@@ -283,11 +283,12 @@ def _energies(model: ModelSpec, raw: np.ndarray) -> np.ndarray:
     extra = explicit_drift(model, raw)
     if extra is None:
         return np.zeros(raw.shape[:-1])
-    return fs.inners_h(extra, raw)
+    return model.space.inners(extra, raw)
 
 
-def taylor_green_field(cutoff: int, amplitude: float = 1.0) -> Field2D:
-    """u = A (sin 2pix cos 2piy, -cos 2pix sin 2piy); divergence-free eigenfield."""
+def taylor_green_field(cutoff: int, amplitude: float = 1.0) -> np.ndarray:
+    """The spectrum of u = A (sin 2pix cos 2piy, -cos 2pix sin 2piy), a
+    divergence-free eigenfield."""
     if cutoff < 1:
         raise ParameterError("Taylor-Green needs cutoff >= 1")
     n = 2 * cutoff + 1
@@ -297,7 +298,7 @@ def taylor_green_field(cutoff: int, amplitude: float = 1.0) -> Field2D:
         for s2 in (1, -1):
             spec[0, s1 + cutoff, s2 + cutoff] = -q * s1
             spec[1, s1 + cutoff, s2 + cutoff] = q * s2
-    return Field2D(spec)
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +326,7 @@ def _hemicontinuity_entry(model: ModelSpec, rng: np.random.Generator,
     for v1, v2, v3 in triples:
         probes = v1 + steps * v2
         vals = np.concatenate([
-            fs.inners_h(_drift(model, probes[i:i + fs.SUITE_CHUNK]), v3)
+            model.space.inners(_drift(model, probes[i:i + fs.SUITE_CHUNK]), v3)
             for i in range(0, len(probes), fs.SUITE_CHUNK)])
         scale = 1.0 + np.max(np.abs(vals))
         coarse = vals[::4]

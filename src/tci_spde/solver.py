@@ -35,7 +35,6 @@ from functools import partial
 import numpy as np
 
 from .errors import DivergenceError, ParameterError
-from .fields import Field1D
 from .models import (ModelSpec, explicit_drift, linear_eigenvalues,
                      taylor_green_field)
 from .noise import increment_table
@@ -155,10 +154,11 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
                 shifts=(None,), record: str | None = None) -> Block:
     """Advance every (shift leg, replicate) row of one block in lockstep.
 
-    Every row starts from ``x0``.  ``increments`` holds the Wiener
-    increments of the replicates, shape (n_steps, P, n_w); by default each
-    replicate draws its own from (experiment_seed, replicate), so any row
-    is reproducible on its own.  All legs share them.  Each entry of
+    Every row starts from ``x0``, a raw state that ``model.space.check``
+    validates.  ``increments`` holds the Wiener increments of the
+    replicates, shape (n_steps, P, n_w); by default each replicate draws
+    its own from (experiment_seed, replicate), so any row is reproducible
+    on its own.  All legs share them.  Each entry of
     ``shifts`` is None or the (n_steps, n_w) values h(t_k) of a Girsanov
     shift, applied per step as dW_k + dt h(t_k).  Two legs also give the
     running sup of the squared H-gap between them.
@@ -172,7 +172,7 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     replicates = [int(r) for r in replicates]
     n_rep = len(replicates)
     space = model.space
-    x0_raw = space.raw(x0)
+    x0_raw = space.check(x0)
 
     inc = block_increments(model, cfg, experiment_seed, replicates) \
         if increments is None else increments
@@ -390,7 +390,7 @@ def heat_convergence_report(n_modes: int = 32, horizon: float = 1.0,
     errors = []
     for dt in dts:
         cfg = SolverConfig(dt=dt, horizon=horizon)
-        terminal = _zero_noise_terminal(model, cfg, Field1D(x0))
+        terminal = _zero_noise_terminal(model, cfg, x0)
         errors.append(abs(terminal[0] - exact))
     slope = np.polyfit(np.log(np.asarray(dts)), np.log(np.asarray(errors)), 1)[0]
     return {
@@ -417,12 +417,12 @@ def taylor_green_report(cutoff: int = 32, viscosity: float = 0.05,
     model = ns2d_model(cutoff, viscosity, op)
     x0 = taylor_green_field(cutoff)
 
-    adv = ns_advection(x0.spec, cutoff)
+    adv = ns_advection(x0, cutoff)
     adv_linf = float(np.max(np.abs(adv)))
 
     cfg = SolverConfig(dt=dt, horizon=horizon)
     terminal = _zero_noise_terminal(model, cfg, x0)
-    amp0 = abs(x0.spec[0, 1 + cutoff, 1 + cutoff])
+    amp0 = abs(x0[0, 1 + cutoff, 1 + cutoff])
     amp1 = abs(terminal[0, 1 + cutoff, 1 + cutoff])
     rate = -math.log(amp1 / amp0) / horizon
     exact = 8.0 * math.pi**2 * viscosity

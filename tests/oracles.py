@@ -462,21 +462,24 @@ def metric_distance(metric, a, b):
     return math.sqrt(float(np.sum(0.5 * np.diff(a.times) * (v_sq[:-1] + v_sq[1:]))))
 
 
-def functional_of(functional, traj):
-    """The package functional on one trajectory: ``values`` on the one-row
-    path summary that ``solve_block`` would give for it."""
+def functional_of(functional, traj, space):
+    """The package functional on one trajectory of states of ``space``:
+    ``values`` on the one-row path summary that ``solve_block`` would give
+    for it."""
     from tci_spde.solver import _path_summaries
 
     row = _path_summaries(traj.v_energy[-1:], traj.sup_h_norm[-1:],
                           traj.terminal[None])
-    return float(functional.values(row)[0])
+    return float(functional.values(row, space)[0])
 
 
-def lipschitz_audit(functional, pairs):
-    """|F(u) - F(v)| <= L d(u, v) over trajectory pairs; counts violations."""
+def lipschitz_audit(functional, pairs, space):
+    """|F(u) - F(v)| <= L d(u, v) over trajectory pairs of states of
+    ``space``; counts violations."""
     worst, violations, n = -math.inf, 0, 0
     for a, b in pairs:
-        gap = abs(functional_of(functional, a) - functional_of(functional, b))
+        gap = abs(functional_of(functional, a, space)
+                  - functional_of(functional, b, space))
         dist = functional.lipschitz_constant * metric_distance(
             functional.metric, a, b)
         margin = gap - dist

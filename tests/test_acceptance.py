@@ -41,14 +41,14 @@ def heat_reference():
     op = N.NoiseOperator(8, N.gains_single_mode(8, 1.0, 1), 1.0)
     model = M.heat_model(32, op)
     cfg = S.SolverConfig(dt=1e-3, horizon=1.0)
-    return model, cfg, F.Field1D(np.zeros(32))
+    return model, cfg, np.zeros(32)
 
 
 def burgers_reference():
     op = N.NoiseOperator(8, N.gains_inverse_k(8, 1.0), 1.0)
     model = M.burgers_model(32, op)
     cfg = S.SolverConfig(dt=1e-3, horizon=1.0)
-    return model, cfg, F.Field1D(np.zeros(32))
+    return model, cfg, np.zeros(32)
 
 
 def unit_shift(cfg):
@@ -161,7 +161,7 @@ def test_criterion_05_exponential_moment_lemma():
                                           conc.l2_v_path_functional(), 2048, 0)
         report = conc.exp_moment_check(
             model, values, 0.5, lam0, ranges["lambda0_max_lemma"],
-            model.f_tilde * cfg.horizon, float(model.space.sq_norms(x0.coeffs)), 0)
+            model.f_tilde * cfg.horizon, float(model.space.sq_norms(x0)), 0)
         elapsed = time.perf_counter() - start
         ok = ok and report["pass"] and elapsed < 300.0
         details.append(f"{model.kind}: {report['estimate']:.4f}+3se <= "

@@ -22,7 +22,7 @@ from tci_spde import models as M
 from tci_spde import noise as N
 from tci_spde import solver as S
 from tci_spde.cli import main
-from tci_spde.errors import DivergenceError
+from tci_spde.errors import DivergenceError, InvalidFieldError
 
 import oracles as orc
 from test_config_cli import BASE, read_report
@@ -37,7 +37,7 @@ def reference_row(model, cfg, x0, inc, shift=None):
     if two_d:
         basis = orc.dense_basis_2d(model.cutoff, op.n_w)
 
-    u = (x0.spec if two_d else x0.coeffs).copy()
+    u = x0.copy()
     states = [u]
     v_energy, v_sq = 0.0, float(np.sum(weight * np.abs(u) ** 2))
     for k in range(cfg.n_steps):
@@ -74,10 +74,10 @@ def _noise_1d(clamp=None):
 def _setup(kind):
     cfg = S.SolverConfig(dt=2e-3, horizon=0.1)
     if kind == "heat":
-        return M.heat_model(8, _noise_1d()), cfg, F.Field1D(np.zeros(8))
+        return M.heat_model(8, _noise_1d()), cfg, np.zeros(8)
     if kind in ("burgers", "burgers_clamped"):
         clamp = 0.3 if kind == "burgers_clamped" else None
-        x0 = F.Field1D(F.random_fields_1d(1, 12, np.random.default_rng(4))[0])
+        x0 = F.random_fields_1d(1, 12, np.random.default_rng(4))[0]
         return M.burgers_model(12, _noise_1d(clamp)), cfg, x0
     op = N.NoiseOperator(6, N.gains_inverse_k(6, 0.05), 0.05)
     cfg = S.SolverConfig(dt=2e-3, horizon=0.02)
@@ -143,6 +143,48 @@ def test_block_rows_do_not_depend_on_block_company():
     assert pair.sup_gap_sq[0] == 0.0
     assert np.array_equal(x.states, y.states)
     assert np.array_equal(x.states, alone.states)
+
+
+def _bad_x0(case):
+    """A model and an x0 its space must reject, by name."""
+    cfg = S.SolverConfig(dt=0.01, horizon=0.02)
+    if case in ("wrong_length", "complex_on_sine", "non_finite_sine"):
+        x0 = {"wrong_length": np.zeros(7),
+              "complex_on_sine": np.zeros(8, dtype=np.complex128),
+              "non_finite_sine": np.full(8, np.nan)}[case]
+        return M.heat_model(8, _noise_1d()), cfg, x0
+    op = N.NoiseOperator(2, N.gains_inverse_k(2, 0.05), 0.05)
+    model = M.ns2d_model(2, 0.1, op)
+    if case == "wrong_cutoff":
+        return model, cfg, M.taylor_green_field(3)
+    x0 = M.taylor_green_field(2)
+    if case == "non_finite_torus":
+        x0[0, 3, 3] = np.nan
+    elif case == "non_hermitian":
+        x0[0, 3, 4] = 1.0j          # (1, 2) without its mirror (-1, -2)
+    else:                           # nonzero_mean
+        x0[1, 2, 2] = 1.0
+    return model, cfg, x0
+
+
+@pytest.mark.parametrize("case", ["wrong_length", "wrong_cutoff",
+                                  "complex_on_sine", "non_finite_sine",
+                                  "non_finite_torus", "non_hermitian",
+                                  "nonzero_mean"])
+def test_solve_block_and_ensemble_reject_x0_outside_the_space(case):
+    model, cfg, x0 = _bad_x0(case)
+    with pytest.raises(InvalidFieldError):
+        S.solve_block(model, cfg, x0, 0, [0, 1])
+    with pytest.raises(InvalidFieldError):
+        S.ensemble(model, cfg, x0, 0, range(2))
+
+
+def test_plain_list_x0_is_accepted():
+    for kind in ("heat", "ns2d"):
+        model, cfg, x0 = _setup(kind)
+        want = S.solve_block(model, cfg, x0, 0, [0, 1]).paths
+        got = S.solve_block(model, cfg, x0.tolist(), 0, [0, 1]).paths
+        assert np.array_equal(got, want)
 
 
 def test_snapshot_stride_thins_states_but_not_reductions():
@@ -222,7 +264,7 @@ def test_simulate_csv_honours_snapshot_stride(tmp_path, capsys):
 def test_block_divergence_names_lowest_replicate_without_warnings():
     model = M.burgers_model(8, _noise_1d())
     cfg = S.SolverConfig(dt=0.5, horizon=50.0)
-    x0 = F.Field1D(np.full(8, 40.0))
+    x0 = np.full(8, 40.0)
     with pytest.raises(DivergenceError) as err:
         S.solve_block(model, cfg, x0, 3, [12, 5, 9],
                       increments=np.zeros((cfg.n_steps, 3, 4)))
@@ -240,7 +282,7 @@ def test_ensemble_divergence_is_the_earliest_over_all_blocks(monkeypatch):
     noise = N.NoiseOperator(4, N.gains_inverse_k(4, 100.0), 100.0)
     model = M.burgers_model(8, noise)
     cfg = S.SolverConfig(dt=0.05, horizon=5.0)
-    x0 = F.Field1D(np.full(8, 5.0))
+    x0 = np.full(8, 5.0)
     n_rep = 4 * S.BLOCK_REPLICATES
     first = []
     for r in range(n_rep):

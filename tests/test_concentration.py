@@ -16,7 +16,7 @@ from tci_spde import noise as N
 from tci_spde import solver as S
 from tci_spde.cli import _write_ensemble_csv
 from tci_spde.constants import admissible_ranges, t2_constant
-from tci_spde.errors import ParameterError
+from tci_spde.errors import InvalidFieldError, ParameterError
 
 import oracles as orc
 from oracles import w2_factorial_oracle
@@ -190,9 +190,9 @@ def synthetic_pair(rng, n_steps=20, n_modes=6):
 def test_trajectory_from_states_consistency():
     rng = np.random.default_rng(9)
     traj, _ = synthetic_pair(rng)
-    h = F.norms_h(traj.states)
+    space = F.SineSpace(6)
+    h = np.sqrt(space.sq_norms(traj.states))
     assert np.allclose(traj.sup_h_norm, np.maximum.accumulate(h), rtol=1e-12)
-    space = F.space_of(traj.states)
     v_sq = space.sq_norms(traj.states, space.laplacian_eigenvalues())
     assert traj.v_energy[-1] == pytest.approx(np.trapezoid(v_sq, traj.times), rel=1e-12)
 
@@ -200,29 +200,35 @@ def test_trajectory_from_states_consistency():
 def test_functional_values():
     rng = np.random.default_rng(10)
     traj, _ = synthetic_pair(rng)
-    assert orc.functional_of(K.l2_v_path_functional(), traj) == pytest.approx(
-        math.sqrt(traj.v_energy_total), rel=1e-15
-    )
-    assert orc.functional_of(K.sup_h_functional(), traj) == traj.sup_h_total
-    assert orc.functional_of(K.terminal_h_functional(), traj) == pytest.approx(
-        float(F.norms_h(traj.terminal)), rel=1e-14
-    )
+    space = F.SineSpace(6)
+    assert orc.functional_of(K.l2_v_path_functional(), traj, space) == \
+        pytest.approx(math.sqrt(traj.v_energy_total), rel=1e-15)
+    assert orc.functional_of(K.sup_h_functional(), traj, space) == traj.sup_h_total
+    assert orc.functional_of(K.terminal_h_functional(), traj, space) == \
+        pytest.approx(float(np.sqrt(space.sq_norms(traj.terminal))), rel=1e-14)
     probe = rng.standard_normal(6)
-    probed = K.linear_probe_functional(probe)
+    probed = K.linear_probe_functional(probe, space)
     assert probed.lipschitz_constant == pytest.approx(
         float(np.linalg.norm(probe)), rel=1e-14
     )
-    assert orc.functional_of(probed, traj) == pytest.approx(
+    assert orc.functional_of(probed, traj, space) == pytest.approx(
         float(probe @ traj.states[-1]), rel=1e-13)
+
+
+def test_linear_probe_must_be_a_state_of_its_space():
+    with pytest.raises(InvalidFieldError):
+        K.linear_probe_functional(np.ones(5), F.SineSpace(6))
 
 
 def test_lipschitz_audit_clean_across_functionals():
     rng = np.random.default_rng(11)
     pairs = [synthetic_pair(rng) for _ in range(10_000)]
     probe = rng.standard_normal(6)
+    space = F.SineSpace(6)
     for functional in (K.l2_v_path_functional(), K.sup_h_functional(),
-                       K.terminal_h_functional(), K.linear_probe_functional(probe)):
-        report = orc.lipschitz_audit(functional, pairs)
+                       K.terminal_h_functional(),
+                       K.linear_probe_functional(probe, space)):
+        report = orc.lipschitz_audit(functional, pairs, space)
         assert report["violations"] == 0, report
         assert report["n_pairs"] == 10_000
 
@@ -231,7 +237,7 @@ def test_lipschitz_audit_detects_false_declaration():
     rng = np.random.default_rng(12)
     pairs = [synthetic_pair(rng) for _ in range(50)]
     braggart = K.FunctionalSpec("sup_H_norm", 0.01, "uniform_H")
-    report = orc.lipschitz_audit(braggart, pairs)
+    report = orc.lipschitz_audit(braggart, pairs, F.SineSpace(6))
     assert report["violations"] > 0
     assert not report["pass"]
 
@@ -252,8 +258,7 @@ def small_heat():
     op = N.NoiseOperator(4, N.gains_inverse_k(4, 1.0), 1.0)
     model = M.heat_model(8, op)
     cfg = S.SolverConfig(dt=0.01, horizon=0.5)
-    x0 = F.Field1D(np.zeros(8))
-    return model, cfg, x0
+    return model, cfg, np.zeros(8)
 
 
 def test_exp_moment_check_passes_on_heat():
@@ -287,7 +292,7 @@ def test_zero_noise_moments_vanish():
     op = N.NoiseOperator(2, [0.0, 0.0], 1.0)  # zero gains: B = 0
     model = M.heat_model(8, op, f_tilde=0.0)
     cfg = S.SolverConfig(dt=0.01, horizon=0.2)
-    report, _ = K.moment_report(model, cfg, F.Field1D(np.zeros(8)),
+    report, _ = K.moment_report(model, cfg, np.zeros(8),
                                 n_replicates=8, refine=False)
     assert report["base"]["sup_h_moment"]["mean"] == 0.0
     assert report["base"]["v_energy"]["mean"] == 0.0

@@ -249,6 +249,16 @@ def test_noise_beyond_the_torus_basis_exits_2(tmp_path, capsys):
     assert "at cutoff 1" in err
 
 
+def test_negative_constant_overrides_are_schema_problems(tmp_path, capsys):
+    path = write_config(tmp_path, {
+        "constants": {"x0_h_norm_sq": -1.0, "f_tilde_integral": -2.0}})
+    code = main(["constants", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "constants.x0_h_norm_sq: must be nonnegative" in err
+    assert "constants.f_tilde_integral: must be nonnegative" in err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code = main(["audit", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")])

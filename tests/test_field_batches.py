@@ -81,19 +81,16 @@ def test_check_spectra_checks_every_field_of_a_batch():
 @pytest.mark.parametrize("kind", ["1d", "2d"])
 def test_batched_norms_match_single_field_numpy(kind):
     rng = np.random.default_rng(11)
-    if kind == "1d":
-        a = F.random_fields_1d(CHUNK + 1, 10, rng)
-    else:
-        a = F.random_fields_2d(CHUNK + 1, 4, rng)
+    space = F.SineSpace(10) if kind == "1d" else F.TorusSpace(4)
+    a = space.draw(CHUNK + 1, rng)
     b = a[::-1].copy()
-    space = F.space_of(a)
-    assert np.array_equal(F.norms_h(a), [O.norm_h(f) for f in a])
+    assert np.array_equal(np.sqrt(space.sq_norms(a)), [O.norm_h(f) for f in a])
     for w in (1.0, O.v_weights(a[0]), O.vstar_weights(a[0])):
         assert np.array_equal(space.sq_norms(a, w), [O.sq_norm(f, w) for f in a])
     assert np.array_equal(np.transpose(space.grid_moments(a)),
                           [O.grid_moments(f) for f in a])
-    assert np.array_equal(F.inners_h(a, b), [O.inner_h(x, y) for x, y in zip(a, b)])
-    assert np.array_equal(F.inners_h(a, b[0]), [O.inner_h(x, b[0]) for x in a])
+    assert np.array_equal(space.inners(a, b), [O.inner_h(x, y) for x, y in zip(a, b)])
+    assert np.array_equal(space.inners(a, b[0]), [O.inner_h(x, b[0]) for x in a])
 
 
 def test_norm_terms_2d_match_per_field_norms():

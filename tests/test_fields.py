@@ -1,8 +1,8 @@
-"""Spectral field containers, norms, and the projection operators."""
+"""Spectral function spaces, norms, and the projection operators."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -13,33 +13,34 @@ from tci_spde.models import ETA_1D, ETA_2D, taylor_green_field
 import oracles as orc
 
 
+S4 = F.SineSpace(4)
+
+
 def sin_pi_x():
     # sin(pi x) = (1/sqrt 2) e_1 in the orthonormal sine basis
-    return F.Field1D([2.0**-0.5, 0.0, 0.0, 0.0])
+    return S4.check([2.0**-0.5, 0.0, 0.0, 0.0])
 
 
-def raw_of(field):
-    return field.coeffs if isinstance(field, F.Field1D) else field.spec
+def norm_h(space, raw):
+    return float(np.sqrt(space.sq_norms(raw)))
 
 
-def quadrature_norm_h(field):
+def quadrature_norm_h(space, raw):
     """L^2 norm on the physical grid of the L^4 norms, for Parseval checks."""
-    raw = raw_of(field)
-    return float(np.sqrt(F.space_of(raw).grid_moments(raw)[0]))
+    return float(np.sqrt(space.grid_moments(raw)[0]))
 
 
-def v_sq(raw):
-    space = F.space_of(raw)
+def v_sq(space, raw):
     return float(space.sq_norms(raw, space.laplacian_eigenvalues()))
 
 
-def l4_fourth(raw):
+def l4_fourth(space, raw):
     """int |v|^4 on the quadrature grid of the space."""
-    return float(F.space_of(raw).grid_moments(raw)[1])
+    return float(space.grid_moments(raw)[1])
 
 
 def sin_2pi_x():
-    return F.Field1D([0.0, 2.0**-0.5, 0.0, 0.0])
+    return S4.check([0.0, 2.0**-0.5, 0.0, 0.0])
 
 
 def lowest_mode_2d(amplitude=1.0):
@@ -48,7 +49,7 @@ def lowest_mode_2d(amplitude=1.0):
     spec = np.zeros((2, 3, 3), dtype=np.complex128)
     spec[1, K + 1, K] = amplitude  # u_hat((1,0)) = (0, a), perpendicular to k
     spec[1, K - 1, K] = amplitude
-    return F.Field2D(spec)
+    return F.TorusSpace(K).check(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -56,86 +57,84 @@ def lowest_mode_2d(amplitude=1.0):
 
 
 def test_norm_h_zero_field():
-    assert F.norms_h(np.zeros(8)) == 0.0
+    assert norm_h(F.SineSpace(8), np.zeros(8)) == 0.0
 
 
 def test_norm_h_sine():
-    assert F.norms_h(sin_pi_x().coeffs) == pytest.approx(np.sqrt(0.5), rel=1e-14)
+    assert norm_h(S4, sin_pi_x()) == pytest.approx(np.sqrt(0.5), rel=1e-14)
 
 
 def test_norm_h_basis_element():
-    e1 = F.Field1D([1.0, 0.0, 0.0])
-    assert F.norms_h(e1.coeffs) == 1.0
+    e1 = F.SineSpace(3).check([1.0, 0.0, 0.0])
+    assert norm_h(F.SineSpace(3), e1) == 1.0
 
 
 def test_norm_v_values():
-    assert v_sq(np.zeros(4)) == 0.0
-    assert v_sq(sin_pi_x().coeffs) == pytest.approx(np.pi**2 / 2.0, rel=1e-14)
-    assert v_sq(sin_2pi_x().coeffs) == pytest.approx(2.0 * np.pi**2, rel=1e-14)
+    assert v_sq(S4, np.zeros(4)) == 0.0
+    assert v_sq(S4, sin_pi_x()) == pytest.approx(np.pi**2 / 2.0, rel=1e-14)
+    assert v_sq(S4, sin_2pi_x()) == pytest.approx(2.0 * np.pi**2, rel=1e-14)
 
 
 def test_norm_l4_sine():
     # integral of sin^4(pi x) over [0, 1] is 3/8
-    assert l4_fourth(sin_pi_x().coeffs) == pytest.approx(3.0 / 8.0, rel=1e-13)
-    assert l4_fourth(np.zeros(4)) == 0.0
+    assert l4_fourth(S4, sin_pi_x()) == pytest.approx(3.0 / 8.0, rel=1e-13)
+    assert l4_fourth(S4, np.zeros(4)) == 0.0
 
 
 def test_norm_l4_homogeneity():
     rng = np.random.default_rng(3)
-    v = F.random_fields_1d(1, 12, rng)[0]
-    assert l4_fourth(2.0 * v) == pytest.approx(16.0 * l4_fourth(v), rel=1e-13)
+    space = F.SineSpace(12)
+    v = space.draw(1, rng)[0]
+    assert l4_fourth(space, 2.0 * v) == pytest.approx(16.0 * l4_fourth(space, v),
+                                                      rel=1e-13)
 
 
 def test_norm_h_matches_quadrature_parseval():
     rng = np.random.default_rng(11)
-    for _ in range(50):
-        v = F.Field1D(F.random_fields_1d(1, 24, rng)[0])
-        assert quadrature_norm_h(v) == pytest.approx(float(F.norms_h(v.coeffs)),
-                                                     rel=1e-12)
-    for _ in range(20):
-        u = F.Field2D(F.random_fields_2d(1, 6, rng)[0])
-        assert quadrature_norm_h(u) == pytest.approx(float(F.norms_h(u.spec)),
-                                                     rel=1e-12)
+    for space, count in ((F.SineSpace(24), 50), (F.TorusSpace(6), 20)):
+        for _ in range(count):
+            v = space.check(space.draw(1, rng)[0])
+            assert quadrature_norm_h(space, v) == pytest.approx(
+                norm_h(space, v), rel=1e-12)
 
 
 def test_invalid_fields_rejected():
     with pytest.raises(InvalidFieldError):
-        F.Field1D([1.0, np.nan])
+        F.SineSpace(2).check([1.0, np.nan])
     with pytest.raises(InvalidFieldError):
-        F.Field1D(np.zeros((2, 2)))
+        F.SineSpace(2).check(np.zeros((2, 2)))
     bad = np.zeros((2, 3, 3), dtype=np.complex128)
     bad[0, 2, 2] = 1.0j  # breaks Hermitian symmetry
     with pytest.raises(InvalidFieldError):
-        F.Field2D(bad)
+        F.TorusSpace(1).check(bad)
     mean = np.zeros((2, 3, 3), dtype=np.complex128)
     mean[0, 1, 1] = 1.0
     with pytest.raises(InvalidFieldError):
-        F.Field2D(mean)
+        F.TorusSpace(1).check(mean)
 
 
 # ---------------------------------------------------------------------------
 # Poincare ratio ||v||_V^2 / ||v||_H^2 on eigenfunctions
 
 
-def poincare_ratio(field):
-    raw = raw_of(field)
-    return v_sq(raw) / float(F.space_of(raw).sq_norms(raw))
+def poincare_ratio(space, raw):
+    return v_sq(space, raw) / float(space.sq_norms(raw))
 
 
 def test_poincare_audit_first_mode():
-    ratio = poincare_ratio(sin_pi_x())
+    ratio = poincare_ratio(S4, sin_pi_x())
     assert ratio >= ETA_1D
     assert ratio == pytest.approx(np.pi**2, rel=1e-13)
 
 
 def test_poincare_audit_second_mode():
-    ratio = poincare_ratio(sin_2pi_x())
+    ratio = poincare_ratio(S4, sin_2pi_x())
     assert ratio >= ETA_1D
     assert ratio == pytest.approx(4.0 * np.pi**2, rel=1e-13)
 
 
 def test_poincare_audit_2d_lowest_mode():
-    ratio = poincare_ratio(lowest_mode_2d())
+    ratio = poincare_ratio(F.TorusSpace(1), lowest_mode_2d())
     assert ratio >= ETA_2D
     assert ratio == pytest.approx(4.0 * np.pi**2, rel=1e-13)
 
@@ -159,14 +158,15 @@ def test_helmholtz_kills_gradient_fields():
         k1 = k[:, None] * np.ones((1, k.size))
         k2 = np.ones((k.size, 1)) * k[None, :]
         phi = _hermitian_scalar(cutoff, rng)
-        grad = F.Field2D(np.stack([1j * k1 * phi, 1j * k2 * phi])).spec
+        space = F.TorusSpace(cutoff)
+        grad = space.check(np.stack([1j * k1 * phi, 1j * k2 * phi]))
         out = F._leray(grad)
-        assert F.norms_h(out) <= 1e-12 * max(F.norms_h(grad), 1.0)
+        assert norm_h(space, out) <= 1e-12 * max(norm_h(space, grad), 1.0)
 
 
 def test_helmholtz_fixed_point_on_divergence_free():
     tg = taylor_green_field(4, 0.7)
-    assert np.array_equal(F._leray(tg.spec), tg.spec)
+    assert np.array_equal(F._leray(tg), tg)
 
 
 def test_helmholtz_named_mixed_example():
@@ -182,7 +182,7 @@ def test_helmholtz_named_mixed_example():
     target[0, cutoff, cutoff + 1] = -0.5j
     target[0, cutoff, cutoff - 1] = 0.5j
     spec = spec + target
-    out = F._leray(F.Field2D(spec).spec)
+    out = F._leray(F.TorusSpace(cutoff).check(spec))
     assert np.max(np.abs(out - target)) <= 1e-12
 
 
@@ -207,30 +207,32 @@ def test_helmholtz_output_divergence_free():
 # laplacian: mode k scaled by -(k pi)^2 or -(2 pi |k|)^2
 
 
-def laplacian(raw):
-    return -F.space_of(raw).laplacian_eigenvalues() * raw
+def laplacian(space, raw):
+    return -space.laplacian_eigenvalues() * raw
 
 
 def test_laplacian_eigenfunctions():
-    lap1 = laplacian(sin_pi_x().coeffs)
-    assert np.allclose(lap1, -np.pi**2 * sin_pi_x().coeffs, rtol=1e-14)
-    lap2 = laplacian(sin_2pi_x().coeffs)
-    assert np.allclose(lap2, -4.0 * np.pi**2 * sin_2pi_x().coeffs, rtol=1e-14)
+    lap1 = laplacian(S4, sin_pi_x())
+    assert np.allclose(lap1, -np.pi**2 * sin_pi_x(), rtol=1e-14)
+    lap2 = laplacian(S4, sin_2pi_x())
+    assert np.allclose(lap2, -4.0 * np.pi**2 * sin_2pi_x(), rtol=1e-14)
 
 
 def test_laplacian_linearity():
     rng = np.random.default_rng(23)
-    a, b = F.random_fields_1d(2, 16, rng)
-    combined = laplacian(2.0 * a - 3.0 * b)
-    separate = 2.0 * laplacian(a) - 3.0 * laplacian(b)
+    space = F.SineSpace(16)
+    a, b = space.draw(2, rng)
+    combined = laplacian(space, 2.0 * a - 3.0 * b)
+    separate = 2.0 * laplacian(space, a) - 3.0 * laplacian(space, b)
     assert np.max(np.abs(combined - separate)) <= 1e-12 * max(
         1.0, float(np.max(np.abs(separate)))
     )
 
 
 def test_laplacian_2d_eigenfunction():
-    u = lowest_mode_2d().spec
-    assert np.allclose(laplacian(u), -((2.0 * np.pi) ** 2) * u, rtol=1e-14)
+    u = lowest_mode_2d()
+    assert np.allclose(laplacian(F.TorusSpace(1), u), -((2.0 * np.pi) ** 2) * u,
+                       rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -264,26 +266,35 @@ coeff_arrays = arrays(
 
 
 @given(coeff_arrays)
+@example(np.array([2.12741406e-162]))
 @settings(max_examples=200, deadline=None)
 def test_poincare_property_1d(coeffs):
-    h_sq = float(F.space_of(coeffs).sq_norms(coeffs))
+    space = F.SineSpace(len(coeffs))
+    h_sq = float(space.sq_norms(coeffs))
     if h_sq == 0.0:
         return
-    assert v_sq(coeffs) >= (np.pi**2) * h_sq * (1.0 - 1e-12)
+    # In the subnormal range each term of the two kernel sums is rounded to
+    # a multiple of the smallest subnormal s, which moves pi^2 ||v||_H^2 by
+    # up to pi^2 s / 2 and ||v||_V^2 by up to s / 2 per mode; above that
+    # range the floor is negligible.
+    floor = (np.pi**2 + 1.0) * len(coeffs) * np.finfo(float).smallest_subnormal
+    assert v_sq(space, coeffs) >= (np.pi**2) * h_sq * (1.0 - 1e-12) - floor
 
 
 @given(coeff_arrays)
 @settings(max_examples=100, deadline=None)
 def test_l4_interpolation_property(coeffs):
-    lhs = l4_fourth(coeffs)
-    rhs = 4.0 * float(F.space_of(coeffs).sq_norms(coeffs)) * v_sq(coeffs)
+    space = F.SineSpace(len(coeffs))
+    lhs = l4_fourth(space, coeffs)
+    rhs = 4.0 * float(space.sq_norms(coeffs)) * v_sq(space, coeffs)
     assert lhs <= rhs * (1.0 + 1e-10) + 1e-12
 
 
 @given(coeff_arrays)
 @settings(max_examples=100, deadline=None)
 def test_parseval_property(coeffs):
-    v = F.Field1D(coeffs)
-    spectral = float(F.norms_h(v.coeffs))
-    quad = quadrature_norm_h(v)
+    space = F.SineSpace(len(coeffs))
+    v = space.check(coeffs)
+    spectral = norm_h(space, v)
+    quad = quadrature_norm_h(space, v)
     assert abs(spectral - quad) <= 1e-12 * max(1.0, spectral)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from tci_spde import fields as F
 from tci_spde import girsanov as G
 from tci_spde import models as M
 from tci_spde import noise as N
@@ -20,7 +19,7 @@ def single_mode_noise(n_w=2, c_b=1.0):
 def heat_setup(n_modes=8, dt=0.01, horizon=1.0):
     model = M.heat_model(n_modes, single_mode_noise())
     cfg = S.SolverConfig(dt=dt, horizon=horizon)
-    x0 = F.Field1D(np.zeros(n_modes))
+    x0 = np.zeros(n_modes)
     return model, cfg, x0
 
 

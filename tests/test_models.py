@@ -62,8 +62,8 @@ def test_ns2d_taylor_green_drift_is_purely_viscous():
     nu = 0.1
     model = M.ns2d_model(8, nu, noise_2d())
     tg = M.taylor_green_field(8, 1.0)
-    out = M._drift(model, tg.spec)
-    viscous = -model.space.laplacian_eigenvalues(nu) * tg.spec
+    out = M._drift(model, tg)
+    viscous = -model.space.laplacian_eigenvalues(nu) * tg
     assert np.max(np.abs(out - viscous)) <= 1e-10
 
 

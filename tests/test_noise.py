@@ -110,12 +110,13 @@ def test_budget_violation_rejected():
 def test_clamped_hs_norm_stays_within_budget():
     op = N.NoiseOperator(4, N.gains_inverse_k(4, 1.0), 1.0, clamp=0.5)
     rng = np.random.default_rng(1)
+    space = F.SineSpace(8)
     for _ in range(1000):
         v = F.random_fields_1d(1, 8, rng, scale=float(rng.uniform(0.0, 10.0)))[0]
-        assert N.hs_norm(op, float(F.norms_h(v))) <= np.sqrt(1.0) + 1e-12
+        assert N.hs_norm(op, float(np.sqrt(space.sq_norms(v)))) <= np.sqrt(1.0) + 1e-12
     # clamp really bites for large fields
-    big = F.Field1D(np.full(8, 10.0))
-    assert N.hs_norm(op, float(F.norms_h(big.coeffs))) < N.hs_norm(op, 0.0)
+    big = np.full(8, 10.0)
+    assert N.hs_norm(op, float(np.sqrt(space.sq_norms(big)))) < N.hs_norm(op, 0.0)
 
 
 def _one_noise_step(op, n_modes, w):
@@ -123,7 +124,7 @@ def _one_noise_step(op, n_modes, w):
     of shape (P, n_w): B w damped by the implicit step."""
     model = M.heat_model(n_modes, op)
     cfg = S.SolverConfig(dt=0.01, horizon=0.01)
-    block = S.solve_block(model, cfg, F.Field1D(np.zeros(n_modes)), 0,
+    block = S.solve_block(model, cfg, np.zeros(n_modes), 0,
                           range(len(w)), increments=w[None])
     return block.paths["terminal"] * (1.0 + cfg.dt * M.linear_eigenvalues(model))
 
@@ -135,7 +136,7 @@ def _basis_field(cutoff, n_w, j):
     n = 2 * cutoff + 1
     flat = np.zeros(2 * n * n, dtype=np.complex128)
     flat[support] = amplitudes[j]
-    return F.check_spectra(flat.reshape(2, n, n))
+    return F.TorusSpace(cutoff).check(flat.reshape(2, n, n))
 
 
 def _torus_noise(cutoff, op, w):
@@ -187,7 +188,7 @@ def test_2d_noise_basis_is_orthonormal_and_divergence_free():
         assert O.divergence_linf(fj) <= 1e-12
         for i, fi in enumerate(fields):
             want = 1.0 if i == j else 0.0
-            assert F.inners_h(fi, fj) == pytest.approx(want, abs=1e-12)
+            assert F.TorusSpace(cutoff).inners(fi, fj) == pytest.approx(want, abs=1e-12)
 
 
 def test_top_raw_words_give_finite_normals():

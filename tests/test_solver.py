@@ -17,13 +17,13 @@ def noise_1d(n_w=4, c_b=1.0):
 def sin_pi_x(n_modes):
     coeffs = np.zeros(n_modes)
     coeffs[0] = 2.0**-0.5
-    return F.Field1D(coeffs)
+    return coeffs
 
 
 def test_zero_initial_state_is_a_fixed_point():
     model = M.heat_model(8, noise_1d(), f_tilde=0.0)
     cfg = S.SolverConfig(dt=0.01, horizon=0.1)
-    traj = S.solve(model, cfg, F.Field1D(np.zeros(8)), experiment_seed=0,
+    traj = S.solve(model, cfg, np.zeros(8), experiment_seed=0,
                    zero_noise=True)
     assert np.all(traj.states == 0.0)
     assert traj.v_energy_total == 0.0
@@ -33,9 +33,9 @@ def test_zero_initial_state_is_a_fixed_point():
 def test_initial_state_stored_exactly():
     model = M.burgers_model(8, noise_1d())
     cfg = S.SolverConfig(dt=0.01, horizon=0.05)
-    x0 = F.Field1D(F.random_fields_1d(1, 8, np.random.default_rng(0))[0])
+    x0 = F.random_fields_1d(1, 8, np.random.default_rng(0))[0]
     traj = S.solve(model, cfg, x0, experiment_seed=1)
-    assert np.array_equal(traj.states[0], x0.coeffs)
+    assert np.array_equal(traj.states[0], x0)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(0.05, abs=1e-12)
 
@@ -55,7 +55,7 @@ def test_implicit_factor_on_heat_eigenmode():
 def test_determinism_bitwise():
     model = M.burgers_model(12, noise_1d())
     cfg = S.SolverConfig(dt=0.005, horizon=0.1)
-    x0 = F.Field1D(F.random_fields_1d(1, 12, np.random.default_rng(3))[0])
+    x0 = F.random_fields_1d(1, 12, np.random.default_rng(3))[0]
     a = S.solve(model, cfg, x0, experiment_seed=9, replicate=4)
     b = S.solve(model, cfg, x0, experiment_seed=9, replicate=4)
     assert np.array_equal(a.states, b.states)
@@ -67,7 +67,7 @@ def test_determinism_bitwise():
 def test_v_energy_matches_posthoc_trapezoid():
     model = M.burgers_model(12, noise_1d())
     cfg = S.SolverConfig(dt=0.002, horizon=0.1)
-    x0 = F.Field1D(F.random_fields_1d(1, 12, np.random.default_rng(5))[0])
+    x0 = F.random_fields_1d(1, 12, np.random.default_rng(5))[0]
     traj = S.solve(model, cfg, x0, experiment_seed=2)
     v_sq = model.space.sq_norms(traj.states, model.space.laplacian_eigenvalues())
     recomputed = np.concatenate(
@@ -83,7 +83,7 @@ def test_sup_h_norm_is_running_max():
     model = M.heat_model(8, noise_1d())
     cfg = S.SolverConfig(dt=0.01, horizon=0.2)
     traj = S.solve(model, cfg, sin_pi_x(8), experiment_seed=7)
-    h = F.norms_h(traj.states)
+    h = np.sqrt(model.space.sq_norms(traj.states))
     assert np.allclose(traj.sup_h_norm, np.maximum.accumulate(h), rtol=1e-12)
 
 
@@ -91,7 +91,7 @@ def test_burgers_energy_decays_without_noise():
     model = M.burgers_model(16, noise_1d())
     cfg = S.SolverConfig(dt=0.005, horizon=0.25)
     traj = S.solve(model, cfg, sin_pi_x(16), experiment_seed=0, zero_noise=True)
-    h = F.norms_h(traj.states)
+    h = np.sqrt(model.space.sq_norms(traj.states))
     assert np.all(np.diff(h) < 0.0)
 
 
@@ -110,7 +110,7 @@ def test_dealias_invariance_for_low_mode_fields():
 def test_divergence_raises_with_context():
     model = M.burgers_model(8, noise_1d())
     cfg = S.SolverConfig(dt=0.5, horizon=50.0)
-    x0 = F.Field1D(np.full(8, 40.0))
+    x0 = np.full(8, 40.0)
     with pytest.raises(DivergenceError) as err:
         S.solve(model, cfg, x0, experiment_seed=3, replicate=12, zero_noise=True)
     assert err.value.step >= 1

@@ -109,7 +109,7 @@ def _check_sparse_noise(op, cutoff, rows):
     x0 = M.taylor_green_field(cutoff, 0.5)
     inc = math.sqrt(cfg.dt) * rng.standard_normal((1, rows, n_w))
     block = S.solve_block(model, cfg, x0, 0, range(rows), increments=inc)
-    u = x0.spec
+    u = x0
     w = inc[0]
     if op.clamp is not None:
         g = op.g(np.sqrt(np.sum(np.abs(u.reshape(1, -1)) ** 2, axis=1)))
@@ -166,7 +166,7 @@ def test_simulate_trajectory_is_a_recorded_solve_of_replicate_0(
     assert read_report(out)["trajectory"] == {
         "file": "trajectory_0.csv",
         "n_steps": n_steps,
-        "terminal_h_norm": float(F.norms_h(traj.terminal)),
+        "terminal_h_norm": float(np.sqrt(cfg.model.space.sq_norms(traj.terminal))),
         "sup_h_norm": traj.sup_h_total,
         "v_energy": traj.v_energy_total,
     }
@@ -178,7 +178,7 @@ def test_simulate_trajectory_is_a_recorded_solve_of_replicate_0(
 def test_norm_recording_keeps_the_paths_of_state_recording():
     model = M.burgers_model(8, N.NoiseOperator(4, N.gains_inverse_k(4, 1.0), 1.0))
     cfg = S.SolverConfig(dt=0.01, horizon=0.2, snapshot_stride=7)
-    x0 = F.Field1D(F.random_fields_1d(1, 8, np.random.default_rng(1))[0])
+    x0 = F.random_fields_1d(1, 8, np.random.default_rng(1))[0]
     full = S.solve_block(model, cfg, x0, 2, [3, 4], record="states")
     thin = S.solve_block(model, cfg, x0, 2, [3, 4], record="norms")
     assert np.array_equal(full.paths, thin.paths)
