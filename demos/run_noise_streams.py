@@ -45,8 +45,9 @@ print(f"HS norm at any state (additive) = {hs_norm(op, 0.0):.6f} "
 
 single = NoiseOperator(4, gains_single_mode(4, 1.0, 1), 1.0)
 torus = TorusSpace(4)
-state = np.zeros((1, 2, 9, 9), dtype=np.complex128)
+# a torus state stores the k2 >= 0 half of its spectrum, (2, 2K+1, K+1)
+state = np.zeros((1, 2, 9, 5), dtype=np.complex128)
 torus.add_noise(state, single, np.array([[1.0, 0.0, 0.0, 0.0]]))
 print(f"2-D single-mode operator: B e1 is one basis field, non-zero at "
-      f"{np.count_nonzero(state)} of {2 * 9 * 9} spectral entries, "
-      f"with H-norm {np.linalg.norm(state):.6f} = sqrt(C_B)")
+      f"{np.count_nonzero(state)} of {2 * 9 * 5} stored spectral entries, "
+      f"with H-norm {np.sqrt(torus.sq_norms(state)[0]):.6f} = sqrt(C_B)")

@@ -38,4 +38,5 @@ for name, suite in (
     for key, sub in suite.items():
         if isinstance(sub, dict) and "violations" in sub:
             print(f"  {name} {key}: {sub['violations']} violations")
+    print(f"  {name} suite passes: {suite['pass']}")
 print(f"eta constants: 1-D {ETA_1D:.6f}, 2-D {ETA_2D:.6f}")

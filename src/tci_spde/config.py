@@ -67,8 +67,9 @@ class _Reader:
         if kinds is float and isinstance(val, int) and not isinstance(val, bool):
             val = float(val)
         if not isinstance(val, kinds) or isinstance(val, bool) and kinds is not bool:
-            self.problems.append(
-                f"{self._path(key)}: expected {describe or getattr(kinds, '__name__', kinds)}")
+            names = kinds if isinstance(kinds, tuple) else (kinds,)
+            self.problems.append(f"{self._path(key)}: expected "
+                                 + " or ".join(k.__name__ for k in names))
             return None
         if check is not None and not check(val):
             self.problems.append(f"{self._path(key)}: {describe}")
@@ -232,8 +233,8 @@ def _build_x0(reader: _Reader, model):
                 "initial_condition.type: 'mode' is one-dimensional; "
                 "use taylor_green")
             return None
-        n = 2 * model.cutoff + 1
-        return np.zeros((2, n, n), dtype=np.complex128)
+        return np.zeros((2, 2 * model.cutoff + 1, model.cutoff + 1),
+                        dtype=np.complex128)
     if kind == "taylor_green":
         reader.problems.append(
             "initial_condition.type: taylor_green needs the ns2d model")

@@ -4,8 +4,12 @@ One-dimensional fields live on [0, 1] with homogeneous Dirichlet
 boundary conditions and are expanded in the orthonormal sine basis
 e_k(x) = sqrt(2) sin(k pi x), k >= 1.  Two-dimensional fields are
 real, mean-zero velocity fields on the periodic unit torus, held as
-complex Fourier coefficients u_hat(k) in C^2 on the square wavevector
-block |k|_inf <= cutoff with Hermitian symmetry u_hat(-k) = conj(u_hat(k)).
+complex Fourier coefficients u_hat(k) in C^2 on the wavevectors
+|k|_inf <= cutoff.  A real field has u_hat(-k) = conj(u_hat(k)), so only
+the k2 >= 0 half is stored: shape (2, 2K+1, K+1), entry [c, i, j] the
+amplitude u_hat_c(i - K, j).  The k2 = 0 column keeps both signs of k1
+and is Hermitian within itself; every other stored entry stands for
+itself and its unstored conjugate.
 A state is a raw array.  ``SineSpace`` and ``TorusSpace`` are the one
 place that knows how the states of each space are stored, and their
 ``check`` validates one; the other modules go through them.
@@ -18,8 +22,9 @@ Norms of the Gelfand triple V in H in V*.  Each space has one kernel,
 and every norm of the package is that kernel (or its square root):
 
 * sine fields:  one BLAS dot product dot(w * x, x) per state,
-* torus fields: one pairwise sum of w |x|^2 over the flattened (2, n, n)
-  block,
+* torus fields: one pairwise sum of m w |x|^2 over the flattened
+  (2, n, K+1) half, where the column multiplicity m is 1 on k2 = 0 and
+  2 on k2 > 0 (the unstored conjugates),
 
 with the weights
 
@@ -75,23 +80,26 @@ def midpoint_nodes(n_points: int) -> np.ndarray:
 
 
 def check_spectra(spec: np.ndarray) -> np.ndarray:
-    """Validate torus spectra of shape (..., 2, 2K+1, 2K+1) and return them;
-    the caller fixes the shape (``TorusSpace.check``, ``random_fields_2d``).
+    """Validate torus half-spectra of shape (..., 2, 2K+1, K+1) and return
+    them; the caller fixes the shape (``TorusSpace.check``,
+    ``random_fields_2d``).
 
-    Leading axes hold independent fields.  Each block must be finite,
-    Hermitian (u_hat(-k) = conj(u_hat(k)), so the field is real) and free
-    of a mean mode; the tolerance scales with each block's own largest
-    amplitude.  Raises InvalidFieldError otherwise.
+    Leading axes hold independent fields.  Each must be finite, its k2 = 0
+    column Hermitian within itself (u_hat(-k1, 0) = conj(u_hat(k1, 0)), so
+    the field is real; the k2 > 0 columns carry their conjugates
+    implicitly, with norm weight 2) and free of a mean mode; the tolerance
+    scales with each field's own largest amplitude.  Raises
+    InvalidFieldError otherwise.
     """
     if not np.all(np.isfinite(spec)):
         raise InvalidFieldError("2-D field has non-finite coefficients")
-    cutoff = spec.shape[-1] // 2
-    blocks = (-3, -2, -1)
-    scale = np.max(np.abs(spec), axis=blocks) + 1.0
-    mirrored = np.conj(spec[..., ::-1, ::-1])
-    if np.any(np.max(np.abs(spec - mirrored), axis=blocks) > _HERMITIAN_TOL * scale):
+    cutoff = spec.shape[-1] - 1
+    scale = np.max(np.abs(spec), axis=(-3, -2, -1)) + 1.0
+    col = spec[..., 0]
+    if np.any(np.max(np.abs(col - np.conj(col[..., ::-1])), axis=(-2, -1))
+              > _HERMITIAN_TOL * scale):
         raise InvalidFieldError("2-D field violates Hermitian symmetry")
-    if np.any(np.max(np.abs(spec[..., cutoff, cutoff]), axis=-1)
+    if np.any(np.max(np.abs(spec[..., cutoff, 0]), axis=-1)
               > _HERMITIAN_TOL * scale):
         raise InvalidFieldError("2-D field has a nonzero mean mode")
     return spec
@@ -99,22 +107,24 @@ def check_spectra(spec: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _wavegrids(cutoff: int):
-    k = np.arange(-cutoff, cutoff + 1, dtype=np.float64)
-    k1 = k[:, None] + np.zeros((1, k.size))
-    k2 = np.zeros((k.size, 1)) + k[None, :]
-    ksq = k1**2 + k2**2
-    return k1, k2, ksq
+    """k1, k2 and |k|^2 on the stored k2 >= 0 half, shape (2K+1, K+1)."""
+    k1 = np.arange(-cutoff, cutoff + 1, dtype=np.float64)[:, None] \
+        + np.zeros((1, cutoff + 1))
+    k2 = np.zeros((2 * cutoff + 1, 1)) + np.arange(cutoff + 1, dtype=np.float64)
+    return k1, k2, k1**2 + k2**2
 
 
-def hermitian_symmetrize(spec: np.ndarray) -> np.ndarray:
-    """Project a square spectral block onto the Hermitian (real-field) part;
-    the last two axes are the wavenumbers."""
-    return 0.5 * (spec + np.conj(spec[..., ::-1, ::-1]))
+@lru_cache(maxsize=32)
+def _multiplicity(cutoff: int) -> np.ndarray:
+    """Norm weight of each stored wavevector, shape (2K+1, K+1): 1 on the
+    k2 = 0 column, 2 on k2 > 0 for the entry and its unstored conjugate."""
+    return np.where(_wavegrids(cutoff)[1] == 0.0, 1.0, 2.0)
 
 
 def _leray(spec: np.ndarray) -> np.ndarray:
-    """Leray projection of spectra (..., 2, n, n), elementwise per field."""
-    K = spec.shape[-1] // 2
+    """Leray projection of half-spectra (..., 2, 2K+1, K+1), elementwise
+    per field."""
+    K = spec.shape[-1] - 1
     k1, k2, ksq = _wavegrids(K)
     ksq_safe = np.where(ksq == 0.0, 1.0, ksq)
     u1, u2 = spec[..., 0, :, :], spec[..., 1, :, :]
@@ -126,7 +136,7 @@ def _leray(spec: np.ndarray) -> np.ndarray:
     out = spec.copy()
     out[..., 0, :, :] -= k1 * dot
     out[..., 1, :, :] -= k2 * dot
-    out[..., K, K] = 0.0
+    out[..., K, 0] = 0.0
     return out
 
 
@@ -169,23 +179,6 @@ def grid_to_half(values: np.ndarray, cutoff: int) -> np.ndarray:
     spec = np.fft.fft(cols, axis=-2, norm="forward")
     return np.concatenate((spec[..., n_grid - cutoff:, :],
                            spec[..., :cutoff + 1, :]), axis=-2)
-
-
-def half_to_full(half: np.ndarray) -> np.ndarray:
-    """Mean-free Hermitian block (..., 2K+1, 2K+1) from its k2 >= 0 half.
-
-    The k2 = 0 column is symmetrized and its k = 0 entry zeroed; the k2 < 0
-    columns are the conjugate flip of the k2 > 0 ones, so the result is
-    exactly Hermitian.
-    """
-    cutoff = half.shape[-1] - 1
-    out = np.empty(half.shape[:-1] + (2 * cutoff + 1,), dtype=np.complex128)
-    out[..., cutoff:] = half
-    col = half[..., :, 0]
-    out[..., :, cutoff] = 0.5 * (col + np.conj(col[..., ::-1]))
-    out[..., cutoff, cutoff] = 0.0
-    out[..., :, :cutoff] = np.conj(out[..., ::-1, :cutoff:-1])
-    return out
 
 
 def default_grid_2d(cutoff: int) -> int:
@@ -234,21 +227,22 @@ def random_fields_1d(count: int, n_modes: int, rng: np.random.Generator,
 
 
 def random_fields_2d(count: int, cutoff: int, rng: np.random.Generator,
-                     envelope: float = -1.5, scale=1.0,
-                     divergence_free: bool = True) -> np.ndarray:
-    """``count`` random Hermitian spectra under a |k|^envelope decay, shape
-    (count, 2, n, n), Leray projected unless ``divergence_free`` is off.
-    ``scale`` is one number or one per field.  Each field takes the real
-    and then the imaginary parts of its amplitudes from ``rng``, so one
-    call draws what ``count`` successive single draws would."""
+                     envelope: float = -1.5, scale=1.0) -> np.ndarray:
+    """``count`` random divergence-free half-spectra under a |k|^envelope
+    decay, shape (count, 2, 2K+1, K+1).  ``scale`` is one number or one per
+    field.  Each field takes the real and then the imaginary parts of the
+    amplitudes of the whole square block |k|_inf <= K from ``rng``, so one
+    call draws what ``count`` successive single draws would; the Hermitian
+    part of the draw is kept on the stored half."""
     n = 2 * cutoff + 1
     normals = rng.standard_normal((count, 2, 2, n, n))
-    raw = normals[:, 0] + 1j * normals[:, 1]
-    _, _, ksq = _wavegrids(cutoff)
+    k = np.arange(-cutoff, cutoff + 1, dtype=np.float64)
+    ksq = k[:, None] ** 2 + k[None, :] ** 2
     env = np.where(ksq == 0.0, 0.0, np.sqrt(np.where(ksq == 0, 1, ksq)) ** envelope)
-    spec = hermitian_symmetrize(np.reshape(scale, (-1, 1, 1, 1)) * env * raw)
-    spec[..., cutoff, cutoff] = 0.0
-    return check_spectra(_leray(spec) if divergence_free else spec)
+    full = np.reshape(scale, (-1, 1, 1, 1)) * env * (normals[:, 0] + 1j * normals[:, 1])
+    spec = 0.5 * (full[..., cutoff:] + np.conj(full[..., ::-1, cutoff::-1]))
+    spec[..., cutoff, 0] = 0.0
+    return check_spectra(_leray(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +283,9 @@ def norm_inequality_suite(space, n_fields: int, rng: np.random.Generator) -> dic
     ``space`` (divergence-free on the torus), on squared norms and grid
     moments; fields with zero H-norm are skipped.
 
-    Returns violation counts and worst margins; every margin is
-    nonnegative when the implementation is sound.
+    Returns violation counts and worst margins, and ``pass`` when no
+    check has a violation; every margin is nonnegative when the
+    implementation is sound.
     """
     h_sq, v_sq, l4_4, q_sq = _suite_terms(space, n_fields, rng)
     keep = h_sq != 0.0
@@ -299,24 +294,27 @@ def norm_inequality_suite(space, n_fields: int, rng: np.random.Generator) -> dic
     ratio = v_sq / h_sq
     interp = space.l4_interpolation * h_sq * v_sq - l4_4
     perr = np.abs(q_sq - h_sq) / (1.0 + h_sq)
+    violations = [int(np.sum(ratio < space.poincare * (1.0 - _POINCARE_TOL))),
+                  int(np.sum(interp < 0.0)), int(np.sum(perr > _PARSEVAL_TOL))]
 
     return {
         "n_fields": int(n_fields),
         "poincare": {
-            "violations": int(np.sum(ratio < space.poincare * (1.0 - _POINCARE_TOL))),
+            "violations": violations[0],
             "worst_ratio": float(np.min(ratio, initial=np.inf)),
             "bound": float(space.poincare),
         },
         "l4_interpolation": {
-            "violations": int(np.sum(interp < 0.0)),
+            "violations": violations[1],
             "worst_margin": float(np.min(interp, initial=np.inf)),
             "constant": space.l4_interpolation,
         },
         "parseval": {
-            "violations": int(np.sum(perr > _PARSEVAL_TOL)),
+            "violations": violations[2],
             "worst_error": float(np.max(perr, initial=0.0)),
             "tolerance": _PARSEVAL_TOL,
         },
+        "pass": not any(violations),
     }
 
 
@@ -324,8 +322,9 @@ def norm_inequality_suite(space, n_fields: int, rng: np.random.Generator) -> dic
 # function spaces
 #
 # The two spaces own the storage of their states: a sine state is a real
-# vector of n_modes coefficients, a torus state a complex (2, n, n) spectral
-# block, and arrays of states carry them on leading axes.  Other modules
+# vector of n_modes coefficients, a torus state the complex (2, 2K+1, K+1)
+# k2 >= 0 half of its spectrum, and arrays of states carry them on leading
+# axes.  Other modules
 # reach the storage through ``ModelSpec.space``.
 
 
@@ -402,35 +401,37 @@ class TorusSpace:
     l4_interpolation = L4_INTERPOLATION_2D
 
     def laplacian_eigenvalues(self, viscosity: float = 1.0) -> np.ndarray:
-        """(viscosity (2 pi)^2) |k|^2 per wavevector."""
+        """(viscosity (2 pi)^2) |k|^2 per stored wavevector, (2K+1, K+1)."""
         return viscosity * (2.0 * np.pi) ** 2 * _wavegrids(self.cutoff)[2]
 
     def check(self, raw) -> np.ndarray:
-        """``raw`` as one state of this space, a complex (2, 2K+1, 2K+1)
-        spectrum that passes ``check_spectra``."""
+        """``raw`` as one state of this space, a complex (2, 2K+1, K+1)
+        half-spectrum that passes ``check_spectra``."""
         arr = np.asarray(raw, dtype=np.complex128)
-        n = 2 * self.cutoff + 1
-        if arr.shape != (2, n, n):
-            raise InvalidFieldError(f"expected a 2-D field with cutoff {self.cutoff}")
+        if arr.shape != (2, 2 * self.cutoff + 1, self.cutoff + 1):
+            raise InvalidFieldError(f"expected a 2-D half-spectrum (2, 2K+1, "
+                                    f"K+1) with cutoff K = {self.cutoff}")
         return check_spectra(arr)
 
     def sq_norms(self, raw: np.ndarray, weights=None) -> np.ndarray:
-        """sum_k w(k) |u_hat(k)|^2 per state of ``raw`` (..., 2, n, n), as
-        one pairwise sum over the flattened block.  ``weights`` (default 1)
-        broadcasts against ``raw``: one (n, n) array per wavevector, or a
-        stack of m on a leading axis, (m, 1, 1, n, n) for states
-        (P, 2, n, n), which gives an (m, P) result."""
-        p = np.abs(raw) ** 2
-        return _sums(p if weights is None else weights * p, 3)
+        """sum_k w(k) |u_hat(k)|^2 over the whole spectrum per state of
+        ``raw`` (..., 2, n, K+1), as one pairwise sum of mult w |u_hat|^2
+        over the flattened half (mult 1 on k2 = 0, 2 on k2 > 0).  ``weights``
+        (default 1) broadcasts against ``raw``: one (n, K+1) array per
+        wavevector, or a stack of m on a leading axis, (m, 1, 1, n, K+1)
+        for states (P, 2, n, K+1), which gives an (m, P) result."""
+        mult = _multiplicity(self.cutoff)
+        return _sums((mult if weights is None else weights * mult)
+                     * np.abs(raw) ** 2, 3)
 
     def inners(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _sums(np.conj(a) * b, 3).real
+        return _sums(_multiplicity(self.cutoff) * (np.conj(a) * b).real, 3)
 
     def grid_moments(self, raw: np.ndarray):
         """Per-field (int |v|^2, int |v|^4) on the ``default_grid_2d`` grid,
         one real inverse transform per field serving both."""
         n_grid = default_grid_2d(self.cutoff)
-        vals = half_to_grid(raw[..., self.cutoff:], n_grid)
+        vals = half_to_grid(raw, n_grid)
         speed_sq = vals[..., 0, :, :] ** 2 + vals[..., 1, :, :] ** 2
         n_points = n_grid * n_grid
         return _sums(speed_sq, 2) / n_points, _sums(speed_sq**2, 2) / n_points
@@ -446,10 +447,11 @@ class TorusSpace:
 
         Wavevectors are enumerated over the half-space (k1 > 0, or k1 = 0
         and k2 > 0) sorted by (|k|^2, k1, k2); each contributes a cosine and
-        a sine field polarized along k-perp.  Returns the support, the
-        sorted flat indices into a (2, n, n) block of the entries some field
-        is non-zero at, and the (n_w, support) amplitudes of the fields
-        there.
+        a sine field polarized along k-perp, with amplitude a at k and
+        conj(a) at -k, of which the stored half keeps those with k2 >= 0.
+        Returns the support, the sorted flat indices into a (2, n, K+1)
+        half of the entries some field is non-zero at, and the
+        (n_w, support) amplitudes of the fields there.
         """
         cutoff = self.cutoff
         half = sorted((k1 * k1 + k2 * k2, k1, k2) for k1 in range(cutoff + 1)
@@ -459,21 +461,22 @@ class TorusSpace:
                 f"n_w = {n_w} exceeds the {2 * len(half)} divergence-free "
                 f"modes available at cutoff {cutoff}"
             )
-        n = 2 * cutoff + 1
-        out = np.zeros((n_w, 2, n, n), dtype=np.complex128)
+        out = np.zeros((n_w, 2, 2 * cutoff + 1, cutoff + 1), dtype=np.complex128)
         for j in range(n_w):
             _, k1, k2 = half[j // 2]
             norm = np.hypot(k1, k2)
             d = np.array([-k2 / norm, k1 / norm])
             amp = d / np.sqrt(2.0) if j % 2 == 0 else -1j * d / np.sqrt(2.0)
-            out[j, :, k1 + cutoff, k2 + cutoff] = amp
-            out[j, :, -k1 + cutoff, -k2 + cutoff] = np.conj(amp)
+            if k2 >= 0:
+                out[j, :, k1 + cutoff, k2] = amp
+            if k2 <= 0:
+                out[j, :, -k1 + cutoff, -k2] = np.conj(amp)
         flat = out.reshape(n_w, -1)
         support = np.flatnonzero(np.any(flat != 0.0, axis=0))
         return support, flat[:, support]
 
     def add_noise(self, state: np.ndarray, op: NoiseOperator, w: np.ndarray):
-        """Add B w to the contiguous states (P, 2, n, n) in place, ``w`` of
+        """Add B w to the contiguous states (P, 2, n, K+1) in place, ``w`` of
         shape (P, n_w) with any clamp applied: U-coordinate j feeds basis
         field j (``noise_basis``), and only the support of the basis
         changes."""

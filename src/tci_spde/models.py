@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ResolutionError
 from . import fields as fs
 from .fields import SineSpace, TorusSpace
 from .noise import NoiseOperator, hs_norm, generator, derived_replicate, LANE_FIELDS
@@ -213,33 +213,33 @@ def burgers_nonlinearity(coeffs: np.ndarray, n_grid: int | None = None) -> np.nd
 @lru_cache(maxsize=16)
 def _ns_workspace(cutoff: int):
     """2 pi k1, 2 pi k2, k1, k2 and |k|^2 (1 at k = 0) on the k2 >= 0 half."""
-    k1, k2, ksq = (g[:, cutoff:] for g in fs._wavegrids(cutoff))
+    k1, k2, ksq = fs._wavegrids(cutoff)
     ksq_safe = np.where(ksq == 0.0, 1.0, ksq)
     return 2.0 * np.pi * k1, 2.0 * np.pi * k2, k1, k2, ksq_safe
 
 
 def ns_advection(spec: np.ndarray, cutoff: int,
                  n_grid: int | None = None) -> np.ndarray:
-    """Leray-projected advection -P[(u.grad)u] on the spectral block.
+    """Leray-projected advection -P[(u.grad)u] on torus half-spectra.
 
-    ``spec`` has shape (..., 2, n, n); leading axes hold independent fields.
-    The kernel uses the rotational form (u.grad)u = grad(|u|^2/2) + w u_perp
-    with w = d1 u2 - d2 u1 and u_perp = (-u2, u1).  The projection removes
-    the gradient exactly, so the result is P[w (u2, -u1)]: one real inverse
-    transform of (u2, -u1, w), one pointwise product and one real forward
-    transform on an ``n_grid`` grid (default ``ns_product_grid``), all on
-    the k2 >= 0 half of the block, whose conjugate flip gives the rest.
+    ``spec`` has shape (..., 2, 2K+1, K+1); leading axes hold independent
+    fields.  The kernel uses the rotational form (u.grad)u = grad(|u|^2/2)
+    + w u_perp with w = d1 u2 - d2 u1 and u_perp = (-u2, u1).  The
+    projection removes the gradient exactly, so the result is P[w (u2, -u1)]:
+    one real inverse transform of (u2, -u1, w), one pointwise product and
+    one real forward transform on an ``n_grid`` grid (default
+    ``ns_product_grid``).  The result's k2 = 0 column is symmetrized and
+    its mean zeroed, so it is a state of the space.
     """
     if n_grid is None:
         n_grid = ns_product_grid(cutoff)
     if n_grid < 3 * cutoff + 1:
-        from .errors import ResolutionError
         raise ResolutionError(
             f"grid {n_grid} aliases quadratic products at cutoff {cutoff}"
         )
     tk1, tk2, k1, k2, ksq_safe = _ns_workspace(cutoff)
-    u1 = spec[..., 0, :, cutoff:]
-    u2 = spec[..., 1, :, cutoff:]
+    u1 = spec[..., 0, :, :]
+    u2 = spec[..., 1, :, :]
     half = np.empty(u1.shape[:-2] + (3,) + u1.shape[-2:], dtype=np.complex128)
     half[..., 0, :, :] = u2
     np.negative(u1, out=half[..., 1, :, :])
@@ -249,7 +249,10 @@ def ns_advection(spec: np.ndarray, cutoff: int,
     dot = (k1 * out[..., 0, :, :] + k2 * out[..., 1, :, :]) / ksq_safe
     out[..., 0, :, :] -= k1 * dot
     out[..., 1, :, :] -= k2 * dot
-    return fs.half_to_full(out)
+    col = out[..., :, 0]
+    col[...] = 0.5 * (col + np.conj(col[..., ::-1]))
+    out[..., cutoff, 0] = 0.0
+    return out
 
 
 def linear_eigenvalues(model: ModelSpec) -> np.ndarray:
@@ -287,17 +290,15 @@ def _energies(model: ModelSpec, raw: np.ndarray) -> np.ndarray:
 
 
 def taylor_green_field(cutoff: int, amplitude: float = 1.0) -> np.ndarray:
-    """The spectrum of u = A (sin 2pix cos 2piy, -cos 2pix sin 2piy), a
-    divergence-free eigenfield."""
+    """The half-spectrum of u = A (sin 2pix cos 2piy, -cos 2pix sin 2piy),
+    a divergence-free eigenfield: its k2 = 1 entries at k1 = +-1."""
     if cutoff < 1:
         raise ParameterError("Taylor-Green needs cutoff >= 1")
-    n = 2 * cutoff + 1
-    spec = np.zeros((2, n, n), dtype=np.complex128)
+    spec = np.zeros((2, 2 * cutoff + 1, cutoff + 1), dtype=np.complex128)
     q = amplitude * 0.25j
     for s1 in (1, -1):
-        for s2 in (1, -1):
-            spec[0, s1 + cutoff, s2 + cutoff] = -q * s1
-            spec[1, s1 + cutoff, s2 + cutoff] = q * s2
+        spec[0, s1 + cutoff, 1] = -q * s1
+        spec[1, s1 + cutoff, 1] = q
     return spec
 
 
@@ -456,7 +457,8 @@ def nonlinearity_energy_suite(model: ModelSpec, n_fields: int,
                               tol: float = 1e-10) -> dict:
     """|<F(u), u>| over seeded random fields, ``fields.SUITE_CHUNK`` fields
     per batched drift call; the drift's non-dissipative part is
-    energy-neutral for every model here."""
+    energy-neutral for every model here, and ``pass`` says that no field
+    exceeds ``tol``."""
     rng = generator(experiment_seed, derived_replicate(LANE_FIELDS, 1))
     worst = 0.0
     violations = 0
@@ -470,6 +472,7 @@ def nonlinearity_energy_suite(model: ModelSpec, n_fields: int,
         "violations": int(violations),
         "worst_energy": float(worst),
         "tolerance": float(tol),
+        "pass": violations == 0,
     }
 
 
@@ -478,7 +481,7 @@ def t1_feasibility(model: ModelSpec) -> dict:
 
     Verifies theta * eta > K3, alpha = 2 and a nonnegative coercivity
     schedule, and reports the admissible interval for the convexity
-    parameter c.
+    parameter c; ``pass`` is ``feasible``.
     """
     cst = model.constants
     reasons = []
@@ -495,6 +498,7 @@ def t1_feasibility(model: ModelSpec) -> dict:
     c_max = 1.0 - cst.K3 / (cst.theta * cst.eta) if margin > 0.0 else 0.0
     return {
         "feasible": not reasons,
+        "pass": not reasons,
         "reasons": reasons,
         "theta_eta_minus_K3": float(margin),
         "c_interval": [0.0, float(c_max)],

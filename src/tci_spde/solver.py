@@ -422,8 +422,8 @@ def taylor_green_report(cutoff: int = 32, viscosity: float = 0.05,
 
     cfg = SolverConfig(dt=dt, horizon=horizon)
     terminal = _zero_noise_terminal(model, cfg, x0)
-    amp0 = abs(x0[0, 1 + cutoff, 1 + cutoff])
-    amp1 = abs(terminal[0, 1 + cutoff, 1 + cutoff])
+    amp0 = abs(x0[0, 1 + cutoff, 1])
+    amp1 = abs(terminal[0, 1 + cutoff, 1])
     rate = -math.log(amp1 / amp0) / horizon
     exact = 8.0 * math.pi**2 * viscosity
     rel = abs(rate - exact) / exact

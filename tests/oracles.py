@@ -68,16 +68,48 @@ def w2_factorial_oracle(a, b):
 # (np.dot, np.sum, np.mean) and Python-float arithmetic.  They share only the
 # single-row drift kernels with the package; the model tests check those
 # against brute-force triad sums.  A weighted squared norm sum_k w_k |x_k|^2
-# is np.dot(w * x, x) on a sine field and one np.sum of w |x|^2 over a
-# whole torus field, with w = 1 (H), the Laplacian eigenvalues (V) or their
-# reciprocals (V*).
+# is np.dot(w * x, x) on a sine field and one np.sum of m w |x|^2 over a
+# whole torus half-spectrum (2, 2K+1, K+1), with w = 1 (H), the Laplacian
+# eigenvalues (V) or their reciprocals (V*), and m the column multiplicity:
+# 1 on k2 = 0, 2 on k2 > 0, where each stored entry also stands for its
+# conjugate at -k.  ``full_block`` rebuilds the whole Hermitian block, and
+# ``full_sq_norm`` and ``full_inner`` sum over it, as a reference for the
+# multiplicity.
 
 
-def _wavegrids(cutoff):
+def _wavegrids(cutoff, half=True):
+    """k1, k2 and |k|^2 on the k2 >= 0 half (2K+1, K+1), or on the whole
+    square block (2K+1, 2K+1)."""
     k = np.arange(-cutoff, cutoff + 1, dtype=np.float64)
     k1 = k[:, None] + np.zeros((1, k.size))
     k2 = np.zeros((k.size, 1)) + k[None, :]
+    if half:
+        k1, k2 = k1[:, cutoff:], k2[:, cutoff:]
     return k1, k2, k1**2 + k2**2
+
+
+def full_block(half):
+    """The Hermitian block (..., 2K+1, 2K+1) of half-spectra (..., 2K+1, K+1):
+    the k2 < 0 columns are the conjugates at -k of the stored ones."""
+    cutoff = half.shape[-1] - 1
+    n = 2 * cutoff + 1
+    out = np.zeros(half.shape[:-1] + (n,), dtype=np.complex128)
+    for i in range(n):
+        for j in range(cutoff + 1):
+            out[..., i, cutoff + j] = half[..., i, j]
+            if j > 0:
+                out[..., n - 1 - i, cutoff - j] = np.conj(half[..., i, j])
+    return out
+
+
+def full_sq_norm(half, w=1.0):
+    """sum_k w_k |u_hat(k)|^2 of one torus field over its whole block, with
+    ``w`` 1 or given on the whole block."""
+    return float(np.sum(w * np.abs(full_block(half)) ** 2))
+
+
+def full_inner(a, b):
+    return float(np.real(np.sum(np.conj(full_block(a)) * full_block(b))))
 
 
 def field_1d(n_modes, rng, scale=1.0, envelope=-1.5):
@@ -87,10 +119,11 @@ def field_1d(n_modes, rng, scale=1.0, envelope=-1.5):
 
 
 def field_2d(cutoff, rng, scale=1.0, envelope=-1.5):
-    """Divergence-free Hermitian spectrum (2, n, n), one field."""
+    """Divergence-free half-spectrum (2, 2K+1, K+1), one field: drawn,
+    symmetrized and projected on the whole block, then cut to k2 >= 0."""
     n = 2 * cutoff + 1
     raw = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
-    k1, k2, ksq = _wavegrids(cutoff)
+    k1, k2, ksq = _wavegrids(cutoff, half=False)
     env = np.where(ksq == 0.0, 0.0, np.sqrt(np.where(ksq == 0, 1, ksq)) ** envelope)
     s = scale * env * raw
     spec = 0.5 * (s + np.conj(s[:, ::-1, ::-1]))
@@ -101,7 +134,7 @@ def field_2d(cutoff, rng, scale=1.0, envelope=-1.5):
     spec[0] -= k1 * dot
     spec[1] -= k2 * dot
     spec[:, cutoff, cutoff] = 0.0
-    return spec
+    return spec[:, :, cutoff:].copy()
 
 
 def sine_table(n_modes, n_points):
@@ -109,10 +142,10 @@ def sine_table(n_modes, n_points):
     return np.sqrt(2.0) * np.sin(np.pi * np.outer(x, np.arange(1, n_modes + 1)))
 
 
-def torus_grid(spec, n_grid):
-    """Real point values (2, n_grid, n_grid) by one inverse real FFT."""
-    cutoff = spec.shape[-1] // 2
-    half = spec[:, :, cutoff:]
+def torus_grid(half, n_grid):
+    """Real point values (2, n_grid, n_grid) of a half-spectrum by one
+    inverse real FFT."""
+    cutoff = half.shape[-1] - 1
     buf = np.zeros((2, n_grid, n_grid // 2 + 1), dtype=np.complex128)
     buf[:, :cutoff + 1, :cutoff + 1] = half[:, cutoff:, :]
     buf[:, n_grid - cutoff:, :cutoff + 1] = half[:, :cutoff, :]
@@ -120,16 +153,27 @@ def torus_grid(spec, n_grid):
 
 
 def v_weights(raw):
-    """(k pi)^2 per sine mode, (2 pi)^2 |k|^2 per torus wavevector."""
+    """(k pi)^2 per sine mode, (2 pi)^2 |k|^2 per stored torus wavevector."""
     if np.iscomplexobj(raw):
-        return (2.0 * np.pi) ** 2 * _wavegrids(raw.shape[-1] // 2)[2]
+        return (2.0 * np.pi) ** 2 * _wavegrids(raw.shape[-1] - 1)[2]
     return (np.pi * np.arange(1, raw.shape[-1] + 1, dtype=np.float64)) ** 2
+
+
+def h_weights(raw):
+    """The weight of each stored entry in the H norm: 1 per sine mode; on a
+    torus half-spectrum the column multiplicity, 1 on k2 = 0 and 2 on the
+    other columns."""
+    if np.iscomplexobj(raw):
+        m = np.full(raw.shape[-2:], 2.0)
+        m[:, 0] = 1.0
+        return m
+    return np.ones(raw.shape[-1])
 
 
 def sq_norm(raw, w=1.0):
     """sum_k w_k |x_k|^2 of one field."""
     if np.iscomplexobj(raw):
-        return float(np.sum(w * np.abs(raw) ** 2))
+        return float(np.sum(w * h_weights(raw) * np.abs(raw) ** 2))
     return float(np.dot(w * raw, raw))
 
 
@@ -138,15 +182,15 @@ def norm_h(raw):
 
 
 def divergence_linf(spec):
-    """Max spectral divergence |k . u_hat(k)| of one torus spectrum (2, n, n),
+    """Max spectral divergence |k . u_hat(k)| of one torus half-spectrum,
     zero for divergence-free fields."""
-    k1, k2, _ = _wavegrids(spec.shape[-1] // 2)
+    k1, k2, _ = _wavegrids(spec.shape[-1] - 1)
     return float(np.max(np.abs(k1 * spec[0] + k2 * spec[1])))
 
 
 def inner_h(a, b):
     if np.iscomplexobj(a):
-        return float(np.real(np.sum(np.conj(a) * b)))
+        return float(np.sum(h_weights(a) * np.real(np.conj(a) * b)))
     return float(np.dot(a, b))
 
 
@@ -160,7 +204,7 @@ def grid_moments(raw):
     """(int |v|^2, int |v|^4) of one field on the quartic quadrature grid
     (4N midpoints, or 4K+4 points per torus axis)."""
     if np.iscomplexobj(raw):
-        vals = torus_grid(raw, 4 * (raw.shape[-1] // 2) + 4)
+        vals = torus_grid(raw, 4 * (raw.shape[-1] - 1) + 4)
         speed_sq = vals[0] ** 2 + vals[1] ** 2
         return np.mean(speed_sq), np.mean(speed_sq**2)
     n_points = 4 * raw.size
@@ -219,6 +263,7 @@ def norm_suite(kind, n_fields, size, rng):
                              "constant": interp_c},
         "parseval": {"violations": viol_q, "worst_error": worst_parseval,
                      "tolerance": tol},
+        "pass": viol_p + viol_i + viol_q == 0,
     }
 
 
@@ -239,7 +284,7 @@ def energy_suite(model, n_fields, experiment_seed, tol=1e-10):
         worst = max(worst, e)
         violations += e > tol
     return {"model": model.kind, "n_fields": n_fields, "violations": violations,
-            "worst_energy": worst, "tolerance": tol}
+            "worst_energy": worst, "tolerance": tol, "pass": violations == 0}
 
 
 def audit(model, n_samples, experiment_seed):
@@ -372,9 +417,10 @@ def rfft2_half(values, cutoff):
 
 
 def dense_basis_2d(cutoff, n_w):
-    """The first n_w divergence-free basis fields as dense (n_w, 2, n, n)
-    spectra: half-space wavevectors sorted by (|k|^2, k1, k2), a cosine and
-    a sine field each, polarized along k-perp."""
+    """The first n_w divergence-free basis fields as dense (n_w, 2, 2K+1, K+1)
+    half-spectra: half-space wavevectors sorted by (|k|^2, k1, k2), a cosine
+    and a sine field each, polarized along k-perp, built on the whole block
+    and cut to k2 >= 0."""
     half = sorted((k1 * k1 + k2 * k2, k1, k2)
                   for k1 in range(cutoff + 1) for k2 in range(-cutoff, cutoff + 1)
                   if k1 > 0 or k2 > 0)
@@ -390,12 +436,12 @@ def dense_basis_2d(cutoff, n_w):
         for c in range(2):
             basis[j, c, k1 + cutoff, k2 + cutoff] = amp[c]
             basis[j, c, cutoff - k1, cutoff - k2] = np.conj(amp[c])
-    return basis
+    return basis[..., cutoff:].copy()
 
 
 def dense_embed_2d(gains, basis, w):
     """B w as a dense contraction of the gains-weighted w with every basis
-    spectrum, shape (..., 2, n, n)."""
+    half-spectrum, shape (..., 2, 2K+1, K+1)."""
     return np.tensordot(gains * w, basis, axes=(-1, 0))
 
 
@@ -432,7 +478,7 @@ def trajectory_from_states(times, states):
     states = np.asarray(states)
     if times.ndim != 1 or times.shape[0] != states.shape[0]:
         raise ParameterError("times and states disagree")
-    p = np.abs(states) ** 2
+    p = h_weights(states) * np.abs(states) ** 2
     axes = tuple(range(1, states.ndim))
     h_sq = np.sum(p, axis=axes)
     v_sq = np.sum(v_weights(states) * p, axis=axes)
@@ -452,7 +498,7 @@ def metric_distance(metric, a, b):
 
     if a.states.shape != b.states.shape or not np.allclose(a.times, b.times):
         raise ParameterError("trajectories live on different grids")
-    p = np.abs(a.states - b.states) ** 2
+    p = h_weights(a.states) * np.abs(a.states - b.states) ** 2
     axes = tuple(range(1, p.ndim))
     if metric == "uniform_H":
         return math.sqrt(float(np.max(np.sum(p, axis=axes))))

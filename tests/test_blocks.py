@@ -37,6 +37,7 @@ def reference_row(model, cfg, x0, inc, shift=None):
     if two_d:
         basis = orc.dense_basis_2d(model.cutoff, op.n_w)
 
+    weight = weight * orc.h_weights(x0)
     u = x0.copy()
     states = [u]
     v_energy, v_sq = 0.0, float(np.sum(weight * np.abs(u) ** 2))
@@ -60,7 +61,7 @@ def reference_row(model, cfg, x0, inc, shift=None):
 
 
 def h_norm_sq(u):
-    return float(np.sum(np.abs(u) ** 2))
+    return float(np.sum(orc.h_weights(u) * np.abs(u) ** 2))
 
 
 def sup_h(states):
@@ -158,19 +159,21 @@ def _bad_x0(case):
     if case == "wrong_cutoff":
         return model, cfg, M.taylor_green_field(3)
     x0 = M.taylor_green_field(2)
+    if case == "full_block":
+        return model, cfg, orc.full_block(x0)
     if case == "non_finite_torus":
-        x0[0, 3, 3] = np.nan
+        x0[0, 3, 1] = np.nan
     elif case == "non_hermitian":
-        x0[0, 3, 4] = 1.0j          # (1, 2) without its mirror (-1, -2)
+        x0[0, 3, 0] = 1.0j          # (1, 0) without its mirror (-1, 0)
     else:                           # nonzero_mean
-        x0[1, 2, 2] = 1.0
+        x0[1, 2, 0] = 1.0
     return model, cfg, x0
 
 
 @pytest.mark.parametrize("case", ["wrong_length", "wrong_cutoff",
                                   "complex_on_sine", "non_finite_sine",
-                                  "non_finite_torus", "non_hermitian",
-                                  "nonzero_mean"])
+                                  "full_block", "non_finite_torus",
+                                  "non_hermitian", "nonzero_mean"])
 def test_solve_block_and_ensemble_reject_x0_outside_the_space(case):
     model, cfg, x0 = _bad_x0(case)
     with pytest.raises(InvalidFieldError):
@@ -210,7 +213,7 @@ def test_recorded_norms_are_the_norms_of_the_recorded_states(kind):
     weight = M.linear_eigenvalues(model)
     if kind == "ns2d":
         weight = weight / model.viscosity
-    p = np.abs(traj.states) ** 2
+    p = orc.h_weights(x0) * np.abs(traj.states) ** 2
     axes = tuple(range(1, p.ndim))
     assert np.allclose(traj.h_sq, p.sum(axis=axes), rtol=1e-13, atol=0.0)
     assert np.allclose(traj.v_sq, (weight * p).sum(axis=axes), rtol=1e-13, atol=0.0)

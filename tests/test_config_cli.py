@@ -259,6 +259,19 @@ def test_negative_constant_overrides_are_schema_problems(tmp_path, capsys):
     assert "constants.f_tilde_integral: must be nonnegative" in err
 
 
+def test_type_mismatch_names_the_expected_type(tmp_path, capsys):
+    # a wrongly typed value names the type; the range text is for values
+    # of the right type that fail the check
+    path = write_config(tmp_path, {
+        "noise": {"c_b": "x"}, "constants": {"x0_h_norm_sq": "y"}})
+    code = main(["constants", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "noise.c_b: expected float" in err
+    assert "constants.x0_h_norm_sq: expected float" in err
+    assert "must be" not in err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code = main(["audit", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")])

@@ -65,11 +65,11 @@ def test_check_spectra_checks_every_field_of_a_batch():
     specs = F.random_fields_2d(4, 3, np.random.default_rng(0))
     assert F.check_spectra(specs) is specs
     bad = specs.copy()
-    bad[2, 0, 1, 2] += 1e-3j  # breaks the symmetry of one field only
+    bad[2, 0, 1, 0] += 1e-3j  # breaks the k2 = 0 column of one field only
     with pytest.raises(F.InvalidFieldError, match="Hermitian"):
         F.check_spectra(bad)
     mean = specs.copy()
-    mean[3, 1, 3, 3] = 1e-3
+    mean[3, 1, 3, 0] = 1e-3
     with pytest.raises(F.InvalidFieldError, match="mean"):
         F.check_spectra(mean)
     nan = specs.copy()
@@ -91,6 +91,22 @@ def test_batched_norms_match_single_field_numpy(kind):
                           [O.grid_moments(f) for f in a])
     assert np.array_equal(space.inners(a, b), [O.inner_h(x, y) for x, y in zip(a, b)])
     assert np.array_equal(space.inners(a, b[0]), [O.inner_h(x, b[0]) for x in a])
+
+
+def test_half_norms_match_full_block_sums():
+    # each k2 > 0 entry stands for itself and its conjugate at -k: the
+    # weighted half sums are the sums over the whole Hermitian block
+    space = F.TorusSpace(5)
+    a = space.draw(9, np.random.default_rng(12))
+    b = space.draw(9, np.random.default_rng(13))
+    assert np.all(np.abs(a[:, :, :, 0]).max(axis=(1, 2)) > 0.0)
+    v_full = (2.0 * np.pi) ** 2 * O._wavegrids(5, half=False)[2]
+    cases = [(space.sq_norms(a), [O.full_sq_norm(f) for f in a]),
+             (space.sq_norms(a, space.laplacian_eigenvalues()),
+              [O.full_sq_norm(f, v_full) for f in a]),
+             (space.inners(a, b), [O.full_inner(x, y) for x, y in zip(a, b)])]
+    for got, want in cases:
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_norm_terms_2d_match_per_field_norms():

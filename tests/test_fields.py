@@ -44,11 +44,12 @@ def sin_2pi_x():
 
 
 def lowest_mode_2d(amplitude=1.0):
-    """Divergence-free field supported on k = (1, 0) and its mirror."""
+    """Divergence-free field supported on k = (1, 0) and its mirror, both
+    in the stored k2 = 0 column."""
     K = 1
-    spec = np.zeros((2, 3, 3), dtype=np.complex128)
-    spec[1, K + 1, K] = amplitude  # u_hat((1,0)) = (0, a), perpendicular to k
-    spec[1, K - 1, K] = amplitude
+    spec = np.zeros((2, 3, 2), dtype=np.complex128)
+    spec[1, K + 1, 0] = amplitude  # u_hat((1,0)) = (0, a), perpendicular to k
+    spec[1, K - 1, 0] = amplitude
     return F.TorusSpace(K).check(spec)
 
 
@@ -103,14 +104,17 @@ def test_invalid_fields_rejected():
         F.SineSpace(2).check([1.0, np.nan])
     with pytest.raises(InvalidFieldError):
         F.SineSpace(2).check(np.zeros((2, 2)))
-    bad = np.zeros((2, 3, 3), dtype=np.complex128)
-    bad[0, 2, 2] = 1.0j  # breaks Hermitian symmetry
-    with pytest.raises(InvalidFieldError):
+    bad = np.zeros((2, 3, 2), dtype=np.complex128)
+    bad[0, 2, 0] = 1.0j  # (1, 0) without its conjugate at (-1, 0)
+    with pytest.raises(InvalidFieldError, match="Hermitian"):
         F.TorusSpace(1).check(bad)
-    mean = np.zeros((2, 3, 3), dtype=np.complex128)
-    mean[0, 1, 1] = 1.0
-    with pytest.raises(InvalidFieldError):
+    mean = np.zeros((2, 3, 2), dtype=np.complex128)
+    mean[0, 1, 0] = 1.0
+    with pytest.raises(InvalidFieldError, match="mean"):
         F.TorusSpace(1).check(mean)
+    # a valid field in the whole (2, 2K+1, 2K+1) layout is not a state
+    with pytest.raises(InvalidFieldError, match="half-spectrum"):
+        F.TorusSpace(1).check(orc.full_block(lowest_mode_2d()))
 
 
 # ---------------------------------------------------------------------------
@@ -144,19 +148,25 @@ def test_poincare_audit_2d_lowest_mode():
 
 
 def _hermitian_scalar(cutoff, rng):
+    """The k2 >= 0 half of a random real mean-free scalar spectrum."""
     n = 2 * cutoff + 1
     s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     s = 0.5 * (s + np.conj(s[::-1, ::-1]))
     s[cutoff, cutoff] = 0.0
-    return s
+    return s[:, cutoff:]
+
+
+def _half_wavevectors(cutoff):
+    k1 = np.arange(-cutoff, cutoff + 1, dtype=np.float64)[:, None] \
+        * np.ones((1, cutoff + 1))
+    k2 = np.ones((2 * cutoff + 1, 1)) * np.arange(cutoff + 1, dtype=np.float64)
+    return k1, k2
 
 
 def test_helmholtz_kills_gradient_fields():
     rng = np.random.default_rng(5)
     for cutoff in (1, 3, 6):
-        k = np.arange(-cutoff, cutoff + 1, dtype=np.float64)
-        k1 = k[:, None] * np.ones((1, k.size))
-        k2 = np.ones((k.size, 1)) * k[None, :]
+        k1, k2 = _half_wavevectors(cutoff)
         phi = _hermitian_scalar(cutoff, rng)
         space = F.TorusSpace(cutoff)
         grad = space.check(np.stack([1j * k1 * phi, 1j * k2 * phi]))
@@ -172,15 +182,13 @@ def test_helmholtz_fixed_point_on_divergence_free():
 def test_helmholtz_named_mixed_example():
     # u = (sin(2 pi y) + dphi/dx, dphi/dy) must project to (sin(2 pi y), 0)
     cutoff = 2
-    k = np.arange(-cutoff, cutoff + 1, dtype=np.float64)
-    k1 = k[:, None] * np.ones((1, k.size))
-    k2 = np.ones((k.size, 1)) * k[None, :]
+    k1, k2 = _half_wavevectors(cutoff)
     phi = _hermitian_scalar(cutoff, np.random.default_rng(9))
     spec = np.stack([1j * k1 * phi, 1j * k2 * phi])
     target = np.zeros_like(spec)
-    # sin(2 pi y): exponential amplitudes -i/2 at (0, 1), +i/2 at (0, -1)
-    target[0, cutoff, cutoff + 1] = -0.5j
-    target[0, cutoff, cutoff - 1] = 0.5j
+    # sin(2 pi y): exponential amplitudes -i/2 at (0, 1), +i/2 at the
+    # unstored (0, -1)
+    target[0, cutoff, 1] = -0.5j
     spec = spec + target
     out = F._leray(F.TorusSpace(cutoff).check(spec))
     assert np.max(np.abs(out - target)) <= 1e-12

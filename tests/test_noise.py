@@ -130,21 +130,20 @@ def _one_noise_step(op, n_modes, w):
 
 
 def _basis_field(cutoff, n_w, j):
-    """Basis field j of the torus noise basis as a dense spectrum
-    (2, n, n), checked to be a real mean-free field."""
+    """Basis field j of the torus noise basis as a dense half-spectrum
+    (2, 2K+1, K+1), checked to be a real mean-free field."""
     support, amplitudes = F.TorusSpace(cutoff).noise_basis(n_w)
-    n = 2 * cutoff + 1
-    flat = np.zeros(2 * n * n, dtype=np.complex128)
+    shape = (2, 2 * cutoff + 1, cutoff + 1)
+    flat = np.zeros(np.prod(shape), dtype=np.complex128)
     flat[support] = amplitudes[j]
-    return F.TorusSpace(cutoff).check(flat.reshape(2, n, n))
+    return F.TorusSpace(cutoff).check(flat.reshape(shape))
 
 
 def _torus_noise(cutoff, op, w):
     """B w on the support of the torus noise basis, one row per row of
     ``w`` (P, n_w): the entries ``TorusSpace.add_noise`` adds to zero
     states there."""
-    n = 2 * cutoff + 1
-    state = np.zeros((len(w), 2, n, n), dtype=np.complex128)
+    state = np.zeros((len(w), 2, 2 * cutoff + 1, cutoff + 1), dtype=np.complex128)
     F.TorusSpace(cutoff).add_noise(state, op, w)
     support, _ = F.TorusSpace(cutoff).noise_basis(op.n_w)
     return state.reshape(len(w), -1)[:, support]
