@@ -35,7 +35,7 @@ print(f"admissible lambda0 < {ranges['lambda0_max_lemma']:.4f}; "
 # One ensemble of the path V-norm feeds every T1 check below.
 functional = l2_v_path_functional()
 values = functional_ensemble(model, cfg, x0, functional, REPLICATES, 0)
-f_int = model.f_tilde * cfg.horizon
+f_int = model.constants.f_tilde * cfg.horizon
 rep = exp_moment_check(model, values, 0.5, lam0, ranges["lambda0_max_lemma"],
                        f_int, float(model.space.sq_norms(x0)),
                        experiment_seed=0)

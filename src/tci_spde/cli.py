@@ -77,33 +77,24 @@ def _run_audit(cfg: ExperimentConfig) -> dict:
 
 
 def _resolve_constant_inputs(cfg: ExperimentConfig) -> dict:
-    """Constants inputs from explicit overrides, else the model blocks."""
+    """Constants inputs: the solver, model and x0 defaults, then the
+    explicit overrides (``horizon`` wins over ``T``)."""
     over = cfg.constants_overrides
     model = cfg.model
-    vals = {}
-    vals["horizon"] = over.get("horizon", over.get("T"))
-    if vals["horizon"] is None and cfg.solver is not None:
+    vals = dict.fromkeys(("horizon", "K2", "C_B", "theta", "eta", "K3",
+                          "f_tilde_integral"))
+    if cfg.solver is not None:
         vals["horizon"] = cfg.solver.horizon
-    vals["K2"] = over.get("K2")
-    if vals["K2"] is None and model is not None:
-        vals["K2"] = model.constants.K2
-    vals["C_B"] = over.get("C_B")
-    if vals["C_B"] is None and model is not None:
-        vals["C_B"] = model.noise.c_b
-    for key in ("theta", "eta", "K3"):
-        vals[key] = over.get(key)
-        if vals[key] is None and model is not None:
-            vals[key] = getattr(model.constants, key)
-    vals["f_tilde_integral"] = over.get("f_tilde_integral")
+    if model is not None:
+        cons = model.constants
+        vals.update(K2=cons.K2, C_B=model.noise.c_b, theta=cons.theta,
+                    eta=cons.eta, K3=cons.K3)
+    vals["x0_h_norm_sq"] = _x0_sq(cfg) if cfg.x0 is not None else 0.0
+    vals.update(over)
+    vals["horizon"] = over.get("horizon", over.get("T", vals["horizon"]))
     if vals["f_tilde_integral"] is None and model is not None \
             and vals["horizon"] is not None:
-        vals["f_tilde_integral"] = model.f_tilde * vals["horizon"]
-    vals["x0_h_norm_sq"] = over.get("x0_h_norm_sq")
-    if vals["x0_h_norm_sq"] is None:
-        if cfg.x0 is not None:
-            vals["x0_h_norm_sq"] = _x0_sq(cfg)
-        else:
-            vals["x0_h_norm_sq"] = 0.0
+        vals["f_tilde_integral"] = model.constants.f_tilde * vals["horizon"]
     return vals
 
 
@@ -228,7 +219,7 @@ def _run_verify_t1(cfg: ExperimentConfig, out_dir: str) -> dict:
     _require(cfg, "model", "solver", "x0")
     model = cfg.model
     cons = model.constants
-    f_int = model.f_tilde * cfg.solver.horizon
+    f_int = cons.f_tilde * cfg.solver.horizon
     x0_sq = _x0_sq(cfg)
     # An inadmissible lambda0 is refused before any replicate is solved.
     t1 = _t1_constants(cfg, cons.theta, cons.eta, cons.K3, model.noise.c_b,
@@ -255,24 +246,18 @@ def _run_verify_t1(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 def _run_inequalities(cfg: ExperimentConfig) -> dict:
     model = cfg.model
-    # the model's own resolution where it has one
-    n_modes = model.n_modes if model is not None and model.n_modes else 32
-    cutoff = model.cutoff if model is not None and model.cutoff else 8
+    # the model's own space where it has that type
+    kind, space = (None, None) if model is None else (model.kind, model.space)
+    line = space if isinstance(space, SineSpace) else SineSpace(32)
+    torus = space if isinstance(space, TorusSpace) else TorusSpace(8)
 
-    suite_1d = norm_inequality_suite(SineSpace(n_modes), cfg.n_fields,
-                                     _field_rng(cfg))
-    suite_2d = norm_inequality_suite(TorusSpace(cutoff), cfg.n_fields,
+    suite_1d = norm_inequality_suite(line, cfg.n_fields, _field_rng(cfg))
+    suite_2d = norm_inequality_suite(torus, cfg.n_fields,
                                      _field_rng(cfg, index=1))
 
     op = NoiseOperator(4, gains_inverse_k(4, 1.0), 1.0)
-    if model is not None and model.kind == "burgers":
-        burgers = model
-    else:
-        burgers = burgers_model(n_modes, op)
-    if model is not None and model.kind == "ns2d":
-        ns = model
-    else:
-        ns = ns2d_model(cutoff, 0.1, op)
+    burgers = model if kind == "burgers" else burgers_model(line.n_modes, op)
+    ns = model if kind == "ns2d" else ns2d_model(torus.cutoff, 0.1, op)
     energy_1d = nonlinearity_energy_suite(burgers, cfg.n_fields,
                                           cfg.experiment_seed)
     energy_2d = nonlinearity_energy_suite(ns, cfg.n_fields,

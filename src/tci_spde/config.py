@@ -118,6 +118,7 @@ class ExperimentConfig:
 
 
 def _build_noise(reader: _Reader):
+    mark = len(reader.problems)
     noise = reader.section("noise", required=True)
     n_w = noise.get("n_w", int, default=8, check=lambda v: v >= 1,
                     describe="must be a positive integer")
@@ -130,7 +131,7 @@ def _build_noise(reader: _Reader):
     clamp = noise.get("clamp", float, default=None,
                       check=lambda v: v > 0, describe="must be positive")
     noise.unknown_keys({"n_w", "c_b", "gains", "mode_index", "clamp"})
-    if reader.problems or n_w is None or c_b is None:
+    if len(reader.problems) > mark:
         return None
     if isinstance(gains_kind, list):
         gains = np.asarray(gains_kind, dtype=np.float64)
@@ -158,7 +159,10 @@ def _build_noise(reader: _Reader):
 def _build_model(reader: _Reader):
     section = reader.section("model")
     if not section.raw:
+        if "noise" in reader.raw:
+            _build_noise(reader)  # lists its problems, though no model uses it
         return None
+    mark = len(reader.problems)
     kind = section.get("kind", str, check=lambda v: v in ("heat", "burgers", "ns2d"),
                        describe="must be one of heat, burgers, ns2d")
     n_modes = section.get("n_modes", int, default=32,
@@ -176,10 +180,8 @@ def _build_model(reader: _Reader):
                            check=lambda v: v > 0, describe="must be positive")
     section.unknown_keys({"kind", "n_modes", "cutoff", "viscosity", "theta",
                           "f_tilde", "K2_tilde"})
-    if kind is None or reader.problems:
-        return None
     noise = _build_noise(reader)
-    if noise is None:
+    if noise is None or len(reader.problems) > mark:
         return None
     try:
         if kind == "heat":
@@ -214,6 +216,7 @@ def _build_solver(reader: _Reader):
 
 
 def _build_x0(reader: _Reader, model):
+    mark = len(reader.problems)
     section = reader.section("initial_condition")
     kind = section.get("type", str, default="zero",
                        check=lambda v: v in ("zero", "mode", "taylor_green"),
@@ -223,25 +226,26 @@ def _build_x0(reader: _Reader, model):
                              check=lambda v: v >= 1,
                              describe="must be a positive integer")
     section.unknown_keys({"type", "amplitude", "mode_index"})
-    if model is None or kind is None or reader.problems:
+    if model is None or len(reader.problems) > mark:
         return None
+    space = model.space
     if model.kind == "ns2d":
         if kind == "taylor_green":
-            return taylor_green_field(model.cutoff, amplitude)
+            return taylor_green_field(space.cutoff, amplitude)
         if kind == "mode":
             reader.problems.append(
                 "initial_condition.type: 'mode' is one-dimensional; "
                 "use taylor_green")
             return None
-        return np.zeros((2, 2 * model.cutoff + 1, model.cutoff + 1),
+        return np.zeros((2, 2 * space.cutoff + 1, space.cutoff + 1),
                         dtype=np.complex128)
     if kind == "taylor_green":
         reader.problems.append(
             "initial_condition.type: taylor_green needs the ns2d model")
         return None
-    coeffs = np.zeros(model.n_modes)
+    coeffs = np.zeros(space.n_modes)
     if kind == "mode":
-        if mode_index > model.n_modes:
+        if mode_index > space.n_modes:
             reader.problems.append("initial_condition.mode_index: exceeds n_modes")
             return None
         coeffs[mode_index - 1] = amplitude
@@ -271,11 +275,11 @@ def _build_functionals(reader: _Reader, model):
                 reader.problems.append(
                     f"functionals[{i}]: linear_probe config supports 1-D models")
                 continue
-            if not isinstance(idx, int) or not 1 <= idx <= model.n_modes:
+            if not isinstance(idx, int) or not 1 <= idx <= model.space.n_modes:
                 reader.problems.append(
                     f"functionals[{i}].mode_index: out of range")
                 continue
-            probe = np.zeros(model.n_modes)
+            probe = np.zeros(model.space.n_modes)
             probe[idx - 1] = amp
             out.append(linear_probe_functional(probe, model.space))
         else:

@@ -128,8 +128,9 @@ def contraction_report(model: ModelSpec, h: ShiftFunction, coupled: dict,
     shift ``h``: martingale normalization, entropy identity, and the
     squared-gap contraction bound with the T2 constant ``c_t2``.
 
-    Verdicts are one-sided at three standard errors; the gap bound compares
-    mean + 3 stderr against C(T, K2, C_B) int ||h||^2 dt.
+    The martingale and entropy verdicts are two-sided, |mean - expected|
+    <= 3 stderr; the gap bound is one-sided and compares mean + 3 stderr
+    against C(T, K2, C_B) int ||h||^2 dt.
     """
     entropy = shift_entropy(h)
     cost = 2.0 * entropy

@@ -6,9 +6,11 @@ Three models share the variational skeleton dX = A(t, X) dt + B(t, X) dW:
 * ``burgers``  A(v) = Laplace(v) + v v_x                (locally monotone)
 * ``ns2d``     A(v) = nu Laplace(v) - P[(v.grad)v]      (locally monotone)
 
-Every model carries the structural constants of the variational framework
-(coercivity theta, embedding eta, monotonicity and growth constants) plus
-a noise operator.  The nonlinearities evaluate their quadratic products on
+A model is its kind, the structural constants of the variational
+framework (coercivity theta, embedding eta, monotonicity and growth
+constants, the coercivity schedule and the local monotonicity weight), a
+noise operator, the function space of its states and the viscosity of its
+Laplacian.  The nonlinearities evaluate their quadratic products on
 one grid each, the smallest alias-free one (``burgers_product_grid``,
 ``ns_product_grid``), for the solver and the audits alike.
 ``audit_hypotheses`` probes the hypotheses numerically on seeded random
@@ -35,7 +37,12 @@ ETA_2D = math.sqrt(2.0 * math.pi**2 - 1.0)
 
 @dataclass(frozen=True)
 class AssumptionConstants:
-    """Constants appearing in the coercivity, monotonicity and growth bounds."""
+    """Constants appearing in the coercivity, monotonicity and growth bounds.
+
+    ``f_tilde`` is the coercivity schedule; ``rho_coefficient`` scales the
+    local monotonicity weight rho(v) = ||v||_L4^4, and None means the
+    model is monotone.
+    """
 
     alpha: float
     theta: float
@@ -46,6 +53,8 @@ class AssumptionConstants:
     K2_tilde: float | None = None
     K4_tilde: float | None = None
     beta: float = 0.0
+    f_tilde: float = 0.0
+    rho_coefficient: float | None = None
 
     def __post_init__(self):
         if self.theta <= 0.0:
@@ -54,50 +63,39 @@ class AssumptionConstants:
             raise ParameterError("eta must be positive")
         if self.alpha <= 1.0:
             raise ParameterError("alpha must exceed 1")
+        if self.f_tilde < 0.0:
+            raise ParameterError("f_tilde must be nonnegative")
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One concrete SPDE: drift family, resolution, constants, noise."""
+    """One concrete SPDE: drift family, constants, noise, the function
+    space of its states and the viscosity of its Laplacian."""
 
     kind: str
     constants: AssumptionConstants
     noise: NoiseOperator
-    n_modes: int | None = None
-    cutoff: int | None = None
-    viscosity: float | None = None
-    f_tilde: float = 0.0
-    local_rho: str | None = None
-    rho_coefficient: float = 1.0
+    space: SineSpace | TorusSpace
+    viscosity: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("heat", "burgers", "ns2d"):
+        spaces = {"heat": SineSpace, "burgers": SineSpace, "ns2d": TorusSpace}
+        if self.kind not in spaces:
             raise ParameterError(f"unknown model kind {self.kind!r}")
+        if not isinstance(self.space, spaces[self.kind]):
+            raise ParameterError(
+                f"{self.kind} lives on a {spaces[self.kind].__name__}")
+        if self.viscosity <= 0.0:
+            raise ParameterError("viscosity must be positive")
         if self.kind == "ns2d":
-            if self.cutoff is None or self.viscosity is None:
-                raise ParameterError("ns2d needs a cutoff and a viscosity")
-            if self.viscosity <= 0.0:
-                raise ParameterError("viscosity must be positive")
             # raises unless the torus basis has n_w fields at this cutoff
             self.space.noise_basis(self.noise.n_w)
-        else:
-            if self.n_modes is None:
-                raise ParameterError(f"{self.kind} needs n_modes")
-            if self.noise.n_w > self.n_modes:
-                raise ParameterError("1-D noise must fit inside the mode count")
-        if self.f_tilde < 0.0:
-            raise ParameterError("f_tilde must be nonnegative")
-
-    @property
-    def space(self) -> SineSpace | TorusSpace:
-        """The function space of the model's states."""
-        if self.kind == "ns2d":
-            return TorusSpace(self.cutoff)
-        return SineSpace(self.n_modes)
+        elif self.noise.n_w > self.space.n_modes:
+            raise ParameterError("1-D noise must fit inside the mode count")
 
     @property
     def locally_monotone(self) -> bool:
-        return self.local_rho is not None
+        return self.constants.rho_coefficient is not None
 
 
 def heat_model(n_modes: int, noise: NoiseOperator, theta: float = 1.5,
@@ -112,27 +110,26 @@ def heat_model(n_modes: int, noise: NoiseOperator, theta: float = 1.5,
     if not 0.0 < theta <= 2.0:
         raise ParameterError("heat coercivity needs 0 < theta <= 2")
     K2 = 0.0 if noise.clamp is None else noise.c_b / noise.clamp**2
-    constants = AssumptionConstants(alpha=2.0, theta=theta, eta=ETA_1D,
-                                    K2=K2, K3=0.0, K4=1.0)
+    constants = AssumptionConstants(
+        alpha=2.0, theta=theta, eta=ETA_1D, K2=K2, K3=0.0, K4=1.0,
+        f_tilde=noise.c_b if f_tilde is None else f_tilde)
     return ModelSpec(kind="heat", constants=constants, noise=noise,
-                     n_modes=n_modes,
-                     f_tilde=noise.c_b if f_tilde is None else f_tilde)
+                     space=SineSpace(n_modes))
 
 
 def burgers_model(n_modes: int, noise: NoiseOperator,
-                  K2_tilde: float = 1.0, K4_tilde: float = 2.0,
-                  f_tilde: float | None = None) -> ModelSpec:
+                  K2_tilde: float = 1.0) -> ModelSpec:
     """Stochastic Burgers equation; locally monotone with rho(v) = ||v||_L4^4."""
     constants = AssumptionConstants(alpha=2.0, theta=1.5, eta=ETA_1D,
-                                    K3=0.0, K2_tilde=K2_tilde,
-                                    K4_tilde=K4_tilde, beta=2.0)
+                                    K3=0.0, K2_tilde=K2_tilde, K4_tilde=2.0,
+                                    beta=2.0, f_tilde=noise.c_b,
+                                    rho_coefficient=1.0)
     return ModelSpec(kind="burgers", constants=constants, noise=noise,
-                     n_modes=n_modes, local_rho="l4_fourth_power",
-                     f_tilde=noise.c_b if f_tilde is None else f_tilde)
+                     space=SineSpace(n_modes))
 
 
 def ns2d_model(cutoff: int, viscosity: float, noise: NoiseOperator,
-               K2_tilde: float = 1.0, K4_tilde: float | None = None) -> ModelSpec:
+               K2_tilde: float = 1.0) -> ModelSpec:
     """2-D Navier-Stokes on the torus, mean-free and Leray projected.
 
     The model is unforced, so the coercivity schedule is f_tilde = C_B.
@@ -141,15 +138,14 @@ def ns2d_model(cutoff: int, viscosity: float, noise: NoiseOperator,
     advection term produces; the growth constant 8 covers the squared
     triangle bound on nu*Laplace + advection for nu <= 1/3.
     """
-    constants = AssumptionConstants(alpha=2.0, theta=viscosity, eta=ETA_2D,
-                                    K3=0.0, K2_tilde=K2_tilde,
-                                    K4_tilde=8.0 if K4_tilde is None else K4_tilde,
-                                    beta=2.0)
+    if viscosity <= 0.0:
+        raise ParameterError("viscosity must be positive")
+    constants = AssumptionConstants(
+        alpha=2.0, theta=viscosity, eta=ETA_2D, K3=0.0, K2_tilde=K2_tilde,
+        K4_tilde=8.0, beta=2.0, f_tilde=noise.c_b,
+        rho_coefficient=27.0 / (32.0 * viscosity**3))
     return ModelSpec(kind="ns2d", constants=constants, noise=noise,
-                     cutoff=cutoff, viscosity=viscosity,
-                     local_rho="l4_fourth_power",
-                     rho_coefficient=27.0 / (32.0 * viscosity**3),
-                     f_tilde=noise.c_b)
+                     space=TorusSpace(cutoff), viscosity=viscosity)
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +252,7 @@ def ns_advection(spec: np.ndarray, cutoff: int,
 
 
 def linear_eigenvalues(model: ModelSpec) -> np.ndarray:
-    """Spectral eigenvalues of the implicit (linear) drift part; 1-D models
-    have no viscosity."""
-    if model.viscosity is None:
-        return model.space.laplacian_eigenvalues()
+    """Spectral eigenvalues of the implicit (linear) drift part."""
     return model.space.laplacian_eigenvalues(model.viscosity)
 
 
@@ -271,7 +264,7 @@ def explicit_drift(model: ModelSpec, state: np.ndarray) -> np.ndarray | None:
         return None
     if model.kind == "burgers":
         return burgers_nonlinearity(state)
-    return ns_advection(state, model.cutoff)
+    return ns_advection(state, model.space.cutoff)
 
 
 def _drift(model: ModelSpec, raw: np.ndarray) -> np.ndarray:
@@ -391,17 +384,17 @@ def audit_hypotheses(model: ModelSpec, n_samples: int = 64,
 
     if model.locally_monotone:
         required = (lhs / gap_sq
-                    - model.rho_coefficient * space.grid_moments(v2)[1])
+                    - cst.rho_coefficient * space.grid_moments(v2)[1])
         mono_witness = int(np.argmax(required))
         monotonicity = {
             "pass": bool(required[mono_witness] <= cst.K2_tilde + tol),
             "empirical_K2_tilde": float(required[mono_witness]),
             "declared_K2_tilde": float(cst.K2_tilde),
             "witness": mono_witness,
-            "rho": model.local_rho,
-            "rho_coefficient": float(model.rho_coefficient),
+            "rho": "l4_fourth_power",
+            "rho_coefficient": float(cst.rho_coefficient),
         }
-        growth = ((model.f_tilde + cst.K4_tilde * v_sq)
+        growth = ((cst.f_tilde + cst.K4_tilde * v_sq)
                   * (1.0 + h_sq ** (cst.beta / 2.0)) - dual_sq)
     else:
         mono = cst.K2 * gap_sq - lhs
@@ -412,9 +405,9 @@ def audit_hypotheses(model: ModelSpec, n_samples: int = 64,
             "declared_K2": float(cst.K2),
             "witness": mono_witness,
         }
-        growth = ((math.sqrt(model.f_tilde) + cst.K4 * np.sqrt(v_sq))
+        growth = ((math.sqrt(cst.f_tilde) + cst.K4 * np.sqrt(v_sq))
                   - np.sqrt(dual_sq))
-    coercivity = ((model.f_tilde - cst.theta * v_sq + cst.K3 * h_sq)
+    coercivity = ((cst.f_tilde - cst.theta * v_sq + cst.K3 * h_sq)
                   - (2.0 * space.inners(a1, v1) + b_sq))
     coercivity_witness = int(np.argmin(coercivity))
     growth_witness = int(np.argmin(growth))
@@ -430,7 +423,7 @@ def audit_hypotheses(model: ModelSpec, n_samples: int = 64,
             "pass": bool(coercivity[coercivity_witness] >= -tol),
             "worst_slack": float(coercivity[coercivity_witness]),
             "theta": float(cst.theta),
-            "f_tilde": float(model.f_tilde),
+            "f_tilde": float(cst.f_tilde),
             "witness": coercivity_witness,
         },
         "growth": {
@@ -479,9 +472,9 @@ def nonlinearity_energy_suite(model: ModelSpec, n_fields: int,
 def t1_feasibility(model: ModelSpec) -> dict:
     """Structural checks behind the transport-inequality constants.
 
-    Verifies theta * eta > K3, alpha = 2 and a nonnegative coercivity
-    schedule, and reports the admissible interval for the convexity
-    parameter c; ``pass`` is ``feasible``.
+    Verifies theta * eta > K3 and alpha = 2 (the constants already refuse
+    a negative coercivity schedule), and reports the admissible interval
+    for the convexity parameter c; ``pass`` is ``feasible``.
     """
     cst = model.constants
     reasons = []
@@ -493,8 +486,6 @@ def t1_feasibility(model: ModelSpec) -> dict:
         )
     if cst.alpha != 2.0:
         reasons.append(f"alpha = {cst.alpha:.6g} (the constants need alpha = 2)")
-    if model.f_tilde < 0.0:
-        reasons.append("f_tilde is negative")
     c_max = 1.0 - cst.K3 / (cst.theta * cst.eta) if margin > 0.0 else 0.0
     return {
         "feasible": not reasons,

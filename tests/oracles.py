@@ -276,10 +276,10 @@ def energy_suite(model, n_fields, experiment_seed, tol=1e-10):
     worst, violations = 0.0, 0
     for _ in range(n_fields):
         if model.kind == "ns2d":
-            u = field_2d(model.cutoff, rng)
-            e = abs(inner_h(ns_advection(u, model.cutoff), u))
+            u = field_2d(model.space.cutoff, rng)
+            e = abs(inner_h(ns_advection(u, model.space.cutoff), u))
         else:
-            u = field_1d(model.n_modes, rng)
+            u = field_1d(model.space.n_modes, rng)
             e = 0.0 if model.kind == "heat" else abs(inner_h(burgers_nonlinearity(u), u))
         worst = max(worst, e)
         violations += e > tol
@@ -299,8 +299,8 @@ def audit(model, n_samples, experiment_seed):
 
     def sample(scale=1.0):
         if model.kind == "ns2d":
-            return field_2d(model.cutoff, rng, scale=scale)
-        return field_1d(model.n_modes, rng, scale=scale)
+            return field_2d(model.space.cutoff, rng, scale=scale)
+        return field_1d(model.space.n_modes, rng, scale=scale)
 
     def drift(v):
         extra = explicit_drift(model, v)
@@ -336,14 +336,14 @@ def audit(model, n_samples, experiment_seed):
         b_gap = b1 - hs(sq_norm(v2))
         lhs = 2.0 * inner_h(a1 - drift(v2), v1 - v2) + b_gap * b_gap
         if model.locally_monotone:
-            mono.append(lhs / gap_sq - model.rho_coefficient * grid_moments(v2)[1])
-            growth.append((model.f_tilde + cst.K4_tilde * v_sq)
+            mono.append(lhs / gap_sq - cst.rho_coefficient * grid_moments(v2)[1])
+            growth.append((cst.f_tilde + cst.K4_tilde * v_sq)
                           * (1.0 + h_sq ** (cst.beta / 2.0)) - dual_sq)
         else:
             mono.append(cst.K2 * gap_sq - lhs)
-            growth.append((math.sqrt(model.f_tilde) + cst.K4 * math.sqrt(v_sq))
+            growth.append((math.sqrt(cst.f_tilde) + cst.K4 * math.sqrt(v_sq))
                           - math.sqrt(dual_sq))
-        coer.append((model.f_tilde - cst.theta * v_sq + cst.K3 * h_sq)
+        coer.append((cst.f_tilde - cst.theta * v_sq + cst.K3 * h_sq)
                     - (2.0 * inner_h(a1, v1) + b1 * b1))
         hs_worst = max(hs_worst, b1 * b1)
 
@@ -352,8 +352,8 @@ def audit(model, n_samples, experiment_seed):
         monotonicity = {"pass": mono[w] <= cst.K2_tilde + tol,
                         "empirical_K2_tilde": mono[w],
                         "declared_K2_tilde": cst.K2_tilde, "witness": w,
-                        "rho": model.local_rho,
-                        "rho_coefficient": model.rho_coefficient}
+                        "rho": "l4_fourth_power",
+                        "rho_coefficient": cst.rho_coefficient}
     else:
         w = int(np.argmin(mono))
         monotonicity = {"pass": mono[w] >= -tol, "worst_slack": mono[w],
@@ -366,7 +366,7 @@ def audit(model, n_samples, experiment_seed):
                            "worst_residual": worst_fine, "n_triples": n_triples},
         "monotonicity": monotonicity,
         "coercivity": {"pass": coer[wc] >= -tol, "worst_slack": coer[wc],
-                       "theta": cst.theta, "f_tilde": model.f_tilde,
+                       "theta": cst.theta, "f_tilde": cst.f_tilde,
                        "witness": wc},
         "growth": {"pass": growth[wg] >= -tol, "worst_slack": growth[wg],
                    "witness": wg},

@@ -161,7 +161,7 @@ def test_criterion_05_exponential_moment_lemma():
                                           conc.l2_v_path_functional(), 2048, 0)
         report = conc.exp_moment_check(
             model, values, 0.5, lam0, ranges["lambda0_max_lemma"],
-            model.f_tilde * cfg.horizon, float(model.space.sq_norms(x0)), 0)
+            model.constants.f_tilde * cfg.horizon, float(model.space.sq_norms(x0)), 0)
         elapsed = time.perf_counter() - start
         ok = ok and report["pass"] and elapsed < 300.0
         details.append(f"{model.kind}: {report['estimate']:.4f}+3se <= "
@@ -177,7 +177,7 @@ def test_criterion_06_bobkov_gotze_suite():
                                    model.noise.c_b, 0.5)
     lam0 = 0.5 * ranges["lambda0_max_lemma"]
     c_t1 = cst.t1_constant(lam0, 0.5, cons.theta,
-                           model.f_tilde * cfg.horizon, 1.0)
+                           model.constants.f_tilde * cfg.horizon, 1.0)
     functional = conc.l2_v_path_functional()
     values = conc.functional_ensemble(model, cfg, x0, functional, 4096, 0)
     report = conc.bobkov_gotze_check(values, functional.lipschitz_constant,

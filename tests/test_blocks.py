@@ -35,7 +35,7 @@ def reference_row(model, cfg, x0, inc, shift=None):
     two_d = model.kind == "ns2d"
     weight = lam / model.viscosity if two_d else lam
     if two_d:
-        basis = orc.dense_basis_2d(model.cutoff, op.n_w)
+        basis = orc.dense_basis_2d(model.space.cutoff, op.n_w)
 
     weight = weight * orc.h_weights(x0)
     u = x0.copy()

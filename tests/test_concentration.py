@@ -270,7 +270,7 @@ def test_exp_moment_check_passes_on_heat():
     report = K.exp_moment_check(model, values, c=0.5,
                                 lambda0=0.5 * ranges["lambda0_max_lemma"],
                                 lambda0_max=ranges["lambda0_max_lemma"],
-                                f_int=model.f_tilde * cfg.horizon, x0_sq=0.0,
+                                f_int=model.constants.f_tilde * cfg.horizon, x0_sq=0.0,
                                 experiment_seed=0)
     assert report["pass"], report
     assert report["n_replicates"] == 256
@@ -284,7 +284,7 @@ def test_exp_moment_check_rejects_inadmissible_lambda0():
     with pytest.raises(ParameterError, match="lambda0 must lie in"):
         K.exp_moment_check(model, np.ones(4), c=0.5, lambda0=10.0,
                            lambda0_max=ranges["lambda0_max_lemma"],
-                           f_int=model.f_tilde * cfg.horizon, x0_sq=0.0,
+                           f_int=model.constants.f_tilde * cfg.horizon, x0_sq=0.0,
                            experiment_seed=0)
 
 

@@ -121,6 +121,23 @@ def test_constants_subcommand(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("given, horizon", [
+    ({"T": 2.0}, 2.0),
+    ({"T": 2.0, "horizon": 3.0}, 3.0),
+], ids=["T_alone", "horizon_over_T"])
+def test_constants_horizon_precedence(tmp_path, capsys, given, horizon):
+    # `horizon` wins over `T`, either wins over the solver's 0.2, and the
+    # default f_tilde_integral is f_tilde (= C_B = 1 on BASE) times it
+    path = write_config(tmp_path, {"constants": given})
+    out = tmp_path / "out"
+    assert main(["constants", "--config", path, "--out", str(out)]) == 0
+    report = read_report(out)
+    assert report["C_T2"]["horizon"] == horizon
+    assert report["gaussian_moment"]["b"] == math.exp(
+        report["lambda0"] * (1.0 * horizon + 0.0))
+    capsys.readouterr()
+
+
 def test_verify_t2_subcommand(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["verify-t2", "--config", write_config(tmp_path),
@@ -270,6 +287,31 @@ def test_type_mismatch_names_the_expected_type(tmp_path, capsys):
     assert "noise.c_b: expected float" in err
     assert "constants.x0_h_norm_sq: expected float" in err
     assert "must be" not in err
+
+
+@pytest.mark.parametrize("doc, problems", [
+    ({"noise": {"c_b": "x", "gains": 3, "bogus": 1}},
+     ["noise.c_b: expected float", "noise.gains: expected str or list",
+      "noise.bogus: unknown key"]),
+    ({"model": {"kind": "heat", "n_modes": 0}, "noise": {"c_b": "x"}},
+     ["model.n_modes: must be positive", "noise.c_b: expected float"]),
+    ({"bogus_top": 1, "model": {"kind": "heat"},
+      "noise": {"n_w": 3, "gains": [1.0]}},
+     ["bogus_top: unknown key", "noise.gains: list length must equal n_w"]),
+], ids=["noise_without_model", "bad_model_and_noise", "bad_top_key_and_noise"])
+def test_noise_problems_are_listed_with_the_rest(tmp_path, capsys, doc, problems):
+    # the noise section is read whenever it or the model is present, and
+    # each builder stops on its own section's problems only
+    with pytest.raises(SchemaError) as err:
+        parse_config(copy.deepcopy(doc))
+    assert err.value.problems == problems
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    code = main(["constants", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    for problem in problems:
+        assert problem in err
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

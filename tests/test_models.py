@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from tci_spde import fields as F
 from tci_spde import models as M
 from tci_spde import noise as N
-from tci_spde.errors import ResolutionError
+from tci_spde.errors import ParameterError, ResolutionError
 
 import oracles as orc
 
@@ -150,6 +150,40 @@ def test_model_constant_defaults():
     assert h.constants.K2 == 0.0 and h.constants.K3 == 0.0
 
 
+@pytest.mark.parametrize("kind, space", [
+    ("ns2d", F.SineSpace(8)),
+    ("burgers", F.TorusSpace(4)),
+    ("heat", F.TorusSpace(4)),
+])
+def test_model_on_the_wrong_space_is_refused(kind, space):
+    model = M.heat_model(8, noise_1d())
+    with pytest.raises(ParameterError, match="lives on a"):
+        M.ModelSpec(kind=kind, constants=model.constants, noise=noise_1d(),
+                    space=space)
+
+
+def test_one_d_noise_must_fit_inside_the_mode_count():
+    with pytest.raises(ParameterError, match="fit inside the mode count"):
+        M.burgers_model(3, noise_1d(n_w=4))
+    model = M.heat_model(8, noise_1d())
+    with pytest.raises(ParameterError, match="fit inside the mode count"):
+        dataclasses.replace(model, space=F.SineSpace(3))
+
+
+@pytest.mark.parametrize("make", [M.heat_model, M.burgers_model])
+def test_one_d_models_have_unit_viscosity(make):
+    model = make(8, noise_1d())
+    assert model.viscosity == 1.0
+    lam = M.linear_eigenvalues(model)
+    assert lam.tobytes() == model.space.laplacian_eigenvalues().tobytes()
+
+
+def test_constants_refuse_a_negative_coercivity_schedule():
+    model = M.burgers_model(8, noise_1d())
+    with pytest.raises(ParameterError, match="f_tilde must be nonnegative"):
+        dataclasses.replace(model.constants, f_tilde=-1.0)
+
+
 def test_rho_growth_bound():
     # rho(v) = ||v||_L4^4 <= 4 ||v||_H^2 ||v||_V^2 on random 1-D fields
     model = M.burgers_model(16, noise_1d())
@@ -157,7 +191,7 @@ def test_rho_growth_bound():
     for _ in range(200):
         v = F.random_fields_1d(1, 16, rng)[0]
         space = model.space
-        rho = model.rho_coefficient * float(space.grid_moments(v)[1])
+        rho = model.constants.rho_coefficient * float(space.grid_moments(v)[1])
         assert rho <= 4.0 * float(space.sq_norms(v)) \
             * float(space.sq_norms(v, space.laplacian_eigenvalues())) * (1.0 + 1e-10)
 
