@@ -53,11 +53,6 @@ def _field_rng(cfg: ExperimentConfig, index: int = 0):
     return generator(cfg.experiment_seed, derived_replicate(LANE_FIELDS, index))
 
 
-def _x0_sq(cfg: ExperimentConfig) -> float:
-    """||x0||_H^2 in the form the solver takes state norms."""
-    return float(cfg.model.space.sq_norms(cfg.x0))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -74,28 +69,6 @@ def _run_audit(cfg: ExperimentConfig) -> dict:
         "nonlinearity_energy": nonlinearity_energy_suite(
             model, cfg.n_fields, cfg.experiment_seed),
     }
-
-
-def _resolve_constant_inputs(cfg: ExperimentConfig) -> dict:
-    """Constants inputs: the solver, model and x0 defaults, then the
-    explicit overrides (``horizon`` wins over ``T``)."""
-    over = cfg.constants_overrides
-    model = cfg.model
-    vals = dict.fromkeys(("horizon", "K2", "C_B", "theta", "eta", "K3",
-                          "f_tilde_integral"))
-    if cfg.solver is not None:
-        vals["horizon"] = cfg.solver.horizon
-    if model is not None:
-        cons = model.constants
-        vals.update(K2=cons.K2, C_B=model.noise.c_b, theta=cons.theta,
-                    eta=cons.eta, K3=cons.K3)
-    vals["x0_h_norm_sq"] = _x0_sq(cfg) if cfg.x0 is not None else 0.0
-    vals.update(over)
-    vals["horizon"] = over.get("horizon", over.get("T", vals["horizon"]))
-    if vals["f_tilde_integral"] is None and model is not None \
-            and vals["horizon"] is not None:
-        vals["f_tilde_integral"] = model.constants.f_tilde * vals["horizon"]
-    return vals
 
 
 def _t1_constants(cfg: ExperimentConfig, theta, eta, K3, c_b, f_int, x0_sq,
@@ -117,13 +90,14 @@ def _t1_constants(cfg: ExperimentConfig, theta, eta, K3, c_b, f_int, x0_sq,
 
 
 def _run_constants(cfg: ExperimentConfig) -> dict:
-    vals = _resolve_constant_inputs(cfg)
+    vals = cfg.constants
     missing = [k for k in ("horizon", "K2", "C_B") if vals[k] is None]
     if missing:
         raise SchemaError(
             [f"constants.{k}: not resolvable (give it explicitly or provide "
              "model/solver sections)" for k in missing])
-    t2 = cst.t2_constant(vals["horizon"], vals["K2"], vals["C_B"], cfg.C1)
+    t2 = cst.t2_constant(vals["horizon"], vals["K2"], vals["C_B"],
+                         vals["C1"])
     report = {"C_T2": t2, "warnings": list(t2["warnings"])}
 
     if vals["theta"] is None or vals["eta"] is None:
@@ -193,12 +167,12 @@ def _write_ensemble_csv(path, experiment_seed, columns):
 
 def _run_verify_t2(cfg: ExperimentConfig, out_dir: str) -> dict:
     _require(cfg, "model", "solver", "x0")
-    h = cfg.shift()
+    h = cfg.shift
     if h is None:
         raise SchemaError(["shift: required by verify-t2"])
     model = cfg.model
     c_t2 = cst.t2_constant(cfg.solver.horizon, model.constants.K2,
-                           model.noise.c_b, cfg.C1)["value"]
+                           model.noise.c_b, cfg.constants["C1"])["value"]
     functionals = cfg.functionals or [conc.sup_h_functional()]
     # One coupled pass feeds every functional and the contraction report.
     ens = coupled_ensemble(model, cfg.solver, cfg.x0, h, cfg.replicates,
@@ -220,7 +194,7 @@ def _run_verify_t1(cfg: ExperimentConfig, out_dir: str) -> dict:
     model = cfg.model
     cons = model.constants
     f_int = cons.f_tilde * cfg.solver.horizon
-    x0_sq = _x0_sq(cfg)
+    x0_sq = float(model.space.sq_norms(cfg.x0))
     # An inadmissible lambda0 is refused before any replicate is solved.
     t1 = _t1_constants(cfg, cons.theta, cons.eta, cons.K3, model.noise.c_b,
                        f_int, x0_sq, refuse_inadmissible=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,17 +36,24 @@ def config_hash(doc) -> str:
 
 
 class _Reader:
-    """Typed getters over a nested dict, accumulating problems by path."""
+    """Typed getters over a nested dict, accumulating problems by path.
+
+    The reader remembers every key its ``get`` and ``section`` calls read;
+    ``close`` flags the others as unknown, so a section names its keys
+    once, where it reads them.
+    """
 
     def __init__(self, raw: dict, problems: list, prefix: str = ""):
         self.raw = raw
         self.problems = problems
         self.prefix = prefix
+        self.read = set()
 
     def _path(self, key):
         return f"{self.prefix}{key}"
 
     def section(self, key, required=False) -> "_Reader":
+        self.read.add(key)
         sub = self.raw.get(key)
         if sub is None:
             if required:
@@ -58,6 +65,7 @@ class _Reader:
         return _Reader(sub, self.problems, self._path(key) + ".")
 
     def get(self, key, kinds, default=_REQUIRED, check=None, describe=""):
+        self.read.add(key)
         if key not in self.raw:
             if default is _REQUIRED:
                 self.problems.append(f"{self._path(key)}: missing")
@@ -76,21 +84,30 @@ class _Reader:
             return None
         return val
 
-    def unknown_keys(self, allowed):
-        for key in self.raw:
-            if key not in allowed:
-                self.problems.append(f"{self._path(key)}: unknown key")
+    def unread(self) -> list:
+        return [f"{self._path(key)}: unknown key" for key in self.raw
+                if key not in self.read]
+
+    def close(self):
+        """Flag every key that no ``get`` or ``section`` call read."""
+        self.problems.extend(self.unread())
+
+
+_POSITIVE = {"check": lambda v: v > 0, "describe": "must be positive"}
+_NONNEGATIVE = {"check": lambda v: v >= 0, "describe": "must be nonnegative"}
+_INDEX = {"check": lambda v: v >= 1, "describe": "must be a positive integer"}
 
 
 @dataclass
 class ExperimentConfig:
-    """Resolved experiment pieces plus the raw document they came from."""
+    """Resolved experiment pieces plus the raw document they came from;
+    ``constants`` holds the resolved inputs of the ``constants`` subcommand."""
 
     raw: dict
     model: ModelSpec | None
     solver: SolverConfig | None
     x0: np.ndarray | None
-    shift_descriptor: dict | None
+    shift: ShiftFunction | None
     functionals: list
     lambda_grid: list
     r_grid: list
@@ -100,8 +117,7 @@ class ExperimentConfig:
     c: float
     lambda0: float | None
     mu_moment: float | None
-    C1: float
-    constants_overrides: dict = field(default_factory=dict)
+    constants: dict
     moment_p: float = 2.0
     n_fields: int = 1000
 
@@ -109,28 +125,16 @@ class ExperimentConfig:
     def hash(self) -> str:
         return config_hash(self.raw)
 
-    def shift(self) -> ShiftFunction | None:
-        if self.shift_descriptor is None or self.model is None \
-                or self.solver is None:
-            return None
-        return shift_from_descriptor(self.shift_descriptor,
-                                     self.model.noise.n_w, self.solver)
-
 
 def _build_noise(reader: _Reader):
     mark = len(reader.problems)
     noise = reader.section("noise", required=True)
-    n_w = noise.get("n_w", int, default=8, check=lambda v: v >= 1,
-                    describe="must be a positive integer")
-    c_b = noise.get("c_b", float, default=1.0, check=lambda v: v > 0,
-                    describe="must be positive")
+    n_w = noise.get("n_w", int, default=8, **_INDEX)
+    c_b = noise.get("c_b", float, default=1.0, **_POSITIVE)
     gains_kind = noise.get("gains", (str, list), default="inverse_k")
-    mode_index = noise.get("mode_index", int, default=1,
-                           check=lambda v: v >= 1,
-                           describe="must be a positive integer")
-    clamp = noise.get("clamp", float, default=None,
-                      check=lambda v: v > 0, describe="must be positive")
-    noise.unknown_keys({"n_w", "c_b", "gains", "mode_index", "clamp"})
+    mode_index = noise.get("mode_index", int, default=1, **_INDEX)
+    clamp = noise.get("clamp", float, default=None, **_POSITIVE)
+    noise.close()
     if len(reader.problems) > mark:
         return None
     if isinstance(gains_kind, list):
@@ -157,55 +161,52 @@ def _build_noise(reader: _Reader):
 
 
 def _build_model(reader: _Reader):
+    """The model and its noise operator.  The noise section is read
+    whenever it or a non-empty model section is present; the model section
+    reads only its kind's keys."""
     section = reader.section("model")
     if not section.raw:
-        if "noise" in reader.raw:
-            _build_noise(reader)  # lists its problems, though no model uses it
-        return None
+        return None, _build_noise(reader) if "noise" in reader.raw else None
     mark = len(reader.problems)
     kind = section.get("kind", str, check=lambda v: v in ("heat", "burgers", "ns2d"),
                        describe="must be one of heat, burgers, ns2d")
-    n_modes = section.get("n_modes", int, default=32,
-                          check=lambda v: v >= 1, describe="must be positive")
-    cutoff = section.get("cutoff", int, default=8,
-                         check=lambda v: v >= 1, describe="must be positive")
-    viscosity = section.get("viscosity", float, default=0.1,
-                            check=lambda v: v > 0, describe="must be positive")
-    theta = section.get("theta", float, default=None,
-                        check=lambda v: 0 < v <= 2,
-                        describe="must lie in (0, 2]")
-    f_tilde = section.get("f_tilde", float, default=None,
-                          check=lambda v: v >= 0, describe="must be nonnegative")
-    k2_tilde = section.get("K2_tilde", float, default=1.0,
-                           check=lambda v: v > 0, describe="must be positive")
-    section.unknown_keys({"kind", "n_modes", "cutoff", "viscosity", "theta",
-                          "f_tilde", "K2_tilde"})
+    if kind == "ns2d":
+        size = section.get("cutoff", int, default=8, **_POSITIVE)
+        viscosity = section.get("viscosity", float, default=0.1, **_POSITIVE)
+    elif kind is not None:
+        size = section.get("n_modes", int, default=32, **_POSITIVE)
+    if kind == "heat":
+        theta = section.get("theta", float, default=None,
+                            check=lambda v: 0 < v <= 2,
+                            describe="must lie in (0, 2]")
+        f_tilde = section.get("f_tilde", float, default=None, **_NONNEGATIVE)
+    elif kind is not None:
+        k2_tilde = section.get("K2_tilde", float, default=1.0, **_POSITIVE)
+    if kind is not None:  # without a kind, no key is known to apply
+        section.close()
     noise = _build_noise(reader)
     if noise is None or len(reader.problems) > mark:
-        return None
+        return None, noise
     try:
         if kind == "heat":
             extra = {} if theta is None else {"theta": theta}
-            return heat_model(n_modes, noise, f_tilde=f_tilde, **extra)
+            return heat_model(size, noise, f_tilde=f_tilde, **extra), noise
         if kind == "burgers":
-            return burgers_model(n_modes, noise, K2_tilde=k2_tilde)
-        return ns2d_model(cutoff, viscosity, noise, K2_tilde=k2_tilde)
+            return burgers_model(size, noise, K2_tilde=k2_tilde), noise
+        return ns2d_model(size, viscosity, noise, K2_tilde=k2_tilde), noise
     except ValueError as exc:
         reader.problems.append(f"model: {exc}")
-        return None
+        return None, noise
 
 
 def _build_solver(reader: _Reader):
     section = reader.section("solver")
     if not section.raw:
         return None
-    dt = section.get("dt", float, check=lambda v: v > 0,
-                     describe="must be positive")
-    horizon = section.get("horizon", float, check=lambda v: v > 0,
-                          describe="must be positive")
-    stride = section.get("snapshot_stride", int, default=1,
-                         check=lambda v: v >= 1, describe="must be positive")
-    section.unknown_keys({"dt", "horizon", "snapshot_stride"})
+    dt = section.get("dt", float, **_POSITIVE)
+    horizon = section.get("horizon", float, **_POSITIVE)
+    stride = section.get("snapshot_stride", int, default=1, **_POSITIVE)
+    section.close()
     if dt is None or horizon is None:
         return None
     try:
@@ -222,10 +223,8 @@ def _build_x0(reader: _Reader, model):
                        check=lambda v: v in ("zero", "mode", "taylor_green"),
                        describe="must be one of zero, mode, taylor_green")
     amplitude = section.get("amplitude", float, default=1.0)
-    mode_index = section.get("mode_index", int, default=1,
-                             check=lambda v: v >= 1,
-                             describe="must be a positive integer")
-    section.unknown_keys({"type", "amplitude", "mode_index"})
+    mode_index = section.get("mode_index", int, default=1, **_INDEX)
+    section.close()
     if model is None or len(reader.problems) > mark:
         return None
     space = model.space
@@ -252,6 +251,27 @@ def _build_x0(reader: _Reader, model):
     return coeffs
 
 
+def _build_shift(reader: _Reader, noise, model, solver):
+    """The shift on the solver's grid; its mode index is checked against
+    the noise whenever the noise section is valid."""
+    mark = len(reader.problems)
+    section = reader.section("shift")
+    if reader.raw.get("shift") is None:  # absent or null: no shift
+        return None
+    desc = {"type": section.get("type", str, default="constant",
+                                check=lambda v: v in ("constant", "ramp", "mode"),
+                                describe="must be one of constant, ramp, mode"),
+            "amplitude": section.get("amplitude", float, default=1.0),
+            "mode_index": section.get("mode_index", int, default=1, **_INDEX)}
+    section.close()
+    if noise is not None and desc["mode_index"] is not None \
+            and desc["mode_index"] > noise.n_w:
+        reader.problems.append("shift.mode_index: exceeds noise.n_w")
+    if model is None or solver is None or len(reader.problems) > mark:
+        return None
+    return shift_from_descriptor(desc, noise.n_w, solver)
+
+
 _FUNCTIONALS = {
     "sup_H_norm": sup_h_functional,
     "l2_V_path_norm": l2_v_path_functional,
@@ -260,48 +280,82 @@ _FUNCTIONALS = {
 
 
 def _build_functionals(reader: _Reader, model):
-    raw = reader.raw.get("functionals", ["sup_H_norm", "l2_V_path_norm"])
-    if not isinstance(raw, list):
-        reader.problems.append("functionals: must be a list")
-        return []
+    items = reader.get("functionals", list,
+                       default=["sup_H_norm", "l2_V_path_norm"])
+    # a model section that failed its own checks has listed its problems
+    model_failed = model is None and bool(reader.raw.get("model"))
     out = []
-    for i, item in enumerate(raw):
+    for i, item in enumerate(items or ()):
         if isinstance(item, str) and item in _FUNCTIONALS:
             out.append(_FUNCTIONALS[item]())
-        elif isinstance(item, dict) and item.get("kind") == "linear_probe":
-            idx = item.get("mode_index", 1)
-            amp = item.get("amplitude", 1.0)
-            if model is None or model.kind == "ns2d":
-                reader.problems.append(
-                    f"functionals[{i}]: linear_probe config supports 1-D models")
-                continue
-            if not isinstance(idx, int) or not 1 <= idx <= model.space.n_modes:
-                reader.problems.append(
-                    f"functionals[{i}].mode_index: out of range")
-                continue
-            probe = np.zeros(model.space.n_modes)
-            probe[idx - 1] = amp
-            out.append(linear_probe_functional(probe, model.space))
-        else:
+            continue
+        if not isinstance(item, dict):
             reader.problems.append(
                 f"functionals[{i}]: unknown functional {item!r}")
+            continue
+        mark = len(reader.problems)
+        entry = _Reader(item, reader.problems, f"functionals[{i}].")
+        if entry.get("kind", str, check=lambda v: v == "linear_probe",
+                     describe="must be linear_probe") is None:
+            continue
+        idx = entry.get("mode_index", int, default=1,
+                        check=lambda v: v >= 1, describe="out of range")
+        amp = entry.get("amplitude", float, default=1.0,
+                        check=lambda v: v != 0 and math.isfinite(v),
+                        describe="must be finite and nonzero")
+        entry.close()
+        if model is None or model.kind == "ns2d":
+            if not model_failed:
+                reader.problems.append(
+                    f"functionals[{i}]: linear_probe config supports 1-D models")
+            continue
+        if idx is not None and idx > model.space.n_modes:
+            reader.problems.append(f"functionals[{i}].mode_index: out of range")
+        if len(reader.problems) > mark:
+            continue
+        probe = np.zeros(model.space.n_modes)
+        probe[idx - 1] = amp
+        try:
+            out.append(linear_probe_functional(probe, model.space))
+        except ValueError as exc:  # an amplitude whose square underflows
+            reader.problems.append(f"functionals[{i}].amplitude: {exc}")
     return out
 
 
 def _grid(reader: _Reader, key, default):
-    raw = reader.raw.get(key, default)
-    if not isinstance(raw, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v) for v in raw):
-        reader.problems.append(f"{key}: must be a list of finite numbers")
-        return default
-    return [float(v) for v in raw]
+    grid = reader.get(key, list, default=default, check=lambda v: all(
+        isinstance(x, (int, float)) and not isinstance(x, bool)
+        and math.isfinite(x) for x in v),
+        describe="must be a list of finite numbers")
+    return [float(v) for v in grid or ()]
 
 
-_TOP_KEYS = {"model", "noise", "solver", "initial_condition", "shift",
-             "functionals", "lambda_grid", "r_grid", "replicates",
-             "experiment_seed", "outputs", "t1", "constants", "moment_p",
-             "n_fields"}
+def _build_constants(reader: _Reader, model, solver, x0) -> dict:
+    """The constants inputs, each read once with its default: ``horizon``
+    wins over ``T``, either over the solver's; the model gives K2, C_B,
+    theta, eta and K3, and f_tilde_integral = f_tilde * horizon; x0 gives
+    its squared H-norm."""
+    cons = reader.section("constants")
+    vals = {"C1": cons.get("C1", float, default=2.0, **_POSITIVE)}
+    horizon = cons.get("horizon", float, default=None)
+    T = cons.get("T", float, default=None if solver is None else solver.horizon)
+    vals["horizon"] = T if horizon is None else horizon
+    defaults = dict.fromkeys(("K2", "C_B", "theta", "eta", "K3"))
+    if model is not None:
+        c = model.constants
+        defaults.update(K2=c.K2, C_B=model.noise.c_b, theta=c.theta,
+                        eta=c.eta, K3=c.K3)
+    for key, default in defaults.items():
+        vals[key] = cons.get(key, float, default=default)
+    f_int = None if model is None or vals["horizon"] is None \
+        else model.constants.f_tilde * vals["horizon"]
+    vals["f_tilde_integral"] = cons.get("f_tilde_integral", float,
+                                        default=f_int, **_NONNEGATIVE)
+    x0_sq = 0.0 if x0 is None else float(model.space.sq_norms(x0))
+    vals["x0_h_norm_sq"] = cons.get("x0_h_norm_sq", float, default=x0_sq,
+                                    **_NONNEGATIVE)
+    cons.close()
+    return vals
 
 
 def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfig:
@@ -314,74 +368,41 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
         raw["experiment_seed"] = int(seed_override)
     problems: list[str] = []
     reader = _Reader(raw, problems)
-    reader.unknown_keys(_TOP_KEYS)
 
-    model = _build_model(reader)
+    model, noise = _build_model(reader)
     solver = _build_solver(reader)
     x0 = _build_x0(reader, model)
-
-    shift_desc = raw.get("shift")
-    if shift_desc is not None:
-        shift_reader = reader.section("shift")
-        shift_reader.get("type", str, default="constant",
-                         check=lambda v: v in ("constant", "ramp", "mode"),
-                         describe="must be one of constant, ramp, mode")
-        shift_reader.get("amplitude", float, default=1.0)
-        idx = shift_reader.get("mode_index", int, default=1,
-                               check=lambda v: v >= 1,
-                               describe="must be a positive integer")
-        shift_reader.unknown_keys({"type", "amplitude", "mode_index"})
-        if model is not None and idx is not None and idx > model.noise.n_w:
-            problems.append("shift.mode_index: exceeds noise.n_w")
-
+    shift = _build_shift(reader, noise, model, solver)
     functionals = _build_functionals(reader, model)
     lambda_grid = _grid(reader, "lambda_grid", [-1.0, -0.5, -0.1, 0.1, 0.5, 1.0])
     r_grid = _grid(reader, "r_grid", [0.5, 1.0, 2.0])
     replicates = reader.get("replicates", int, default=256,
                             check=lambda v: v >= 2,
                             describe="must be at least 2")
-    seed = reader.get("experiment_seed", int, default=0,
-                      check=lambda v: v >= 0, describe="must be nonnegative")
+    seed = reader.get("experiment_seed", int, default=0, **_NONNEGATIVE)
     outputs = reader.get("outputs", str, default=".")
-    moment_p = reader.get("moment_p", float, default=2.0,
-                          check=lambda v: v > 0, describe="must be positive")
-    n_fields = reader.get("n_fields", int, default=1000,
-                          check=lambda v: v >= 1, describe="must be positive")
+    moment_p = reader.get("moment_p", float, default=2.0, **_POSITIVE)
+    n_fields = reader.get("n_fields", int, default=1000, **_POSITIVE)
 
     t1 = reader.section("t1")
     c = t1.get("c", float, default=0.5, check=lambda v: 0 < v < 1,
                describe="must lie in (0, 1)")
-    lambda0 = t1.get("lambda0", float, default=None,
-                     check=lambda v: v > 0, describe="must be positive")
+    lambda0 = t1.get("lambda0", float, default=None, **_POSITIVE)
     mu_moment = t1.get("mu_moment", float, default=None,
                        check=lambda v: v >= 1, describe="must be at least 1")
-    t1.unknown_keys({"c", "lambda0", "mu_moment"})
+    t1.close()
 
-    cons = reader.section("constants")
-    c1 = cons.get("C1", float, default=2.0, check=lambda v: v > 0,
-                  describe="must be positive")
-    overrides = {}
-    for key in ("horizon", "T", "K2", "C_B", "theta", "eta", "K3",
-                "f_tilde_integral", "x0_h_norm_sq"):
-        if key in ("f_tilde_integral", "x0_h_norm_sq"):
-            val = cons.get(key, float, default=None, check=lambda v: v >= 0,
-                           describe="must be nonnegative")
-        else:
-            val = cons.get(key, float, default=None)
-        if val is not None:
-            overrides[key] = val
-    cons.unknown_keys({"C1", "horizon", "T", "K2", "C_B", "theta", "eta",
-                       "K3", "f_tilde_integral", "x0_h_norm_sq"})
-
+    constants = _build_constants(reader, model, solver, x0)
+    # the document's own unknown keys are listed first
+    problems[:0] = reader.unread()
     if problems:
         raise SchemaError(problems)
     return ExperimentConfig(
-        raw=raw, model=model, solver=solver, x0=x0,
-        shift_descriptor=shift_desc, functionals=functionals,
-        lambda_grid=lambda_grid, r_grid=r_grid,
+        raw=raw, model=model, solver=solver, x0=x0, shift=shift,
+        functionals=functionals, lambda_grid=lambda_grid, r_grid=r_grid,
         replicates=replicates, experiment_seed=seed, outputs=outputs,
-        c=c, lambda0=lambda0, mu_moment=mu_moment, C1=c1,
-        constants_overrides=overrides, moment_p=moment_p, n_fields=n_fields)
+        c=c, lambda0=lambda0, mu_moment=mu_moment, constants=constants,
+        moment_p=moment_p, n_fields=n_fields)
 
 
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:

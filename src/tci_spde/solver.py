@@ -338,24 +338,17 @@ def ensemble(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
 
 def solve(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
           replicate: int = 0, shift_values: np.ndarray | None = None,
-          increments: np.ndarray | None = None,
           zero_noise: bool = False) -> Trajectory:
     """Integrate one trajectory, keeping every ``cfg.snapshot_stride``-th state.
 
     The Wiener increments are addressed by (experiment_seed, replicate)
     and the step index, so replicates are reproducible independently of
     execution order.  ``shift_values`` holds h(t_k) rows for a Girsanov
-    shift; ``increments`` overrides the generated ones (shared-noise
-    couplings); ``zero_noise`` drives the path with zero increments.
+    shift; ``zero_noise`` drives the path with zero increments.
     """
-    if zero_noise:
-        increments = np.zeros((cfg.n_steps, model.noise.n_w))
-    if increments is not None:
-        if increments.shape != (cfg.n_steps, model.noise.n_w):
-            raise ParameterError("increments must have shape (n_steps, n_w)")
-        increments = increments[:, None, :]
+    zero = np.zeros((cfg.n_steps, 1, model.noise.n_w)) if zero_noise else None
     return solve_block(model, cfg, x0, experiment_seed, [replicate],
-                       increments=increments, shifts=(shift_values,),
+                       increments=zero, shifts=(shift_values,),
                        record="states").trajectories[0]
 
 

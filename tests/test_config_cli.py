@@ -2,9 +2,12 @@
 
 import copy
 import csv
+import glob
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -254,12 +257,15 @@ def test_solver_dealias_is_an_unknown_key(tmp_path, capsys):
 
 
 def test_noise_beyond_the_torus_basis_exits_2(tmp_path, capsys):
-    # cutoff 1 has 4 half-space wavevectors, so 8 divergence-free fields
-    path = write_config(tmp_path, {
-        "model": {"kind": "ns2d", "cutoff": 1, "viscosity": 0.1},
-        "noise": {"n_w": 9},
-        "initial_condition": {"type": "taylor_green"}})
-    code = main(["audit", "--config", path, "--out", str(tmp_path / "o")])
+    # cutoff 1 has 4 half-space wavevectors, so 8 divergence-free fields;
+    # the model section replaces BASE's, whose n_modes ns2d does not read
+    doc = {**copy.deepcopy(BASE),
+           "model": {"kind": "ns2d", "cutoff": 1, "viscosity": 0.1},
+           "initial_condition": {"type": "taylor_green"}}
+    doc["noise"]["n_w"] = 9
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    code = main(["audit", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     err = capsys.readouterr().err
     assert "model: n_w = 9 exceeds the 8 divergence-free modes" in err
@@ -289,6 +295,20 @@ def test_type_mismatch_names_the_expected_type(tmp_path, capsys):
     assert "must be" not in err
 
 
+def _listed_problems(tmp_path, capsys, doc):
+    """The problems parse_config lists for ``doc``, after checking that the
+    CLI exits 2 on it and prints each of them."""
+    with pytest.raises(SchemaError) as err:
+        parse_config(copy.deepcopy(doc))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    code = main(["constants", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    printed = capsys.readouterr().err
+    assert all(problem in printed for problem in err.value.problems)
+    return err.value.problems
+
+
 @pytest.mark.parametrize("doc, problems", [
     ({"noise": {"c_b": "x", "gains": 3, "bogus": 1}},
      ["noise.c_b: expected float", "noise.gains: expected str or list",
@@ -302,16 +322,101 @@ def test_type_mismatch_names_the_expected_type(tmp_path, capsys):
 def test_noise_problems_are_listed_with_the_rest(tmp_path, capsys, doc, problems):
     # the noise section is read whenever it or the model is present, and
     # each builder stops on its own section's problems only
-    with pytest.raises(SchemaError) as err:
-        parse_config(copy.deepcopy(doc))
-    assert err.value.problems == problems
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(doc))
-    code = main(["constants", "--config", str(path), "--out", str(tmp_path / "o")])
-    assert code == 2
-    err = capsys.readouterr().err
-    for problem in problems:
-        assert problem in err
+    assert _listed_problems(tmp_path, capsys, doc) == problems
+
+
+@pytest.mark.parametrize("model, problems", [
+    ({"kind": "heat", "K2_tilde": 2.0}, ["model.K2_tilde: unknown key"]),
+    ({"kind": "burgers", "f_tilde": 3.0, "viscosity": 0.01},
+     ["model.f_tilde: unknown key", "model.viscosity: unknown key"]),
+    ({"kind": "ns2d", "n_modes": 16, "theta": 1.0},
+     ["model.n_modes: unknown key", "model.theta: unknown key"]),
+], ids=["heat", "burgers", "ns2d"])
+def test_model_keys_the_kind_ignores_are_unknown(tmp_path, capsys, model,
+                                                 problems):
+    # each kind reads only its own keys: heat n_modes, theta, f_tilde;
+    # burgers n_modes, K2_tilde; ns2d cutoff, viscosity, K2_tilde
+    assert _listed_problems(tmp_path, capsys,
+                            {"model": model, "noise": {}}) == problems
+
+
+@pytest.mark.parametrize("probe, problems", [
+    ({"amplitude": "x"}, ["functionals[0].amplitude: expected float"]),
+    ({"amplitude": 0.0}, ["bogus: unknown key",
+                          "functionals[0].amplitude: must be finite and nonzero"]),
+    ({"mode_index": 2, "scale": 1.0}, ["functionals[0].scale: unknown key"]),
+    ({"mode_index": 9}, ["functionals[0].mode_index: out of range"]),
+    ({"amplitude": 1e-200},
+     ["functionals[0].amplitude: probe element must be nonzero"]),
+], ids=["amplitude_type", "zero_amplitude", "unknown_key", "mode_index",
+        "underflowing_amplitude"])
+def test_linear_probe_entries_list_their_problems(tmp_path, capsys, probe,
+                                                  problems):
+    doc = {"model": {"kind": "heat", "n_modes": 8}, "noise": {},
+           "functionals": [{"kind": "linear_probe", **probe}]}
+    if probe.get("amplitude") == 0.0:
+        doc["bogus"] = 1
+    assert _listed_problems(tmp_path, capsys, doc) == problems
+
+
+def test_linear_probe_on_a_failed_model_lists_only_the_model(tmp_path, capsys):
+    doc = {"model": {"kind": "wave"}, "noise": {},
+           "functionals": [{"kind": "linear_probe"}]}
+    assert _listed_problems(tmp_path, capsys, doc) == [
+        "model.kind: must be one of heat, burgers, ns2d"]
+
+
+def test_shift_index_is_checked_against_a_valid_noise(tmp_path, capsys):
+    # the check needs the noise section only, not a built model
+    doc = {"model": {"kind": "wave"}, "noise": {"n_w": 2},
+           "shift": {"mode_index": 5}}
+    assert _listed_problems(tmp_path, capsys, doc) == [
+        "model.kind: must be one of heat, burgers, ns2d",
+        "shift.mode_index: exceeds noise.n_w"]
+
+
+def test_shift_and_constants_are_built_at_parse_time():
+    cfg = parse_config(copy.deepcopy(BASE))
+    assert cfg.shift.n_w == 4 and cfg.shift.horizon == 0.2
+    assert cfg.shift.values[:, 0].tolist() == [1.0] * 21
+    assert not cfg.shift.values[:, 1:].any()
+    assert cfg.constants == {
+        "C1": 2.0, "horizon": 0.2, "K2": 0.0, "C_B": 1.0,
+        "theta": cfg.model.constants.theta, "eta": ETA_1D, "K3": 0.0,
+        "f_tilde_integral": 1.0 * 0.2, "x0_h_norm_sq": 0.0}
+    bare = parse_config({"constants": {"T": 2.0, "K2": 0.5}})
+    assert bare.shift is None
+    assert bare.constants == {
+        "C1": 2.0, "horizon": 2.0, "K2": 0.5, "C_B": None, "theta": None,
+        "eta": None, "K3": None, "f_tilde_integral": None, "x0_h_norm_sq": 0.0}
+
+
+def _perfbench_configs():
+    """The configs perfbench/workloads.py generates, from a subprocess: its
+    ``oracles`` module would shadow tests/oracles.py in this process."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    script = ("import json, sys; sys.path.insert(0, 'perfbench'); "
+              "from workloads import WORKLOADS; "
+              "print(json.dumps({f'{w.name}/{n}': d for w in WORKLOADS.values() "
+              "for n, d in w.make_configs('.', 0).items()}))")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=root,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_shipped_and_benchmark_configs_parse_cleanly():
+    docs = {}
+    for path in sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json"))):
+        with open(path) as fh:
+            docs[os.path.basename(path)] = json.load(fh)
+    assert len(docs) == 4
+    docs.update(_perfbench_configs())
+    assert len(docs) > 4
+    for name, doc in docs.items():
+        try:
+            parse_config(doc)
+        except SchemaError as exc:
+            pytest.fail(f"{name}: {exc}")
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

@@ -252,7 +252,7 @@ def test_shifted_leg_divergence_names_its_leg(tmp_path, capsys):
     assert div["shifted"] is True and div["dt"] == cfg.solver.dt
     assert div["replicate"] > 0
 
-    rows = cfg.shift().dynamic_rows()
+    rows = cfg.shift.dynamic_rows()
     with pytest.raises(DivergenceError) as err:
         S.solve(cfg.model, cfg.solver, cfg.x0, div["experiment_seed"],
                 replicate=div["replicate"], shift_values=rows)
