@@ -31,8 +31,7 @@ from .models import (ETA_1D, ETA_2D, AssumptionConstants, ModelSpec,
 from .noise import (NoiseOperator, derived_replicate, gains_inverse_k,
                     gains_single_mode, generator, hs_norm, increment_table,
                     standard_normal_table)
-from .solver import (BLOCK_REPLICATES, SolverConfig, Trajectory,
-                     heat_convergence_report, solve, solve_block,
-                     taylor_green_report)
+from .solver import (BLOCK_REPLICATES, SolverConfig, heat_convergence_report,
+                     solve, solve_block, taylor_green_report)
 
 __version__ = "0.1.0"

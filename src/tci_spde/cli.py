@@ -120,35 +120,33 @@ def _run_constants(cfg: ExperimentConfig) -> dict:
     return report
 
 
-def _write_trajectory_csv(path, solver_cfg, traj):
-    # The trajectory keeps the norms at every snapshot_stride-th step plus
-    # the last one; the CSV lists the stride grid only.
-    n_rows = solver_cfg.n_steps // solver_cfg.snapshot_stride + 1
+def _write_trajectory_csv(path, solver_cfg, stride, norms):
+    """The recorded norm path at every ``stride``-th step."""
+    times = solver_cfg.dt * np.arange(0, solver_cfg.n_steps + 1, stride)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "norm_h", "norm_v"])
-        for t, h, v in zip(traj.times[:n_rows].tolist(),
-                           np.sqrt(traj.h_sq[:n_rows]).tolist(),
-                           np.sqrt(traj.v_sq[:n_rows]).tolist()):
+        for t, (h, v) in zip(times.tolist(), np.sqrt(norms[::stride]).tolist()):
             writer.writerow([repr(t), repr(h), repr(v)])
 
 
 def _run_simulate(cfg: ExperimentConfig, out_dir: str) -> dict:
     _require(cfg, "model", "solver", "x0")
-    # Replicate 0's path is recorded as a row of the moment pass.
-    moments, traj = conc.moment_report(cfg.model, cfg.solver, cfg.x0,
+    # Replicate 0's path is recorded as row 0 of the moment pass.
+    moments, base = conc.moment_report(cfg.model, cfg.solver, cfg.x0,
                                        n_replicates=cfg.replicates,
                                        experiment_seed=cfg.experiment_seed,
                                        p=cfg.moment_p)
     csv_path = os.path.join(out_dir, "trajectory_0.csv")
-    _write_trajectory_csv(csv_path, cfg.solver, traj)
+    _write_trajectory_csv(csv_path, cfg.solver, cfg.snapshot_stride, base.norms)
+    first = base.paths[0]
     return {
         "trajectory": {
             "file": "trajectory_0.csv",
             "n_steps": cfg.solver.n_steps,
-            "terminal_h_norm": math.sqrt(traj.h_sq[-1]),
-            "sup_h_norm": traj.sup_h_total,
-            "v_energy": traj.v_energy_total,
+            "terminal_h_norm": math.sqrt(base.norms[-1, 0]),
+            "sup_h_norm": float(first["sup_h_total"]),
+            "v_energy": float(first["v_energy_total"]),
         },
         "moments": moments,
     }

@@ -345,9 +345,8 @@ def t2_chain_check(model: ModelSpec, h: ShiftFunction,
 
 
 def _moment_pass(model, cfg, x0, experiment_seed, p, replicates,
-                 record_rep=None):
-    ens = ensemble(model, cfg, x0, experiment_seed, replicates,
-                   record_rep=record_rep)
+                 record=False):
+    ens = ensemble(model, cfg, x0, experiment_seed, replicates, record=record)
     arr = np.stack([ens.paths["sup_h_total"] ** p,
                     ens.paths["v_energy_total"]], axis=1)
     sup_mean, sup_se = mean_and_stderr(arr[:, 0])
@@ -357,23 +356,24 @@ def _moment_pass(model, cfg, x0, experiment_seed, p, replicates,
         "sup_h_moment": {"mean": float(sup_mean), "stderr": float(sup_se)},
         "v_energy": {"mean": float(v_mean), "stderr": float(v_se)},
         "finite": bool(np.all(np.isfinite(arr))),
-    }, ens.trajectories[0] if ens.trajectories else None
+    }, ens
 
 
 def moment_report(model: ModelSpec, cfg: SolverConfig, x0,
                   n_replicates: int = 256, experiment_seed: int = 0,
-                  p: float = 2.0, refine: bool = True):
-    """E sup_t ||X||_H^p and E int ||X||_V^2 dt with a dt-refinement flag.
+                  p: float = 2.0):
+    """E sup_t ||X||_H^p and E int ||X||_V^2 dt, and their stability under
+    dt-refinement.
 
     The refined pass halves dt on a fresh replicate lane; stability means
     both moments stay within a factor of two of the base pass.  Returns
-    (report, trajectory): the trajectory is replicate 0's norm path,
-    recorded without states as row 0 of the base pass.
+    (report, block): ``block`` is the base pass's Block, whose ``paths``
+    row 0 and ``norms`` are replicate 0's.
     """
     if n_replicates < 2:
         raise ParameterError("need at least two replicates")
-    base, first = _moment_pass(model, cfg, x0, experiment_seed, p,
-                               list(range(n_replicates)), record_rep=0)
+    base, ens = _moment_pass(model, cfg, x0, experiment_seed, p,
+                             list(range(n_replicates)), record=True)
     report = {
         "model": model.kind,
         "p": float(p),
@@ -381,11 +381,7 @@ def moment_report(model: ModelSpec, cfg: SolverConfig, x0,
         "experiment_seed": int(experiment_seed),
         "base": base,
     }
-    if not refine:
-        report["pass"] = base["finite"]
-        return report, first
-    fine_cfg = SolverConfig(dt=cfg.dt / 2.0, horizon=cfg.horizon,
-                            snapshot_stride=cfg.snapshot_stride)
+    fine_cfg = SolverConfig(dt=cfg.dt / 2.0, horizon=cfg.horizon)
     fine, _ = _moment_pass(model, fine_cfg, x0, experiment_seed, p,
                            [derived_replicate(LANE_REFINED, r)
                             for r in range(n_replicates)])
@@ -398,4 +394,4 @@ def moment_report(model: ModelSpec, cfg: SolverConfig, x0,
     report["refined"] = fine
     report["stable_under_refinement"] = bool(stable)
     report["pass"] = bool(base["finite"] and fine["finite"] and stable)
-    return report, first
+    return report, ens

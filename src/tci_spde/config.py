@@ -101,7 +101,9 @@ _INDEX = {"check": lambda v: v >= 1, "describe": "must be a positive integer"}
 @dataclass
 class ExperimentConfig:
     """Resolved experiment pieces plus the raw document they came from;
-    ``constants`` holds the resolved inputs of the ``constants`` subcommand."""
+    ``constants`` holds the resolved inputs of the ``constants`` subcommand
+    and ``snapshot_stride`` (read from the solver section) thins the rows
+    of ``simulate``'s trajectory CSV."""
 
     raw: dict
     model: ModelSpec | None
@@ -120,6 +122,7 @@ class ExperimentConfig:
     constants: dict
     moment_p: float = 2.0
     n_fields: int = 1000
+    snapshot_stride: int = 1
 
     @property
     def hash(self) -> str:
@@ -131,8 +134,14 @@ def _build_noise(reader: _Reader):
     noise = reader.section("noise", required=True)
     n_w = noise.get("n_w", int, default=8, **_INDEX)
     c_b = noise.get("c_b", float, default=1.0, **_POSITIVE)
-    gains_kind = noise.get("gains", (str, list), default="inverse_k")
-    mode_index = noise.get("mode_index", int, default=1, **_INDEX)
+    gains_kind = noise.get(
+        "gains", (str, list), default="inverse_k",
+        check=lambda v: isinstance(v, list) or v in ("inverse_k", "single_mode"),
+        describe="expected 'inverse_k', 'single_mode', or a list")
+    # mode_index applies to single_mode gains only (and is still checked
+    # when the gains failed their own check)
+    if gains_kind in (None, "single_mode"):
+        mode_index = noise.get("mode_index", int, default=1, **_INDEX)
     clamp = noise.get("clamp", float, default=None, **_POSITIVE)
     noise.close()
     if len(reader.problems) > mark:
@@ -144,15 +153,11 @@ def _build_noise(reader: _Reader):
             return None
     elif gains_kind == "inverse_k":
         gains = gains_inverse_k(n_w, c_b)
-    elif gains_kind == "single_mode":
-        if mode_index > n_w:
-            reader.problems.append("noise.mode_index: exceeds n_w")
-            return None
-        gains = gains_single_mode(n_w, c_b, mode_index)
-    else:
-        reader.problems.append(
-            "noise.gains: expected 'inverse_k', 'single_mode', or a list")
+    elif mode_index > n_w:
+        reader.problems.append("noise.mode_index: exceeds n_w")
         return None
+    else:
+        gains = gains_single_mode(n_w, c_b, mode_index)
     try:
         return NoiseOperator(n_w, gains, c_b, clamp=clamp)
     except ValueError as exc:
@@ -200,20 +205,21 @@ def _build_model(reader: _Reader):
 
 
 def _build_solver(reader: _Reader):
+    """The solver and the stride that thins ``simulate``'s CSV."""
     section = reader.section("solver")
     if not section.raw:
-        return None
+        return None, 1
     dt = section.get("dt", float, **_POSITIVE)
     horizon = section.get("horizon", float, **_POSITIVE)
     stride = section.get("snapshot_stride", int, default=1, **_POSITIVE)
     section.close()
     if dt is None or horizon is None:
-        return None
+        return None, stride
     try:
-        return SolverConfig(dt=dt, horizon=horizon, snapshot_stride=stride)
+        return SolverConfig(dt=dt, horizon=horizon), stride
     except ValueError as exc:
         reader.problems.append(f"solver: {exc}")
-        return None
+        return None, stride
 
 
 def _build_x0(reader: _Reader, model):
@@ -222,8 +228,12 @@ def _build_x0(reader: _Reader, model):
     kind = section.get("type", str, default="zero",
                        check=lambda v: v in ("zero", "mode", "taylor_green"),
                        describe="must be one of zero, mode, taylor_green")
-    amplitude = section.get("amplitude", float, default=1.0)
-    mode_index = section.get("mode_index", int, default=1, **_INDEX)
+    # amplitude applies to mode and taylor_green starts, mode_index to mode
+    # only (both are still checked when the type failed its own check)
+    if kind in (None, "mode", "taylor_green"):
+        amplitude = section.get("amplitude", float, default=1.0)
+    if kind in (None, "mode"):
+        mode_index = section.get("mode_index", int, default=1, **_INDEX)
     section.close()
     if model is None or len(reader.problems) > mark:
         return None
@@ -370,7 +380,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
     reader = _Reader(raw, problems)
 
     model, noise = _build_model(reader)
-    solver = _build_solver(reader)
+    solver, stride = _build_solver(reader)
     x0 = _build_x0(reader, model)
     shift = _build_shift(reader, noise, model, solver)
     functionals = _build_functionals(reader, model)
@@ -402,7 +412,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
         functionals=functionals, lambda_grid=lambda_grid, r_grid=r_grid,
         replicates=replicates, experiment_seed=seed, outputs=outputs,
         c=c, lambda0=lambda0, mu_moment=mu_moment, constants=constants,
-        moment_p=moment_p, n_fields=n_fields)
+        moment_p=moment_p, n_fields=n_fields, snapshot_stride=stride)
 
 
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:

@@ -31,14 +31,13 @@ class SchemaError(ValueError):
 class DivergenceError(RuntimeError):
     """Raised when a trajectory leaves the representable range.
 
-    Carries the step index and time at which the blow-up was detected and,
-    when known, the (experiment_seed, replicate) address of the trajectory,
-    the time step ``dt`` it ran at and whether it ran on a Girsanov-shifted
-    leg (``shifted``).
+    Carries the step index and time at which the blow-up was detected, the
+    (experiment_seed, replicate) address of the trajectory, the time step
+    ``dt`` it ran at and whether it ran on a Girsanov-shifted leg
+    (``shifted``); the message names them all.
     """
 
-    def __init__(self, step, time, message=None, experiment_seed=None,
-                 replicate=None, dt=None, shifted=None):
+    def __init__(self, step, time, experiment_seed, replicate, dt, shifted):
         self.step = step
         self.time = time
         self.experiment_seed = experiment_seed
@@ -46,10 +45,10 @@ class DivergenceError(RuntimeError):
         self.dt = dt
         self.shifted = shifted
         super().__init__(
-            message or f"trajectory diverged at step {step} (t = {time:.6g})"
-        )
+            f"trajectory diverged at step {step} (t = {time:.6g}; "
+            f"experiment_seed={experiment_seed}, replicate={replicate}, "
+            f"dt={dt:.6g}, {'shifted' if shifted else 'unshifted'})")
 
     def __reduce__(self):
-        return (type(self), (self.step, self.time, str(self),
-                             self.experiment_seed, self.replicate, self.dt,
-                             self.shifted))
+        return (type(self), (self.step, self.time, self.experiment_seed,
+                             self.replicate, self.dt, self.shifted))

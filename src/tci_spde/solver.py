@@ -13,9 +13,10 @@ One loop, ``solve_block``, advances a block of replicates at once: the
 state carries a leading row axis, and running reductions (trapezoid
 V-energy, sup H-norm, terminal state, and for coupled blocks the sup of
 the squared gap between shifted and unshifted rows) replace stored paths.
-``solve`` is that loop on one row with its states recorded; a block can
-also record its rows' norm paths alone (``record="norms"``), so an
-ensemble yields one replicate's path without solving it twice.
+No state but the terminal one is kept: a recorded block keeps its first
+row's squared H- and V-norms at every step, so an ensemble yields one
+replicate's norm path without solving it twice, and ``solve`` is that
+loop on one recorded row.
 
 Every ensemble is one ``ensemble`` pass: it cuts the replicates into
 blocks of ``BLOCK_REPLICATES``, a code constant, so the results do not
@@ -53,13 +54,11 @@ class SolverConfig:
     The model owns the resolution, because the noise embedding depends on
     it, and its drift kernels own their one product grid, the smallest
     alias-free one (``models.burgers_product_grid``,
-    ``models.ns_product_grid``).  ``snapshot_stride`` thins the steps a
-    recorded trajectory keeps.
+    ``models.ns_product_grid``).
     """
 
     dt: float
     horizon: float
-    snapshot_stride: int = 1
 
     def __post_init__(self):
         if self.dt <= 0.0 or self.horizon <= 0.0:
@@ -69,8 +68,6 @@ class SolverConfig:
             raise ParameterError(
                 f"horizon {self.horizon} is not a whole number of steps of {self.dt}"
             )
-        if self.snapshot_stride < 1:
-            raise ParameterError("snapshot_stride must be at least 1")
 
     @property
     def n_steps(self) -> int:
@@ -87,36 +84,6 @@ def _path_summaries(v_energy, sup_h, terminal) -> np.ndarray:
     out["sup_h_total"] = sup_h
     out["terminal"] = terminal
     return out
-
-
-@dataclass
-class Trajectory:
-    """One sample path, recorded every ``snapshot_stride`` steps.
-
-    ``states[i]`` is the raw state at time ``times[i]``.  The
-    last time is always the horizon.  A path recorded without its states
-    has ``states`` None; ``terminal`` always holds the raw terminal state.
-    ``h_sq[i]`` and ``v_sq[i]`` are ||X_{t_i}||_H^2 and ||X_{t_i}||_V^2.
-    ``v_energy[i]`` is the trapezoid value of int_0^{t_i} ||X_s||_V^2 ds and
-    ``sup_h_norm[i]`` the running max of the H-norm, both accumulated over
-    every step (not only the recorded ones) and including the initial state.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    h_sq: np.ndarray
-    v_sq: np.ndarray
-    v_energy: np.ndarray
-    sup_h_norm: np.ndarray
-    terminal: np.ndarray
-
-    @property
-    def v_energy_total(self) -> float:
-        return float(self.v_energy[-1])
-
-    @property
-    def sup_h_total(self) -> float:
-        return float(self.sup_h_norm[-1])
 
 
 def block_increments(model: ModelSpec, cfg: SolverConfig, experiment_seed: int,
@@ -138,20 +105,21 @@ class Block:
 
     ``paths`` holds one path summary per row; ``sup_gap_sq`` (two-leg
     blocks only) the per-replicate sup_t ||X_leg0 - X_leg1||_H^2;
-    ``trajectories`` (recorded blocks only) one Trajectory per row;
+    ``norms`` (recorded blocks only) the first row's (||X_k||_H^2,
+    ||X_k||_V^2) at every step k = 0..n_steps, shape (n_steps + 1, 2);
     ``pairing`` (shifted ``ensemble`` passes only) the per-replicate
     sum_k <h(t_k), dW_k>.
     """
 
     paths: np.ndarray
     sup_gap_sq: np.ndarray | None = None
-    trajectories: list | None = None
+    norms: np.ndarray | None = None
     pairing: np.ndarray | None = None
 
 
 def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
                 replicates, increments: np.ndarray | None = None,
-                shifts=(None,), record: str | None = None) -> Block:
+                shifts=(None,), record: bool = False) -> Block:
     """Advance every (shift leg, replicate) row of one block in lockstep.
 
     Every row starts from ``x0``, a raw state that ``model.space.check``
@@ -163,10 +131,8 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     shift, applied per step as dW_k + dt h(t_k).  Two legs also give the
     running sup of the squared H-gap between them.
 
-    ``record="states"`` keeps every row's state at every
-    ``cfg.snapshot_stride``-th step and at the last one, with the norms
-    and running reductions there; ``record="norms"`` keeps the same except
-    the states.
+    ``record`` keeps the first row's squared norms at every step as
+    ``norms``.
     """
     M, dt, op = cfg.n_steps, cfg.dt, model.noise
     replicates = [int(r) for r in replicates]
@@ -181,8 +147,6 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     for h in shifts:
         if h is not None and h.shape != (M, op.n_w):
             raise ParameterError("shift values must have shape (n_steps, n_w)")
-    if record not in (None, "states", "norms"):
-        raise ParameterError("record must be None, 'states' or 'norms'")
 
     lam = linear_eigenvalues(model)
     inv_lin = 1.0 / (1.0 + dt * lam)
@@ -201,19 +165,10 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     sup_gap = np.zeros(n_rep) if len(shifts) == 2 else None
     shift_steps = [None if h is None else dt * h for h in shifts]
 
+    norms = None
     if record:
-        kept = np.arange(0, M + 1, cfg.snapshot_stride)
-        if kept[-1] != M:
-            kept = np.append(kept, M)
-        states = None
-        if record == "states":
-            states = np.empty((len(kept),) + state.shape, dtype=state.dtype)
-            states[0] = state
-        v_path = np.empty((len(kept), len(state)))
-        h_path = np.empty((len(kept), len(state)))
-        norm_path = np.empty((len(kept),) + hv.shape)
-        v_path[0], h_path[0], norm_path[0] = v_energy, sup_h_sq, hv
-        kept_steps, slot = kept.tolist(), 1
+        norms = np.empty((M + 1, 2))
+        norms[0] = hv[:, 0]
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(M):
@@ -240,14 +195,8 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
                                              shifts[r // n_rep] is not None))
                     rep = replicates[row % n_rep]
                     shifted = shifts[row // n_rep] is not None
-                    raise DivergenceError(
-                        k + 1, (k + 1) * dt,
-                        f"trajectory diverged at step {k + 1} "
-                        f"(t = {(k + 1) * dt:.6g}; "
-                        f"experiment_seed={experiment_seed}, replicate={rep}, "
-                        f"dt={dt:.6g}, {'shifted' if shifted else 'unshifted'})",
-                        experiment_seed=experiment_seed, replicate=rep,
-                        dt=dt, shifted=shifted)
+                    raise DivergenceError(k + 1, (k + 1) * dt, experiment_seed,
+                                          rep, dt, shifted)
             h_sq, v_sq = hv
             v_energy += half_dt * (prev_v_sq + v_sq)
             prev_v_sq = v_sq
@@ -257,50 +206,34 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
             if sup_gap is not None:
                 np.maximum(sup_gap, space.sq_norms(state[:n_rep] - state[n_rep:]),
                            out=sup_gap)
-            if record and kept_steps[slot] == k + 1:
-                v_path[slot], h_path[slot], norm_path[slot] = (v_energy,
-                                                               sup_h_sq, hv)
-                if states is not None:
-                    states[slot] = state
-                slot += 1
+            if norms is not None:
+                norms[k + 1] = hv[:, 0]
 
     sup_h = np.sqrt(sup_h_sq)
-    block = Block(paths=_path_summaries(v_energy, sup_h, state), sup_gap_sq=sup_gap)
-    if record:
-        times = dt * kept
-        np.sqrt(h_path, out=h_path)
-        block.trajectories = [
-            Trajectory(times=times,
-                       states=None if states is None else states[:, r],
-                       h_sq=norm_path[:, 0, r], v_sq=norm_path[:, 1, r],
-                       v_energy=v_path[:, r], sup_h_norm=h_path[:, r],
-                       terminal=block.paths["terminal"][r])
-            for r in range(len(state))]
-    return block
+    return Block(paths=_path_summaries(v_energy, sup_h, state),
+                 sup_gap_sq=sup_gap, norms=norms)
 
 
 def _ensemble_block(replicates, model, cfg, x0, experiment_seed, shift,
                     record_rep):
-    """One block of ``ensemble``, or the DivergenceError it raised."""
+    """One block of ``ensemble``, or the DivergenceError it raised; the
+    block records its first row if that is replicate ``record_rep``."""
     inc = block_increments(model, cfg, experiment_seed, replicates)
-    record = "norms" if record_rep in replicates else None
     try:
         block = solve_block(model, cfg, x0, experiment_seed, replicates,
-                            increments=inc, record=record,
+                            increments=inc, record=replicates[0] == record_rep,
                             shifts=(None,) if shift is None else (shift, None))
     except DivergenceError as exc:
         return exc
     if shift is not None:
         block.pairing = np.array([np.sum(shift * inc[:, i])
                                   for i in range(len(replicates))])
-    if record:
-        block.trajectories = [block.trajectories[replicates.index(record_rep)]]
     return block
 
 
 def ensemble(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
              replicates, shift: np.ndarray | None = None,
-             record_rep: int | None = None) -> Block:
+             record: bool = False) -> Block:
     """The one ensemble pass: every replicate stepped once from ``x0``, in
     consecutive blocks of ``BLOCK_REPLICATES`` fanned out by
     ``parallel_map``, joined per leg into one leg-major Block.
@@ -309,8 +242,9 @@ def ensemble(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     steps it with ``solve_block``.  With ``shift``, the (n_steps, n_w)
     values h(t_k) of a Girsanov shift, the same increments drive a shifted
     and an unshifted leg, and ``pairing`` holds each replicate's
-    sum_k <h(t_k), dW_k>.  The norm path of replicate ``record_rep`` is
-    recorded as its row of its block, the one entry of ``trajectories``.
+    sum_k <h(t_k), dW_k>.  With ``record``, the first block records its
+    first row, so ``norms`` is the norm path of the first replicate (on
+    the shifted leg, if there is a shift).
 
     Every block runs even when one diverges; the error re-raised is the
     earliest divergence, lowest replicate first at equal steps, so it does
@@ -320,7 +254,7 @@ def ensemble(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     blocks = parallel_map(
         partial(_ensemble_block, model=model, cfg=cfg, x0=x0,
                 experiment_seed=experiment_seed, shift=shift,
-                record_rep=record_rep),
+                record_rep=replicates[0] if record else None),
         [replicates[i:i + BLOCK_REPLICATES]
          for i in range(0, len(replicates), BLOCK_REPLICATES)])
     failed = [b for b in blocks if isinstance(b, DivergenceError)]
@@ -328,18 +262,19 @@ def ensemble(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
         raise min(failed, key=lambda exc: (exc.step, exc.replicate))
     n_legs = 1 if shift is None else 2
     out = Block(paths=np.concatenate(
-        [b.paths.reshape(n_legs, -1) for b in blocks], axis=1).ravel())
+        [b.paths.reshape(n_legs, -1) for b in blocks], axis=1).ravel(),
+        norms=blocks[0].norms)
     if shift is not None:
         out.sup_gap_sq = np.concatenate([b.sup_gap_sq for b in blocks])
         out.pairing = np.concatenate([b.pairing for b in blocks])
-    out.trajectories = [t for b in blocks for t in b.trajectories or ()] or None
     return out
 
 
 def solve(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
           replicate: int = 0, shift_values: np.ndarray | None = None,
-          zero_noise: bool = False) -> Trajectory:
-    """Integrate one trajectory, keeping every ``cfg.snapshot_stride``-th state.
+          zero_noise: bool = False) -> Block:
+    """Integrate one trajectory: a one-row recorded Block, whose ``norms``
+    are the row's squared H- and V-norms at every step.
 
     The Wiener increments are addressed by (experiment_seed, replicate)
     and the step index, so replicates are reproducible independently of
@@ -349,7 +284,7 @@ def solve(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     zero = np.zeros((cfg.n_steps, 1, model.noise.n_w)) if zero_noise else None
     return solve_block(model, cfg, x0, experiment_seed, [replicate],
                        increments=zero, shifts=(shift_values,),
-                       record="states").trajectories[0]
+                       record=True)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ paths with the package internals it checks.
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -468,11 +469,35 @@ def sine_project(values, n_modes):
 # trajectory functionals
 
 
+@dataclass
+class PathRecord:
+    """A sample path kept state by state, for the path metrics below:
+    ``states[i]`` is the raw state at ``times[i]``, ``v_energy[i]`` the
+    trapezoid int_0^{t_i} ||X||_V^2 and ``sup_h_norm[i]`` the running max
+    of ||X||_H."""
+
+    times: np.ndarray
+    states: np.ndarray
+    v_energy: np.ndarray
+    sup_h_norm: np.ndarray
+
+    @property
+    def terminal(self):
+        return self.states[-1]
+
+    @property
+    def v_energy_total(self):
+        return float(self.v_energy[-1])
+
+    @property
+    def sup_h_total(self):
+        return float(self.sup_h_norm[-1])
+
+
 def trajectory_from_states(times, states):
-    """A ``Trajectory`` of raw snapshots, its norms, running
-    V-energy and sup-H norm recomputed from the snapshots."""
+    """A ``PathRecord`` of raw snapshots, its running V-energy and sup-H
+    norm recomputed from the snapshots."""
     from tci_spde.errors import ParameterError
-    from tci_spde.solver import Trajectory
 
     times = np.asarray(times, dtype=np.float64)
     states = np.asarray(states)
@@ -484,10 +509,8 @@ def trajectory_from_states(times, states):
     v_sq = np.sum(v_weights(states) * p, axis=axes)
     v_energy = np.concatenate(
         [[0.0], np.cumsum(0.5 * np.diff(times) * (v_sq[:-1] + v_sq[1:]))])
-    return Trajectory(times=times, states=states, h_sq=h_sq, v_sq=v_sq,
-                      v_energy=v_energy,
-                      sup_h_norm=np.maximum.accumulate(np.sqrt(h_sq)),
-                      terminal=states[-1])
+    return PathRecord(times=times, states=states, v_energy=v_energy,
+                      sup_h_norm=np.maximum.accumulate(np.sqrt(h_sq)))
 
 
 def metric_distance(metric, a, b):

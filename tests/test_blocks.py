@@ -28,16 +28,24 @@ import oracles as orc
 from test_config_cli import BASE, read_report
 
 
+def v_weights(model, u):
+    """Weights w with ||u||_V^2 = sum w |u|^2: the Laplacian eigenvalues
+    times the H weights of the storage layout."""
+    lam = M.linear_eigenvalues(model)
+    if model.kind == "ns2d":
+        lam = lam / model.viscosity
+    return lam * orc.h_weights(u)
+
+
 def reference_row(model, cfg, x0, inc, shift=None):
     """(v_energy_total, states at every step) of one row."""
     op, dt = model.noise, cfg.dt
     lam = M.linear_eigenvalues(model)
     two_d = model.kind == "ns2d"
-    weight = lam / model.viscosity if two_d else lam
     if two_d:
         basis = orc.dense_basis_2d(model.space.cutoff, op.n_w)
 
-    weight = weight * orc.h_weights(x0)
+    weight = v_weights(model, x0)
     u = x0.copy()
     states = [u]
     v_energy, v_sq = 0.0, float(np.sum(weight * np.abs(u) ** 2))
@@ -66,6 +74,13 @@ def h_norm_sq(u):
 
 def sup_h(states):
     return math.sqrt(max(h_norm_sq(u) for u in states))
+
+
+def reference_norms(model, states):
+    """(||X_k||_H^2, ||X_k||_V^2) of reference states, one row per step."""
+    weight = v_weights(model, states[0])
+    return np.array([[h_norm_sq(u), float(np.sum(weight * np.abs(u) ** 2))]
+                     for u in states])
 
 
 def _noise_1d(clamp=None):
@@ -125,8 +140,8 @@ def test_plain_blocks_match_row_by_row_stepping(kind):
         assert _close(block.paths[row]["v_energy_total"], v)
         assert _close(block.paths[row]["sup_h_total"], sup_h(states))
         assert _close(block.paths[row]["terminal"], states[-1])
-        traj = S.solve(model, cfg, x0, 3, replicate=r)
-        assert _close(traj.states, states)
+        assert _close(S.solve(model, cfg, x0, 3, replicate=r).norms,
+                      reference_norms(model, states))
 
 
 def test_block_rows_do_not_depend_on_block_company():
@@ -135,15 +150,13 @@ def test_block_rows_do_not_depend_on_block_company():
     model, cfg, x0 = _setup("burgers")
     alone = S.solve(model, cfg, x0, 2, replicate=6)
     block = S.solve_block(model, cfg, x0, 2, range(S.BLOCK_REPLICATES))
-    assert np.array_equal(block.paths[6]["terminal"], alone.states[-1])
-    assert block.paths[6]["v_energy_total"] == alone.v_energy_total
+    assert np.array_equal(block.paths[6:7], alone.paths)
     h = np.zeros((cfg.n_steps, 4))
-    pair = S.solve_block(model, cfg, x0, 2, [6], shifts=(h, None),
-                         record="states")
-    x, y = pair.trajectories
+    pair = S.solve_block(model, cfg, x0, 2, [6], shifts=(h, None), record=True)
     assert pair.sup_gap_sq[0] == 0.0
-    assert np.array_equal(x.states, y.states)
-    assert np.array_equal(x.states, alone.states)
+    assert np.array_equal(pair.paths[:1], pair.paths[1:])
+    assert np.array_equal(pair.paths[:1], alone.paths)
+    assert np.array_equal(pair.norms, alone.norms)
 
 
 def _bad_x0(case):
@@ -190,54 +203,43 @@ def test_plain_list_x0_is_accepted():
         assert np.array_equal(got, want)
 
 
-def test_snapshot_stride_thins_states_but_not_reductions():
-    model, cfg, x0 = _setup("burgers")          # 50 steps
-    full = S.solve(model, cfg, x0, 1, replicate=2)
-    thin_cfg = S.SolverConfig(dt=cfg.dt, horizon=cfg.horizon, snapshot_stride=7)
-    thin = S.solve(model, thin_cfg, x0, 1, replicate=2)
-    kept = list(range(0, 51, 7)) + [50]
-    assert len(thin.times) == len(kept)
-    assert np.array_equal(thin.times, full.times[kept])
-    assert np.array_equal(thin.states, full.states[kept])
-    assert np.array_equal(thin.v_energy, full.v_energy[kept])
-    assert np.array_equal(thin.sup_h_norm, full.sup_h_norm[kept])
-    assert np.array_equal(thin.h_sq, full.h_sq[kept])
-    assert np.array_equal(thin.v_sq, full.v_sq[kept])
-    assert thin.v_energy_total == full.v_energy_total
-
-
 @pytest.mark.parametrize("kind", ["burgers", "ns2d"])
 def test_recorded_norms_are_the_norms_of_the_recorded_states(kind):
+    # the states are the reference stepper's, on the same increments
     model, cfg, x0 = _setup(kind)
-    traj = S.solve(model, cfg, x0, 1, replicate=2)
-    weight = M.linear_eigenvalues(model)
-    if kind == "ns2d":
-        weight = weight / model.viscosity
-    p = orc.h_weights(x0) * np.abs(traj.states) ** 2
-    axes = tuple(range(1, p.ndim))
-    assert np.allclose(traj.h_sq, p.sum(axis=axes), rtol=1e-13, atol=0.0)
-    assert np.allclose(traj.v_sq, (weight * p).sum(axis=axes), rtol=1e-13, atol=0.0)
-    assert np.array_equal(np.sqrt(np.maximum.accumulate(traj.h_sq)),
-                          traj.sup_h_norm)
+    run = S.solve(model, cfg, x0, 1, replicate=2)
+    inc = N.increment_table(model.noise, cfg.dt, 1, 2, cfg.n_steps)
+    _, states = reference_row(model, cfg, x0, inc)
+    assert run.norms.shape == (cfg.n_steps + 1, 2)
+    assert _close(run.norms, reference_norms(model, states))
+    assert _close(run.paths["terminal"][0], states[-1])
+    assert run.paths["sup_h_total"][0] == np.sqrt(np.max(run.norms[:, 0]))
 
 
 @pytest.mark.parametrize("kind", ["heat", "burgers_clamped", "ns2d"])
 def test_recorded_norms_and_gap_are_the_space_kernel_on_the_states(kind):
     # one form per norm: the step's norms and the coupled gap are the
-    # space's sq_norms of the recorded states, bit for bit
+    # space's sq_norms of the states, bit for bit.  The state after k steps
+    # is the terminal state of the k-step run, whose increments are the
+    # first k rows of the longer run's.
     model, cfg, x0 = _setup(kind)
     space = model.space
     values = np.zeros((cfg.n_steps, model.noise.n_w))
     values[:, 1] = 1.5
     pair = S.solve_block(model, cfg, x0, 4, [2], shifts=(values, None),
-                         record="states")
-    for traj in pair.trajectories:
-        assert np.array_equal(traj.h_sq, space.sq_norms(traj.states))
-        assert np.array_equal(traj.v_sq, space.sq_norms(
-            traj.states, space.laplacian_eigenvalues()))
-    x, y = pair.trajectories
+                         record=True)
+    assert pair.norms[0, 0] == space.sq_norms(x0)
+    gaps = [0.0]
+    for k in range(1, cfg.n_steps + 1):
+        short = S.SolverConfig(dt=cfg.dt, horizon=k * cfg.dt)
+        run = S.solve_block(model, short, x0, 4, [2], shifts=(values[:k], None))
+        x, y = run.paths["terminal"]
+        assert pair.norms[k, 0] == space.sq_norms(x)
+        assert pair.norms[k, 1] == space.sq_norms(x, space.laplacian_eigenvalues())
+        gaps.append(space.sq_norms(x - y))
+        assert run.sup_gap_sq[0] == max(gaps)
     assert pair.sup_gap_sq[0] > 0.0
-    assert pair.sup_gap_sq[0] == np.max(space.sq_norms(x.states - y.states))
+    assert pair.sup_gap_sq[0] == max(gaps)
 
 
 def _simulate_csv(tmp_path, stride, name):
@@ -273,7 +275,9 @@ def test_block_divergence_names_lowest_replicate_without_warnings():
                       increments=np.zeros((cfg.n_steps, 3, 4)))
     assert err.value.replicate == 5
     assert err.value.experiment_seed == 3
-    assert "replicate=5" in str(err.value)
+    assert str(err.value) == ("trajectory diverged at step 8 (t = 4; "
+                              "experiment_seed=3, replicate=5, dt=0.5, "
+                              "unshifted)")
     clone = pickle.loads(pickle.dumps(err.value))
     assert (clone.step, clone.time, clone.replicate, str(clone)) == \
         (err.value.step, err.value.time, 5, str(err.value))

@@ -292,16 +292,16 @@ def test_zero_noise_moments_vanish():
     op = N.NoiseOperator(2, [0.0, 0.0], 1.0)  # zero gains: B = 0
     model = M.heat_model(8, op, f_tilde=0.0)
     cfg = S.SolverConfig(dt=0.01, horizon=0.2)
-    report, _ = K.moment_report(model, cfg, np.zeros(8),
-                                n_replicates=8, refine=False)
-    assert report["base"]["sup_h_moment"]["mean"] == 0.0
-    assert report["base"]["v_energy"]["mean"] == 0.0
+    report, _ = K.moment_report(model, cfg, np.zeros(8), n_replicates=8)
+    for pass_ in ("base", "refined"):
+        assert report[pass_]["sup_h_moment"]["mean"] == 0.0
+        assert report[pass_]["v_energy"]["mean"] == 0.0
+    assert report["pass"]
 
 
 def test_moment_report_stable_under_refinement():
     model, cfg, x0 = small_heat()
-    report, _ = K.moment_report(model, cfg, x0, n_replicates=64, p=2.0,
-                                refine=True)
+    report, _ = K.moment_report(model, cfg, x0, n_replicates=64, p=2.0)
     assert report["pass"], report
     assert report["stable_under_refinement"]
 

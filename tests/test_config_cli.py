@@ -340,6 +340,47 @@ def test_model_keys_the_kind_ignores_are_unknown(tmp_path, capsys, model,
                             {"model": model, "noise": {}}) == problems
 
 
+@pytest.mark.parametrize("sections, problems", [
+    ({"noise": {"gains": "inverse_k", "mode_index": 3}},
+     ["noise.mode_index: unknown key"]),
+    ({"noise": {"n_w": 2, "gains": [1.0, 0.5], "mode_index": 1}},
+     ["noise.mode_index: unknown key"]),
+    ({"noise": {"gains": "ones", "mode_index": 0}},
+     ["noise.gains: expected 'inverse_k', 'single_mode', or a list",
+      "noise.mode_index: must be a positive integer"]),
+    ({"noise": {}, "initial_condition": {"type": "zero", "amplitude": 5.0,
+                                         "mode_index": 2}},
+     ["initial_condition.amplitude: unknown key",
+      "initial_condition.mode_index: unknown key"]),
+    ({"model": {"kind": "ns2d", "cutoff": 4}, "noise": {},
+      "initial_condition": {"type": "taylor_green", "amplitude": 0.5,
+                            "mode_index": 1}},
+     ["initial_condition.mode_index: unknown key"]),
+], ids=["inverse_k", "gain_list", "bad_gains", "zero_start", "taylor_green"])
+def test_noise_and_start_keys_that_do_not_apply_are_unknown(tmp_path, capsys,
+                                                           sections, problems):
+    # noise.mode_index applies to single_mode gains only; the start's
+    # amplitude to mode and taylor_green, its mode_index to mode only
+    doc = {"model": {"kind": "heat", "n_modes": 8}, **sections}
+    assert _listed_problems(tmp_path, capsys, doc) == problems
+
+
+def test_zero_snapshot_stride_exits_2(tmp_path, capsys):
+    doc = {"solver": {"dt": 0.01, "horizon": 0.2, "snapshot_stride": 0}}
+    assert _listed_problems(tmp_path, capsys, doc) == [
+        "solver.snapshot_stride: must be positive"]
+
+
+def test_noise_and_start_keys_that_apply_are_read():
+    cfg = parse_config({
+        "model": {"kind": "heat", "n_modes": 8},
+        "noise": {"n_w": 4, "gains": "single_mode", "mode_index": 3},
+        "initial_condition": {"type": "mode", "amplitude": 0.5,
+                              "mode_index": 2}})
+    assert cfg.model.noise.gains.tolist() == [0.0, 0.0, 1.0, 0.0]
+    assert cfg.x0.tolist() == [0.0, 0.5] + [0.0] * 6
+
+
 @pytest.mark.parametrize("probe, problems", [
     ({"amplitude": "x"}, ["functionals[0].amplitude: expected float"]),
     ({"amplitude": 0.0}, ["bogus: unknown key",

@@ -23,21 +23,26 @@ def sin_pi_x(n_modes):
 def test_zero_initial_state_is_a_fixed_point():
     model = M.heat_model(8, noise_1d(), f_tilde=0.0)
     cfg = S.SolverConfig(dt=0.01, horizon=0.1)
-    traj = S.solve(model, cfg, np.zeros(8), experiment_seed=0,
-                   zero_noise=True)
-    assert np.all(traj.states == 0.0)
-    assert traj.v_energy_total == 0.0
-    assert traj.sup_h_total == 0.0
+    run = S.solve(model, cfg, np.zeros(8), experiment_seed=0,
+                  zero_noise=True)
+    # a state is zero exactly when its H-norm is
+    assert np.all(run.norms == 0.0)
+    assert np.all(run.paths["terminal"] == 0.0)
+    assert run.paths["v_energy_total"][0] == 0.0
+    assert run.paths["sup_h_total"][0] == 0.0
 
 
 def test_initial_state_stored_exactly():
+    # the recorded path starts at the norms of x0 itself, bit for bit
     model = M.burgers_model(8, noise_1d())
     cfg = S.SolverConfig(dt=0.01, horizon=0.05)
     x0 = F.random_fields_1d(1, 8, np.random.default_rng(0))[0]
-    traj = S.solve(model, cfg, x0, experiment_seed=1)
-    assert np.array_equal(traj.states[0], x0)
-    assert traj.times[0] == 0.0
-    assert traj.times[-1] == pytest.approx(0.05, abs=1e-12)
+    run = S.solve(model, cfg, x0, experiment_seed=1)
+    space = model.space
+    assert run.norms.shape == (cfg.n_steps + 1, 2)
+    assert run.norms[0, 0] == space.sq_norms(x0)
+    assert run.norms[0, 1] == space.sq_norms(x0, space.laplacian_eigenvalues())
+    assert len(run.paths) == 1
 
 
 def test_implicit_factor_on_heat_eigenmode():
@@ -45,11 +50,12 @@ def test_implicit_factor_on_heat_eigenmode():
     # (1 + 0.1 pi^2) each step; exact semigroup would give e^{-pi^2}
     model = M.heat_model(4, noise_1d(n_w=2))
     cfg = S.SolverConfig(dt=0.1, horizon=1.0)
-    traj = S.solve(model, cfg, sin_pi_x(4), experiment_seed=0, zero_noise=True)
+    run = S.solve(model, cfg, sin_pi_x(4), experiment_seed=0, zero_noise=True)
+    terminal = run.paths["terminal"][0]
     expected = 2.0**-0.5 / (1.0 + 0.1 * np.pi**2) ** 10
-    assert traj.states[-1][0] == pytest.approx(expected, rel=1e-12)
+    assert terminal[0] == pytest.approx(expected, rel=1e-12)
     assert (1.0 + 0.1 * np.pi**2) ** -10 == pytest.approx(1.0425761721485818e-3, rel=1e-12)
-    assert np.max(np.abs(traj.states[-1][1:])) == 0.0
+    assert np.max(np.abs(terminal[1:])) == 0.0
 
 
 def test_determinism_bitwise():
@@ -58,40 +64,49 @@ def test_determinism_bitwise():
     x0 = F.random_fields_1d(1, 12, np.random.default_rng(3))[0]
     a = S.solve(model, cfg, x0, experiment_seed=9, replicate=4)
     b = S.solve(model, cfg, x0, experiment_seed=9, replicate=4)
-    assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.v_energy, b.v_energy)
+    assert np.array_equal(a.paths, b.paths)
+    assert np.array_equal(a.norms, b.norms)
     c = S.solve(model, cfg, x0, experiment_seed=9, replicate=5)
-    assert not np.array_equal(a.states, c.states)
+    assert not np.array_equal(a.paths["terminal"], c.paths["terminal"])
+    assert not np.array_equal(a.norms, c.norms)
 
 
 def test_v_energy_matches_posthoc_trapezoid():
+    # the running V-energy after k steps is the total of the k-step run,
+    # whose increments are the first k of the longer run's
     model = M.burgers_model(12, noise_1d())
     cfg = S.SolverConfig(dt=0.002, horizon=0.1)
     x0 = F.random_fields_1d(1, 12, np.random.default_rng(5))[0]
-    traj = S.solve(model, cfg, x0, experiment_seed=2)
-    v_sq = model.space.sq_norms(traj.states, model.space.laplacian_eigenvalues())
+    run = S.solve(model, cfg, x0, experiment_seed=2)
+    v_sq = run.norms[:, 1]
     recomputed = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (v_sq[1:] + v_sq[:-1]) * np.diff(traj.times))]
-    )
-    assert np.max(np.abs(recomputed - traj.v_energy)) <= 1e-12 * max(
-        1.0, float(traj.v_energy[-1])
-    )
-    assert np.all(np.diff(traj.v_energy) >= 0.0)
+        [[0.0], np.cumsum(0.5 * (v_sq[1:] + v_sq[:-1]) * cfg.dt)])
+    for k in (1, 7, 25, cfg.n_steps):
+        short = S.SolverConfig(dt=cfg.dt, horizon=k * cfg.dt)
+        total = S.solve(model, short, x0, experiment_seed=2).paths[
+            "v_energy_total"][0]
+        assert abs(recomputed[k] - total) <= 1e-12 * max(1.0, recomputed[-1])
+    assert np.all(v_sq >= 0.0)
 
 
 def test_sup_h_norm_is_running_max():
     model = M.heat_model(8, noise_1d())
     cfg = S.SolverConfig(dt=0.01, horizon=0.2)
-    traj = S.solve(model, cfg, sin_pi_x(8), experiment_seed=7)
-    h = np.sqrt(model.space.sq_norms(traj.states))
-    assert np.allclose(traj.sup_h_norm, np.maximum.accumulate(h), rtol=1e-12)
+    run = S.solve(model, cfg, sin_pi_x(8), experiment_seed=7)
+    h_sq = run.norms[:, 0]
+    assert run.paths["sup_h_total"][0] == np.sqrt(np.max(h_sq))
+    for k in (1, 5, 13):
+        short = S.SolverConfig(dt=cfg.dt, horizon=k * cfg.dt)
+        sup = S.solve(model, short, sin_pi_x(8), experiment_seed=7).paths[
+            "sup_h_total"][0]
+        assert sup == np.sqrt(np.max(h_sq[:k + 1]))
 
 
 def test_burgers_energy_decays_without_noise():
     model = M.burgers_model(16, noise_1d())
     cfg = S.SolverConfig(dt=0.005, horizon=0.25)
-    traj = S.solve(model, cfg, sin_pi_x(16), experiment_seed=0, zero_noise=True)
-    h = np.sqrt(model.space.sq_norms(traj.states))
+    run = S.solve(model, cfg, sin_pi_x(16), experiment_seed=0, zero_noise=True)
+    h = np.sqrt(run.norms[:, 0])
     assert np.all(np.diff(h) < 0.0)
 
 

@@ -153,39 +153,39 @@ def test_simulate_trajectory_is_a_recorded_solve_of_replicate_0(
     capsys.readouterr()
 
     cfg = load_config(str(path))
-    traj = S.solve(cfg.model, cfg.solver, cfg.x0, cfg.experiment_seed, replicate=0)
+    run = S.solve(cfg.model, cfg.solver, cfg.x0, cfg.experiment_seed, replicate=0)
     n_steps = cfg.solver.n_steps
     kept = range(0, n_steps + 1, stride)
-    assert np.array_equal(traj.times[:len(kept)], cfg.solver.dt * np.array(kept))
     expected = [["time", "norm_h", "norm_v"]] + [
-        [repr(float(traj.times[i])), repr(math.sqrt(traj.h_sq[i])),
-         repr(math.sqrt(traj.v_sq[i]))] for i in range(len(kept))]
+        [repr(cfg.solver.dt * k), repr(math.sqrt(run.norms[k, 0])),
+         repr(math.sqrt(run.norms[k, 1]))] for k in kept]
     with open(out / "trajectory_0.csv", newline="") as fh:
         assert list(csv.reader(fh)) == expected
+    first = run.paths[0]
     assert read_report(out)["trajectory"] == {
         "file": "trajectory_0.csv",
         "n_steps": n_steps,
-        "terminal_h_norm": float(np.sqrt(cfg.model.space.sq_norms(traj.terminal))),
-        "sup_h_norm": traj.sup_h_total,
-        "v_energy": traj.v_energy_total,
+        "terminal_h_norm": float(np.sqrt(cfg.model.space.sq_norms(first["terminal"]))),
+        "sup_h_norm": float(first["sup_h_total"]),
+        "v_energy": float(first["v_energy_total"]),
     }
     # one form: the reported norm is the root of the recorded terminal H^2
     assert read_report(out)["trajectory"]["terminal_h_norm"] == \
-        math.sqrt(traj.h_sq[-1])
+        math.sqrt(run.norms[-1, 0])
 
 
-def test_norm_recording_keeps_the_paths_of_state_recording():
+def test_norm_recording_keeps_the_block_paths():
+    # recording changes no row, and records the first row as it would be
+    # recorded alone
     model = M.burgers_model(8, N.NoiseOperator(4, N.gains_inverse_k(4, 1.0), 1.0))
-    cfg = S.SolverConfig(dt=0.01, horizon=0.2, snapshot_stride=7)
+    cfg = S.SolverConfig(dt=0.01, horizon=0.2)
     x0 = F.random_fields_1d(1, 8, np.random.default_rng(1))[0]
-    full = S.solve_block(model, cfg, x0, 2, [3, 4], record="states")
-    thin = S.solve_block(model, cfg, x0, 2, [3, 4], record="norms")
-    assert np.array_equal(full.paths, thin.paths)
-    for a, b in zip(full.trajectories, thin.trajectories):
-        assert b.states is None
-        for name in ("times", "h_sq", "v_sq", "v_energy", "sup_h_norm", "terminal"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
-        assert np.array_equal(a.states[-1], b.terminal)
+    plain = S.solve_block(model, cfg, x0, 2, [3, 4])
+    recorded = S.solve_block(model, cfg, x0, 2, [3, 4], record=True)
+    assert plain.norms is None
+    assert np.array_equal(plain.paths, recorded.paths)
+    assert np.array_equal(recorded.norms,
+                          S.solve(model, cfg, x0, 2, replicate=3).norms)
 
 
 # ---------------------------------------------------------------------------
