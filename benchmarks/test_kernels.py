@@ -1,5 +1,5 @@
 """Micro-benchmarks of the layers: drift kernels, grid transforms, the
-block solver, noise tables, field suites.
+block solver, ensemble passes, noise tables, field suites.
 
 Run with pytest-benchmark (outside the tier-1 ``testpaths``):
 
@@ -8,8 +8,10 @@ Run with pytest-benchmark (outside the tier-1 ``testpaths``):
 Each kernel case times one call on the product grid the solver uses, at
 the sizes of the reference configs and the ``ns2d-k16`` workload.  The
 ``solve_block`` cases time 100 steps of one block, with the increments
-drawn beforehand, so they time the stepping loop alone.  The suite cases
-time what ``audit`` and ``inequalities`` run on the ns2d reference config.
+drawn beforehand, so they time the stepping loop alone.  The ``ensemble``
+cases time whole passes at the sizes of the ``moments-heat`` and
+``t2-burgers`` workloads, noise included.  The suite cases time what
+``audit`` and ``inequalities`` run on the ns2d reference config.
 """
 
 import os
@@ -65,14 +67,31 @@ def _block_case(kind, size):
 
 @pytest.mark.parametrize("kind,size,rows", [
     ("ns2d", 16, 1), ("ns2d", 16, 2), ("ns2d", 16, 8), ("ns2d", 32, 1),
-    ("heat", 32, 8), ("burgers", 32, 8)])
+    ("heat", 32, 8), ("heat", 32, 32), ("burgers", 32, 8),
+    ("burgers", 32, 32)])
 def test_solve_block(benchmark, kind, size, rows):
     model, x0 = _block_case(kind, size)
     cfg = S.SolverConfig(dt=1e-3, horizon=0.1)
-    inc = S.block_increments(model, cfg, 0, range(rows))
+    inc = np.concatenate(list(N.increment_slabs(model.noise, cfg.dt, 0,
+                                                range(rows), cfg.n_steps)))
     block = benchmark(S.solve_block, model, cfg, x0, 0, range(rows),
                       increments=inc)
     assert np.all(np.isfinite(block.paths["v_energy_total"]))
+
+
+@pytest.mark.parametrize("kind,replicates,shifted", [
+    ("heat", 128, False), ("burgers", 64, True)])
+def test_ensemble(benchmark, kind, replicates, shifted):
+    # one pass at the workload's size: 32 modes, n_w = 8, 1000 steps from zero
+    model, _ = _block_case(kind, 32)
+    cfg = S.SolverConfig(dt=1e-3, horizon=1.0)
+    shift = None
+    if shifted:
+        shift = np.zeros((cfg.n_steps, model.noise.n_w))
+        shift[:, 0] = 1.0
+    out = benchmark(S.ensemble, model, cfg, np.zeros(32), 0, range(replicates),
+                    shift=shift)
+    assert out.paths.shape == ((1 + shifted) * replicates,)
 
 
 def test_burgers_nonlinearity(benchmark):
@@ -88,6 +107,14 @@ def test_increment_table(benchmark):
     op = N.NoiseOperator(8, N.gains_inverse_k(8, 1.0), 1.0)
     table = benchmark(N.increment_table, op, 1e-3, 0, 3, 1000)
     assert table.shape == (1000, 8)
+
+
+def test_increment_slab(benchmark):
+    # one slab of one full block
+    op = N.NoiseOperator(8, N.gains_inverse_k(8, 1.0), 1.0)
+    reps = range(S.BLOCK_REPLICATES)
+    slab = benchmark(lambda: next(N.increment_slabs(op, 1e-3, 0, reps, 1000)))
+    assert slab.shape == (N.SLAB_STEPS, S.BLOCK_REPLICATES, 8)
 
 
 def test_norm_inequality_suite_2d(benchmark):

@@ -5,7 +5,11 @@ counter-based: the triple (experiment_seed, replicate, step) addresses a
 fixed block of a Philox stream, so any replicate or step can be produced
 out of order, in parallel, bitwise identically.  Normals come from the
 inverse CDF applied to 53-bit uniforms, one raw draw per normal, which
-keeps the stream position a pure function of the counter.
+keeps the stream position a pure function of the counter.  One drawer
+serves every consumer: ``increment_slabs`` streams a block of replicates
+in slabs of ``SLAB_STEPS`` steps, and ``standard_normal_table`` and
+``increment_table`` are its one-replicate, one-slab case, with the same
+bits row for row.
 
 A noise operator is the U side of B alone: U-coordinate j has gain b_j,
 optionally scaled by a bounded clamp g(||v||_H), and the squared
@@ -25,6 +29,11 @@ from .errors import ParameterError
 
 _MASK64 = (1 << 64) - 1
 _RAWS_PER_TICK = 4  # Philox-4x64 emits four 64-bit words per counter tick
+
+# Steps per slab of ``increment_slabs``.  A code constant: a block holds
+# one slab of its increments at a time, so memory does not grow with the
+# horizon, and the bits do not depend on it.
+SLAB_STEPS = 64
 
 # Replicate-space lanes: high bits of the replicate index partition the
 # stream space between the solver noise and auxiliary consumers, so audits
@@ -66,15 +75,26 @@ def _blocks_per_step(n: int) -> int:
     return -(-n // _RAWS_PER_TICK)
 
 
+def _normal_rows(bitgens, n_steps: int, n: int) -> np.ndarray:
+    """The next n_steps step blocks of n normals from each Philox stream of
+    ``bitgens``, shape (n_steps, P, n) in C order, from one inverse-CDF
+    call.  A step block takes ceil(n / 4) counter ticks and a call reads on
+    where the last one stopped, so the s-th row a stream yields is always
+    its step s block."""
+    width = _blocks_per_step(n) * _RAWS_PER_TICK
+    raw = np.empty((len(bitgens), n_steps * width), dtype=np.uint64)
+    for out, bg in zip(raw, bitgens):
+        out[:] = bg.random_raw(n_steps * width)
+    z = _normals_from_raw(raw).reshape(len(bitgens), n_steps, width)
+    return np.ascontiguousarray(z[:, :, :n].transpose(1, 0, 2))
+
+
 def standard_normal_table(experiment_seed: int, replicate: int,
                           n_steps: int, n: int) -> np.ndarray:
     """All step blocks at once, shape (n_steps, n): row s holds the n
     normals of the (experiment_seed, replicate, step s) block, which starts
     s * ceil(n / 4) counter ticks into the stream."""
-    width = _blocks_per_step(n) * _RAWS_PER_TICK
-    bg = _philox(experiment_seed, replicate)
-    raw = np.asarray(bg.random_raw(n_steps * width), dtype=np.uint64)
-    return _normals_from_raw(raw).reshape(n_steps, width)[:, :n]
+    return _normal_rows([_philox(experiment_seed, replicate)], n_steps, n)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +166,21 @@ def increment_table(op: NoiseOperator, dt: float, experiment_seed: int,
     the ``standard_normal_table`` row of step s."""
     z = standard_normal_table(experiment_seed, replicate, n_steps, op.n_w)
     return np.sqrt(dt) * z
+
+
+def increment_slabs(op: NoiseOperator, dt: float, experiment_seed: int,
+                    replicates, n_steps: int):
+    """The Wiener increments of a block of replicates, in step order, as
+    (L, P, n_w) slabs of L = ``SLAB_STEPS`` steps (the last one shorter).
+    Each replicate keeps its own stream, so row s of replicate i is
+    bitwise row s of its ``increment_table``, and no (n_steps, P, n_w)
+    table is ever held."""
+    bitgens = [_philox(experiment_seed, r) for r in replicates]
+    scale = np.sqrt(dt)
+    for start in range(0, n_steps, SLAB_STEPS):
+        slab = _normal_rows(bitgens, min(SLAB_STEPS, n_steps - start), op.n_w)
+        slab *= scale
+        yield slab
 
 
 def hs_norm(op: NoiseOperator, h_norm):

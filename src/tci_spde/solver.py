@@ -20,15 +20,17 @@ loop on one recorded row.
 
 Every ensemble is one ``ensemble`` pass: it cuts the replicates into
 blocks of ``BLOCK_REPLICATES``, a code constant, so the results do not
-depend on the worker count; it draws each block's increment table once
-(Philox table -> ``block_increments`` -> ``solve_block``, where the space
-embeds B w) and joins the blocks per shift leg.  The deterministic oracles
-drive the same loop with zero increments.  Blow-up raises with the
+depend on the worker count; each block streams its increments in slabs
+(Philox streams -> ``noise.increment_slabs`` -> ``solve_block``, where the
+space embeds B w), so no pass holds a whole (n_steps, P, n_w) table, and
+the blocks are joined per shift leg.  The deterministic oracles drive the
+same loop with zero increments.  Blow-up raises with the
 (experiment_seed, replicate, step) address instead of propagating NaNs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -38,13 +40,13 @@ import numpy as np
 from .errors import DivergenceError, ParameterError
 from .models import (ModelSpec, explicit_drift, linear_eigenvalues,
                      taylor_green_field)
-from .noise import increment_table
+from .noise import increment_slabs, increment_table
 from .parallel import parallel_map
 
 # Replicates per block.  A code constant, never derived from the worker
 # count, so every replicate is stepped in the same block (the rows that
 # share its batched transforms and products) whatever the worker count.
-BLOCK_REPLICATES = 8
+BLOCK_REPLICATES = 32
 
 
 @dataclass(frozen=True)
@@ -86,17 +88,6 @@ def _path_summaries(v_energy, sup_h, terminal) -> np.ndarray:
     return out
 
 
-def block_increments(model: ModelSpec, cfg: SolverConfig, experiment_seed: int,
-                     replicates) -> np.ndarray:
-    """The (n_steps, P, n_w) Wiener increments of P replicates, each drawn
-    from its own (experiment_seed, replicate) stream."""
-    op = model.noise
-    out = np.empty((cfg.n_steps, len(replicates), op.n_w))
-    for i, r in enumerate(replicates):
-        out[:, i] = increment_table(op, cfg.dt, experiment_seed, r, cfg.n_steps)
-    return out
-
-
 @dataclass
 class Block:
     """Results of one block, or of an ``ensemble`` pass joined from its
@@ -117,19 +108,23 @@ class Block:
     pairing: np.ndarray | None = None
 
 
+_ROWS_MESSAGE = "increments must be n_steps rows of shape (replicates, n_w)"
+
+
 def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
-                replicates, increments: np.ndarray | None = None,
-                shifts=(None,), record: bool = False) -> Block:
+                replicates, increments=None, shifts=(None,),
+                record: bool = False) -> Block:
     """Advance every (shift leg, replicate) row of one block in lockstep.
 
     Every row starts from ``x0``, a raw state that ``model.space.check``
-    validates.  ``increments`` holds the Wiener increments of the
-    replicates, shape (n_steps, P, n_w); by default each replicate draws
-    its own from (experiment_seed, replicate), so any row is reproducible
-    on its own.  All legs share them.  Each entry of
-    ``shifts`` is None or the (n_steps, n_w) values h(t_k) of a Girsanov
-    shift, applied per step as dW_k + dt h(t_k).  Two legs also give the
-    running sup of the squared H-gap between them.
+    validates.  ``increments`` gives the Wiener increments of the
+    replicates as n_steps per-step arrays of shape (P, n_w), from any
+    iterable: a full (n_steps, P, n_w) array, or by default the slabs
+    ``noise.increment_slabs`` draws from each (experiment_seed, replicate)
+    stream, so any row is reproducible on its own.  All legs share them.
+    Each entry of ``shifts`` is None or the (n_steps, n_w) values h(t_k)
+    of a Girsanov shift, applied per step as dW_k + dt h(t_k).  Two legs
+    also give the running sup of the squared H-gap between them.
 
     ``record`` keeps the first row's squared norms at every step as
     ``norms``.
@@ -140,10 +135,11 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     space = model.space
     x0_raw = space.check(x0)
 
-    inc = block_increments(model, cfg, experiment_seed, replicates) \
-        if increments is None else increments
-    if inc.shape != (M, n_rep, op.n_w):
-        raise ParameterError("increments must have shape (n_steps, replicates, n_w)")
+    if increments is None:
+        increments = itertools.chain.from_iterable(increment_slabs(
+            op, dt, experiment_seed, replicates, M))
+    rows = iter(increments)
+    row_shape = (n_rep, op.n_w)
     for h in shifts:
         if h is not None and h.shape != (M, op.n_w):
             raise ParameterError("shift values must have shape (n_steps, n_w)")
@@ -172,9 +168,11 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(M):
+            dw = next(rows, None)
+            if dw is None or dw.shape != row_shape:
+                raise ParameterError(_ROWS_MESSAGE)
             expl = explicit_drift(model, state)
-            w = [inc[k] if dth is None else inc[k] + dth[k]
-                 for dth in shift_steps]
+            w = [dw if dth is None else dw + dth[k] for dth in shift_steps]
             w = w[0] if len(w) == 1 else np.concatenate(w)
             if op.clamp is not None:
                 w = op.g(np.sqrt(h_sq))[:, None] * w
@@ -208,6 +206,8 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
                            out=sup_gap)
             if norms is not None:
                 norms[k + 1] = hv[:, 0]
+    if next(rows, None) is not None:
+        raise ParameterError(_ROWS_MESSAGE)
 
     sup_h = np.sqrt(sup_h_sq)
     return Block(paths=_path_summaries(v_energy, sup_h, state),
@@ -217,17 +217,23 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
 def _ensemble_block(replicates, model, cfg, x0, experiment_seed, shift,
                     record_rep):
     """One block of ``ensemble``, or the DivergenceError it raised; the
-    block records its first row if that is replicate ``record_rep``."""
-    inc = block_increments(model, cfg, experiment_seed, replicates)
+    block records its first row if that is replicate ``record_rep``.
+
+    The pairing sum_k <h(t_k), dW_k> is one pairwise sum over a
+    replicate's whole increment column, which slabs cannot give bitwise,
+    so a shifted block first draws each replicate's column on its own."""
+    pairing = None
+    if shift is not None:
+        pairing = np.array([np.sum(shift * increment_table(
+            model.noise, cfg.dt, experiment_seed, r, cfg.n_steps))
+            for r in replicates])
     try:
         block = solve_block(model, cfg, x0, experiment_seed, replicates,
-                            increments=inc, record=replicates[0] == record_rep,
+                            record=replicates[0] == record_rep,
                             shifts=(None,) if shift is None else (shift, None))
     except DivergenceError as exc:
         return exc
-    if shift is not None:
-        block.pairing = np.array([np.sum(shift * inc[:, i])
-                                  for i in range(len(replicates))])
+    block.pairing = pairing
     return block
 
 
@@ -238,8 +244,9 @@ def ensemble(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     consecutive blocks of ``BLOCK_REPLICATES`` fanned out by
     ``parallel_map``, joined per leg into one leg-major Block.
 
-    Each block draws its increment table once (``block_increments``) and
-    steps it with ``solve_block``.  With ``shift``, the (n_steps, n_w)
+    Each block streams its increments in slabs (``noise.increment_slabs``)
+    through ``solve_block``, so memory does not grow with the horizon times
+    the block size.  With ``shift``, the (n_steps, n_w)
     values h(t_k) of a Girsanov shift, the same increments drive a shifted
     and an unshifted leg, and ``pairing`` holds each replicate's
     sum_k <h(t_k), dW_k>.  With ``record``, the first block records its

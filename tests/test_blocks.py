@@ -22,7 +22,7 @@ from tci_spde import models as M
 from tci_spde import noise as N
 from tci_spde import solver as S
 from tci_spde.cli import main
-from tci_spde.errors import DivergenceError, InvalidFieldError
+from tci_spde.errors import DivergenceError, InvalidFieldError, ParameterError
 
 import oracles as orc
 from test_config_cli import BASE, read_report
@@ -105,9 +105,16 @@ def _close(a, b, rel=1e-12):
     return np.max(np.abs(a - b)) <= rel * max(1.0, np.max(np.abs(b)))
 
 
+def _across_slabs(cfg):
+    """``cfg`` with a horizon of SLAB_STEPS + 6 steps, so the increments come
+    in a full slab and a short one."""
+    return S.SolverConfig(dt=cfg.dt, horizon=(N.SLAB_STEPS + 6) * cfg.dt)
+
+
 @pytest.mark.parametrize("kind", ["heat", "burgers", "burgers_clamped", "ns2d"])
 def test_coupled_blocks_match_row_by_row_stepping(kind):
     model, cfg, x0 = _setup(kind)
+    cfg = _across_slabs(cfg)
     n_w = model.noise.n_w
     # a shift switched off half way, so the gap peaks before the horizon
     values = np.zeros((cfg.n_steps + 1, n_w))
@@ -142,6 +149,38 @@ def test_plain_blocks_match_row_by_row_stepping(kind):
         assert _close(block.paths[row]["terminal"], states[-1])
         assert _close(S.solve(model, cfg, x0, 3, replicate=r).norms,
                       reference_norms(model, states))
+
+
+@pytest.mark.parametrize("kind", ["heat", "burgers_clamped", "ns2d"])
+def test_ensemble_blocks_match_row_by_row_stepping(kind):
+    model, cfg, x0 = _setup(kind)
+    cfg = _across_slabs(cfg)
+    n_rep = S.BLOCK_REPLICATES + 3   # a full block and a partial one
+    ens = S.ensemble(model, cfg, x0, 3, range(n_rep))
+    for r in range(n_rep):
+        inc = N.increment_table(model.noise, cfg.dt, 3, r, cfg.n_steps)
+        v, states = reference_row(model, cfg, x0, inc)
+        assert _close(ens.paths[r]["v_energy_total"], v)
+        assert _close(ens.paths[r]["sup_h_total"], sup_h(states))
+        assert _close(ens.paths[r]["terminal"], states[-1])
+
+
+def test_solve_block_takes_increment_rows_from_any_iterable():
+    # the drawer's slabs, a full table and a generator of its rows give the
+    # same bits; a wrong row count or row shape is refused
+    model, cfg, x0 = _setup("burgers_clamped")
+    cfg = _across_slabs(cfg)
+    reps = [4, 1, 7]
+    table = np.stack([N.increment_table(model.noise, cfg.dt, 2, r, cfg.n_steps)
+                      for r in reps], axis=1)
+    drawn = S.solve_block(model, cfg, x0, 2, reps).paths
+    assert np.array_equal(S.solve_block(model, cfg, x0, 2, reps,
+                                        increments=table).paths, drawn)
+    assert np.array_equal(S.solve_block(model, cfg, x0, 2, reps,
+                                        increments=iter(table)).paths, drawn)
+    for bad in (table[:-1], np.concatenate([table, table[:1]]), table[:, :2]):
+        with pytest.raises(ParameterError, match="n_steps rows of shape"):
+            S.solve_block(model, cfg, x0, 2, reps, increments=bad)
 
 
 def test_block_rows_do_not_depend_on_block_company():

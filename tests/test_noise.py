@@ -38,6 +38,54 @@ def test_normal_table_matches_block_addressing():
             assert np.array_equal(table[step], O.standard_normals(11, 5, step, n))
 
 
+@pytest.mark.parametrize("n_steps,n_w,n_rep", [
+    (1000, 8, 3),                        # 15 full slabs, then 40 steps
+    (10, 8, 3),                          # one slab, shorter than SLAB_STEPS
+    (130, 5, 3),                         # rows padded to 8 raw words
+    (130, 9, 1),                         # one replicate
+    (130, 3, S.BLOCK_REPLICATES + 3)])   # more than a full block
+def test_slabs_are_the_table_rows(n_steps, n_w, n_rep):
+    op = N.NoiseOperator(n_w, N.gains_inverse_k(n_w, 1.0), 1.0)
+    reps = [3 * i + 1 for i in range(n_rep)]
+    slabs = list(N.increment_slabs(op, 0.01, 5, reps, n_steps))
+    full, last = divmod(n_steps, N.SLAB_STEPS)
+    assert [len(s) for s in slabs] == [N.SLAB_STEPS] * full + [last] * (last > 0)
+    tables = [N.standard_normal_table(5, r, n_steps, n_w) for r in reps]
+    start = 0
+    for slab in slabs:
+        assert slab.shape == (len(slab), n_rep, n_w)
+        for i, table in enumerate(tables):
+            assert np.array_equal(slab[:, i],
+                                  np.sqrt(0.01) * table[start:start + len(slab)])
+        start += len(slab)
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_no_pass_draws_more_than_a_slab_or_a_column(monkeypatch, shifted):
+    # the noise of a pass is drawn a slab of one block at a time, and a
+    # shifted pass adds one replicate's column per replicate for its
+    # pairing; a whole (n_steps, P, n_w) table would be 200 / 64 slabs
+    sizes = []
+    normals_from_raw = N._normals_from_raw
+
+    def spy(raw):
+        sizes.append(raw.size)
+        return normals_from_raw(raw)
+
+    monkeypatch.setattr(N, "_normals_from_raw", spy)
+    monkeypatch.setenv("TCI_SPDE_WORKERS", "1")
+    op = N.NoiseOperator(8, N.gains_inverse_k(8, 1.0), 1.0)
+    model = M.heat_model(8, op)
+    cfg = S.SolverConfig(dt=1e-3, horizon=0.2)
+    n_rep = 2 * S.BLOCK_REPLICATES + 3
+    shift = np.ones((cfg.n_steps, 8)) if shifted else None
+    S.ensemble(model, cfg, np.zeros(8), 1, range(n_rep), shift=shift)
+    slab, column = N.SLAB_STEPS * S.BLOCK_REPLICATES * 8, cfg.n_steps * 8
+    assert max(sizes) == slab
+    assert sizes.count(column) == (n_rep if shifted else 0)
+    assert sum(sizes) == (1 + shifted) * n_rep * column
+
+
 def test_increment_variance_matches_dt():
     dt = 4e-4
     draws = N.standard_normal_table(1, 0, n_steps=25000, n=4).ravel() * np.sqrt(dt)
