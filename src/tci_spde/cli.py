@@ -249,16 +249,18 @@ def _run_inequalities(cfg: ExperimentConfig) -> dict:
 # entry point
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(f"not JSON-serializable: {type(obj)!r}")
+def _strict_json(obj):
+    """``obj`` with NumPy values as Python ones and every non-finite float
+    as the string "inf", "-inf" or "nan", so the report is RFC 8259 JSON."""
+    if isinstance(obj, dict):
+        return {key: _strict_json(val) for key, val in obj.items()}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(item) for item in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
 
 
 def _emit(report: dict, cfg: ExperimentConfig, subcommand: str,
@@ -275,7 +277,8 @@ def _emit(report: dict, cfg: ExperimentConfig, subcommand: str,
         datetime.timezone.utc).isoformat()
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2, default=_jsonable)
+        json.dump(_strict_json(report), fh, sort_keys=True, indent=2,
+                  allow_nan=False)
         fh.write("\n")
     print(f"{subcommand}: config {cfg.hash[:12]} -> {path}")
     for key in sorted(report):

@@ -79,6 +79,9 @@ class _Reader:
             self.problems.append(f"{self._path(key)}: expected "
                                  + " or ".join(k.__name__ for k in names))
             return None
+        if isinstance(val, float) and not math.isfinite(val):
+            self.problems.append(f"{self._path(key)}: must be finite")
+            return None
         if check is not None and not check(val):
             self.problems.append(f"{self._path(key)}: {describe}")
             return None
@@ -311,7 +314,7 @@ def _build_functionals(reader: _Reader, model):
         idx = entry.get("mode_index", int, default=1,
                         check=lambda v: v >= 1, describe="out of range")
         amp = entry.get("amplitude", float, default=1.0,
-                        check=lambda v: v != 0 and math.isfinite(v),
+                        check=lambda v: v != 0,
                         describe="must be finite and nonzero")
         entry.close()
         if model is None or model.kind == "ns2d":

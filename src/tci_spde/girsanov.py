@@ -100,10 +100,10 @@ def _check_shift(model: ModelSpec, cfg: SolverConfig, h: ShiftFunction):
 def coupled_ensemble(model: ModelSpec, cfg: SolverConfig, x0, h: ShiftFunction,
                      n_replicates: int, experiment_seed: int) -> dict:
     """Replicate arrays for the coupling checks, from one shifted
-    ``solver.ensemble`` pass: each replicate's increment table is drawn
-    once and drives both legs and its log-density.  ``shifted`` and
-    ``unshifted`` hold per-replicate path summaries on which any
-    functional can be evaluated.
+    ``solver.ensemble`` pass: each replicate's increments are drawn once
+    and drive both legs and, through the pairing that the step loop sums,
+    its log-density.  ``shifted`` and ``unshifted`` hold per-replicate path
+    summaries on which any functional can be evaluated.
     """
     _check_shift(model, cfg, h)
     rows = h.dynamic_rows()

@@ -36,11 +36,10 @@ _RAWS_PER_TICK = 4  # Philox-4x64 emits four 64-bit words per counter tick
 SLAB_STEPS = 64
 
 # Replicate-space lanes: high bits of the replicate index partition the
-# stream space between the solver noise and auxiliary consumers, so audits
-# and control ensembles never collide with trajectory increments.
+# stream space between the solver noise and auxiliary consumers, so field
+# draws and the refined moment pass never collide with trajectory increments.
 LANE_NOISE = 0
 LANE_FIELDS = 1
-LANE_CONTROL = 2
 LANE_REFINED = 3
 
 

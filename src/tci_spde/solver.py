@@ -11,21 +11,20 @@ is an optional Girsanov shift.
 
 One loop, ``solve_block``, advances a block of replicates at once: the
 state carries a leading row axis, and running reductions (trapezoid
-V-energy, sup H-norm, terminal state, and for coupled blocks the sup of
-the squared gap between shifted and unshifted rows) replace stored paths.
-No state but the terminal one is kept: a recorded block keeps its first
-row's squared H- and V-norms at every step, so an ensemble yields one
-replicate's norm path without solving it twice, and ``solve`` is that
-loop on one recorded row.
+V-energy, sup H-norm, terminal state, the sup of the squared gap between
+shifted and unshifted rows, the Girsanov pairing sum_k <h(t_k), dW_k>)
+replace stored paths.  No state but the terminal one is kept: a recorded
+block keeps its first row's squared H- and V-norms at every step, so an
+ensemble yields one replicate's norm path without solving it twice, and
+``solve`` is that loop on one recorded row.
 
 Every ensemble is one ``ensemble`` pass: it cuts the replicates into
 blocks of ``BLOCK_REPLICATES``, a code constant, so the results do not
 depend on the worker count; each block streams its increments in slabs
 (Philox streams -> ``noise.increment_slabs`` -> ``solve_block``, where the
-space embeds B w), so no pass holds a whole (n_steps, P, n_w) table, and
-the blocks are joined per shift leg.  The deterministic oracles drive the
-same loop with zero increments.  Blow-up raises with the
-(experiment_seed, replicate, step) address instead of propagating NaNs.
+space embeds B w), drawing each once, and the blocks are joined per shift
+leg.  The deterministic oracles drive the same loop with zero increments.
+Blow-up raises with the (experiment_seed, replicate, step) address, not NaNs.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import numpy as np
 from .errors import DivergenceError, ParameterError
 from .models import (ModelSpec, explicit_drift, linear_eigenvalues,
                      taylor_green_field)
-from .noise import increment_slabs, increment_table
+from .noise import increment_slabs
 from .parallel import parallel_map
 
 # Replicates per block.  A code constant, never derived from the worker
@@ -98,8 +97,8 @@ class Block:
     blocks only) the per-replicate sup_t ||X_leg0 - X_leg1||_H^2;
     ``norms`` (recorded blocks only) the first row's (||X_k||_H^2,
     ||X_k||_V^2) at every step k = 0..n_steps, shape (n_steps + 1, 2);
-    ``pairing`` (shifted ``ensemble`` passes only) the per-replicate
-    sum_k <h(t_k), dW_k>.
+    ``pairing`` (blocks whose first leg is shifted) the per-replicate
+    sum_k <h(t_k), dW_k> of the drawn increments, summed in step order.
     """
 
     paths: np.ndarray
@@ -124,7 +123,9 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     stream, so any row is reproducible on its own.  All legs share them.
     Each entry of ``shifts`` is None or the (n_steps, n_w) values h(t_k)
     of a Girsanov shift, applied per step as dW_k + dt h(t_k).  Two legs
-    also give the running sup of the squared H-gap between them.
+    also give the running sup of the squared H-gap between them, and a
+    shifted first leg the pairing, summed row by row: alone or in any
+    block, a row's pairing has the same bits.
 
     ``record`` keeps the first row's squared norms at every step as
     ``norms``.
@@ -159,6 +160,7 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     v_energy = np.zeros(len(state))
     sup_h_sq = h_sq.copy()
     sup_gap = np.zeros(n_rep) if len(shifts) == 2 else None
+    pairing = None if shifts[0] is None else np.zeros(n_rep)
     shift_steps = [None if h is None else dt * h for h in shifts]
 
     norms = None
@@ -171,6 +173,8 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
             dw = next(rows, None)
             if dw is None or dw.shape != row_shape:
                 raise ParameterError(_ROWS_MESSAGE)
+            if pairing is not None:
+                pairing += np.sum(dw * shifts[0][k], axis=-1)
             expl = explicit_drift(model, state)
             w = [dw if dth is None else dw + dth[k] for dth in shift_steps]
             w = w[0] if len(w) == 1 else np.concatenate(w)
@@ -211,30 +215,19 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
 
     sup_h = np.sqrt(sup_h_sq)
     return Block(paths=_path_summaries(v_energy, sup_h, state),
-                 sup_gap_sq=sup_gap, norms=norms)
+                 sup_gap_sq=sup_gap, norms=norms, pairing=pairing)
 
 
 def _ensemble_block(replicates, model, cfg, x0, experiment_seed, shift,
                     record_rep):
     """One block of ``ensemble``, or the DivergenceError it raised; the
-    block records its first row if that is replicate ``record_rep``.
-
-    The pairing sum_k <h(t_k), dW_k> is one pairwise sum over a
-    replicate's whole increment column, which slabs cannot give bitwise,
-    so a shifted block first draws each replicate's column on its own."""
-    pairing = None
-    if shift is not None:
-        pairing = np.array([np.sum(shift * increment_table(
-            model.noise, cfg.dt, experiment_seed, r, cfg.n_steps))
-            for r in replicates])
+    block records its first row if that is replicate ``record_rep``."""
     try:
-        block = solve_block(model, cfg, x0, experiment_seed, replicates,
-                            record=replicates[0] == record_rep,
-                            shifts=(None,) if shift is None else (shift, None))
+        return solve_block(model, cfg, x0, experiment_seed, replicates,
+                           record=replicates[0] == record_rep,
+                           shifts=(None,) if shift is None else (shift, None))
     except DivergenceError as exc:
         return exc
-    block.pairing = pairing
-    return block
 
 
 def ensemble(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
@@ -246,12 +239,12 @@ def ensemble(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
 
     Each block streams its increments in slabs (``noise.increment_slabs``)
     through ``solve_block``, so memory does not grow with the horizon times
-    the block size.  With ``shift``, the (n_steps, n_w)
-    values h(t_k) of a Girsanov shift, the same increments drive a shifted
-    and an unshifted leg, and ``pairing`` holds each replicate's
-    sum_k <h(t_k), dW_k>.  With ``record``, the first block records its
-    first row, so ``norms`` is the norm path of the first replicate (on
-    the shifted leg, if there is a shift).
+    the block size.  With ``shift``, the (n_steps, n_w) values h(t_k) of a
+    Girsanov shift, the same increments, drawn once, drive a shifted and an
+    unshifted leg, and ``pairing`` holds each replicate's
+    sum_k <h(t_k), dW_k>, summed in the step loop.  With ``record``, the
+    first block records its first row, so ``norms`` is the norm path of the
+    first replicate (on the shifted leg, if there is a shift).
 
     Every block runs even when one diverges; the error re-raised is the
     earliest divergence, lowest replicate first at equal steps, so it does
@@ -286,7 +279,8 @@ def solve(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     The Wiener increments are addressed by (experiment_seed, replicate)
     and the step index, so replicates are reproducible independently of
     execution order.  ``shift_values`` holds h(t_k) rows for a Girsanov
-    shift; ``zero_noise`` drives the path with zero increments.
+    shift, and then ``pairing`` the row's sum_k <h(t_k), dW_k>;
+    ``zero_noise`` drives the path with zero increments.
     """
     zero = np.zeros((cfg.n_steps, 1, model.noise.n_w)) if zero_noise else None
     return solve_block(model, cfg, x0, experiment_seed, [replicate],

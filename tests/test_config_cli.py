@@ -295,6 +295,60 @@ def test_type_mismatch_names_the_expected_type(tmp_path, capsys):
     assert "must be" not in err
 
 
+@pytest.mark.parametrize("subcommand, entries", [
+    ("simulate", [("initial_condition", "amplitude", "1e999")]),
+    ("verify-t2", [("initial_condition", "amplitude", "-1e999")]),
+    ("constants", [("t1", "lambda0", "Infinity")]),
+    ("verify-t2", [("noise", "c_b", "NaN"), ("solver", "horizon", "Infinity"),
+                   ("shift", "amplitude", "-Infinity")]),
+], ids=["amplitude_overflow", "negative_overflow", "lambda0_infinity",
+        "every_key_listed"])
+def test_non_finite_numbers_exit_2(tmp_path, capsys, subcommand, entries):
+    # JSON readers take Infinity, NaN and overflowing literals as floats;
+    # each float key refuses them by name
+    overrides = {"initial_condition": {"type": "mode"}}
+    for section, key, _ in entries:
+        overrides.setdefault(section, {})[key] = f"@{section}.{key}@"
+    path = write_config(tmp_path, overrides)
+    with open(path) as fh:
+        text = fh.read()
+    for section, key, literal in entries:
+        text = text.replace(f'"@{section}.{key}@"', literal)
+    with open(path, "w") as fh:
+        fh.write(text)
+    code = main([subcommand, "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    for section, key, _ in entries:
+        assert f"{section}.{key}: must be finite" in err
+
+
+def test_infinite_bounds_are_written_as_strict_json(tmp_path, capsys):
+    # at clamp 0.1, K2 = 100 and the T2 constant overflows; the report keeps
+    # its verdicts and writes each infinite number as the string "inf"
+    with open(os.path.join(CONFIG_DIR, "heat_reference.json")) as fh:
+        doc = json.load(fh)
+    doc["noise"]["clamp"] = 0.1
+    doc["initial_condition"] = {"type": "mode", "mode_index": 1,
+                                "amplitude": 1.0}
+    doc["replicates"] = 64
+    path = tmp_path / "clamped.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["verify-t2", "--config", str(path), "--out", str(out)]) == 0
+    text = (out / "report.json").read_text()
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    report = json.loads(text, parse_constant=refuse)
+    assert report["all_passed"] is True
+    assert report["contraction"]["t2_constant"] == "inf"
+    assert report["contraction"]["pass"] is True
+    assert text.count('"inf"') == 6
+    capsys.readouterr()
+
+
 def _listed_problems(tmp_path, capsys, doc):
     """The problems parse_config lists for ``doc``, after checking that the
     CLI exits 2 on it and prints each of them."""

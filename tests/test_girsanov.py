@@ -154,11 +154,30 @@ def test_coupled_ensemble_matches_single_pairs():
         assert ens["sup_gap_sq"][r] == pair.sup_gap_sq[0]
         assert ens["shifted"][r] == pair.paths[0]
         assert ens["unshifted"][r] == pair.paths[1]
-        # log M_T = sum <h, dW> + dt sum ||h||^2 - H(Q | P), dW the drawn increments
+        # log M_T = sum <h, dW> + dt sum ||h||^2 - H(Q | P), dW the drawn
+        # increments, the pairing summed in step order
         inc = N.increment_table(model.noise, cfg.dt, 3, r, cfg.n_steps)
-        pairing = float(np.sum(rows * inc))
+        pairing = 0.0
+        for k in range(cfg.n_steps):
+            pairing += np.sum(rows[k] * inc[k])
         assert ens["log_rn"][r] == pairing + i_left - G.shift_entropy(h)
         assert ens["log_rn_base_view"][r] == pairing - 0.5 * i_left
+
+
+def test_pairing_of_one_replicate_matches_its_row_of_a_coupled_pass():
+    # each step's term is summed over the row's n_w = 9 coordinates, so a
+    # replicate solved alone gives its pairing in a full block or a partial
+    # one bitwise, across a slab boundary
+    op = N.NoiseOperator(9, N.gains_inverse_k(9, 1.0), 1.0)
+    model, x0 = M.heat_model(16, op), np.zeros(16)
+    cfg = S.SolverConfig(dt=0.01, horizon=(N.SLAB_STEPS + 6) * 0.01)
+    rows = np.random.default_rng(5).normal(size=(cfg.n_steps, 9))
+    n_rep = S.BLOCK_REPLICATES + 3
+    ens = S.ensemble(model, cfg, x0, 3, range(n_rep), shift=rows)
+    assert np.all(ens.pairing != 0.0)
+    for r in range(n_rep):
+        alone = S.solve(model, cfg, x0, 3, replicate=r, shift_values=rows)
+        assert alone.pairing[0] == ens.pairing[r]
 
 
 def t2_value(model, cfg):

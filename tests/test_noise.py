@@ -62,9 +62,10 @@ def test_slabs_are_the_table_rows(n_steps, n_w, n_rep):
 
 @pytest.mark.parametrize("shifted", [False, True])
 def test_no_pass_draws_more_than_a_slab_or_a_column(monkeypatch, shifted):
-    # the noise of a pass is drawn a slab of one block at a time, and a
-    # shifted pass adds one replicate's column per replicate for its
-    # pairing; a whole (n_steps, P, n_w) table would be 200 / 64 slabs
+    # the noise of a pass is drawn a slab of one block at a time, and each
+    # increment once: a shifted pass makes the same draws as an unshifted
+    # pass of the same replicates; a whole (n_steps, P, n_w) table would be
+    # 200 / 64 slabs
     sizes = []
     normals_from_raw = N._normals_from_raw
 
@@ -78,12 +79,18 @@ def test_no_pass_draws_more_than_a_slab_or_a_column(monkeypatch, shifted):
     model = M.heat_model(8, op)
     cfg = S.SolverConfig(dt=1e-3, horizon=0.2)
     n_rep = 2 * S.BLOCK_REPLICATES + 3
-    shift = np.ones((cfg.n_steps, 8)) if shifted else None
-    S.ensemble(model, cfg, np.zeros(8), 1, range(n_rep), shift=shift)
+
+    def pass_draws(shift):
+        sizes.clear()
+        S.ensemble(model, cfg, np.zeros(8), 1, range(n_rep), shift=shift)
+        return list(sizes)
+
+    drawn = pass_draws(np.ones((cfg.n_steps, 8)) if shifted else None)
     slab, column = N.SLAB_STEPS * S.BLOCK_REPLICATES * 8, cfg.n_steps * 8
-    assert max(sizes) == slab
-    assert sizes.count(column) == (n_rep if shifted else 0)
-    assert sum(sizes) == (1 + shifted) * n_rep * column
+    assert max(drawn) == slab
+    assert sum(drawn) == n_rep * column
+    if shifted:
+        assert drawn == pass_draws(None)
 
 
 def test_increment_variance_matches_dt():
