@@ -103,12 +103,6 @@ def test_burgers_nonlinearity(benchmark):
     assert out.shape == coeffs.shape
 
 
-def test_increment_table(benchmark):
-    op = N.NoiseOperator(8, N.gains_inverse_k(8, 1.0), 1.0)
-    table = benchmark(N.increment_table, op, 1e-3, 0, 3, 1000)
-    assert table.shape == (1000, 8)
-
-
 def test_increment_slab(benchmark):
     # one slab of one full block
     op = N.NoiseOperator(8, N.gains_inverse_k(8, 1.0), 1.0)

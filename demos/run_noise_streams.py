@@ -8,28 +8,34 @@ Hilbert-Schmidt budget.
 import numpy as np
 
 from tci_spde.fields import TorusSpace
-from tci_spde.noise import (LANE_NOISE, NoiseOperator, derived_replicate,
-                            gains_inverse_k, gains_single_mode, generator,
-                            hs_norm, increment_table)
+from tci_spde.noise import (LANE_NOISE, SLAB_STEPS, NoiseOperator,
+                            derived_replicate, gains_inverse_k,
+                            gains_single_mode, generator, hs_norm,
+                            increment_slabs)
 
 SEED = 42
 DT = 1e-3
 
 op = NoiseOperator(4, gains_inverse_k(4, 2.5), 2.5)
 
-# drawing replicate 7 first or last gives the same numbers
-inc_a = increment_table(op, DT, SEED, replicate=7, n_steps=4)
-for rep in (0, 1, 2):
-    increment_table(op, DT, SEED, replicate=rep, n_steps=4)
-inc_b = increment_table(op, DT, SEED, replicate=7, n_steps=4)
-print(f"replicate 7, drawn twice with other draws between: "
+
+def table(replicates, n_steps):
+    """(n_steps, P, n_w) increments of a block of replicates."""
+    return np.concatenate(list(increment_slabs(op, DT, SEED, replicates,
+                                               n_steps)))
+
+
+# replicate 7 drawn alone or in a block with others gives the same numbers
+inc_a = table([7], 4)[:, 0]
+inc_b = table([0, 1, 2, 7], 4)[:, 3]
+print(f"replicate 7, drawn alone and in a block of four: "
       f"identical? {np.array_equal(inc_a, inc_b)}")
 
-table = increment_table(op, DT, SEED, replicate=7, n_steps=10)
-print(f"a 10-step table starts with the 4-step one? "
-      f"{np.array_equal(table[:4], inc_a)}")
+longer = table([7], 2 * SLAB_STEPS)[:, 0]
+print(f"a {2 * SLAB_STEPS}-step table, drawn in two slabs, starts with the "
+      f"4-step one? {np.array_equal(longer[:4], inc_a)}")
 
-draws = increment_table(op, DT, SEED, replicate=0, n_steps=20000)
+draws = table([0], 20000)
 print(f"increment variance {draws.var():.2e} (target dt = {DT:.2e})")
 
 # lanes keep field sampling, noise, and refinement streams disjoint

@@ -29,8 +29,7 @@ from .models import (ETA_1D, ETA_2D, AssumptionConstants, ModelSpec,
                      ns2d_model, ns_advection, t1_feasibility,
                      taylor_green_field)
 from .noise import (NoiseOperator, derived_replicate, gains_inverse_k,
-                    gains_single_mode, generator, hs_norm, increment_table,
-                    standard_normal_table)
+                    gains_single_mode, generator, hs_norm, increment_slabs)
 from .solver import (BLOCK_REPLICATES, SolverConfig, heat_convergence_report,
                      solve, solve_block, taylor_green_report)
 

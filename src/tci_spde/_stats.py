@@ -17,13 +17,19 @@ def fsum_mean(values) -> float:
 
 
 def mean_and_stderr(values) -> tuple[float, float]:
-    """Sample mean and standard error of the mean."""
+    """Sample mean and standard error of the mean; the error is inf when
+    the sample variance exceeds the float range."""
     arr = np.asarray(values, dtype=np.float64)
     n = arr.size
     mean = math.fsum(arr) / n
     if n < 2:
         return mean, float("inf")
-    var = math.fsum((arr - mean) ** 2) / (n - 1)
+    with np.errstate(over="ignore"):
+        dev_sq = (arr - mean) ** 2
+    try:
+        var = math.fsum(dev_sq) / (n - 1)
+    except OverflowError:  # finite squares whose sum overflows
+        var = math.inf
     return mean, math.sqrt(var / n)
 
 

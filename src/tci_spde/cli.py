@@ -30,6 +30,7 @@ from .models import (audit_hypotheses, burgers_model, ns2d_model,
                      nonlinearity_energy_suite, t1_feasibility)
 from .noise import (LANE_FIELDS, NoiseOperator, derived_replicate,
                     gains_inverse_k, generator)
+from .parallel import worker_count
 from .solver import heat_convergence_report, taylor_green_report
 
 
@@ -83,7 +84,7 @@ def _t1_constants(cfg: ExperimentConfig, theta, eta, K3, c_b, f_int, x0_sq,
     if refuse_inadmissible:
         conc.check_lambda0(lambda0, ranges["lambda0_max_lemma"])
     mu_moment = cfg.mu_moment if cfg.mu_moment is not None \
-        else math.exp(lambda0 * x0_sq)
+        else cst.exp_or_inf(lambda0 * x0_sq)
     return {"ranges": ranges, "lambda0": float(lambda0), "c": float(cfg.c),
             "mu_moment": float(mu_moment),
             "C_T1": cst.t1_constant(lambda0, cfg.c, theta, f_int, mu_moment)}
@@ -314,6 +315,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        worker_count()  # a bad worker count is refused before any work
         cfg = load_config(args.config, seed_override=args.seed)
         out_dir = args.out if args.out is not None else cfg.outputs
         os.makedirs(out_dir, exist_ok=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import gaussian_moment_pair
+from .constants import exp_or_inf, gaussian_moment_pair
 from ._stats import fsum_mean, mean_and_stderr, wilson_upper
 from .errors import ParameterError
 from .girsanov import ShiftFunction, shift_entropy
@@ -166,7 +166,7 @@ def bobkov_gotze_check(values, lip: float, C: float, lambda_grid) -> dict:
     entries = []
     for lam in lambda_grid:
         res = exp_moment_empirical(values, lam)
-        bound = math.exp(0.5 * C * lam * lam * lip * lip)
+        bound = exp_or_inf(0.5 * C * lam * lam * lip * lip)
         ok = (not res["infinite"]
               and res["estimate"] <= bound + 3.0 * res["stderr"])
         entries.append({

@@ -347,7 +347,7 @@ def _build_constants(reader: _Reader, model, solver, x0) -> dict:
     """The constants inputs, each read once with its default: ``horizon``
     wins over ``T``, either over the solver's; the model gives K2, C_B,
     theta, eta and K3, and f_tilde_integral = f_tilde * horizon; x0 gives
-    its squared H-norm."""
+    its squared H-norm, which must be finite."""
     cons = reader.section("constants")
     vals = {"C1": cons.get("C1", float, default=2.0, **_POSITIVE)}
     horizon = cons.get("horizon", float, default=None)
@@ -364,7 +364,13 @@ def _build_constants(reader: _Reader, model, solver, x0) -> dict:
         else model.constants.f_tilde * vals["horizon"]
     vals["f_tilde_integral"] = cons.get("f_tilde_integral", float,
                                         default=f_int, **_NONNEGATIVE)
-    x0_sq = 0.0 if x0 is None else float(model.space.sq_norms(x0))
+    x0_sq = 0.0
+    if x0 is not None:
+        with np.errstate(over="ignore"):
+            x0_sq = float(model.space.sq_norms(x0))
+        if not math.isfinite(x0_sq):
+            reader.problems.append("initial_condition.amplitude: the squared "
+                                   "H-norm of the start overflows")
     vals["x0_h_norm_sq"] = cons.get("x0_h_norm_sq", float, default=x0_sq,
                                     **_NONNEGATIVE)
     cons.close()

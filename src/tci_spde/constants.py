@@ -1,26 +1,36 @@
 """Closed-form and optimized constants for the transportation inequalities.
 
-The quadratic-cost constant is a genuine two-parameter infimum
+The quadratic-cost constant is the infimum over eps1, eps2 > 0 with
+r = 1 - eps1 - eps2 > 0 of
 
-    C(T, K2, C_B) = inf  C_B / (eps1 (1 - eps1 - eps2))
-                    * exp((eps2 + C1^2) max(K2, 0) T / ((1 - eps1 - eps2) eps2))
+    C_B / (eps1 r) * exp((eps2 + C1^2) a / (r eps2)),   a = max(K2, 0) T;
 
-over {eps1 > 0, eps2 > 0, eps1 + eps2 < 1}; everything else here is a
-direct formula.  The optimizer is deterministic (boundary-weighted grid
-plus golden-section coordinate descent), so repeated runs are bitwise
-identical.
+everything else here is a direct formula.  The log-objective is jointly
+convex: -log eps1 and -log r are, and the last term is a/r +
+a C1^2/(r eps2), with 1/(x y) convex on x, y > 0 (Hessian determinant
+3/(x^4 y^4) > 0) composed with an affine map.  So its minimum over eps1
+is convex in eps2 (Boyd & Vandenberghe, Convex Optimization, 3.2.5), and
+one deterministic golden-section search over eps2 finds the infimum.  At
+fixed eps2, with s = 1 - eps2, A = a (eps2 + C1^2)/eps2 and b = 3s + A,
+the eps1-derivative vanishes where 2 eps1^2 - b eps1 + s^2 = 0, whose one
+root in (0, s) is taken as 2 s^2 / (b (1 + sqrt(1 - 8 (s/b)^2))) so that
+b^2 cannot overflow.  ``exp_or_inf`` is the one overflow rule of every
+closed-form bound.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import InfeasibleError, ParameterError
 
 _EPS_FLOOR = 1e-12
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def exp_or_inf(x: float) -> float:
+    """math.exp(x), or +inf for x > 709 where it would overflow."""
+    return math.inf if x > 709.0 else math.exp(x)
 
 
 def t2_objective(eps1: float, eps2: float, horizon: float, K2: float,
@@ -30,24 +40,15 @@ def t2_objective(eps1: float, eps2: float, horizon: float, K2: float,
     if eps1 <= 0.0 or eps2 <= 0.0 or rem <= 0.0:
         return math.inf
     exponent = (eps2 + C1 * C1) * max(K2, 0.0) * horizon / (rem * eps2)
-    if exponent > 709.0:
-        return math.inf
-    return C_B / (eps1 * rem) * math.exp(exponent)
+    return C_B / (eps1 * rem) * exp_or_inf(exponent)
 
 
-def _log_objective(eps1: float, eps2: float, horizon: float, K2p: float,
-                   log_cb: float, c1_sq: float) -> float:
-    rem = 1.0 - eps1 - eps2
-    if eps1 <= 0.0 or eps2 <= 0.0 or rem <= 0.0:
-        return math.inf
-    return (log_cb - math.log(eps1) - math.log(rem)
-            + (eps2 + c1_sq) * K2p * horizon / (rem * eps2))
-
-
-def _boundary_grid(n: int = 200) -> np.ndarray:
-    # geometric clusters toward both endpoints of (0, 1)
-    half = np.geomspace(1e-9, 0.5, n // 2)
-    return np.unique(np.concatenate([half, 1.0 - half]))
+def _inner_eps1(eps2: float, a: float, c1_sq: float) -> float:
+    """The eps1 that minimizes the objective at fixed eps2 (module
+    docstring); 0.0 where A overflows."""
+    s = 1.0 - eps2
+    b = 3.0 * s + a * (eps2 + c1_sq) / eps2
+    return 2.0 * s * s / (b * (1.0 + math.sqrt(1.0 - 8.0 * (s / b) ** 2)))
 
 
 def _golden_min(f, lo: float, hi: float, iters: int = 120) -> float:
@@ -85,34 +86,24 @@ def t2_constant(horizon: float, K2: float, C_B: float, C1: float = 2.0) -> dict:
     if K2 < 0.0:
         warnings.append("K2 < 0 clamped to 0 in the exponential factor")
 
-    log_cb = math.log(C_B)
+    a = k2p * horizon
     c1_sq = C1 * C1
-    grid = _boundary_grid()
-    e1 = grid[:, None]
-    e2 = grid[None, :]
-    rem = 1.0 - e1 - e2
-    ok = rem > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logval = (log_cb - np.log(e1) - np.log(np.where(ok, rem, 1.0))
-                  + (e2 + c1_sq) * k2p * horizon / (np.where(ok, rem, 1.0) * e2))
-    logval = np.where(ok, logval, np.inf)
-    flat = int(np.argmin(logval))
-    best1 = float(grid[flat // grid.size])
-    best2 = float(grid[flat % grid.size])
 
-    def g(x1, x2):
-        return _log_objective(x1, x2, horizon, k2p, log_cb, c1_sq)
+    def reduced(eps2):
+        # the log-objective at the inner minimum, less the constant log C_B
+        eps1 = _inner_eps1(eps2, a, c1_sq)
+        rem = 1.0 - eps1 - eps2
+        if eps1 <= 0.0 or rem <= 0.0:
+            return math.inf
+        return (a * (eps2 + c1_sq) / (rem * eps2)
+                - math.log(eps1) - math.log(rem))
 
-    for _ in range(8):
-        best1 = _golden_min(lambda x: g(x, best2),
-                            _EPS_FLOOR, 1.0 - best2 - _EPS_FLOOR)
-        best2 = _golden_min(lambda x: g(best1, x),
-                            _EPS_FLOOR, 1.0 - best1 - _EPS_FLOOR)
-
-    value = t2_objective(best1, best2, horizon, k2p, C_B, C1)
+    eps2 = _golden_min(reduced, _EPS_FLOOR, 1.0 - _EPS_FLOOR)
+    eps1 = _inner_eps1(eps2, a, c1_sq)
+    value = t2_objective(eps1, eps2, horizon, k2p, C_B, C1)
     return {
         "value": float(value),
-        "argmin": {"eps1": best1, "eps2": best2},
+        "argmin": {"eps1": eps1, "eps2": eps2},
         "horizon": float(horizon),
         "K2": float(K2),
         "C_B": float(C_B),
@@ -134,8 +125,9 @@ def t1_constant(lambda0: float, c: float, theta: float,
         raise ParameterError("f_tilde_integral must be nonnegative")
     if mu_moment < 1.0:
         raise ParameterError("mu_moment must be at least 1")
-    return (math.exp(2.0 * lambda0 * f_tilde_integral + 1.0)
-            / (c * lambda0 * theta * math.sqrt(math.pi)) * mu_moment**2)
+    return (exp_or_inf(2.0 * lambda0 * f_tilde_integral + 1.0)
+            / (c * lambda0 * theta * math.sqrt(math.pi))
+            * mu_moment * mu_moment)
 
 
 def gaussian_moment_pair(c: float, lambda0: float, theta: float,
@@ -153,7 +145,7 @@ def gaussian_moment_pair(c: float, lambda0: float, theta: float,
     if x0_h_norm_sq < 0.0:
         raise ParameterError("x0_h_norm_sq must be nonnegative")
     a = c * lambda0 * theta
-    b = math.exp(lambda0 * (f_tilde_integral + x0_h_norm_sq))
+    b = exp_or_inf(lambda0 * (f_tilde_integral + x0_h_norm_sq))
     return a, b
 
 

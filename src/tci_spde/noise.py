@@ -7,9 +7,8 @@ out of order, in parallel, bitwise identically.  Normals come from the
 inverse CDF applied to 53-bit uniforms, one raw draw per normal, which
 keeps the stream position a pure function of the counter.  One drawer
 serves every consumer: ``increment_slabs`` streams a block of replicates
-in slabs of ``SLAB_STEPS`` steps, and ``standard_normal_table`` and
-``increment_table`` are its one-replicate, one-slab case, with the same
-bits row for row.
+in slabs of ``SLAB_STEPS`` steps, and row s of a replicate is the same
+bits in any block, slab or worker.
 
 A noise operator is the U side of B alone: U-coordinate j has gain b_j,
 optionally scaled by a bounded clamp g(||v||_H), and the squared
@@ -88,14 +87,6 @@ def _normal_rows(bitgens, n_steps: int, n: int) -> np.ndarray:
     return np.ascontiguousarray(z[:, :, :n].transpose(1, 0, 2))
 
 
-def standard_normal_table(experiment_seed: int, replicate: int,
-                          n_steps: int, n: int) -> np.ndarray:
-    """All step blocks at once, shape (n_steps, n): row s holds the n
-    normals of the (experiment_seed, replicate, step s) block, which starts
-    s * ceil(n / 4) counter ticks into the stream."""
-    return _normal_rows([_philox(experiment_seed, replicate)], n_steps, n)[:, 0]
-
-
 # ---------------------------------------------------------------------------
 # gain profiles
 
@@ -159,21 +150,14 @@ class NoiseOperator:
         return self.clamp / np.maximum(self.clamp, h_norm)
 
 
-def increment_table(op: NoiseOperator, dt: float, experiment_seed: int,
-                    replicate: int, n_steps: int) -> np.ndarray:
-    """All Wiener increments of one trajectory in U: row s is sqrt(dt) times
-    the ``standard_normal_table`` row of step s."""
-    z = standard_normal_table(experiment_seed, replicate, n_steps, op.n_w)
-    return np.sqrt(dt) * z
-
-
 def increment_slabs(op: NoiseOperator, dt: float, experiment_seed: int,
                     replicates, n_steps: int):
     """The Wiener increments of a block of replicates, in step order, as
     (L, P, n_w) slabs of L = ``SLAB_STEPS`` steps (the last one shorter).
-    Each replicate keeps its own stream, so row s of replicate i is
-    bitwise row s of its ``increment_table``, and no (n_steps, P, n_w)
-    table is ever held."""
+    Each replicate keeps its own stream, so its row s is sqrt(dt) times the
+    normals of its (experiment_seed, replicate, step s) block, which starts
+    s * ceil(n_w / 4) counter ticks into the stream, and no
+    (n_steps, P, n_w) table is ever held."""
     bitgens = [_philox(experiment_seed, r) for r in replicates]
     scale = np.sqrt(dt)
     for start in range(0, n_steps, SLAB_STEPS):

@@ -12,15 +12,18 @@ from __future__ import annotations
 import multiprocessing
 import os
 
+from .errors import ParameterError
+
 WORKERS_ENV = "TCI_SPDE_WORKERS"
 
 
 def worker_count() -> int:
-    try:
-        n = int(os.environ.get(WORKERS_ENV, "1"))
-    except ValueError:
-        return 1
-    return max(1, n)
+    """The worker count; raises unless it is a positive integer."""
+    value = os.environ.get(WORKERS_ENV, "1")
+    if not value.isdecimal() or int(value) < 1:
+        raise ParameterError(
+            f"{WORKERS_ENV} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def parallel_map(fn, items):

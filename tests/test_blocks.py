@@ -105,6 +105,13 @@ def _close(a, b, rel=1e-12):
     return np.max(np.abs(a - b)) <= rel * max(1.0, np.max(np.abs(b)))
 
 
+def increments(model, cfg, seed, replicate):
+    """One replicate's (n_steps, n_w) Wiener increments, from the drawer."""
+    slabs = N.increment_slabs(model.noise, cfg.dt, seed, [replicate],
+                              cfg.n_steps)
+    return np.concatenate(list(slabs))[:, 0]
+
+
 def _across_slabs(cfg):
     """``cfg`` with a horizon of SLAB_STEPS + 6 steps, so the increments come
     in a full slab and a short one."""
@@ -123,7 +130,7 @@ def test_coupled_blocks_match_row_by_row_stepping(kind):
     n_rep = S.BLOCK_REPLICATES + 3   # a full block and a partial one
     ens = G.coupled_ensemble(model, cfg, x0, h, n_rep, experiment_seed=7)
     for r in range(n_rep):
-        inc = N.increment_table(model.noise, cfg.dt, 7, r, cfg.n_steps)
+        inc = increments(model, cfg, 7, r)
         vx, xs = reference_row(model, cfg, x0, inc, h.dynamic_rows())
         vy, ys = reference_row(model, cfg, x0, inc)
         for leg, v, states in (("shifted", vx, xs), ("unshifted", vy, ys)):
@@ -142,7 +149,7 @@ def test_plain_blocks_match_row_by_row_stepping(kind):
     reps = [5, 0, 11]
     block = S.solve_block(model, cfg, x0, 3, reps)
     for row, r in enumerate(reps):
-        inc = N.increment_table(model.noise, cfg.dt, 3, r, cfg.n_steps)
+        inc = increments(model, cfg, 3, r)
         v, states = reference_row(model, cfg, x0, inc)
         assert _close(block.paths[row]["v_energy_total"], v)
         assert _close(block.paths[row]["sup_h_total"], sup_h(states))
@@ -158,7 +165,7 @@ def test_ensemble_blocks_match_row_by_row_stepping(kind):
     n_rep = S.BLOCK_REPLICATES + 3   # a full block and a partial one
     ens = S.ensemble(model, cfg, x0, 3, range(n_rep))
     for r in range(n_rep):
-        inc = N.increment_table(model.noise, cfg.dt, 3, r, cfg.n_steps)
+        inc = increments(model, cfg, 3, r)
         v, states = reference_row(model, cfg, x0, inc)
         assert _close(ens.paths[r]["v_energy_total"], v)
         assert _close(ens.paths[r]["sup_h_total"], sup_h(states))
@@ -171,7 +178,7 @@ def test_solve_block_takes_increment_rows_from_any_iterable():
     model, cfg, x0 = _setup("burgers_clamped")
     cfg = _across_slabs(cfg)
     reps = [4, 1, 7]
-    table = np.stack([N.increment_table(model.noise, cfg.dt, 2, r, cfg.n_steps)
+    table = np.stack([increments(model, cfg, 2, r)
                       for r in reps], axis=1)
     drawn = S.solve_block(model, cfg, x0, 2, reps).paths
     assert np.array_equal(S.solve_block(model, cfg, x0, 2, reps,
@@ -247,7 +254,7 @@ def test_recorded_norms_are_the_norms_of_the_recorded_states(kind):
     # the states are the reference stepper's, on the same increments
     model, cfg, x0 = _setup(kind)
     run = S.solve(model, cfg, x0, 1, replicate=2)
-    inc = N.increment_table(model.noise, cfg.dt, 1, 2, cfg.n_steps)
+    inc = increments(model, cfg, 1, 2)
     _, states = reference_row(model, cfg, x0, inc)
     assert run.norms.shape == (cfg.n_steps + 1, 2)
     assert _close(run.norms, reference_norms(model, states))

@@ -14,6 +14,7 @@ from tci_spde import girsanov as G
 from tci_spde import models as M
 from tci_spde import noise as N
 from tci_spde import solver as S
+from tci_spde._stats import mean_and_stderr
 from tci_spde.cli import _write_ensemble_csv
 from tci_spde.constants import admissible_ranges, t2_constant
 from tci_spde.errors import InvalidFieldError, ParameterError
@@ -63,6 +64,13 @@ def test_mean_shift_invariance():
 def test_overflow_reports_infinite():
     res = K.exp_moment_empirical(np.array([0.0, 1000.0]), 2.0)
     assert res["infinite"]
+
+
+def test_stderr_beyond_the_float_range_is_inf():
+    # squares that overflow one by one, and finite squares whose sum does
+    for values in ([0.0, 1e200, 2e200], [0.0, 2.6e154]):
+        mean, se = mean_and_stderr(values)
+        assert math.isfinite(mean) and se == math.inf
 
 
 def test_jackknife_stderr_matches_delta_method():

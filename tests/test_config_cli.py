@@ -349,6 +349,71 @@ def test_infinite_bounds_are_written_as_strict_json(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _reference(tmp_path, name, **changes):
+    with open(os.path.join(CONFIG_DIR, f"{name}.json")) as fh:
+        doc = json.load(fh)
+    doc.update(changes)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("name, changes, subcommand, infinite", [
+    ("burgers_reference", {"lambda_grid": [1.0, 100.0], "replicates": 64},
+     "verify-t1", [("bobkov_gotze", "entries", 1, "bound")]),
+    ("heat_reference", {"initial_condition": {"type": "mode",
+                                              "amplitude": 100.0},
+                        "replicates": 32},
+     "verify-t1", [("mu_moment",), ("C_T1",), ("exp_moment", "bound"),
+                   ("bobkov_gotze", "entries", 0, "bound")]),
+    ("heat_reference", {"initial_condition": {"type": "mode",
+                                              "amplitude": 100.0}},
+     "constants", [("mu_moment",), ("C_T1",), ("gaussian_moment", "b"),
+                   ("D",)]),
+], ids=["bobkov_gotze_bound", "verify_t1_start", "constants_start"])
+def test_overflowing_bounds_exit_through_their_verdicts(
+        tmp_path, capsys, name, changes, subcommand, infinite):
+    # an exponential beyond the float range is inf, as the T2 constant's is
+    path = _reference(tmp_path, name, **changes)
+    out = tmp_path / "out"
+    code = main([subcommand, "--config", path, "--out", str(out)])
+    report = read_report(out)
+    assert code == (0 if report["all_passed"] else 1)
+    for keys in infinite:
+        node = report
+        for key in keys:
+            node = node[key]
+        assert node == "inf", keys
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("subcommand", ["audit", "constants", "simulate",
+                                        "verify-t2", "verify-t1",
+                                        "inequalities"])
+@pytest.mark.parametrize("name, start", [
+    ("heat_reference", {"type": "mode", "amplitude": 1e200}),
+    ("ns2d_reference", {"type": "taylor_green", "amplitude": 1e200}),
+], ids=["heat", "ns2d"])
+def test_overflowing_start_exits_2(tmp_path, capsys, subcommand, name, start):
+    path = _reference(tmp_path, name, initial_condition=start)
+    code = main([subcommand, "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert ("initial_condition.amplitude: the squared H-norm of the start "
+            "overflows") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["abc", "0", "-3", "1.5", ""])
+def test_bad_worker_count_exits_2(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setenv("TCI_SPDE_WORKERS", workers)
+    out = tmp_path / "o"
+    code = main(["verify-t1", "--config", write_config(tmp_path),
+                 "--out", str(out)])
+    assert code == 2
+    assert "TCI_SPDE_WORKERS must be a positive integer" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _listed_problems(tmp_path, capsys, doc):
     """The problems parse_config lists for ``doc``, after checking that the
     CLI exits 2 on it and prints each of them."""

@@ -1,6 +1,7 @@
 """Constant formulas against closed forms and a brute-force grid oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,34 @@ def test_t2_negative_k2_clamped_with_warning():
 
 def test_t2_objective_overflow_is_inf():
     assert C.t2_objective(1e-9, 1e-9, 10.0, 5.0, 1.0) == math.inf
+
+
+def test_t2_overflow_is_inf_without_a_warning():
+    for args in ((1.0, 1e300, 1.0, 2.0), (1e300, 1e10, 1.0, 2.0),
+                 (1.0, 1e160, 1.0, 1e-3)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert C.t2_constant(*args)["value"] == math.inf
+
+
+def log_objective(eps1, eps2, a, c1):
+    """log(t2_objective / C_B) at T = 1, K2 = a: an independent copy."""
+    rem = (1.0 - eps2) - eps1
+    return -np.log(eps1) - np.log(rem) + a * (eps2 + c1 * c1) / (rem * eps2)
+
+
+@given(st.floats(0.0, 50.0), st.floats(0.1, 3.0), st.floats(1e-6, 1.0 - 1e-6))
+@settings(max_examples=100, deadline=None)
+def test_t2_inner_eps1_is_no_worse_than_a_dense_grid(a, c1, eps2):
+    s = 1.0 - eps2
+    closed = C._inner_eps1(eps2, a, c1 * c1)
+    assert 0.0 < closed < s
+    grid = s * np.concatenate([np.linspace(0.0, 1.0, 4001)[1:-1],
+                               np.geomspace(1e-12, 1e-3, 400),
+                               1.0 - np.geomspace(1e-9, 1e-3, 400)])
+    best = float(np.min(log_objective(grid, eps2, a, c1)))
+    at_closed = float(log_objective(np.array([closed]), eps2, a, c1)[0])
+    assert at_closed <= best + 1e-12 * max(1.0, abs(best))
 
 
 @given(

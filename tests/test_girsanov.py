@@ -11,6 +11,8 @@ from tci_spde._stats import fsum_mean, mean_and_stderr
 from tci_spde.constants import t2_constant
 from tci_spde.errors import ParameterError
 
+from test_blocks import increments
+
 
 def single_mode_noise(n_w=2, c_b=1.0):
     return N.NoiseOperator(n_w, N.gains_single_mode(n_w, c_b, 1), c_b)
@@ -156,7 +158,7 @@ def test_coupled_ensemble_matches_single_pairs():
         assert ens["unshifted"][r] == pair.paths[1]
         # log M_T = sum <h, dW> + dt sum ||h||^2 - H(Q | P), dW the drawn
         # increments, the pairing summed in step order
-        inc = N.increment_table(model.noise, cfg.dt, 3, r, cfg.n_steps)
+        inc = increments(model, cfg, 3, r)
         pairing = 0.0
         for k in range(cfg.n_steps):
             pairing += np.sum(rows[k] * inc[k])

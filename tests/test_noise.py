@@ -21,19 +21,17 @@ def test_same_seedspec_is_bitwise_identical():
     assert np.array_equal(a, b)
 
 
-def test_increment_table_matches_single_steps():
-    op = N.NoiseOperator(5, N.gains_inverse_k(5, 2.0), 2.0)
-    table = N.increment_table(op, 0.01, experiment_seed=7, replicate=2, n_steps=40)
-    assert table.shape == (40, 5)
-    for step in (0, 1, 7, 39):
-        single = np.sqrt(0.01) * O.standard_normals(7, 2, step, 5)
-        assert np.array_equal(table[step], single)
+def normal_rows(experiment_seed, replicate, n_steps, n):
+    """One replicate's (n_steps, n) normals: its increments at dt = 1."""
+    op = N.NoiseOperator(n, N.gains_inverse_k(n, 1.0), 1.0)
+    slabs = N.increment_slabs(op, 1.0, experiment_seed, [replicate], n_steps)
+    return np.concatenate(list(slabs))[:, 0]
 
 
 def test_normal_table_matches_block_addressing():
-    # the table row for step s is the same block a cold start at step s yields
+    # the row for step s is the same block a cold start at step s yields
     for n in (1, 3, 4, 9):
-        table = N.standard_normal_table(11, 5, n_steps=12, n=n)
+        table = normal_rows(11, 5, n_steps=12, n=n)
         for step in (0, 4, 11):
             assert np.array_equal(table[step], O.standard_normals(11, 5, step, n))
 
@@ -50,7 +48,8 @@ def test_slabs_are_the_table_rows(n_steps, n_w, n_rep):
     slabs = list(N.increment_slabs(op, 0.01, 5, reps, n_steps))
     full, last = divmod(n_steps, N.SLAB_STEPS)
     assert [len(s) for s in slabs] == [N.SLAB_STEPS] * full + [last] * (last > 0)
-    tables = [N.standard_normal_table(5, r, n_steps, n_w) for r in reps]
+    tables = [np.array([O.standard_normals(5, r, step, n_w)
+                        for step in range(n_steps)]) for r in reps]
     start = 0
     for slab in slabs:
         assert slab.shape == (len(slab), n_rep, n_w)
@@ -95,7 +94,7 @@ def test_no_pass_draws_more_than_a_slab_or_a_column(monkeypatch, shifted):
 
 def test_increment_variance_matches_dt():
     dt = 4e-4
-    draws = N.standard_normal_table(1, 0, n_steps=25000, n=4).ravel() * np.sqrt(dt)
+    draws = normal_rows(1, 0, n_steps=25000, n=4).ravel() * np.sqrt(dt)
     n = draws.size
     var = float(np.var(draws))
     se = var * np.sqrt(2.0 / (n - 1))
@@ -104,8 +103,8 @@ def test_increment_variance_matches_dt():
 
 
 def test_disjoint_seedspecs_uncorrelated():
-    a = N.standard_normal_table(3, 0, n_steps=2500, n=4).ravel()
-    b = N.standard_normal_table(3, 1, n_steps=2500, n=4).ravel()
+    a = normal_rows(3, 0, n_steps=2500, n=4).ravel()
+    b = normal_rows(3, 1, n_steps=2500, n=4).ravel()
     r = float(np.corrcoef(a, b)[0, 1])
     assert abs(r) < 0.05
 
