@@ -87,7 +87,7 @@ def test_ensemble(benchmark, kind, replicates, shifted):
     cfg = S.SolverConfig(dt=1e-3, horizon=1.0)
     shift = None
     if shifted:
-        shift = np.zeros((cfg.n_steps, model.noise.n_w))
+        shift = np.zeros((cfg.n_steps + 1, model.noise.n_w))
         shift[:, 0] = 1.0
     out = benchmark(S.ensemble, model, cfg, np.zeros(32), 0, range(replicates),
                     shift=shift)

@@ -60,7 +60,7 @@ h = shift_from_descriptor(
     {"type": "constant", "mode_index": 1, "amplitude": 1.0}, 8, cfg)
 coupled = coupled_ensemble(model, cfg, x0, h, REPLICATES, 0)
 c_t2 = t2_constant(cfg.horizon, cons.K2, model.noise.c_b)["value"]
-chain = t2_chain_check(model, h, sup_h_functional(), coupled, c_t2)
+chain = t2_chain_check(model, sup_h_functional(), coupled, c_t2)
 print(f"\nT2 chain on sup_H marginals: W2 = {chain['w2_empirical']:.4f} "
       f"<= {chain['bound']:.4f} -> {chain['pass']}")
 

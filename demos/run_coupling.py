@@ -23,7 +23,7 @@ cfg = SolverConfig(dt=1e-3, horizon=1.0)
 x0 = np.zeros(32)
 h = shift_from_descriptor(
     {"type": "constant", "mode_index": 1, "amplitude": 1.0}, 8, cfg)
-print(f"shift entropy H(Q|P) = {shift_entropy(h):.4f} "
+print(f"shift entropy H(Q|P) = {shift_entropy(h, cfg.dt):.4f} "
       f"(constant unit shift over T=1 gives 0.5)")
 
 ens = coupled_ensemble(model, cfg, x0, h, REPLICATES, 0)
@@ -37,7 +37,7 @@ print(f"  E[M_T]        = {mart:.4f} +- {mart_se:.4f}  (expected 1)")
 print(f"  E_Q[log M_T]  = {ent:.4f} +- {ent_se:.4f}  (expected 0.5)")
 
 c_t2 = t2_constant(cfg.horizon, model.constants.K2, model.noise.c_b)["value"]
-report = contraction_report(model, h, ens, c_t2)
+report = contraction_report(model, ens, c_t2)
 gap = report["sup_gap_sq"]
 print(f"  E[sup gap^2]  = {gap['mean']:.6f} vs bound "
       f"C_T2 * 2H = {report['bound']:.4f}")

@@ -21,8 +21,8 @@ from .errors import (DivergenceError, InfeasibleError, InvalidFieldError,
                      ParameterError, ResolutionError, SchemaError)
 from .fields import (L4_INTERPOLATION_1D, L4_INTERPOLATION_2D, POINCARE_1D,
                      POINCARE_2D, SineSpace, TorusSpace, norm_inequality_suite)
-from .girsanov import (ShiftFunction, contraction_report, coupled_ensemble,
-                       shift_entropy, shift_from_descriptor)
+from .girsanov import (contraction_report, coupled_ensemble, shift_entropy,
+                       shift_from_descriptor)
 from .models import (ETA_1D, ETA_2D, AssumptionConstants, ModelSpec,
                      audit_hypotheses, burgers_model, burgers_nonlinearity,
                      heat_model, linear_eigenvalues, nonlinearity_energy_suite,

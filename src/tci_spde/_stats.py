@@ -13,15 +13,19 @@ import numpy as np
 
 def fsum_mean(values) -> float:
     arr = np.asarray(values, dtype=np.float64)
-    return math.fsum(arr) / arr.size
+    try:
+        return math.fsum(arr) / arr.size
+    except OverflowError:  # finite values whose sum overflows
+        s = float(np.max(np.abs(arr)))
+        return math.fsum(arr / s) / arr.size * s
 
 
 def mean_and_stderr(values) -> tuple[float, float]:
-    """Sample mean and standard error of the mean; the error is inf when
-    the sample variance exceeds the float range."""
+    """Sample mean (``fsum_mean``) and standard error of the mean; the
+    error is inf when the sample variance exceeds the float range."""
     arr = np.asarray(values, dtype=np.float64)
     n = arr.size
-    mean = math.fsum(arr) / n
+    mean = fsum_mean(arr)
     if n < 2:
         return mean, float("inf")
     with np.errstate(over="ignore"):

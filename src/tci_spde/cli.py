@@ -25,7 +25,7 @@ from .config import ExperimentConfig, load_config
 from .errors import (DivergenceError, InfeasibleError, ParameterError,
                      SchemaError)
 from .fields import SineSpace, TorusSpace, norm_inequality_suite
-from .girsanov import contraction_report, coupled_ensemble, shift_entropy
+from .girsanov import contraction_report, coupled_ensemble
 from .models import (audit_hypotheses, burgers_model, ns2d_model,
                      nonlinearity_energy_suite, t1_feasibility)
 from .noise import (LANE_FIELDS, NoiseOperator, derived_replicate,
@@ -166,25 +166,25 @@ def _write_ensemble_csv(path, experiment_seed, columns):
 
 def _run_verify_t2(cfg: ExperimentConfig, out_dir: str) -> dict:
     _require(cfg, "model", "solver", "x0")
-    h = cfg.shift
-    if h is None:
+    if cfg.shift is None:
         raise SchemaError(["shift: required by verify-t2"])
     model = cfg.model
-    c_t2 = cst.t2_constant(cfg.solver.horizon, model.constants.K2,
-                           model.noise.c_b, cfg.constants["C1"])["value"]
+    vals = cfg.constants  # the C_T2 that ``constants`` reports
+    c_t2 = cst.t2_constant(vals["horizon"], vals["K2"], vals["C_B"],
+                           vals["C1"])["value"]
     functionals = cfg.functionals or [conc.sup_h_functional()]
     # One coupled pass feeds every functional and the contraction report.
-    ens = coupled_ensemble(model, cfg.solver, cfg.x0, h, cfg.replicates,
-                           cfg.experiment_seed)
+    ens = coupled_ensemble(model, cfg.solver, cfg.x0, cfg.shift,
+                           cfg.replicates, cfg.experiment_seed)
     first = functionals[0]
     _write_ensemble_csv(
         os.path.join(out_dir, "ensemble.csv"), cfg.experiment_seed,
         [(f"{first.kind}[{leg}]", first.values(ens[leg], model.space))
          for leg in ("shifted", "unshifted")])
-    chain = [conc.t2_chain_check(model, h, functional, ens, c_t2)
+    chain = [conc.t2_chain_check(model, functional, ens, c_t2)
              for functional in functionals]
-    contraction = contraction_report(model, h, ens, c_t2)
-    return {"shift_entropy": float(shift_entropy(h)),
+    contraction = contraction_report(model, ens, c_t2)
+    return {"shift_entropy": float(ens["shift_entropy"]),
             "contraction": contraction, "chain": chain}
 
 

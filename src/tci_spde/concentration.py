@@ -22,7 +22,6 @@ import numpy as np
 from .constants import exp_or_inf, gaussian_moment_pair
 from ._stats import fsum_mean, mean_and_stderr, wilson_upper
 from .errors import ParameterError
-from .girsanov import ShiftFunction, shift_entropy
 from .models import ModelSpec
 from .noise import LANE_REFINED, derived_replicate
 from .solver import SolverConfig, ensemble
@@ -305,19 +304,18 @@ def w2_small_cloud(a, b) -> float:
     return math.sqrt(float(np.mean(cost[rows, cols])))
 
 
-def t2_chain_check(model: ModelSpec, h: ShiftFunction,
-                   functional: FunctionalSpec, coupled: dict,
-                   c_t2: float) -> dict:
+def t2_chain_check(model: ModelSpec, functional: FunctionalSpec,
+                   coupled: dict, c_t2: float) -> dict:
     """W2 of functional marginals against L sqrt(2 C H(Q | P)), from the
-    ``girsanov.coupled_ensemble`` ``coupled`` of shift ``h`` and the T2
-    constant ``c_t2``.
+    ``girsanov.coupled_ensemble`` ``coupled``, which carries H(Q | P), and
+    the T2 constant ``c_t2``.
 
     One-Lipschitz functionals cannot expand W2, so the image-measure
     distance is a sound one-sided witness of the path-space inequality.
     """
     fx = functional.values(coupled["shifted"], model.space)
     fy = functional.values(coupled["unshifted"], model.space)
-    entropy = shift_entropy(h)
+    entropy = coupled["shift_entropy"]
     w2 = w2_sorted_1d(fx, fy)
     lip = functional.lipschitz_constant
     bound = lip * math.sqrt(2.0 * c_t2 * entropy)

@@ -19,7 +19,7 @@ from .concentration import (FunctionalSpec, l2_v_path_functional,
                             linear_probe_functional, sup_h_functional,
                             terminal_h_functional)
 from .errors import SchemaError
-from .girsanov import ShiftFunction, shift_from_descriptor
+from .girsanov import shift_from_descriptor
 from .models import ModelSpec, burgers_model, heat_model, ns2d_model, taylor_green_field
 from .noise import NoiseOperator, gains_inverse_k, gains_single_mode
 from .solver import SolverConfig
@@ -112,7 +112,7 @@ class ExperimentConfig:
     model: ModelSpec | None
     solver: SolverConfig | None
     x0: np.ndarray | None
-    shift: ShiftFunction | None
+    shift: np.ndarray | None
     functionals: list
     lambda_grid: list
     r_grid: list
@@ -265,8 +265,8 @@ def _build_x0(reader: _Reader, model):
 
 
 def _build_shift(reader: _Reader, noise, model, solver):
-    """The shift on the solver's grid; its mode index is checked against
-    the noise whenever the noise section is valid."""
+    """The shift's values on the solver's grid; its mode index is checked
+    against the noise whenever the noise section is valid."""
     mark = len(reader.problems)
     section = reader.section("shift")
     if reader.raw.get("shift") is None:  # absent or null: no shift

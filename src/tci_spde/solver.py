@@ -7,7 +7,7 @@ everything else explicitly:
 
 applied mode by mode, where lambda_k are the spectral eigenvalues of the
 implicit part, F is the nonlinearity on its alias-free product grid and h
-is an optional Girsanov shift.
+is an optional Girsanov shift, given by its values on the step grid.
 
 One loop, ``solve_block``, advances a block of replicates at once: the
 state carries a leading row axis, and running reductions (trapezoid
@@ -121,8 +121,9 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     iterable: a full (n_steps, P, n_w) array, or by default the slabs
     ``noise.increment_slabs`` draws from each (experiment_seed, replicate)
     stream, so any row is reproducible on its own.  All legs share them.
-    Each entry of ``shifts`` is None or the (n_steps, n_w) values h(t_k)
-    of a Girsanov shift, applied per step as dW_k + dt h(t_k).  Two legs
+    Each entry of ``shifts`` is None or the finite (n_steps + 1, n_w) grid
+    values h(t_k) of a Girsanov shift, checked here alone; step k applies
+    dW_k + dt h(t_k), so only the entropy reads the last row.  Two legs
     also give the running sup of the squared H-gap between them, and a
     shifted first leg the pairing, summed row by row: alone or in any
     block, a row's pairing has the same bits.
@@ -142,8 +143,10 @@ def solve_block(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
     rows = iter(increments)
     row_shape = (n_rep, op.n_w)
     for h in shifts:
-        if h is not None and h.shape != (M, op.n_w):
-            raise ParameterError("shift values must have shape (n_steps, n_w)")
+        if h is not None and (h.shape != (M + 1, op.n_w)
+                              or not np.all(np.isfinite(h))):
+            raise ParameterError(
+                "shift values must be finite, of shape (n_steps + 1, n_w)")
 
     lam = linear_eigenvalues(model)
     inv_lin = 1.0 / (1.0 + dt * lam)
@@ -239,9 +242,9 @@ def ensemble(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
 
     Each block streams its increments in slabs (``noise.increment_slabs``)
     through ``solve_block``, so memory does not grow with the horizon times
-    the block size.  With ``shift``, the (n_steps, n_w) values h(t_k) of a
-    Girsanov shift, the same increments, drawn once, drive a shifted and an
-    unshifted leg, and ``pairing`` holds each replicate's
+    the block size.  With ``shift``, the (n_steps + 1, n_w) values h(t_k)
+    of a Girsanov shift, the same increments, drawn once, drive a shifted
+    and an unshifted leg, and ``pairing`` holds each replicate's
     sum_k <h(t_k), dW_k>, summed in the step loop.  With ``record``, the
     first block records its first row, so ``norms`` is the norm path of the
     first replicate (on the shifted leg, if there is a shift).
@@ -278,8 +281,9 @@ def solve(model: ModelSpec, cfg: SolverConfig, x0, experiment_seed: int,
 
     The Wiener increments are addressed by (experiment_seed, replicate)
     and the step index, so replicates are reproducible independently of
-    execution order.  ``shift_values`` holds h(t_k) rows for a Girsanov
-    shift, and then ``pairing`` the row's sum_k <h(t_k), dW_k>;
+    execution order.  ``shift_values`` holds the (n_steps + 1, n_w) values
+    h(t_k) of a Girsanov shift, as ``ExperimentConfig.shift`` does, and
+    then ``pairing`` the row's sum_k <h(t_k), dW_k>;
     ``zero_noise`` drives the path with zero increments.
     """
     zero = np.zeros((cfg.n_steps, 1, model.noise.n_w)) if zero_noise else None

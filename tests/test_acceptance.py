@@ -90,9 +90,9 @@ def test_criterion_01_t2_constant_matches_grid_oracle():
 
 
 def test_criterion_02_girsanov_normalization(heat_coupled):
-    _, _, _, h, ens, build = heat_coupled
+    _, cfg, _, h, ens, build = heat_coupled
     start = time.perf_counter()
-    entropy = shift_entropy(h)
+    entropy = shift_entropy(h, cfg.dt)
     mart_mean, mart_se = mean_and_stderr(np.exp(ens["log_rn_base_view"]))
     log_mean, log_se = mean_and_stderr(ens["log_rn"])
     elapsed = build + time.perf_counter() - start
@@ -110,7 +110,7 @@ def test_criterion_03_contraction_chain(heat_coupled):
     start = time.perf_counter()
     assert model.constants.K2 == 0.0
     t2 = cst.t2_constant(cfg.horizon, model.constants.K2, model.noise.c_b)
-    report = contraction_report(model, h, ens, t2["value"])
+    report = contraction_report(model, ens, t2["value"])
     gap = report["sup_gap_sq"]
     bound_ok = gap["mean"] + 3.0 * gap["stderr"] <= report["bound"]
 
@@ -135,7 +135,7 @@ def test_criterion_04_w2_functional_domination(heat_coupled):
             for key, val in ens.items()}
     half["n_replicates"] = 2048
     t2 = cst.t2_constant(cfg.horizon, model.constants.K2, model.noise.c_b)
-    report = conc.t2_chain_check(model, h, conc.sup_h_functional(), half,
+    report = conc.t2_chain_check(model, conc.sup_h_functional(), half,
                                  t2["value"])
     elapsed = build + time.perf_counter() - start
     ok = (report["w2_empirical"] <= report["bound"]

@@ -126,12 +126,12 @@ def test_coupled_blocks_match_row_by_row_stepping(kind):
     # a shift switched off half way, so the gap peaks before the horizon
     values = np.zeros((cfg.n_steps + 1, n_w))
     values[:cfg.n_steps // 2, 1] = 1.5
-    h = G.ShiftFunction(values=values, dt=cfg.dt)
+    h = values
     n_rep = S.BLOCK_REPLICATES + 3   # a full block and a partial one
     ens = G.coupled_ensemble(model, cfg, x0, h, n_rep, experiment_seed=7)
     for r in range(n_rep):
         inc = increments(model, cfg, 7, r)
-        vx, xs = reference_row(model, cfg, x0, inc, h.dynamic_rows())
+        vx, xs = reference_row(model, cfg, x0, inc, h)
         vy, ys = reference_row(model, cfg, x0, inc)
         for leg, v, states in (("shifted", vx, xs), ("unshifted", vy, ys)):
             path = ens[leg][r]
@@ -197,7 +197,7 @@ def test_block_rows_do_not_depend_on_block_company():
     alone = S.solve(model, cfg, x0, 2, replicate=6)
     block = S.solve_block(model, cfg, x0, 2, range(S.BLOCK_REPLICATES))
     assert np.array_equal(block.paths[6:7], alone.paths)
-    h = np.zeros((cfg.n_steps, 4))
+    h = np.zeros((cfg.n_steps + 1, 4))
     pair = S.solve_block(model, cfg, x0, 2, [6], shifts=(h, None), record=True)
     assert pair.sup_gap_sq[0] == 0.0
     assert np.array_equal(pair.paths[:1], pair.paths[1:])
@@ -270,7 +270,7 @@ def test_recorded_norms_and_gap_are_the_space_kernel_on_the_states(kind):
     # first k rows of the longer run's.
     model, cfg, x0 = _setup(kind)
     space = model.space
-    values = np.zeros((cfg.n_steps, model.noise.n_w))
+    values = np.zeros((cfg.n_steps + 1, model.noise.n_w))
     values[:, 1] = 1.5
     pair = S.solve_block(model, cfg, x0, 4, [2], shifts=(values, None),
                          record=True)
@@ -278,7 +278,8 @@ def test_recorded_norms_and_gap_are_the_space_kernel_on_the_states(kind):
     gaps = [0.0]
     for k in range(1, cfg.n_steps + 1):
         short = S.SolverConfig(dt=cfg.dt, horizon=k * cfg.dt)
-        run = S.solve_block(model, short, x0, 4, [2], shifts=(values[:k], None))
+        run = S.solve_block(model, short, x0, 4, [2],
+                            shifts=(values[:k + 1], None))
         x, y = run.paths["terminal"]
         assert pair.norms[k, 0] == space.sq_norms(x)
         assert pair.norms[k, 1] == space.sq_norms(x, space.laplacian_eigenvalues())

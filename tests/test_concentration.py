@@ -14,9 +14,10 @@ from tci_spde import girsanov as G
 from tci_spde import models as M
 from tci_spde import noise as N
 from tci_spde import solver as S
-from tci_spde._stats import mean_and_stderr
+from tci_spde._stats import fsum_mean, mean_and_stderr
 from tci_spde.cli import _write_ensemble_csv
-from tci_spde.constants import admissible_ranges, t2_constant
+from tci_spde.constants import (admissible_ranges, gaussian_moment_pair,
+                                t2_constant)
 from tci_spde.errors import InvalidFieldError, ParameterError
 
 import oracles as orc
@@ -71,6 +72,13 @@ def test_stderr_beyond_the_float_range_is_inf():
     for values in ([0.0, 1e200, 2e200], [0.0, 2.6e154]):
         mean, se = mean_and_stderr(values)
         assert math.isfinite(mean) and se == math.inf
+
+
+def test_mean_of_finite_values_whose_sum_overflows():
+    assert fsum_mean([1e308, 1e308]) == 1e308
+    assert mean_and_stderr([1e308, 1e308]) == (1e308, 0.0)
+    # a sum that stays finite keeps the plain fsum
+    assert fsum_mean([0.1, 0.2, 0.3]) == math.fsum([0.1, 0.2, 0.3]) / 3
 
 
 def test_jackknife_stderr_matches_delta_method():
@@ -285,6 +293,25 @@ def test_exp_moment_check_passes_on_heat():
     assert report["estimate"] + 3.0 * report["stderr"] <= report["bound"]
 
 
+def test_exp_moment_check_sums_exponentials_beyond_the_float_range():
+    # each exponent is under the 700 cap, but 20,000 of the exponentials
+    # sum to about 2e308: the estimate is still their (finite) mean
+    model, cfg, _ = small_heat()
+    ranges = admissible_ranges(model.constants.theta, model.constants.eta,
+                               model.constants.K3, model.noise.c_b)
+    lambda0, f_int = 0.5 * ranges["lambda0_max_lemma"], 0.0
+    a, _ = gaussian_moment_pair(0.5, lambda0, model.constants.theta, f_int,
+                                0.0)
+    values = np.full(20_000, math.sqrt(699.999 / a))
+    report = K.exp_moment_check(model, values, c=0.5, lambda0=lambda0,
+                                lambda0_max=ranges["lambda0_max_lemma"],
+                                f_int=f_int, x0_sq=0.0, experiment_seed=0)
+    assert not report["infinite"]
+    assert report["estimate"] == pytest.approx(math.exp(699.999), rel=1e-12)
+    assert report["stderr"] == 0.0
+    assert report["pass"] is False
+
+
 def test_exp_moment_check_rejects_inadmissible_lambda0():
     model, cfg, _ = small_heat()
     ranges = admissible_ranges(model.constants.theta, model.constants.eta,
@@ -320,7 +347,7 @@ def test_t2_chain_check_passes_on_heat():
     coupled = G.coupled_ensemble(model, cfg, x0, h, 128, 0)
     c_t2 = t2_constant(cfg.horizon, model.constants.K2, model.noise.c_b,
                        2.0)["value"]
-    report = K.t2_chain_check(model, h, K.sup_h_functional(), coupled, c_t2)
+    report = K.t2_chain_check(model, K.sup_h_functional(), coupled, c_t2)
     assert report["pass"], report
     assert report["w2_empirical"] <= report["bound"] + 3.0 * report["combined_stderr"]
 

@@ -15,6 +15,7 @@ from tci_spde.cli import main
 from tci_spde.config import config_hash, parse_config
 from tci_spde.constants import admissible_ranges
 from tci_spde.errors import SchemaError
+from tci_spde.girsanov import coupled_ensemble
 from tci_spde.models import ETA_1D
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "configs")
@@ -154,6 +155,38 @@ def test_verify_t2_subcommand(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["replicate", "seed", "functional", "value"]
     assert len(rows) == 1 + 2 * 32  # header + shifted and unshifted legs
+    capsys.readouterr()
+
+
+def test_verify_t2_reads_the_entropy_of_its_coupled_pass(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["verify-t2", "--config", write_config(tmp_path),
+                 "--out", str(out)]) == 0
+    report = read_report(out)
+    cfg = parse_config(copy.deepcopy(BASE))
+    entropy = coupled_ensemble(cfg.model, cfg.solver, cfg.x0, cfg.shift,
+                               cfg.replicates,
+                               cfg.experiment_seed)["shift_entropy"]
+    assert report["shift_entropy"] == entropy
+    assert report["contraction"]["shift_entropy"] == entropy
+    assert [entry["shift_entropy"] for entry in report["chain"]] == \
+        [entropy] * len(report["chain"])
+    capsys.readouterr()
+
+
+def test_verify_t2_checks_against_the_reported_t2_constant(tmp_path, capsys):
+    # constants overrides of K2, C_B and horizon reach verify-t2's C_T2
+    path = _reference(tmp_path, "heat_reference", replicates=32,
+                      constants={"K2": 0.5, "C_B": 2.0, "horizon": 1.5})
+    reports = {}
+    for sub in ("constants", "verify-t2"):
+        main([sub, "--config", path, "--out", str(tmp_path / sub)])
+        reports[sub] = read_report(tmp_path / sub)
+    value = reports["constants"]["C_T2"]["value"]
+    t2 = reports["verify-t2"]
+    assert value > 1e5
+    assert t2["contraction"]["t2_constant"] == value
+    assert all(entry["t2_constant"] == value for entry in t2["chain"])
     capsys.readouterr()
 
 
@@ -537,9 +570,10 @@ def test_shift_index_is_checked_against_a_valid_noise(tmp_path, capsys):
 
 def test_shift_and_constants_are_built_at_parse_time():
     cfg = parse_config(copy.deepcopy(BASE))
-    assert cfg.shift.n_w == 4 and cfg.shift.horizon == 0.2
-    assert cfg.shift.values[:, 0].tolist() == [1.0] * 21
-    assert not cfg.shift.values[:, 1:].any()
+    assert cfg.shift.shape == (cfg.solver.n_steps + 1, 4)
+    assert cfg.solver.horizon == 0.2
+    assert cfg.shift[:, 0].tolist() == [1.0] * 21
+    assert not cfg.shift[:, 1:].any()
     assert cfg.constants == {
         "C1": 2.0, "horizon": 0.2, "K2": 0.0, "C_B": 1.0,
         "theta": cfg.model.constants.theta, "eta": ETA_1D, "K3": 0.0,

@@ -33,7 +33,7 @@ def unit_shift(cfg, n_w=2):
 def coupled_pair(model, cfg, x0, h, experiment_seed, replicate=0):
     """The shifted and unshifted legs of one replicate."""
     return S.solve_block(model, cfg, x0, experiment_seed, [replicate],
-                         shifts=(h.dynamic_rows(), None))
+                         shifts=(h, None))
 
 
 # ---------------------------------------------------------------------------
@@ -42,13 +42,14 @@ def coupled_pair(model, cfg, x0, h, experiment_seed, replicate=0):
 
 def test_entropy_zero_shift():
     cfg = S.SolverConfig(dt=0.01, horizon=1.0)
-    h = G.ShiftFunction(values=np.zeros((cfg.n_steps + 1, 3)), dt=cfg.dt)
-    assert G.shift_entropy(h) == 0.0
+    h = np.zeros((cfg.n_steps + 1, 3))
+    assert G.shift_entropy(h, cfg.dt) == 0.0
 
 
 def test_entropy_constant_unit_shift():
     cfg = S.SolverConfig(dt=0.001, horizon=1.0)
-    assert G.shift_entropy(unit_shift(cfg)) == pytest.approx(0.5, rel=1e-14)
+    assert G.shift_entropy(unit_shift(cfg), cfg.dt) == pytest.approx(
+        0.5, rel=1e-14)
 
 
 def test_entropy_ramp_shift():
@@ -56,7 +57,7 @@ def test_entropy_ramp_shift():
     cfg = S.SolverConfig(dt=0.001, horizon=1.0)
     h = G.shift_from_descriptor({"type": "ramp", "mode_index": 1,
                                  "amplitude": 1.0}, 2, cfg)
-    assert G.shift_entropy(h) == pytest.approx(1.0 / 6.0, rel=1e-5)
+    assert G.shift_entropy(h, cfg.dt) == pytest.approx(1.0 / 6.0, rel=1e-5)
 
 
 def test_shift_descriptor_validation():
@@ -69,7 +70,7 @@ def test_shift_descriptor_validation():
                                     "amplitude": 0.5}, 2, cfg)
     const = G.shift_from_descriptor({"type": "constant", "mode_index": 2,
                                      "amplitude": 0.5}, 2, cfg)
-    assert np.array_equal(mode.values, const.values)
+    assert np.array_equal(mode, const)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +79,7 @@ def test_shift_descriptor_validation():
 
 def test_zero_shift_couples_identically():
     model, cfg, x0 = heat_setup()
-    h = G.ShiftFunction(values=np.zeros((cfg.n_steps + 1, 2)), dt=cfg.dt)
+    h = np.zeros((cfg.n_steps + 1, 2))
     pair = coupled_pair(model, cfg, x0, h, experiment_seed=0)
     assert pair.sup_gap_sq[0] == 0.0
     # terminal states, V-energies and sup H-norms of the two legs agree
@@ -110,7 +111,7 @@ def test_heat_gap_matches_ode_oracle():
 def test_heat_gap_scales_linearly_in_shift():
     model, cfg, x0 = heat_setup(dt=2e-3, horizon=0.5)
     base = coupled_pair(model, cfg, x0, unit_shift(cfg), 0).sup_gap_sq[0]
-    doubled_shift = G.ShiftFunction(values=2.0 * unit_shift(cfg).values, dt=cfg.dt)
+    doubled_shift = 2.0 * unit_shift(cfg)
     doubled = coupled_pair(model, cfg, x0, doubled_shift, 0).sup_gap_sq[0]
     assert np.sqrt(doubled) == pytest.approx(2.0 * np.sqrt(base), rel=1e-10)
 
@@ -118,13 +119,24 @@ def test_heat_gap_scales_linearly_in_shift():
 def test_coupled_solve_validates_shift_shape():
     model, cfg, x0 = heat_setup()
     with pytest.raises(ParameterError):
-        bad_rows = G.ShiftFunction(values=np.zeros((7, 2)), dt=cfg.dt)
+        bad_rows = np.zeros((7, 2))
         G.coupled_ensemble(model, cfg, x0, bad_rows, 2, experiment_seed=0)
     with pytest.raises(ParameterError):
-        bad_width = G.ShiftFunction(values=np.zeros((cfg.n_steps + 1, 5)), dt=cfg.dt)
+        bad_width = np.zeros((cfg.n_steps + 1, 5))
         G.coupled_ensemble(model, cfg, x0, bad_width, 2, experiment_seed=0)
     with pytest.raises(ParameterError):
         coupled_pair(model, cfg, x0, bad_width, experiment_seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_shift_is_refused(bad):
+    model, cfg, x0 = heat_setup()
+    h = np.zeros((cfg.n_steps + 1, 2))
+    h[-1, 1] = bad   # the last row, which only the entropy reads
+    with pytest.raises(ParameterError, match="finite"):
+        coupled_pair(model, cfg, x0, h, experiment_seed=0)
+    with pytest.raises(ParameterError, match="finite"):
+        G.coupled_ensemble(model, cfg, x0, h, 2, experiment_seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +152,7 @@ def test_martingale_and_entropy_identities():
     mean, se = mean_and_stderr(mart)
     assert abs(mean - 1.0) <= 3.0 * se
     ent_mean, ent_se = mean_and_stderr(ens["log_rn"])
-    assert abs(ent_mean - G.shift_entropy(h)) <= 3.0 * ent_se
+    assert abs(ent_mean - G.shift_entropy(h, cfg.dt)) <= 3.0 * ent_se
 
 
 def test_coupled_ensemble_matches_single_pairs():
@@ -149,7 +161,7 @@ def test_coupled_ensemble_matches_single_pairs():
     h = unit_shift(cfg)
     ens = G.coupled_ensemble(model, cfg, x0, h, n_replicates=n_rep,
                              experiment_seed=3)
-    rows = h.dynamic_rows()
+    rows = h[:-1]
     i_left = cfg.dt * float(np.sum(rows**2))
     for r in range(n_rep):
         pair = coupled_pair(model, cfg, x0, h, experiment_seed=3, replicate=r)
@@ -162,7 +174,8 @@ def test_coupled_ensemble_matches_single_pairs():
         pairing = 0.0
         for k in range(cfg.n_steps):
             pairing += np.sum(rows[k] * inc[k])
-        assert ens["log_rn"][r] == pairing + i_left - G.shift_entropy(h)
+        assert ens["log_rn"][r] == \
+            pairing + i_left - G.shift_entropy(h, cfg.dt)
         assert ens["log_rn_base_view"][r] == pairing - 0.5 * i_left
 
 
@@ -173,7 +186,7 @@ def test_pairing_of_one_replicate_matches_its_row_of_a_coupled_pass():
     op = N.NoiseOperator(9, N.gains_inverse_k(9, 1.0), 1.0)
     model, x0 = M.heat_model(16, op), np.zeros(16)
     cfg = S.SolverConfig(dt=0.01, horizon=(N.SLAB_STEPS + 6) * 0.01)
-    rows = np.random.default_rng(5).normal(size=(cfg.n_steps, 9))
+    rows = np.random.default_rng(5).normal(size=(cfg.n_steps + 1, 9))
     n_rep = S.BLOCK_REPLICATES + 3
     ens = S.ensemble(model, cfg, x0, 3, range(n_rep), shift=rows)
     assert np.all(ens.pairing != 0.0)
@@ -191,7 +204,7 @@ def test_contraction_report_passes():
     model, cfg, x0 = heat_setup(n_modes=8, dt=0.005)
     h = unit_shift(cfg)
     ens = G.coupled_ensemble(model, cfg, x0, h, n_replicates=64, experiment_seed=0)
-    report = G.contraction_report(model, h, ens, t2_value(model, cfg))
+    report = G.contraction_report(model, ens, t2_value(model, cfg))
     assert report["pass"], report
     assert report["martingale"]["pass"]
     assert report["entropy_identity"]["pass"]
@@ -207,6 +220,6 @@ def test_girsanov_cost_is_twice_entropy():
     h = G.shift_from_descriptor({"type": "ramp", "amplitude": 2.0}, 2, cfg)
     model, _, x0 = heat_setup(dt=0.001)
     ens = G.coupled_ensemble(model, cfg, x0, h, n_replicates=2, experiment_seed=1)
-    report = G.contraction_report(model, h, ens, t2_value(model, cfg))
-    assert report["girsanov_cost"] == pytest.approx(2.0 * G.shift_entropy(h),
-                                                    rel=1e-14)
+    report = G.contraction_report(model, ens, t2_value(model, cfg))
+    assert report["girsanov_cost"] == pytest.approx(
+        2.0 * G.shift_entropy(h, cfg.dt), rel=1e-14)

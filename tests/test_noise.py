@@ -84,7 +84,7 @@ def test_no_pass_draws_more_than_a_slab_or_a_column(monkeypatch, shifted):
         S.ensemble(model, cfg, np.zeros(8), 1, range(n_rep), shift=shift)
         return list(sizes)
 
-    drawn = pass_draws(np.ones((cfg.n_steps, 8)) if shifted else None)
+    drawn = pass_draws(np.ones((cfg.n_steps + 1, 8)) if shifted else None)
     slab, column = N.SLAB_STEPS * S.BLOCK_REPLICATES * 8, cfg.n_steps * 8
     assert max(drawn) == slab
     assert sum(drawn) == n_rep * column

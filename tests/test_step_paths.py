@@ -252,10 +252,9 @@ def test_shifted_leg_divergence_names_its_leg(tmp_path, capsys):
     assert div["shifted"] is True and div["dt"] == cfg.solver.dt
     assert div["replicate"] > 0
 
-    rows = cfg.shift.dynamic_rows()
     with pytest.raises(DivergenceError) as err:
         S.solve(cfg.model, cfg.solver, cfg.x0, div["experiment_seed"],
-                replicate=div["replicate"], shift_values=rows)
+                replicate=div["replicate"], shift_values=cfg.shift)
     assert (err.value.step, err.value.time) == (div["step"], div["time"])
     assert err.value.shifted is True
     # the same replicate without the shift does not diverge

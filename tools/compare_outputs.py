@@ -14,10 +14,13 @@ exits 1 if any pair differs.  Usage:
     python tools/compare_outputs.py OLD_TREE NEW_TREE
     python tools/compare_outputs.py OLD NEW --config extra.json --workers 1 3
 
-The configs default to ``demos/configs/*.json`` of NEW_TREE; ``--config``
-adds more (repeatable), and ``--only`` drops the defaults.  ``--workers A
-B`` runs OLD with A worker processes and NEW with B (default 1 and 1);
-both run with one BLAS thread.  Run outputs go to a temporary directory.
+The configs default to ``demos/configs/*.json`` of NEW_TREE, then its
+``tools/configs/*.json``, which reach what no reference config does (a
+ramp shift, a ``mode`` start, the ``terminal_H_norm`` and
+``linear_probe`` functionals, a partial replicate block, a clamped
+noise); ``--config`` adds more (repeatable), and ``--only`` drops the
+defaults.  ``--workers A B`` runs OLD with A worker processes and NEW
+with B (default 1 and 1); both run with one BLAS thread.  Run outputs go to a temporary directory.
 """
 
 from __future__ import annotations
@@ -98,14 +101,15 @@ def main(argv=None) -> int:
     parser.add_argument("--config", action="append", default=[],
                         help="extra config to run (repeatable)")
     parser.add_argument("--only", action="store_true",
-                        help="run only the --config files, not the demo configs")
+                        help="run only the --config files, no default ones")
     parser.add_argument("--workers", type=int, nargs=2, default=(1, 1),
                         metavar=("OLD", "NEW"),
                         help="worker processes for each tree (default 1 1)")
     args = parser.parse_args(argv)
 
-    configs = [] if args.only else sorted(
-        glob.glob(os.path.join(args.new, "demos", "configs", "*.json")))
+    configs = [] if args.only else [
+        path for folder in ("demos", "tools") for path in sorted(
+            glob.glob(os.path.join(args.new, folder, "configs", "*.json")))]
     configs += args.config
 
     n_diff = 0

@@ -4,7 +4,10 @@ Runs every subcommand on every ``demos/configs/*.json`` in this process,
 one worker, with ``sys.setprofile`` noting each function of
 ``src/tci_spde`` that is entered.  Then prints every function or method
 defined there that no run entered, with its line count (decorators
-included).  Run outputs go to a temporary directory.  Usage:
+included).  Some of those the ``tools/configs/*.json`` of
+``compare_outputs.py`` reach, such as ``terminal_h_functional`` and
+``linear_probe_functional``, so a byte-identity check still runs them.
+Run outputs go to a temporary directory.  Usage:
 
     python tools/reach.py
 """
