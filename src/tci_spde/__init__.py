@@ -12,8 +12,7 @@ from .concentration import (FunctionalSpec, bobkov_gotze_check,
                             functional_ensemble, gaussian_tail_check,
                             l2_v_path_functional, linear_probe_functional,
                             moment_report, sup_h_functional, t2_chain_check,
-                            terminal_h_functional, w2_small_cloud,
-                            w2_sorted_1d)
+                            terminal_h_functional, w2_sorted_1d)
 from .config import ExperimentConfig, config_hash, load_config, parse_config
 from .constants import (admissible_ranges, ccr_constant, gaussian_moment_pair,
                         t1_constant, t2_constant, t2_objective)

@@ -5,6 +5,11 @@ output directory (plus CSV plot data where it applies), and exits 0 iff
 the report contains no failed verdict.  Reports embed the resolved config
 and its hash; rerunning with the same config and seed is byte-identical
 up to the single ``timestamp`` key, independent of the worker count.
+Every constant a report gives comes from the config's constants record
+(``ExperimentConfig.constants``), so ``verify-t1`` and ``verify-t2``
+check against the ``C_T1`` and ``C_T2`` that ``constants`` reports; the
+two verify subcommands refuse a record whose horizon is not the
+simulated one.
 """
 
 from __future__ import annotations
@@ -41,6 +46,17 @@ def _require(cfg: ExperimentConfig, *names):
                            for name in missing])
 
 
+def _require_verifiable(cfg: ExperimentConfig):
+    """The model, solver and start of an ensemble, and a constants record
+    at the horizon that ensemble is solved to."""
+    _require(cfg, "model", "solver", "x0")
+    horizon, simulated = cfg.constants["horizon"], cfg.solver.horizon
+    if horizon != simulated:
+        raise SchemaError([f"constants.horizon: {horizon!r} differs from "
+                           f"solver.horizon {simulated!r}, the horizon the "
+                           "ensemble is solved to"])
+
+
 def _all_pass(node) -> bool:
     if isinstance(node, dict):
         return all(bool(val) if key == "pass" else _all_pass(val)
@@ -72,22 +88,24 @@ def _run_audit(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _t1_constants(cfg: ExperimentConfig, theta, eta, K3, c_b, f_int, x0_sq,
-                  refuse_inadmissible: bool = False) -> dict:
-    """The T1 report keys: the admissible ranges, lambda0 (default half of
-    lambda0_max_lemma), c, mu_moment (default exp(lambda0 ||x0||_H^2)) and
-    C_T1.  With ``refuse_inadmissible``, a lambda0 outside
-    (0, lambda0_max_lemma) raises before anything else is computed."""
-    ranges = cst.admissible_ranges(theta, eta, K3, c_b, cfg.c)
+def _t1_constants(cfg: ExperimentConfig) -> dict:
+    """The T1 report keys from the constants record: the admissible
+    ranges, lambda0 (default half of lambda0_max_lemma), c, mu_moment
+    (default exp(lambda0 ||x0||_H^2)), C_T1 and the Gaussian moment pair."""
+    vals = cfg.constants
+    theta, x0_sq = vals["theta"], vals["x0_h_norm_sq"]
+    f_int = vals["f_tilde_integral"] or 0.0
+    ranges = cst.admissible_ranges(theta, vals["eta"], vals["K3"] or 0.0,
+                                   vals["C_B"], cfg.c)
     lambda0 = cfg.lambda0 if cfg.lambda0 is not None \
         else 0.5 * ranges["lambda0_max_lemma"]
-    if refuse_inadmissible:
-        conc.check_lambda0(lambda0, ranges["lambda0_max_lemma"])
     mu_moment = cfg.mu_moment if cfg.mu_moment is not None \
         else cst.exp_or_inf(lambda0 * x0_sq)
+    a, b = cst.gaussian_moment_pair(cfg.c, lambda0, theta, f_int, x0_sq)
     return {"ranges": ranges, "lambda0": float(lambda0), "c": float(cfg.c),
             "mu_moment": float(mu_moment),
-            "C_T1": cst.t1_constant(lambda0, cfg.c, theta, f_int, mu_moment)}
+            "C_T1": cst.t1_constant(lambda0, cfg.c, theta, f_int, mu_moment),
+            "gaussian_moment": {"a": float(a), "b": float(b)}}
 
 
 def _run_constants(cfg: ExperimentConfig) -> dict:
@@ -107,17 +125,9 @@ def _run_constants(cfg: ExperimentConfig) -> dict:
         report.update({"ranges": None, "C_T1": None, "D": None,
                        "gaussian_moment": None})
         return report
-    f_int = vals["f_tilde_integral"] or 0.0
-    x0_sq = vals["x0_h_norm_sq"]
-    t1 = _t1_constants(cfg, vals["theta"], vals["eta"], vals["K3"] or 0.0,
-                       vals["C_B"], f_int, x0_sq)
-    a, b = cst.gaussian_moment_pair(cfg.c, t1["lambda0"], vals["theta"],
-                                    f_int, x0_sq)
-    report.update(t1)
-    report.update({
-        "gaussian_moment": {"a": float(a), "b": float(b)},
-        "D": cst.ccr_constant(a, b) if a > 0.0 else None,
-    })
+    report.update(_t1_constants(cfg))
+    a, b = report["gaussian_moment"]["a"], report["gaussian_moment"]["b"]
+    report["D"] = cst.ccr_constant(a, b) if a > 0.0 else None
     return report
 
 
@@ -165,7 +175,7 @@ def _write_ensemble_csv(path, experiment_seed, columns):
 
 
 def _run_verify_t2(cfg: ExperimentConfig, out_dir: str) -> dict:
-    _require(cfg, "model", "solver", "x0")
+    _require_verifiable(cfg)
     if cfg.shift is None:
         raise SchemaError(["shift: required by verify-t2"])
     model = cfg.model
@@ -189,15 +199,14 @@ def _run_verify_t2(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 
 def _run_verify_t1(cfg: ExperimentConfig, out_dir: str) -> dict:
-    _require(cfg, "model", "solver", "x0")
-    model = cfg.model
-    cons = model.constants
-    f_int = cons.f_tilde * cfg.solver.horizon
-    x0_sq = float(model.space.sq_norms(cfg.x0))
-    # An inadmissible lambda0 is refused before any replicate is solved.
-    t1 = _t1_constants(cfg, cons.theta, cons.eta, cons.K3, model.noise.c_b,
-                       f_int, x0_sq, refuse_inadmissible=True)
+    _require_verifiable(cfg)
+    model, vals = cfg.model, cfg.constants
+    t1 = _t1_constants(cfg)  # the C_T1 that ``constants`` reports
+    moment = t1.pop("gaussian_moment")
     lambda0, c_t1 = t1["lambda0"], t1["C_T1"]
+    lambda0_max = t1["ranges"]["lambda0_max_lemma"]
+    # An inadmissible lambda0 is refused before any replicate is solved.
+    conc.check_lambda0(lambda0, lambda0_max)
 
     functional = conc.l2_v_path_functional()
     values = conc.functional_ensemble(model, cfg.solver, cfg.x0, functional,
@@ -208,8 +217,9 @@ def _run_verify_t1(cfg: ExperimentConfig, out_dir: str) -> dict:
     return {
         **t1,
         "exp_moment": conc.exp_moment_check(
-            model, values, cfg.c, lambda0, t1["ranges"]["lambda0_max_lemma"],
-            f_int, x0_sq, cfg.experiment_seed),
+            model, values, (moment["a"], moment["b"]), cfg.c, lambda0,
+            lambda0_max, vals["f_tilde_integral"], vals["x0_h_norm_sq"],
+            cfg.experiment_seed),
         "bobkov_gotze": conc.bobkov_gotze_check(values, lip, c_t1,
                                                 cfg.lambda_grid),
         "gaussian_tail": conc.gaussian_tail_check(values, lip, c_t1,

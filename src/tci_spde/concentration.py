@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import exp_or_inf, gaussian_moment_pair
+from .constants import exp_or_inf
 from ._stats import fsum_mean, mean_and_stderr, wilson_upper
 from .errors import ParameterError
 from .models import ModelSpec
@@ -220,21 +220,24 @@ def check_lambda0(lambda0: float, lambda0_max: float):
         raise ParameterError(f"lambda0 must lie in (0, {lambda0_max:.6g})")
 
 
-def exp_moment_check(model: ModelSpec, values, c: float, lambda0: float,
-                     lambda0_max: float, f_int: float, x0_sq: float,
-                     experiment_seed: int) -> dict:
+def exp_moment_check(model: ModelSpec, values, pair, c: float,
+                     lambda0: float, lambda0_max: float, f_int: float,
+                     x0_sq: float, experiment_seed: int) -> dict:
     """E exp(c lambda0 theta int ||X||_V^2 dt) against its closed-form bound
     exp(lambda0 (f_int + x0_sq)), from l2_V_path_norm ``values``.
 
-    lambda0 must lie below ``lambda0_max``, the smaller (moment-lemma)
-    bound of ``constants.admissible_ranges``; ``f_int`` is int f~ dt and
-    ``x0_sq`` is ||x0||_H^2.  The verdict is conservative, estimate plus
-    three standard errors against the bound.
+    ``pair`` is the Gaussian moment pair (a, bound) of
+    ``constants.gaussian_moment_pair`` at (c, lambda0, theta, f_int,
+    x0_sq), computed by the caller with the rest of its constants; the
+    other inputs are reported with it.  lambda0 must lie below
+    ``lambda0_max``, the smaller (moment-lemma) bound of
+    ``constants.admissible_ranges``; ``f_int`` is int f~ dt and ``x0_sq``
+    is ||x0||_H^2.  The verdict is conservative, estimate plus three
+    standard errors against the bound.
     """
     check_lambda0(lambda0, lambda0_max)
     values = _ensemble_values(values)
-    a, bound = gaussian_moment_pair(c, lambda0, model.constants.theta, f_int,
-                                    x0_sq)
+    a, bound = pair
     exponent = a * values**2
     if float(np.max(exponent)) > _EXP_RANGE:
         estimate, stderr, infinite = math.inf, math.inf, True
@@ -273,35 +276,6 @@ def w2_sorted_1d(a, b) -> float:
         raise ParameterError("samples must be 1-D and of equal size")
     diff = np.sort(a) - np.sort(b)
     return math.sqrt(float(np.mean(diff**2)))
-
-
-def w2_small_cloud(a, b) -> float:
-    """Exact W2 between small equal-size point clouds in R^d.
-
-    Solves the optimal assignment on squared distances; instances beyond
-    n = 256 or d = 8 are refused (use w2_sorted_1d on scalar functionals
-    for large ensembles).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[:, None]
-    if b.ndim == 1:
-        b = b[:, None]
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] == 0:
-        raise ParameterError("clouds must have identical (n, d) shapes")
-    n, d = a.shape
-    if n > 256 or d > 8:
-        raise ParameterError(
-            "cloud too large for exact assignment (n <= 256, d <= 8); "
-            "use w2_sorted_1d on scalar functionals instead")
-    # scipy.optimize costs most of the package import time and ~24 MB, and
-    # only this function needs it.
-    from scipy.optimize import linear_sum_assignment
-
-    cost = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    return math.sqrt(float(np.mean(cost[rows, cols])))
 
 
 def t2_chain_check(model: ModelSpec, functional: FunctionalSpec,

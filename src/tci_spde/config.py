@@ -104,7 +104,8 @@ _INDEX = {"check": lambda v: v >= 1, "describe": "must be a positive integer"}
 @dataclass
 class ExperimentConfig:
     """Resolved experiment pieces plus the raw document they came from;
-    ``constants`` holds the resolved inputs of the ``constants`` subcommand
+    ``constants`` is the constants record, the resolved inputs of every
+    constant that ``constants``, ``verify-t1`` and ``verify-t2`` report,
     and ``snapshot_stride`` (read from the solver section) thins the rows
     of ``simulate``'s trajectory CSV."""
 
@@ -344,15 +345,15 @@ def _grid(reader: _Reader, key, default):
 
 
 def _build_constants(reader: _Reader, model, solver, x0) -> dict:
-    """The constants inputs, each read once with its default: ``horizon``
-    wins over ``T``, either over the solver's; the model gives K2, C_B,
-    theta, eta and K3, and f_tilde_integral = f_tilde * horizon; x0 gives
-    its squared H-norm, which must be finite."""
+    """The constants record, the one source of every constant a report
+    gives: each input is one key, read once with its default.  The solver
+    gives the horizon; the model gives K2, C_B, theta, eta and K3, and
+    f_tilde_integral = f_tilde * horizon; x0 gives its squared H-norm,
+    which must be finite."""
     cons = reader.section("constants")
-    vals = {"C1": cons.get("C1", float, default=2.0, **_POSITIVE)}
-    horizon = cons.get("horizon", float, default=None)
-    T = cons.get("T", float, default=None if solver is None else solver.horizon)
-    vals["horizon"] = T if horizon is None else horizon
+    vals = {"C1": cons.get("C1", float, default=2.0, **_POSITIVE),
+            "horizon": cons.get("horizon", float, default=None
+                                if solver is None else solver.horizon)}
     defaults = dict.fromkeys(("K2", "C_B", "theta", "eta", "K3"))
     if model is not None:
         c = model.constants

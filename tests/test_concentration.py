@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from tci_spde import concentration as K
 from tci_spde import fields as F
@@ -21,7 +22,6 @@ from tci_spde.constants import (admissible_ranges, gaussian_moment_pair,
 from tci_spde.errors import InvalidFieldError, ParameterError
 
 import oracles as orc
-from oracles import w2_factorial_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -144,34 +144,14 @@ def test_w2_sorted_examples():
         K.w2_sorted_1d([0.0, 1.0], [0.0])
 
 
-def test_w2_small_cloud_examples():
-    pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-    assert K.w2_small_cloud(pts, pts) == 0.0
-    # unit square: sides beat the crossed diagonal pairing
-    a = np.array([[0.0, 0.0], [1.0, 0.0]])
-    b = np.array([[0.0, 1.0], [1.0, 1.0]])
-    assert K.w2_small_cloud(a, b) == pytest.approx(1.0, rel=1e-15)
-    with pytest.raises(ParameterError):
-        K.w2_small_cloud(np.zeros((2, 9)), np.zeros((2, 9)))
-    with pytest.raises(ParameterError):
-        K.w2_small_cloud(np.zeros((257, 1)), np.zeros((257, 1)))
-
-
-def test_w2_small_cloud_equals_factorial_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(30):
-        n = int(rng.integers(2, 9))
-        d = int(rng.integers(1, 4))
-        a = rng.normal(size=(n, d))
-        b = rng.normal(size=(n, d))
-        assert K.w2_small_cloud(a, b) == w2_factorial_oracle(a, b)
-
-
 def test_w2_sorted_agrees_with_assignment_in_1d():
     rng = np.random.default_rng(8)
     a = rng.normal(size=64)
     b = rng.normal(size=64)
-    assert K.w2_sorted_1d(a, b) == pytest.approx(K.w2_small_cloud(a, b), rel=1e-12)
+    cost = (a[:, None] - b[None, :]) ** 2
+    rows, cols = linear_sum_assignment(cost)
+    assignment = math.sqrt(float(np.mean(cost[rows, cols])))
+    assert K.w2_sorted_1d(a, b) == pytest.approx(assignment, rel=1e-12)
 
 
 @given(
@@ -283,11 +263,13 @@ def test_exp_moment_check_passes_on_heat():
                                model.constants.K3, model.noise.c_b)
     values = K.functional_ensemble(model, cfg, x0, K.l2_v_path_functional(),
                                    256, 0)
-    report = K.exp_moment_check(model, values, c=0.5,
-                                lambda0=0.5 * ranges["lambda0_max_lemma"],
+    lambda0 = 0.5 * ranges["lambda0_max_lemma"]
+    f_int = model.constants.f_tilde * cfg.horizon
+    pair = gaussian_moment_pair(0.5, lambda0, model.constants.theta, f_int,
+                                0.0)
+    report = K.exp_moment_check(model, values, pair, c=0.5, lambda0=lambda0,
                                 lambda0_max=ranges["lambda0_max_lemma"],
-                                f_int=model.constants.f_tilde * cfg.horizon, x0_sq=0.0,
-                                experiment_seed=0)
+                                f_int=f_int, x0_sq=0.0, experiment_seed=0)
     assert report["pass"], report
     assert report["n_replicates"] == 256
     assert report["estimate"] + 3.0 * report["stderr"] <= report["bound"]
@@ -300,10 +282,10 @@ def test_exp_moment_check_sums_exponentials_beyond_the_float_range():
     ranges = admissible_ranges(model.constants.theta, model.constants.eta,
                                model.constants.K3, model.noise.c_b)
     lambda0, f_int = 0.5 * ranges["lambda0_max_lemma"], 0.0
-    a, _ = gaussian_moment_pair(0.5, lambda0, model.constants.theta, f_int,
+    pair = gaussian_moment_pair(0.5, lambda0, model.constants.theta, f_int,
                                 0.0)
-    values = np.full(20_000, math.sqrt(699.999 / a))
-    report = K.exp_moment_check(model, values, c=0.5, lambda0=lambda0,
+    values = np.full(20_000, math.sqrt(699.999 / pair[0]))
+    report = K.exp_moment_check(model, values, pair, c=0.5, lambda0=lambda0,
                                 lambda0_max=ranges["lambda0_max_lemma"],
                                 f_int=f_int, x0_sq=0.0, experiment_seed=0)
     assert not report["infinite"]
@@ -316,11 +298,12 @@ def test_exp_moment_check_rejects_inadmissible_lambda0():
     model, cfg, _ = small_heat()
     ranges = admissible_ranges(model.constants.theta, model.constants.eta,
                                model.constants.K3, model.noise.c_b)
+    f_int = model.constants.f_tilde * cfg.horizon
+    pair = gaussian_moment_pair(0.5, 10.0, model.constants.theta, f_int, 0.0)
     with pytest.raises(ParameterError, match="lambda0 must lie in"):
-        K.exp_moment_check(model, np.ones(4), c=0.5, lambda0=10.0,
+        K.exp_moment_check(model, np.ones(4), pair, c=0.5, lambda0=10.0,
                            lambda0_max=ranges["lambda0_max_lemma"],
-                           f_int=model.constants.f_tilde * cfg.horizon, x0_sq=0.0,
-                           experiment_seed=0)
+                           f_int=f_int, x0_sq=0.0, experiment_seed=0)
 
 
 def test_zero_noise_moments_vanish():

@@ -19,6 +19,8 @@ from tci_spde.girsanov import coupled_ensemble
 from tci_spde.models import ETA_1D
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "configs")
+TOOLS_CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                                "configs")
 
 BASE = {
     "model": {"kind": "heat", "n_modes": 8},
@@ -126,12 +128,12 @@ def test_constants_subcommand(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("given, horizon", [
-    ({"T": 2.0}, 2.0),
-    ({"T": 2.0, "horizon": 3.0}, 3.0),
-], ids=["T_alone", "horizon_over_T"])
+    ({"horizon": 2.0}, 2.0),
+    ({}, 0.2),
+], ids=["horizon_over_solver", "solver_default"])
 def test_constants_horizon_precedence(tmp_path, capsys, given, horizon):
-    # `horizon` wins over `T`, either wins over the solver's 0.2, and the
-    # default f_tilde_integral is f_tilde (= C_B = 1 on BASE) times it
+    # `horizon` wins over the solver's 0.2, and the default
+    # f_tilde_integral is f_tilde (= C_B = 1 on BASE) times it
     path = write_config(tmp_path, {"constants": given})
     out = tmp_path / "out"
     assert main(["constants", "--config", path, "--out", str(out)]) == 0
@@ -139,6 +141,32 @@ def test_constants_horizon_precedence(tmp_path, capsys, given, horizon):
     assert report["C_T2"]["horizon"] == horizon
     assert report["gaussian_moment"]["b"] == math.exp(
         report["lambda0"] * (1.0 * horizon + 0.0))
+    capsys.readouterr()
+
+
+def test_constants_T_is_an_unknown_key(tmp_path, capsys):
+    # the horizon has one key, `horizon`
+    path = write_config(tmp_path, {"constants": {"T": 2.0}})
+    out = tmp_path / "out"
+    assert main(["constants", "--config", path, "--out", str(out)]) == 2
+    assert "constants.T: unknown key" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["verify-t2", "verify-t1"])
+def test_verify_at_another_horizon_exits_2(tmp_path, capsys, subcommand):
+    # the ensemble is solved to solver.horizon = 0.2, so a constants record
+    # at 1.5 is refused before any replicate is solved
+    path = write_config(tmp_path, {"constants": {"horizon": 1.5}})
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", path, "--out", str(out)]) == 2
+    assert ("constants.horizon: 1.5 differs from solver.horizon 0.2"
+            in capsys.readouterr().err)
+    assert not (out / "ensemble.csv").exists()
+    assert not (out / "report.json").exists()
+    # `constants` still evaluates the record at any horizon
+    assert main(["constants", "--config", path, "--out", str(out)]) == 0
+    assert read_report(out)["C_T2"]["horizon"] == 1.5
     capsys.readouterr()
 
 
@@ -175,9 +203,9 @@ def test_verify_t2_reads_the_entropy_of_its_coupled_pass(tmp_path, capsys):
 
 
 def test_verify_t2_checks_against_the_reported_t2_constant(tmp_path, capsys):
-    # constants overrides of K2, C_B and horizon reach verify-t2's C_T2
+    # constants overrides of K2 and C_B reach verify-t2's C_T2
     path = _reference(tmp_path, "heat_reference", replicates=32,
-                      constants={"K2": 0.5, "C_B": 2.0, "horizon": 1.5})
+                      constants={"K2": 0.5, "C_B": 2.0})
     reports = {}
     for sub in ("constants", "verify-t2"):
         main([sub, "--config", path, "--out", str(tmp_path / sub)])
@@ -228,6 +256,67 @@ def test_inadmissible_lambda0_exits_2_before_solving(tmp_path, capsys):
     assert code == 2
     assert f"lambda0 must lie in (0, {lambda0_max:.6g})" in capsys.readouterr().err
     assert not (out / "ensemble.csv").exists()
+    assert not (out / "report.json").exists()
+
+
+def _t1_parity(tmp_path, capsys, path):
+    """Run `constants` and `verify-t1` on ``path`` and check that both
+    report the same T1 constants, bit for bit."""
+    reports = {}
+    for sub in ("constants", "verify-t1"):
+        assert main([sub, "--config", path, "--out", str(tmp_path / sub)]) \
+            in (0, 1)
+        reports[sub] = read_report(tmp_path / sub)
+    capsys.readouterr()
+    cons, t1 = reports["constants"], reports["verify-t1"]
+    for key in ("lambda0", "c", "mu_moment", "ranges", "C_T1"):
+        assert t1[key] == cons[key], key
+    assert t1["exp_moment"]["a"] == cons["gaussian_moment"]["a"]
+    assert t1["exp_moment"]["bound"] == cons["gaussian_moment"]["b"]
+    return cons, t1
+
+
+def test_verify_t1_checks_against_the_reported_t1_constants(tmp_path, capsys):
+    # theta, C_B, f_tilde_integral and x0_h_norm_sq overrides reach
+    # verify-t1's constants and its exponential-moment block
+    path = os.path.join(TOOLS_CONFIG_DIR, "heat_constants.json")
+    with open(path) as fh:
+        given = json.load(fh)["constants"]
+    cons, t1 = _t1_parity(tmp_path, capsys, path)
+    assert t1["ranges"] == admissible_ranges(given["theta"], ETA_1D, 0.0,
+                                             given["C_B"], 0.5)
+    assert t1["exp_moment"]["f_tilde_integral"] == given["f_tilde_integral"]
+    assert t1["exp_moment"]["x0_h_norm_sq"] == given["x0_h_norm_sq"]
+    assert t1["bobkov_gotze"]["C"] == t1["gaussian_tail"]["C"] == cons["C_T1"]
+
+
+@pytest.mark.parametrize("name", ["heat_reference", "burgers_reference",
+                                  "ns2d_reference"])
+def test_verify_t1_reports_the_constants_of_the_reference_configs(
+        tmp_path, capsys, name):
+    path = _reference(tmp_path, name, replicates=2,
+                      solver={"dt": 0.001, "horizon": 0.01})
+    _t1_parity(tmp_path, capsys, path)
+
+
+def test_overridden_theta_bounds_lambda0_before_solving(tmp_path, capsys,
+                                                        monkeypatch):
+    # lambda0 = 0.3 lies below the bound of the model's theta = 1.5
+    # (0.345) but not below that of the overriding theta = 0.5 (0.213)
+    assert admissible_ranges(1.5, ETA_1D, 0.0, 1.0, 0.5)["lambda0_max_lemma"] \
+        > 0.3
+    lambda0_max = admissible_ranges(0.5, ETA_1D, 0.0, 1.0,
+                                    0.5)["lambda0_max_lemma"]
+
+    def solved(*args, **kwargs):
+        raise AssertionError("a replicate was solved")
+
+    monkeypatch.setattr("tci_spde.concentration.functional_ensemble", solved)
+    path = write_config(tmp_path, {"t1": {"c": 0.5, "lambda0": 0.3},
+                                   "constants": {"theta": 0.5}})
+    out = tmp_path / "out"
+    assert main(["verify-t1", "--config", path, "--out", str(out)]) == 2
+    assert f"lambda0 must lie in (0, {lambda0_max:.6g})" in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 
@@ -578,7 +667,7 @@ def test_shift_and_constants_are_built_at_parse_time():
         "C1": 2.0, "horizon": 0.2, "K2": 0.0, "C_B": 1.0,
         "theta": cfg.model.constants.theta, "eta": ETA_1D, "K3": 0.0,
         "f_tilde_integral": 1.0 * 0.2, "x0_h_norm_sq": 0.0}
-    bare = parse_config({"constants": {"T": 2.0, "K2": 0.5}})
+    bare = parse_config({"constants": {"horizon": 2.0, "K2": 0.5}})
     assert bare.shift is None
     assert bare.constants == {
         "C1": 2.0, "horizon": 2.0, "K2": 0.5, "C_B": None, "theta": None,
