@@ -1,4 +1,5 @@
-"""Order-independent summary statistics for Monte Carlo ensembles.
+"""Order-independent summary statistics for Monte Carlo ensembles, and
+the one rule by which they become verdicts.
 
 Sums use ``math.fsum`` over replicate-indexed arrays, so aggregates do
 not depend on how the replicates were scheduled across workers.
@@ -9,6 +10,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+Z = 3.0  # standard errors behind every Monte Carlo verdict
 
 
 def fsum_mean(values) -> float:
@@ -37,7 +40,7 @@ def mean_and_stderr(values) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def wilson_upper(count: int, n: int, z: float = 3.0) -> float:
+def wilson_upper(count: int, n: int, z: float = Z) -> float:
     """Upper Wilson score bound for a binomial proportion."""
     if n <= 0:
         return 1.0
@@ -46,3 +49,25 @@ def wilson_upper(count: int, n: int, z: float = 3.0) -> float:
     center = p + z**2 / (2.0 * n)
     radius = z * math.sqrt(p * (1.0 - p) / n + z**2 / (4.0 * n**2))
     return min(1.0, (center + radius) / denom)
+
+
+def verdict(estimate: float, stderr: float, bound: float, rule: str) -> dict:
+    """The report keys of an estimate checked against ``bound`` at ``Z``
+    standard errors.  ``two_sided``: |estimate - bound| <= Z stderr, with
+    the bound reported as ``expected``.  ``upper``, a pass needs evidence:
+    estimate + Z stderr <= bound, with margin bound - (estimate + Z stderr).
+    ``excess``, only a significant excess fails: estimate <= bound + Z
+    stderr, with margin bound - estimate.  A one-sided rule fails a
+    non-finite estimate."""
+    if rule == "two_sided":
+        return {"expected": float(bound),
+                "pass": bool(abs(estimate - bound) <= Z * stderr)}
+    finite = math.isfinite(estimate)
+    if rule == "upper":
+        return {"bound": float(bound),
+                "margin": float(bound - (estimate + Z * stderr)),
+                "pass": bool(finite and estimate + Z * stderr <= bound)}
+    if rule == "excess":
+        return {"bound": float(bound), "margin": float(bound - estimate),
+                "pass": bool(finite and estimate <= bound + Z * stderr)}
+    raise ValueError(f"unknown verdict rule {rule!r}")

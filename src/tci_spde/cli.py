@@ -90,8 +90,9 @@ def _run_audit(cfg: ExperimentConfig) -> dict:
 
 def _t1_constants(cfg: ExperimentConfig) -> dict:
     """The T1 report keys from the constants record: the admissible
-    ranges, lambda0 (default half of lambda0_max_lemma), c, mu_moment
-    (default exp(lambda0 ||x0||_H^2)), C_T1 and the Gaussian moment pair."""
+    ranges, lambda0 (default half of lambda0_max_lemma; an inadmissible one
+    is refused), c, mu_moment (default exp(lambda0 ||x0||_H^2)), C_T1 and
+    the Gaussian moment pair."""
     vals = cfg.constants
     theta, x0_sq = vals["theta"], vals["x0_h_norm_sq"]
     f_int = vals["f_tilde_integral"] or 0.0
@@ -99,6 +100,7 @@ def _t1_constants(cfg: ExperimentConfig) -> dict:
                                    vals["C_B"], cfg.c)
     lambda0 = cfg.lambda0 if cfg.lambda0 is not None \
         else 0.5 * ranges["lambda0_max_lemma"]
+    conc.check_lambda0(lambda0, ranges["lambda0_max_lemma"])
     mu_moment = cfg.mu_moment if cfg.mu_moment is not None \
         else cst.exp_or_inf(lambda0 * x0_sq)
     a, b = cst.gaussian_moment_pair(cfg.c, lambda0, theta, f_int, x0_sq)
@@ -205,8 +207,6 @@ def _run_verify_t1(cfg: ExperimentConfig, out_dir: str) -> dict:
     moment = t1.pop("gaussian_moment")
     lambda0, c_t1 = t1["lambda0"], t1["C_T1"]
     lambda0_max = t1["ranges"]["lambda0_max_lemma"]
-    # An inadmissible lambda0 is refused before any replicate is solved.
-    conc.check_lambda0(lambda0, lambda0_max)
 
     functional = conc.l2_v_path_functional()
     values = conc.functional_ensemble(model, cfg.solver, cfg.x0, functional,
@@ -292,14 +292,12 @@ def _emit(report: dict, cfg: ExperimentConfig, subcommand: str,
                   allow_nan=False)
         fh.write("\n")
     print(f"{subcommand}: config {cfg.hash[:12]} -> {path}")
-    for key in sorted(report):
-        val = report[key]
-        if isinstance(val, dict) and "pass" in val:
-            print(f"  {key}: {'PASS' if val['pass'] else 'FAIL'}")
-        elif isinstance(val, list):
-            for i, item in enumerate(val):
-                if isinstance(item, dict) and "pass" in item:
-                    print(f"  {key}[{i}]: {'PASS' if item['pass'] else 'FAIL'}")
+    for key, val in sorted(report.items()):  # by the rule of all_passed
+        items = enumerate(val) if isinstance(val, list) else [(None, val)]
+        for i, item in items:
+            if isinstance(item, dict) and "pass" in item:
+                label = key if i is None else f"{key}[{i}]"
+                print(f"  {label}: {'PASS' if _all_pass(item) else 'FAIL'}")
     print("result: " + ("PASS" if ok else "FAIL"))
     return ok
 

@@ -6,10 +6,9 @@ ensembles witness the transportation inequalities one-sidedly.
 ``functional_ensemble`` and ``moment_report`` are statistics over
 ``solver.ensemble`` passes; the checks are statistics over values (or a
 coupled ensemble) the caller has already solved, with constants the
-caller has already computed.  All
-statistical verdicts are one-sided at three standard errors; exponential
-moments use max-subtraction and report an infinite flag instead of
-clipping when the exponent range is unrepresentable.
+caller has already computed.  Exponential moments use max-subtraction
+and report an infinite flag instead of clipping when the exponent range
+is unrepresentable.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import exp_or_inf
-from ._stats import fsum_mean, mean_and_stderr, wilson_upper
+from ._stats import fsum_mean, mean_and_stderr, verdict, wilson_upper
 from .errors import ParameterError
 from .models import ModelSpec
 from .noise import LANE_REFINED, derived_replicate
@@ -156,8 +155,8 @@ def bobkov_gotze_check(values, lip: float, C: float, lambda_grid) -> dict:
     """Centered exponential moments of the values of a functional with
     Lipschitz constant ``lip`` against exp(C lam^2 L^2 / 2).
 
-    A violation is declared only when the estimate exceeds the bound by
-    more than three standard errors; the Gaussian equality case must pass.
+    Each entry is an ``excess`` verdict (``_stats.verdict``), so the
+    Gaussian equality case passes.
     """
     if C <= 0.0:
         raise ParameterError("C must be positive")
@@ -166,16 +165,12 @@ def bobkov_gotze_check(values, lip: float, C: float, lambda_grid) -> dict:
     for lam in lambda_grid:
         res = exp_moment_empirical(values, lam)
         bound = exp_or_inf(0.5 * C * lam * lam * lip * lip)
-        ok = (not res["infinite"]
-              and res["estimate"] <= bound + 3.0 * res["stderr"])
         entries.append({
             "lambda": float(lam),
             "estimate": res["estimate"],
             "stderr": res["stderr"],
             "infinite": res["infinite"],
-            "bound": float(bound),
-            "margin": float(bound - res["estimate"]),
-            "pass": bool(ok),
+            **verdict(res["estimate"], res["stderr"], bound, "excess"),
         })
     return {"C": float(C), "lipschitz_constant": float(lip),
             "entries": entries,
@@ -186,7 +181,7 @@ def gaussian_tail_check(values, lip: float, C: float, r_grid) -> dict:
     """Empirical upper tails of F - mean, for the values of a functional F
     with Lipschitz constant ``lip``, against exp(-r^2 / (2 C L^2)).
 
-    The verdict compares a Wilson upper confidence limit (z = 3) for the
+    The verdict compares a Wilson upper confidence limit (z = ``Z``) for the
     tail probability with the Gaussian bound.
     """
     if C <= 0.0:
@@ -232,8 +227,7 @@ def exp_moment_check(model: ModelSpec, values, pair, c: float,
     other inputs are reported with it.  lambda0 must lie below
     ``lambda0_max``, the smaller (moment-lemma) bound of
     ``constants.admissible_ranges``; ``f_int`` is int f~ dt and ``x0_sq``
-    is ||x0||_H^2.  The verdict is conservative, estimate plus three
-    standard errors against the bound.
+    is ||x0||_H^2.  The verdict is ``upper`` (``_stats.verdict``).
     """
     check_lambda0(lambda0, lambda0_max)
     values = _ensemble_values(values)
@@ -244,7 +238,6 @@ def exp_moment_check(model: ModelSpec, values, pair, c: float,
     else:
         estimate, stderr = mean_and_stderr(np.exp(exponent))
         infinite = False
-    ok = (not infinite) and estimate + 3.0 * stderr <= bound
     return {
         "model": model.kind,
         "c": float(c),
@@ -258,9 +251,7 @@ def exp_moment_check(model: ModelSpec, values, pair, c: float,
         "infinite": bool(infinite),
         "f_tilde_integral": float(f_int),
         "x0_h_norm_sq": float(x0_sq),
-        "bound": float(bound),
-        "margin": float(bound - (estimate + 3.0 * stderr)),
-        "pass": bool(ok),
+        **verdict(estimate, stderr, bound, "upper"),
     }
 
 
@@ -285,7 +276,9 @@ def t2_chain_check(model: ModelSpec, functional: FunctionalSpec,
     the T2 constant ``c_t2``.
 
     One-Lipschitz functionals cannot expand W2, so the image-measure
-    distance is a sound one-sided witness of the path-space inequality.
+    distance is a sound one-sided witness of the path-space inequality;
+    the verdict is ``excess`` on the combined standard error of the two
+    marginal means.
     """
     fx = functional.values(coupled["shifted"], model.space)
     fy = functional.values(coupled["unshifted"], model.space)
@@ -305,10 +298,8 @@ def t2_chain_check(model: ModelSpec, functional: FunctionalSpec,
         "shift_entropy": float(entropy),
         "w2_empirical": float(w2),
         "t2_constant": float(c_t2),
-        "bound": float(bound),
         "combined_stderr": float(combined),
-        "margin": float(bound - w2),
-        "pass": bool(w2 <= bound + 3.0 * combined),
+        **verdict(w2, combined, bound, "excess"),
     }
 
 

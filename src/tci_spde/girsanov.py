@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._stats import mean_and_stderr
+from ._stats import mean_and_stderr, verdict
 from .errors import ParameterError
 from .models import ModelSpec
 from .solver import SolverConfig, ensemble
@@ -91,9 +91,8 @@ def contraction_report(model: ModelSpec, coupled: dict, c_t2: float) -> dict:
     martingale normalization, entropy identity, and the squared-gap
     contraction bound with the T2 constant ``c_t2``.
 
-    The martingale and entropy verdicts are two-sided, |mean - expected|
-    <= 3 stderr; the gap bound is one-sided and compares mean + 3 stderr
-    against C(T, K2, C_B) int ||h||^2 dt.
+    The martingale and entropy verdicts are ``two_sided`` and the gap
+    against C(T, K2, C_B) int ||h||^2 dt is ``upper`` (``_stats.verdict``).
     """
     entropy = coupled["shift_entropy"]
     cost = 2.0 * entropy
@@ -109,21 +108,12 @@ def contraction_report(model: ModelSpec, coupled: dict, c_t2: float) -> dict:
         "experiment_seed": int(coupled["experiment_seed"]),
         "shift_entropy": float(entropy),
         "girsanov_cost": float(cost),
-        "martingale": {
-            "mean": float(mart_mean),
-            "stderr": float(mart_se),
-            "expected": 1.0,
-            "pass": bool(abs(mart_mean - 1.0) <= 3.0 * mart_se),
-        },
+        "martingale": {"mean": float(mart_mean), "stderr": float(mart_se),
+                       **verdict(mart_mean, mart_se, 1.0, "two_sided")},
         "entropy_identity": {
-            "mean": float(ent_mean),
-            "stderr": float(ent_se),
-            "expected": float(entropy),
-            "pass": bool(abs(ent_mean - entropy) <= 3.0 * ent_se),
-        },
+            "mean": float(ent_mean), "stderr": float(ent_se),
+            **verdict(ent_mean, ent_se, entropy, "two_sided")},
         "sup_gap_sq": {"mean": float(gap_mean), "stderr": float(gap_se)},
         "t2_constant": float(c_t2),
-        "bound": float(bound),
-        "margin": float(bound - (gap_mean + 3.0 * gap_se)),
-        "pass": bool(gap_mean + 3.0 * gap_se <= bound),
+        **verdict(gap_mean, gap_se, bound, "upper"),
     }

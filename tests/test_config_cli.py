@@ -247,10 +247,12 @@ def test_verify_t1_takes_the_x0_norm_in_one_form(tmp_path, capsys):
     assert report["mu_moment"] == math.exp(report["lambda0"] * 0.125)
 
 
-def test_inadmissible_lambda0_exits_2_before_solving(tmp_path, capsys):
+@pytest.mark.parametrize("subcommand", ["verify-t1", "constants"])
+def test_inadmissible_lambda0_exits_2_before_solving(tmp_path, capsys,
+                                                     subcommand):
     lambda0_max = admissible_ranges(1.5, ETA_1D, 0.0, 1.0, 0.5)["lambda0_max_lemma"]
     out = tmp_path / "out"
-    code = main(["verify-t1", "--config",
+    code = main([subcommand, "--config",
                  write_config(tmp_path, {"t1": {"lambda0": 50.0}}),
                  "--out", str(out)])
     assert code == 2
@@ -478,6 +480,20 @@ def _reference(tmp_path, name, **changes):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def test_console_summary_reports_a_nested_failure(tmp_path, capsys):
+    # at 64 replicates and seed 19 the martingale of burgers_reference fails
+    # while the contraction gap passes; the block's line prints FAIL
+    path = _reference(tmp_path, "burgers_reference", replicates=64,
+                      experiment_seed=19)
+    out = tmp_path / "out"
+    assert main(["verify-t2", "--config", path, "--out", str(out)]) == 1
+    contraction = read_report(out)["contraction"]
+    assert contraction["pass"] and not contraction["martingale"]["pass"]
+    lines = capsys.readouterr().out.splitlines()
+    assert "  contraction: FAIL" in lines
+    assert lines[-1] == "result: FAIL"
 
 
 @pytest.mark.parametrize("name, changes, subcommand, infinite", [
