@@ -13,8 +13,7 @@ from tci_spde.concentration import (bobkov_gotze_check, exp_moment_check,
                                     l2_v_path_functional,
                                     sup_h_functional, t2_chain_check,
                                     w2_sorted_1d)
-from tci_spde.constants import (admissible_ranges, gaussian_moment_pair,
-                                t1_constant, t2_constant)
+from tci_spde.constants import t1_constants, t2_constant
 from tci_spde.girsanov import coupled_ensemble, shift_from_descriptor
 from tci_spde.models import burgers_model
 from tci_spde.noise import NoiseOperator, gains_inverse_k
@@ -27,25 +26,22 @@ model = burgers_model(32, op)
 cfg = SolverConfig(dt=1e-3, horizon=1.0)
 x0 = np.zeros(32)
 
+# The T1 record at c = 0.5: lambda0 defaults to half its admissible bound.
 cons = model.constants
-ranges = admissible_ranges(cons.theta, cons.eta, cons.K3, model.noise.c_b, 0.5)
-lam0 = 0.5 * ranges["lambda0_max_lemma"]
-print(f"admissible lambda0 < {ranges['lambda0_max_lemma']:.4f}; "
-      f"using half: {lam0:.4f}")
+t1 = t1_constants(cons.theta, cons.eta, cons.K3, model.noise.c_b, 0.5,
+                  cons.f_tilde * cfg.horizon, float(model.space.sq_norms(x0)))
+print(f"admissible lambda0 < {t1['ranges']['lambda0_max_lemma']:.4f}; "
+      f"using half: {t1['lambda0']:.4f}")
 
 # One ensemble of the path V-norm feeds every T1 check below.
 functional = l2_v_path_functional()
 values = functional_ensemble(model, cfg, x0, functional, REPLICATES, 0)
-f_int = model.constants.f_tilde * cfg.horizon
-x0_sq = float(model.space.sq_norms(x0))
-pair = gaussian_moment_pair(0.5, lam0, cons.theta, f_int, x0_sq)
-rep = exp_moment_check(model, values, pair, 0.5, lam0,
-                       ranges["lambda0_max_lemma"], f_int, x0_sq,
-                       experiment_seed=0)
+moment = t1["gaussian_moment"]
+rep = exp_moment_check(values, moment["a"], moment["b"])
 print(f"exponential moment: estimate {rep['estimate']:.4f} + 3se "
       f"<= bound {rep['bound']:.4f}  ->  {rep['pass']}")
 
-c_t1 = t1_constant(lam0, 0.5, cons.theta, f_int, 1.0)
+c_t1 = t1["C_T1"]
 lip = functional.lipschitz_constant
 print(f"\nBobkov-Gotze at C_T1 = {c_t1:.4f}, F = l2_V_path_norm:")
 bg = bobkov_gotze_check(values, lip, c_t1, [-1.0, -0.5, 0.5, 1.0])

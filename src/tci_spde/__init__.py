@@ -15,7 +15,7 @@ from .concentration import (FunctionalSpec, bobkov_gotze_check,
                             terminal_h_functional, w2_sorted_1d)
 from .config import ExperimentConfig, config_hash, load_config, parse_config
 from .constants import (admissible_ranges, ccr_constant, gaussian_moment_pair,
-                        t1_constant, t2_constant, t2_objective)
+                        t1_constant, t1_constants, t2_constant, t2_objective)
 from .errors import (DivergenceError, InfeasibleError, InvalidFieldError,
                      ParameterError, ResolutionError, SchemaError)
 from .fields import (L4_INTERPOLATION_1D, L4_INTERPOLATION_2D, POINCARE_1D,

@@ -6,10 +6,11 @@ the report contains no failed verdict.  Reports embed the resolved config
 and its hash; rerunning with the same config and seed is byte-identical
 up to the single ``timestamp`` key, independent of the worker count.
 Every constant a report gives comes from the config's constants record
-(``ExperimentConfig.constants``), so ``verify-t1`` and ``verify-t2``
-check against the ``C_T1`` and ``C_T2`` that ``constants`` reports; the
-two verify subcommands refuse a record whose horizon is not the
-simulated one.
+(``ExperimentConfig.constants``) through ``constants.t2_constant`` and
+``constants.t1_constants``, so ``verify-t1`` and ``verify-t2`` check
+against the ``C_T1`` and ``C_T2`` that ``constants`` reports; the two
+verify subcommands refuse a record whose horizon is not the simulated
+one, and ``verify-t1`` refuses an inadmissible lambda0 before it solves.
 """
 
 from __future__ import annotations
@@ -88,28 +89,6 @@ def _run_audit(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _t1_constants(cfg: ExperimentConfig) -> dict:
-    """The T1 report keys from the constants record: the admissible
-    ranges, lambda0 (default half of lambda0_max_lemma; an inadmissible one
-    is refused), c, mu_moment (default exp(lambda0 ||x0||_H^2)), C_T1 and
-    the Gaussian moment pair."""
-    vals = cfg.constants
-    theta, x0_sq = vals["theta"], vals["x0_h_norm_sq"]
-    f_int = vals["f_tilde_integral"] or 0.0
-    ranges = cst.admissible_ranges(theta, vals["eta"], vals["K3"] or 0.0,
-                                   vals["C_B"], cfg.c)
-    lambda0 = cfg.lambda0 if cfg.lambda0 is not None \
-        else 0.5 * ranges["lambda0_max_lemma"]
-    conc.check_lambda0(lambda0, ranges["lambda0_max_lemma"])
-    mu_moment = cfg.mu_moment if cfg.mu_moment is not None \
-        else cst.exp_or_inf(lambda0 * x0_sq)
-    a, b = cst.gaussian_moment_pair(cfg.c, lambda0, theta, f_int, x0_sq)
-    return {"ranges": ranges, "lambda0": float(lambda0), "c": float(cfg.c),
-            "mu_moment": float(mu_moment),
-            "C_T1": cst.t1_constant(lambda0, cfg.c, theta, f_int, mu_moment),
-            "gaussian_moment": {"a": float(a), "b": float(b)}}
-
-
 def _run_constants(cfg: ExperimentConfig) -> dict:
     vals = cfg.constants
     missing = [k for k in ("horizon", "K2", "C_B") if vals[k] is None]
@@ -127,9 +106,7 @@ def _run_constants(cfg: ExperimentConfig) -> dict:
         report.update({"ranges": None, "C_T1": None, "D": None,
                        "gaussian_moment": None})
         return report
-    report.update(_t1_constants(cfg))
-    a, b = report["gaussian_moment"]["a"], report["gaussian_moment"]["b"]
-    report["D"] = cst.ccr_constant(a, b) if a > 0.0 else None
+    report.update(cst.t1_constants(**{k: vals[k] for k in cst.T1_INPUTS}))
     return report
 
 
@@ -203,10 +180,8 @@ def _run_verify_t2(cfg: ExperimentConfig, out_dir: str) -> dict:
 def _run_verify_t1(cfg: ExperimentConfig, out_dir: str) -> dict:
     _require_verifiable(cfg)
     model, vals = cfg.model, cfg.constants
-    t1 = _t1_constants(cfg)  # the C_T1 that ``constants`` reports
-    moment = t1.pop("gaussian_moment")
-    lambda0, c_t1 = t1["lambda0"], t1["C_T1"]
-    lambda0_max = t1["ranges"]["lambda0_max_lemma"]
+    t1 = cst.t1_constants(**{k: vals[k] for k in cst.T1_INPUTS})
+    moment, _ = t1.pop("gaussian_moment"), t1.pop("D")
 
     functional = conc.l2_v_path_functional()
     values = conc.functional_ensemble(model, cfg.solver, cfg.x0, functional,
@@ -216,13 +191,16 @@ def _run_verify_t1(cfg: ExperimentConfig, out_dir: str) -> dict:
     lip = functional.lipschitz_constant
     return {
         **t1,
-        "exp_moment": conc.exp_moment_check(
-            model, values, (moment["a"], moment["b"]), cfg.c, lambda0,
-            lambda0_max, vals["f_tilde_integral"], vals["x0_h_norm_sq"],
-            cfg.experiment_seed),
-        "bobkov_gotze": conc.bobkov_gotze_check(values, lip, c_t1,
+        "exp_moment": {
+            **conc.exp_moment_check(values, moment["a"], moment["b"]),
+            "model": model.kind, "c": t1["c"], "lambda0": t1["lambda0"],
+            "lambda0_max_lemma": t1["ranges"]["lambda0_max_lemma"],
+            "experiment_seed": cfg.experiment_seed,
+            "f_tilde_integral": vals["f_tilde_integral"],
+            "x0_h_norm_sq": vals["x0_h_norm_sq"]},
+        "bobkov_gotze": conc.bobkov_gotze_check(values, lip, t1["C_T1"],
                                                 cfg.lambda_grid),
-        "gaussian_tail": conc.gaussian_tail_check(values, lip, c_t1,
+        "gaussian_tail": conc.gaussian_tail_check(values, lip, t1["C_T1"],
                                                   cfg.r_grid),
     }
 

@@ -209,50 +209,21 @@ def gaussian_tail_check(values, lip: float, C: float, r_grid) -> dict:
             "pass": bool(all(ent["pass"] for ent in entries))}
 
 
-def check_lambda0(lambda0: float, lambda0_max: float):
-    """Raise unless lambda0 lies in the admissible interval (0, lambda0_max)."""
-    if not 0.0 < lambda0 < lambda0_max:
-        raise ParameterError(f"lambda0 must lie in (0, {lambda0_max:.6g})")
-
-
-def exp_moment_check(model: ModelSpec, values, pair, c: float,
-                     lambda0: float, lambda0_max: float, f_int: float,
-                     x0_sq: float, experiment_seed: int) -> dict:
-    """E exp(c lambda0 theta int ||X||_V^2 dt) against its closed-form bound
-    exp(lambda0 (f_int + x0_sq)), from l2_V_path_norm ``values``.
-
-    ``pair`` is the Gaussian moment pair (a, bound) of
-    ``constants.gaussian_moment_pair`` at (c, lambda0, theta, f_int,
-    x0_sq), computed by the caller with the rest of its constants; the
-    other inputs are reported with it.  lambda0 must lie below
-    ``lambda0_max``, the smaller (moment-lemma) bound of
-    ``constants.admissible_ranges``; ``f_int`` is int f~ dt and ``x0_sq``
-    is ||x0||_H^2.  The verdict is ``upper`` (``_stats.verdict``).
-    """
-    check_lambda0(lambda0, lambda0_max)
+def exp_moment_check(values, a: float, bound: float) -> dict:
+    """E exp(c lambda0 theta int ||X||_V^2 dt) against exp(lambda0 (int f~
+    dt + ||x0||_H^2)), from l2_V_path_norm ``values``: (a, bound) is the
+    Gaussian moment pair of ``constants.t1_constants``; ``upper`` verdict."""
     values = _ensemble_values(values)
-    a, bound = pair
     exponent = a * values**2
     if float(np.max(exponent)) > _EXP_RANGE:
         estimate, stderr, infinite = math.inf, math.inf, True
     else:
         estimate, stderr = mean_and_stderr(np.exp(exponent))
         infinite = False
-    return {
-        "model": model.kind,
-        "c": float(c),
-        "lambda0": float(lambda0),
-        "lambda0_max_lemma": float(lambda0_max),
-        "a": float(a),
-        "n_replicates": int(values.size),
-        "experiment_seed": int(experiment_seed),
-        "estimate": float(estimate),
-        "stderr": float(stderr),
-        "infinite": bool(infinite),
-        "f_tilde_integral": float(f_int),
-        "x0_h_norm_sq": float(x0_sq),
-        **verdict(estimate, stderr, bound, "upper"),
-    }
+    return {"a": float(a), "n_replicates": int(values.size),
+            "estimate": float(estimate), "stderr": float(stderr),
+            "infinite": bool(infinite),
+            **verdict(estimate, stderr, bound, "upper")}
 
 
 # ---------------------------------------------------------------------------

@@ -101,13 +101,19 @@ _NONNEGATIVE = {"check": lambda v: v >= 0, "describe": "must be nonnegative"}
 _INDEX = {"check": lambda v: v >= 1, "describe": "must be a positive integer"}
 
 
+def _finite_numbers(items) -> bool:
+    return all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               and math.isfinite(x) for x in items)
+
+
 @dataclass
 class ExperimentConfig:
     """Resolved experiment pieces plus the raw document they came from;
     ``constants`` is the constants record, the resolved inputs of every
-    constant that ``constants``, ``verify-t1`` and ``verify-t2`` report,
-    and ``snapshot_stride`` (read from the solver section) thins the rows
-    of ``simulate``'s trajectory CSV."""
+    constant that ``constants``, ``verify-t1`` and ``verify-t2`` report
+    (the ``t1`` section's c, lambda0 and mu_moment among them), and
+    ``snapshot_stride`` (read from the solver section) thins the rows of
+    ``simulate``'s trajectory CSV."""
 
     raw: dict
     model: ModelSpec | None
@@ -120,9 +126,6 @@ class ExperimentConfig:
     replicates: int
     experiment_seed: int
     outputs: str
-    c: float
-    lambda0: float | None
-    mu_moment: float | None
     constants: dict
     moment_p: float = 2.0
     n_fields: int = 1000
@@ -142,6 +145,9 @@ def _build_noise(reader: _Reader):
         "gains", (str, list), default="inverse_k",
         check=lambda v: isinstance(v, list) or v in ("inverse_k", "single_mode"),
         describe="expected 'inverse_k', 'single_mode', or a list")
+    if isinstance(gains_kind, list) and not _finite_numbers(gains_kind):
+        noise.problems.append("noise.gains: must be a list of finite numbers")
+        gains_kind = None
     # mode_index applies to single_mode gains only (and is still checked
     # when the gains failed their own check)
     if gains_kind in (None, "single_mode"):
@@ -336,33 +342,43 @@ def _build_functionals(reader: _Reader, model):
     return out
 
 
-def _grid(reader: _Reader, key, default):
-    grid = reader.get(key, list, default=default, check=lambda v: all(
-        isinstance(x, (int, float)) and not isinstance(x, bool)
-        and math.isfinite(x) for x in v),
-        describe="must be a list of finite numbers")
+def _grid(reader: _Reader, key, default, low=-math.inf):
+    """A nonempty list of finite numbers, each at least ``low``."""
+    grid = reader.get(key, list, default=default, check=lambda v: bool(v)
+                      and _finite_numbers(v) and min(v) >= low,
+                      describe="must be a nonempty list of finite numbers"
+                      + ("" if low == -math.inf else f" >= {low:g}"))
     return [float(v) for v in grid or ()]
 
 
 def _build_constants(reader: _Reader, model, solver, x0) -> dict:
     """The constants record, the one source of every constant a report
-    gives: each input is one key, read once with its default.  The solver
-    gives the horizon; the model gives K2, C_B, theta, eta and K3, and
-    f_tilde_integral = f_tilde * horizon; x0 gives its squared H-norm,
-    which must be finite."""
+    gives: each input is one key, read once with its default.  The ``t1``
+    section gives c, lambda0 and mu_moment (None: ``t1_constants``'s
+    default); the solver the horizon; the model K2, C_B, theta, eta, K3 and
+    f_tilde_integral = f_tilde * horizon (both 0.0 without a model); x0
+    its squared H-norm, which must be finite."""
+    t1 = reader.section("t1")
+    vals = {"c": t1.get("c", float, default=0.5, check=lambda v: 0 < v < 1,
+                        describe="must lie in (0, 1)"),
+            "lambda0": t1.get("lambda0", float, default=None, **_POSITIVE),
+            "mu_moment": t1.get("mu_moment", float, default=None,
+                                check=lambda v: v >= 1,
+                                describe="must be at least 1")}
+    t1.close()
     cons = reader.section("constants")
-    vals = {"C1": cons.get("C1", float, default=2.0, **_POSITIVE),
-            "horizon": cons.get("horizon", float, default=None
-                                if solver is None else solver.horizon)}
-    defaults = dict.fromkeys(("K2", "C_B", "theta", "eta", "K3"))
+    vals.update(C1=cons.get("C1", float, default=2.0, **_POSITIVE),
+                horizon=cons.get("horizon", float, default=None
+                                 if solver is None else solver.horizon))
+    defaults = dict.fromkeys(("K2", "C_B", "theta", "eta"))
+    defaults["K3"] = f_int = 0.0
     if model is not None:
         c = model.constants
         defaults.update(K2=c.K2, C_B=model.noise.c_b, theta=c.theta,
                         eta=c.eta, K3=c.K3)
+        f_int = None if vals["horizon"] is None else c.f_tilde * vals["horizon"]
     for key, default in defaults.items():
         vals[key] = cons.get(key, float, default=default)
-    f_int = None if model is None or vals["horizon"] is None \
-        else model.constants.f_tilde * vals["horizon"]
     vals["f_tilde_integral"] = cons.get("f_tilde_integral", float,
                                         default=f_int, **_NONNEGATIVE)
     x0_sq = 0.0
@@ -395,7 +411,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
     shift = _build_shift(reader, noise, model, solver)
     functionals = _build_functionals(reader, model)
     lambda_grid = _grid(reader, "lambda_grid", [-1.0, -0.5, -0.1, 0.1, 0.5, 1.0])
-    r_grid = _grid(reader, "r_grid", [0.5, 1.0, 2.0])
+    r_grid = _grid(reader, "r_grid", [0.5, 1.0, 2.0], low=0.0)
     replicates = reader.get("replicates", int, default=256,
                             check=lambda v: v >= 2,
                             describe="must be at least 2")
@@ -403,14 +419,6 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
     outputs = reader.get("outputs", str, default=".")
     moment_p = reader.get("moment_p", float, default=2.0, **_POSITIVE)
     n_fields = reader.get("n_fields", int, default=1000, **_POSITIVE)
-
-    t1 = reader.section("t1")
-    c = t1.get("c", float, default=0.5, check=lambda v: 0 < v < 1,
-               describe="must lie in (0, 1)")
-    lambda0 = t1.get("lambda0", float, default=None, **_POSITIVE)
-    mu_moment = t1.get("mu_moment", float, default=None,
-                       check=lambda v: v >= 1, describe="must be at least 1")
-    t1.close()
 
     constants = _build_constants(reader, model, solver, x0)
     # the document's own unknown keys are listed first
@@ -421,8 +429,8 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
         raw=raw, model=model, solver=solver, x0=x0, shift=shift,
         functionals=functionals, lambda_grid=lambda_grid, r_grid=r_grid,
         replicates=replicates, experiment_seed=seed, outputs=outputs,
-        c=c, lambda0=lambda0, mu_moment=mu_moment, constants=constants,
-        moment_p=moment_p, n_fields=n_fields, snapshot_stride=stride)
+        constants=constants, moment_p=moment_p, n_fields=n_fields,
+        snapshot_stride=stride)
 
 
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:

@@ -186,3 +186,34 @@ def admissible_ranges(theta: float, eta: float, K3: float, C_B: float,
         "lambda0_max_lemma": float(num / (2.0 * C_B + te)),
         "lambda0_max_theorem": float(num / (2.0 * C_B)),
     }
+
+
+# the constants-record keys that t1_constants takes, by the same names
+T1_INPUTS = ("theta", "eta", "K3", "C_B", "c", "f_tilde_integral",
+             "x0_h_norm_sq", "lambda0", "mu_moment")
+
+
+def t1_constants(theta: float, eta: float, K3: float, C_B: float, c: float,
+                 f_tilde_integral: float, x0_h_norm_sq: float,
+                 lambda0: float | None = None,
+                 mu_moment: float | None = None) -> dict:
+    """The T1 report keys: the admissible ranges, lambda0 (default half of
+    lambda0_max_lemma; one outside (0, lambda0_max_lemma) is refused), c,
+    mu_moment (default exp(lambda0 x0_h_norm_sq)), C_T1, the Gaussian
+    moment pair and D (None where a underflows to zero)."""
+    ranges = admissible_ranges(theta, eta, K3, C_B, c)
+    top = ranges["lambda0_max_lemma"]
+    if lambda0 is None:
+        lambda0 = 0.5 * top
+    if not 0.0 < lambda0 < top:
+        raise ParameterError(f"lambda0 must lie in (0, {top:.6g})")
+    if mu_moment is None:
+        mu_moment = exp_or_inf(lambda0 * x0_h_norm_sq)
+    a, b = gaussian_moment_pair(c, lambda0, theta, f_tilde_integral,
+                                x0_h_norm_sq)
+    return {"ranges": ranges, "lambda0": float(lambda0), "c": float(c),
+            "mu_moment": float(mu_moment),
+            "C_T1": t1_constant(lambda0, c, theta, f_tilde_integral,
+                                mu_moment),
+            "gaussian_moment": {"a": float(a), "b": float(b)},
+            "D": ccr_constant(a, b) if a > 0.0 else None}

@@ -51,6 +51,15 @@ def burgers_reference():
     return model, cfg, np.zeros(32)
 
 
+def reference_t1_constants(model, cfg, x0):
+    """The T1 record of a reference model at c = 0.5 and the default
+    lambda0 and mu_moment."""
+    cons = model.constants
+    return cst.t1_constants(cons.theta, cons.eta, cons.K3, model.noise.c_b,
+                            0.5, cons.f_tilde * cfg.horizon,
+                            float(model.space.sq_norms(x0)))
+
+
 def unit_shift(cfg):
     return shift_from_descriptor(
         {"type": "constant", "mode_index": 1, "amplitude": 1.0}, 8, cfg)
@@ -153,18 +162,10 @@ def test_criterion_05_exponential_moment_lemma():
     for make in (heat_reference, burgers_reference):
         model, cfg, x0 = make()
         start = time.perf_counter()
-        cons = model.constants
-        ranges = cst.admissible_ranges(cons.theta, cons.eta, cons.K3,
-                                       model.noise.c_b, 0.5)
-        lam0 = 0.5 * ranges["lambda0_max_lemma"]
+        moment = reference_t1_constants(model, cfg, x0)["gaussian_moment"]
         values = conc.functional_ensemble(model, cfg, x0,
                                           conc.l2_v_path_functional(), 2048, 0)
-        f_int = model.constants.f_tilde * cfg.horizon
-        x0_sq = float(model.space.sq_norms(x0))
-        pair = cst.gaussian_moment_pair(0.5, lam0, cons.theta, f_int, x0_sq)
-        report = conc.exp_moment_check(
-            model, values, pair, 0.5, lam0, ranges["lambda0_max_lemma"],
-            f_int, x0_sq, 0)
+        report = conc.exp_moment_check(values, moment["a"], moment["b"])
         elapsed = time.perf_counter() - start
         ok = ok and report["pass"] and elapsed < 300.0
         details.append(f"{model.kind}: {report['estimate']:.4f}+3se <= "
@@ -175,12 +176,7 @@ def test_criterion_05_exponential_moment_lemma():
 def test_criterion_06_bobkov_gotze_suite():
     start = time.perf_counter()
     model, cfg, x0 = burgers_reference()
-    cons = model.constants
-    ranges = cst.admissible_ranges(cons.theta, cons.eta, cons.K3,
-                                   model.noise.c_b, 0.5)
-    lam0 = 0.5 * ranges["lambda0_max_lemma"]
-    c_t1 = cst.t1_constant(lam0, 0.5, cons.theta,
-                           model.constants.f_tilde * cfg.horizon, 1.0)
+    c_t1 = reference_t1_constants(model, cfg, x0)["C_T1"]
     functional = conc.l2_v_path_functional()
     values = conc.functional_ensemble(model, cfg, x0, functional, 4096, 0)
     report = conc.bobkov_gotze_check(values, functional.lipschitz_constant,

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from tci_spde._stats import Z
-from tci_spde.concentration import bobkov_gotze_check
+from tci_spde.concentration import (bobkov_gotze_check, gaussian_tail_check,
+                                    sup_h_functional, t2_chain_check)
 from tci_spde.config import parse_config
 from tci_spde.girsanov import contraction_report
 
 SEEDS = 1000
-DEFAULT_LAMBDA_GRID = parse_config({}).lambda_grid
+DEFAULTS = parse_config({})
+DEFAULT_LAMBDA_GRID = DEFAULTS.lambda_grid
 ONE_SIDED = 1.0 - NormalDist().cdf(Z)  # 0.135% at Z = 3
 
 
@@ -37,6 +39,35 @@ def test_bobkov_gotze_size_on_the_gaussian_equality_case():
         report = bobkov_gotze_check(values, 1.0, 1.0, DEFAULT_LAMBDA_GRID)
         failures += [not ent["pass"] for ent in report["entries"]]
     assert failures.max() <= binomial_bound(SEEDS, ONE_SIDED), failures
+
+
+def test_gaussian_tail_size_on_the_gaussian_case():
+    # N(0, 1) values of a 1-Lipschitz functional have tails below
+    # exp(-r^2 / (2 C L^2)) at C = 1; each entry compares a Wilson upper
+    # limit at Z with that bound
+    failures = np.zeros(len(DEFAULTS.r_grid), dtype=int)
+    for seed in range(SEEDS):
+        values = np.random.default_rng(seed).standard_normal(256)
+        report = gaussian_tail_check(values, 1.0, 1.0, DEFAULTS.r_grid)
+        failures += [not ent["pass"] for ent in report["entries"]]
+    assert failures.max() <= binomial_bound(SEEDS, ONE_SIDED), failures
+
+
+@pytest.mark.parametrize("m", [64, 256])
+def test_t2_chain_size_when_the_bound_is_the_true_w2(m):
+    # sup_H_norm legs N(1, 1) and N(0, 1) are exactly W2 = 1 apart, and
+    # L sqrt(2 C H) = 1 at L = C = 1, H = 0.5; the verdict is `excess`
+    model = SimpleNamespace(kind="heat", space=None)
+    failures = 0
+    for seed in range(SEEDS):
+        shifted, unshifted = np.random.default_rng(seed).standard_normal((2, m))
+        coupled = {"shifted": {"sup_h_total": shifted + 1.0},
+                   "unshifted": {"sup_h_total": unshifted},
+                   "shift_entropy": 0.5, "n_replicates": m,
+                   "experiment_seed": seed}
+        report = t2_chain_check(model, sup_h_functional(), coupled, 1.0)
+        failures += not report["pass"]
+    assert failures <= binomial_bound(SEEDS, ONE_SIDED), failures
 
 
 @pytest.mark.xfail(strict=True, reason=(

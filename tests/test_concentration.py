@@ -17,8 +17,7 @@ from tci_spde import noise as N
 from tci_spde import solver as S
 from tci_spde._stats import fsum_mean, mean_and_stderr
 from tci_spde.cli import _write_ensemble_csv
-from tci_spde.constants import (admissible_ranges, gaussian_moment_pair,
-                                t2_constant)
+from tci_spde.constants import t1_constants, t2_constant
 from tci_spde.errors import InvalidFieldError, ParameterError
 
 import oracles as orc
@@ -257,19 +256,19 @@ def small_heat():
     return model, cfg, np.zeros(8)
 
 
+def heat_t1_constants(model, cfg, **given):
+    """The T1 record of a zero start on ``model`` at ``cfg``'s horizon."""
+    cons = model.constants
+    return t1_constants(cons.theta, cons.eta, cons.K3, model.noise.c_b, 0.5,
+                        cons.f_tilde * cfg.horizon, 0.0, **given)
+
+
 def test_exp_moment_check_passes_on_heat():
     model, cfg, x0 = small_heat()
-    ranges = admissible_ranges(model.constants.theta, model.constants.eta,
-                               model.constants.K3, model.noise.c_b)
+    moment = heat_t1_constants(model, cfg)["gaussian_moment"]
     values = K.functional_ensemble(model, cfg, x0, K.l2_v_path_functional(),
                                    256, 0)
-    lambda0 = 0.5 * ranges["lambda0_max_lemma"]
-    f_int = model.constants.f_tilde * cfg.horizon
-    pair = gaussian_moment_pair(0.5, lambda0, model.constants.theta, f_int,
-                                0.0)
-    report = K.exp_moment_check(model, values, pair, c=0.5, lambda0=lambda0,
-                                lambda0_max=ranges["lambda0_max_lemma"],
-                                f_int=f_int, x0_sq=0.0, experiment_seed=0)
+    report = K.exp_moment_check(values, moment["a"], moment["b"])
     assert report["pass"], report
     assert report["n_replicates"] == 256
     assert report["estimate"] + 3.0 * report["stderr"] <= report["bound"]
@@ -279,31 +278,19 @@ def test_exp_moment_check_sums_exponentials_beyond_the_float_range():
     # each exponent is under the 700 cap, but 20,000 of the exponentials
     # sum to about 2e308: the estimate is still their (finite) mean
     model, cfg, _ = small_heat()
-    ranges = admissible_ranges(model.constants.theta, model.constants.eta,
-                               model.constants.K3, model.noise.c_b)
-    lambda0, f_int = 0.5 * ranges["lambda0_max_lemma"], 0.0
-    pair = gaussian_moment_pair(0.5, lambda0, model.constants.theta, f_int,
-                                0.0)
-    values = np.full(20_000, math.sqrt(699.999 / pair[0]))
-    report = K.exp_moment_check(model, values, pair, c=0.5, lambda0=lambda0,
-                                lambda0_max=ranges["lambda0_max_lemma"],
-                                f_int=f_int, x0_sq=0.0, experiment_seed=0)
+    moment = heat_t1_constants(model, cfg)["gaussian_moment"]
+    values = np.full(20_000, math.sqrt(699.999 / moment["a"]))
+    report = K.exp_moment_check(values, moment["a"], moment["b"])
     assert not report["infinite"]
     assert report["estimate"] == pytest.approx(math.exp(699.999), rel=1e-12)
     assert report["stderr"] == 0.0
     assert report["pass"] is False
 
 
-def test_exp_moment_check_rejects_inadmissible_lambda0():
+def test_t1_constants_rejects_inadmissible_lambda0():
     model, cfg, _ = small_heat()
-    ranges = admissible_ranges(model.constants.theta, model.constants.eta,
-                               model.constants.K3, model.noise.c_b)
-    f_int = model.constants.f_tilde * cfg.horizon
-    pair = gaussian_moment_pair(0.5, 10.0, model.constants.theta, f_int, 0.0)
     with pytest.raises(ParameterError, match="lambda0 must lie in"):
-        K.exp_moment_check(model, np.ones(4), pair, c=0.5, lambda0=10.0,
-                           lambda0_max=ranges["lambda0_max_lemma"],
-                           f_int=f_int, x0_sq=0.0, experiment_seed=0)
+        heat_t1_constants(model, cfg, lambda0=10.0)
 
 
 def test_zero_noise_moments_vanish():

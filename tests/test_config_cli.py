@@ -575,11 +575,35 @@ def _listed_problems(tmp_path, capsys, doc):
     ({"bogus_top": 1, "model": {"kind": "heat"},
       "noise": {"n_w": 3, "gains": [1.0]}},
      ["bogus_top: unknown key", "noise.gains: list length must equal n_w"]),
-], ids=["noise_without_model", "bad_model_and_noise", "bad_top_key_and_noise"])
+    *[({"bogus_top": 1, "model": {"kind": "heat"},
+        "noise": {"n_w": 2, "gains": gains, "c_b": "x"}},
+       ["bogus_top: unknown key", "noise.c_b: expected float",
+        "noise.gains: must be a list of finite numbers"])
+      for gains in (["x", 1], [True, 0.5], [None, 1])],
+], ids=["noise_without_model", "bad_model_and_noise", "bad_top_key_and_noise",
+        "string_gain", "bool_gain", "null_gain"])
 def test_noise_problems_are_listed_with_the_rest(tmp_path, capsys, doc, problems):
     # the noise section is read whenever it or the model is present, and
-    # each builder stops on its own section's problems only
+    # each builder stops on its own section's problems only; a gains list
+    # is read by the rule of the grids: finite numbers, no bools
     assert _listed_problems(tmp_path, capsys, doc) == problems
+
+
+@pytest.mark.parametrize("grids, problem", [
+    ({"r_grid": [-1.0, 0.5]},
+     "r_grid: must be a nonempty list of finite numbers >= 0"),
+    ({"r_grid": []}, "r_grid: must be a nonempty list of finite numbers >= 0"),
+    ({"lambda_grid": []},
+     "lambda_grid: must be a nonempty list of finite numbers"),
+], ids=["negative_radius", "no_radius", "no_lambda"])
+def test_grids_are_refused_before_solving(tmp_path, capsys, grids, problem):
+    # a negative tail radius, or an empty grid (a check that cannot fail),
+    # exits 2 at parse time and writes nothing
+    out = tmp_path / "out"
+    assert main(["verify-t1", "--config", write_config(tmp_path, grids),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == f"invalid config: {problem}"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("model, problems", [
@@ -680,14 +704,16 @@ def test_shift_and_constants_are_built_at_parse_time():
     assert cfg.shift[:, 0].tolist() == [1.0] * 21
     assert not cfg.shift[:, 1:].any()
     assert cfg.constants == {
+        "c": 0.5, "lambda0": None, "mu_moment": None,
         "C1": 2.0, "horizon": 0.2, "K2": 0.0, "C_B": 1.0,
         "theta": cfg.model.constants.theta, "eta": ETA_1D, "K3": 0.0,
         "f_tilde_integral": 1.0 * 0.2, "x0_h_norm_sq": 0.0}
     bare = parse_config({"constants": {"horizon": 2.0, "K2": 0.5}})
     assert bare.shift is None
     assert bare.constants == {
+        "c": 0.5, "lambda0": None, "mu_moment": None,
         "C1": 2.0, "horizon": 2.0, "K2": 0.5, "C_B": None, "theta": None,
-        "eta": None, "K3": None, "f_tilde_integral": None, "x0_h_norm_sq": 0.0}
+        "eta": None, "K3": 0.0, "f_tilde_integral": 0.0, "x0_h_norm_sq": 0.0}
 
 
 def _perfbench_configs():

@@ -205,6 +205,23 @@ def test_gaussian_moment_pair():
 # admissible ranges
 
 
+def test_t1_constants_compose_the_t1_formulas():
+    # lambda0 defaults to half of lambda0_max_lemma, mu_moment to
+    # exp(lambda0 ||x0||_H^2); D is the CCR constant of the moment pair
+    ranges = C.admissible_ranges(1.5, ETA_1D, 0.0, 1.0, 0.5)
+    lam = 0.5 * ranges["lambda0_max_lemma"]
+    mu = math.exp(lam * 0.25)
+    a, b = C.gaussian_moment_pair(0.5, lam, 1.5, 1.0, 0.25)
+    assert C.t1_constants(1.5, ETA_1D, 0.0, 1.0, 0.5, 1.0, 0.25) == {
+        "ranges": ranges, "lambda0": lam, "c": 0.5, "mu_moment": mu,
+        "C_T1": C.t1_constant(lam, 0.5, 1.5, 1.0, mu),
+        "gaussian_moment": {"a": a, "b": b}, "D": C.ccr_constant(a, b)}
+    given = C.t1_constants(1.5, ETA_1D, 0.0, 1.0, 0.5, 1.0, 0.25,
+                           lambda0=0.1, mu_moment=2.0)
+    assert (given["lambda0"], given["mu_moment"]) == (0.1, 2.0)
+    assert given["C_T1"] == C.t1_constant(0.1, 0.5, 1.5, 1.0, 2.0)
+
+
 def test_admissible_ranges_reference():
     r = C.admissible_ranges(1.5, ETA_1D, 0.0, 1.0, c=0.5)
     assert r["c_max"] == 1.0

@@ -18,8 +18,9 @@ The configs default to ``demos/configs/*.json`` of NEW_TREE, then its
 ``tools/configs/*.json``, which reach what no reference config does (a
 ramp shift, a ``mode`` start, the ``terminal_H_norm`` and
 ``linear_probe`` functionals, a partial replicate block, a clamped
-noise, ``constants`` overrides, verdicts on infinite estimates, stderrs
-and bounds); ``--config`` adds more (repeatable),
+noise, ``constants`` overrides, the ``t1`` inputs ``lambda0`` and
+``mu_moment`` given, verdicts on infinite estimates, stderrs and
+bounds); ``--config`` adds more (repeatable),
 and ``--only`` drops the defaults.  ``--workers A B`` runs OLD with A
 worker processes and NEW with B (default 1 and 1); both run with one
 BLAS thread.  Run outputs go to a temporary directory.
